@@ -239,6 +239,8 @@ def power(a, p: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product with numpy batching; an operand broadcast over batch
+    dimensions gets its adjoint summed over them."""
     tape = _wants_tape(a, b)
     ad, bd = _data(a), _data(b)
     out = Tensor(ad @ bd)
@@ -247,9 +249,9 @@ def matmul(a, b) -> Tensor:
 
         def backward(g, epoch, a=a, b=b, ad=ad, bd=bd):
             if isinstance(a, Tensor):
-                _accumulate(a, g @ bd.swapaxes(-1, -2), epoch)
+                _accumulate(a, _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape), epoch)
             if isinstance(b, Tensor):
-                _accumulate(b, ad.swapaxes(-1, -2) @ g, epoch)
+                _accumulate(b, _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape), epoch)
 
         tape._record(out, backward)
     return out

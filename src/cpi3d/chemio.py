@@ -425,7 +425,8 @@ def load_manifest(path) -> list[ComplexRecord]:
     """Load a dataset manifest CSV and parse every referenced file.
 
     Required columns: complex_id, ligand_sdf, protein_pdb. Optional:
-    ec50_nm, confidence, is_active. File paths resolve relative to the
+    ec50_nm, confidence, is_active. Each complex_id may appear once; data
+    rows are numbered from 1 in errors. File paths resolve relative to the
     manifest's directory. Multi-record SDFs become multiple poses.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -437,8 +438,13 @@ def load_manifest(path) -> list[ComplexRecord]:
             raise ValidationError(
                 f"manifest must have columns {sorted(required)}, got {reader.fieldnames}"
             )
-        for row in reader:
+        first_row: dict[str, int] = {}
+        for row_no, row in enumerate(reader, start=1):
             cid = row["complex_id"].strip()
+            if cid in first_row:
+                raise ValidationError(f"row {row_no}: duplicate complex_id {cid!r} "
+                                      f"(first in row {first_row[cid]})")
+            first_row[cid] = row_no
             lig_path = os.path.join(base, row["ligand_sdf"].strip())
             prot_path = os.path.join(base, row["protein_pdb"].strip())
             for p in (lig_path, prot_path):

@@ -72,11 +72,32 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _check_config_doc(doc) -> None:
+    """Reject any section or key that `RunConfig.to_dict` does not write."""
+    schema = RunConfig().to_dict()
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config must be a JSON object, got {type(doc).__name__}")
+    for section, value in doc.items():
+        if section not in schema:
+            raise ValidationError(f"config: unknown section {section!r}, "
+                                  f"allowed {sorted(schema)}")
+        fields = schema[section]
+        if not isinstance(fields, dict):
+            continue
+        if not isinstance(value, dict):
+            raise ValidationError(f"config section {section!r} must be a JSON object")
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise ValidationError(f"config section {section!r}: unknown keys {unknown}, "
+                                  f"allowed {sorted(fields)}")
+
+
 def _merge_config(args) -> RunConfig:
     doc: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
+    _check_config_doc(doc)
     cutoffs = CutoffConfig(**doc.get("cutoffs", {}))
     model = ModelConfig.from_dict({**ModelConfig().to_dict(), **doc.get("model", {})})
     train_doc = {**TrainConfig().to_dict(), **doc.get("train", {})}

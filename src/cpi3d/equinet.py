@@ -284,11 +284,14 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
                            paths, out_layout: IrrepLayout) -> IrrepFeature:
     """Couple source features with edge harmonics along the given paths.
 
-    For each path (l_in, l_sh, l_out): contract the source block against
-    the degree-l_sh harmonic block through the Clebsch-Gordan tensor,
-    scale by that path's per-edge gate, and mix channels into the output
-    layout with the path's weight matrix. Contributions to the same l_out
-    add.
+    Each path (l_in, l_sh, l_out) runs four steps. Coupling: contract the
+    Clebsch-Gordan tensor with the degree-l_sh harmonic block into a
+    per-edge matrix K of shape (E, 2l_in+1, 2l_out+1). Gate: scale K by
+    the path's per-edge gate. Contract: one batched matmul of the source
+    block (E, m_in, 2l_in+1) with K. Mix: one broadcast matmul by the
+    transposed (m_in, m_out) weight matrix, added into the l_out block.
+    Only one path's per-edge intermediates are alive at a time; the
+    generic matmul/mul adjoints give the backward pass.
     """
     n_e = h_src.n
     sh_data = sh if isinstance(sh, Tensor) else np.asarray(sh, dtype=np.float64)
@@ -301,12 +304,12 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
         mi, mo = h_src.layout.mult(li), out_layout.mult(lo)
         if w.shape != (mi, mo):
             raise ConfigError(f"path {key}: weight shape {w.shape} != ({mi}, {mo})")
-        cg = clebsch_gordan(li, ls, lo)
         sh_block = sh_data[:, sh_slice(ls)] if not isinstance(sh_data, Tensor) \
             else ad.take(sh_data, (slice(None), sh_slice(ls)))
-        coupled = ad.einsum("Mab,eca,eb->ecM", cg, h_src.blocks[li], sh_block)
+        coupling = ad.einsum("Mab,eb->eaM", clebsch_gordan(li, ls, lo), sh_block)
         gate = ad.reshape(ad.take(path_gates, (slice(None), slice(idx, idx + 1))), (n_e, 1, 1))
-        term = ad.einsum("ecM,cd->edM", ad.mul(coupled, gate), w)
+        coupled = ad.matmul(h_src.blocks[li], ad.mul(coupling, gate))     # (E, mi, 2lo+1)
+        term = ad.matmul(ad.einsum("cd->dc", w), coupled)                  # (E, mo, 2lo+1)
         out[lo] = ad.add(out[lo], term) if lo in out else term
     for l in out_layout.degrees():
         if l not in out:

@@ -1,10 +1,16 @@
-"""Brute-force reference implementations used to verify the metric code.
+"""Brute-force reference implementations used to verify the metric code
+and the tensor-product message kernel.
 
-Everything here is written longhand (python loops, explicit rank formulas)
-and stays independent of the vectorized implementations under test.
+Everything here is written longhand (python loops, explicit rank formulas,
+one einsum per coupling path) and stays independent of the vectorized
+implementations under test.
 """
 
 import math
+
+import numpy as np
+
+from cpi3d.so3 import clebsch_gordan, sh_slice
 
 
 def ci_oracle(preds, labels):
@@ -67,3 +73,21 @@ def bedroc_oracle(scores, labels, alpha):
         math.cosh(alpha / 2) - math.cosh(alpha / 2 - alpha * ra)
     )
     return rie * factor + 1.0 / (1.0 - math.exp(alpha * (1.0 - ra)))
+
+
+def tp_message_oracle(h_blocks, sh, gates, weights, paths, out_muls):
+    """Per-path tensor-product message in plain numpy.
+
+    For each path (l_in, l_sh, l_out): one three-operand Clebsch-Gordan
+    einsum over the source block and the harmonic block, the per-edge gate,
+    then a channel-mixing einsum with the path's (m_in, m_out) weights.
+    Returns the output blocks keyed by l_out, zeros where no path lands.
+    """
+    n_e = sh.shape[0]
+    out = {l: np.zeros((n_e, m, 2 * l + 1)) for l, m in enumerate(out_muls) if m > 0}
+    for idx, (li, ls, lo) in enumerate(paths):
+        coupled = np.einsum("Mab,eca,eb->ecM", clebsch_gordan(li, ls, lo),
+                            h_blocks[li], sh[:, sh_slice(ls)])
+        gated = coupled * gates[:, idx].reshape(n_e, 1, 1)
+        out[lo] = out[lo] + np.einsum("ecM,cd->edM", gated, weights[(li, ls, lo)])
+    return out

@@ -74,6 +74,14 @@ def test_matmul_gradients():
     check_op(lambda p: _sq(ad.matmul(A, p)), [[0.5, 1.0], [2.0, -0.5]])
 
 
+def test_matmul_broadcast_gradients():
+    # a 2-D operand broadcast over a batch of matrices gets the batch-summed adjoint
+    X = np.arange(24.0).reshape(4, 3, 2) / 11.0
+    check_op(lambda p: _sq(ad.matmul(p, X)), [[0.5, 1.0, -1.0], [2.0, -0.5, 0.25]])
+    Y = np.arange(24.0).reshape(4, 2, 3) / 13.0
+    check_op(lambda p: _sq(ad.matmul(Y, p)), [[0.5, 1.0], [2.0, -0.5], [-1.0, 0.25]])
+
+
 def test_broadcast_add_gradient():
     # bias broadcast over rows must sum the adjoint over the batch
     check_op(lambda p: _sq(ad.add(np.ones((4, 3)), p)), [0.1, 0.2, 0.3])

@@ -232,6 +232,15 @@ def test_load_manifest_missing_file_names_row(tmp_path):
         load_manifest(manifest)
 
 
+def test_load_manifest_rejects_duplicate_complex_id(tmp_path):
+    records = random_complexes(3, seed=7)
+    manifest = write_manifest(records, str(tmp_path))
+    lines = open(manifest).read().splitlines()
+    open(manifest, "w").write("\n".join(lines + [lines[1]]) + "\n")   # toy0 again as row 4
+    with pytest.raises(ValidationError, match=r"row 4: duplicate complex_id 'toy0'"):
+        load_manifest(manifest)
+
+
 def test_load_manifest_multi_pose(tmp_path):
     records = random_complexes(1, seed=11)
     rec = records[0]

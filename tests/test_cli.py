@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cpi3d
 from cpi3d.chemio import write_sdf
 from cpi3d.cli import main
 from cpi3d.synthetic import (
@@ -237,15 +239,41 @@ def test_missing_input_exits_two(tmp_path):
     assert main(["fingerprint", "--sdf", str(tmp_path / "absent.sdf")]) == 2
 
 
-def test_print_config(capsys):
+def test_print_config(tmp_path, capsys):
     assert main(["simulate-screen", "--actives", "1", "--decoys", "1",
                  "--print-config"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    doc = json.loads(printed)
     assert "cutoffs" in doc and "model" in doc and "vina" in doc
+    # the printed document loads back as a config and resolves to itself
+    config = tmp_path / "config.json"
+    config.write_text(printed)
+    assert main(["simulate-screen", "--actives", "1", "--decoys", "1",
+                 "--config", str(config), "--print-config"]) == 0
+    assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("doc,needle", [
+    ({"cutoffs": {"bogus": 1}}, "'bogus'"),
+    ({"modle": {"layers": 1}}, "'modle'"),
+    ({"cutoffs": 5}, "'cutoffs'"),
+    ([{"seed": 1}], "JSON object"),
+])
+def test_unknown_config_entries_exit_one(tmp_path, capsys, doc, needle):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate-screen", "--actives", "1", "--decoys", "1",
+                 "--config", str(config), "--print-config"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
 def test_console_entry_point():
+    # the child finds the package under test whether or not it is installed
+    src = os.path.dirname(os.path.dirname(cpi3d.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "cpi3d.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "cpi3d" in proc.stdout

@@ -25,6 +25,7 @@ from cpi3d.fingerprint import morgan_fingerprint
 from cpi3d.geograph import CutoffConfig, build_pair_graph
 from cpi3d.so3 import (
     P_YZX,
+    allowed_paths,
     random_rotation,
     sh_slice,
     spherical_harmonics_batch,
@@ -33,6 +34,7 @@ from cpi3d.so3 import (
 from cpi3d.synthetic import random_complex
 
 from conftest import transform_ligand, transform_protein
+from oracles import tp_message_oracle
 
 SMALL_CFG = ModelConfig(layers=2, layout=IrrepLayout((6, 3, 2)),
                         edge_mlp_hidden=12, readout_hidden=8,
@@ -136,6 +138,72 @@ def test_tp_equivariance(rng):
         weights, paths, layout,
     )
     feature_allclose(rotate_feature(out, R), out_rot, atol=1e-10)
+
+
+def _tp_inputs(rng, layout, paths, n_e, requires_grad=False):
+    h = IrrepFeature(layout, {
+        l: Tensor(rng.normal(size=(n_e, layout.mult(l), 2 * l + 1)), requires_grad=requires_grad)
+        for l in layout.degrees()
+    })
+    sh = spherical_harmonics_batch(unit_rows(rng, n_e))
+    gates = Tensor(rng.normal(size=(n_e, len(paths))), requires_grad=requires_grad)
+    weights = {p: Tensor(rng.normal(size=(layout.mult(p[0]), layout.mult(p[2]))),
+                         requires_grad=requires_grad) for p in paths}
+    return h, sh, gates, weights
+
+
+def _paths_for(layout, parity_even_only):
+    return tuple(p for p in allowed_paths(2, parity_even_only=parity_even_only)
+                 if layout.mult(p[0]) > 0 and layout.mult(p[2]) > 0)
+
+
+@pytest.mark.parametrize("muls,parity_even_only", [
+    ((32, 8, 4), True),     # the model's 11 paths at the default layout
+    ((32, 8, 4), False),    # every triangle-rule path
+    ((5, 0, 3), False),     # no l=1 channels, so no path touches l=1
+])
+def test_tp_matches_per_path_einsum_oracle(rng, muls, parity_even_only):
+    layout = IrrepLayout(muls)
+    paths = _paths_for(layout, parity_even_only)
+    if parity_even_only:
+        assert len(paths) == 11
+    h, sh, gates, weights = _tp_inputs(rng, layout, paths, 40)
+    out = tensor_product_message(h, sh, gates, weights, paths, layout)
+    want = tp_message_oracle({l: b.data for l, b in h.blocks.items()}, sh, gates.data,
+                             {p: w.data for p, w in weights.items()}, paths, muls)
+    assert set(out.blocks) == set(want)
+    for l, block in want.items():
+        assert np.max(np.abs(out.blocks[l].data - block)) <= 1e-12 * np.max(np.abs(block))
+
+
+def test_tp_gradients_match_finite_differences(rng):
+    layout = IrrepLayout((3, 2, 1))
+    paths = _paths_for(layout, parity_even_only=False)
+    h, sh_arr, gates, weights = _tp_inputs(rng, layout, paths, 5, requires_grad=True)
+    sh = Tensor(sh_arr, requires_grad=True)   # the edge_override route
+    sources = [*h.blocks.values(), gates, *weights.values(), sh]
+
+    def loss_fn():
+        out = tensor_product_message(h, sh, gates, weights, paths, layout)
+        return sum(ad.tsum(ad.mul(b, b)) for b in out.blocks.values())
+
+    with Tape() as tape:
+        loss = loss_fn()
+    grads = tape.gradient(loss, sources)
+
+    step = 1e-5
+    for src, got in zip(sources, grads):
+        assert got.shape == src.shape
+        flat = src.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            fp = float(loss_fn().data)
+            flat[i] = orig - step
+            fm = float(loss_fn().data)
+            flat[i] = orig
+            want = (fp - fm) / (2 * step)
+            assert abs(got.reshape(-1)[i] - want) <= 1e-6 * max(1.0, abs(want))
 
 
 # ---------------------------------------------------------------- edge net
