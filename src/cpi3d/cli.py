@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from .errors import Cpi3dError, ValidationError
 from .fingerprint import morgan_fingerprint
 from .geograph import CutoffConfig, build_pair_graph, graph_to_json
 from .metrics import evaluate, evaluate_grouped, simulate_random_screen
-from .physscore import VinaWeights, rerank_poses, vina_score
+from .physscore import VinaWeights, rerank_poses, score_poses
 from .train import TrainConfig, train
 
 
@@ -168,6 +169,28 @@ def _read_prediction_csv(path: str):
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return rows
+
+
+def _column(rows, column: str, path: str) -> list[str]:
+    """One column of a prediction CSV; data rows are numbered from 1."""
+    values = [row.get(column) for row in rows]
+    if None in values:
+        raise ValidationError(f"{path}: row {values.index(None) + 1}: no {column} value")
+    return values
+
+
+def _finite_column(rows, column: str, path: str) -> list[float]:
+    values = []
+    for row_no, raw in enumerate(_column(rows, column, path), start=1):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValidationError(f"{path}: row {row_no}: {column} {raw!r} "
+                                  "is not a number") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}: row {row_no}: {column} {raw!r} is not finite")
+        values.append(value)
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,8 +380,7 @@ def _load_poses_and_protein(args):
 
 def _cmd_score_vina(args, cfg: RunConfig) -> int:
     poses, protein_atoms = _load_poses_and_protein(args)
-    rows = [[i, repr(vina_score(p, protein_atoms, cfg.vina))]
-            for i, p in enumerate(poses)]
+    rows = [[i, repr(e)] for i, e in enumerate(score_poses(poses, protein_atoms, cfg.vina))]
     if args.out:
         _write_csv(args.out, "score-vina", cfg, ["pose_index", "e_vina"], rows)
     else:
@@ -411,13 +433,13 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     rows = _read_prediction_csv(args.pred)
     if "prediction" not in rows[0] or "label" not in rows[0]:
         raise ValidationError("prediction CSV needs 'prediction' and 'label' columns")
-    preds = [float(r["prediction"]) for r in rows]
-    labels = [float(r["label"]) for r in rows]
+    preds = _finite_column(rows, "prediction", args.pred)
+    labels = _finite_column(rows, "label", args.pred)
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if args.group_by:
         if args.group_by not in rows[0]:
             raise ValidationError(f"no column {args.group_by!r} in {args.pred}")
-        groups = [r[args.group_by] for r in rows]
+        groups = _column(rows, args.group_by, args.pred)
         doc = evaluate_grouped(preds, labels, metric_names, groups)
     else:
         doc = evaluate(preds, labels, metric_names).to_dict()

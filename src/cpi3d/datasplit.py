@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fingerprint import jaccard, morgan_fingerprint, protein_kmer_set
+from .fingerprint import morgan_fingerprint, protein_kmer_set
 
 DEFAULT_COMPOUND_THRESHOLD = 0.4
 DEFAULT_PROTEIN_THRESHOLD = 0.5
@@ -50,25 +50,35 @@ def similarity_matrix(items, similarity) -> np.ndarray:
     return S
 
 
+def _jaccard_matrix(incidence: np.ndarray) -> np.ndarray:
+    """|a AND b| / |a OR b| for every pair of 0/1 rows; 1.0 for two empty rows.
+
+    The rows go through BLAS as float64, which counts every intersection
+    exactly, so each entry divides the same two integers as
+    `fingerprint.tanimoto` and `fingerprint.jaccard` do.
+    """
+    x = incidence.astype(np.float64)
+    size = x.sum(axis=1)
+    inter = x @ x.T
+    union = size[:, None] + size[None, :] - inter
+    with np.errstate(invalid="ignore"):
+        return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+
+
 def compound_similarity_matrix(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
     """Tanimoto over Morgan bitsets, vectorized through the bit matrix."""
-    bits = np.stack([morgan_fingerprint(m, radius=radius, nbits=nbits).bits for m in mols])
-    pop = bits.sum(axis=1).astype(np.int64)
-    inter = (bits.astype(np.int64) @ bits.T.astype(np.int64))
-    union = pop[:, None] + pop[None, :] - inter
-    with np.errstate(invalid="ignore"):
-        S = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-    return S
+    return _jaccard_matrix(np.stack([morgan_fingerprint(m, radius=radius, nbits=nbits).bits
+                                     for m in mols]))
 
 
 def protein_similarity_matrix(proteins, k: int = 3) -> np.ndarray:
-    kmer_sets = [protein_kmer_set(p.sequence, k=k) for p in proteins]
-    n = len(kmer_sets)
-    S = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            S[i, j] = S[j, i] = jaccard(kmer_sets[i], kmer_sets[j])
-    return S
+    """k-mer Jaccard, vectorized through the k-mer incidence matrix."""
+    kmer_sets = [protein_kmer_set(p.sequence, k=k).kmers for p in proteins]
+    column = {kmer: c for c, kmer in enumerate(sorted(set().union(*kmer_sets)))}
+    incidence = np.zeros((len(kmer_sets), len(column)), dtype=bool)
+    for row, kmers in zip(incidence, kmer_sets):
+        row[[column[kmer] for kmer in kmers]] = True
+    return _jaccard_matrix(incidence)
 
 
 def hierarchical_cluster(items, similarity, threshold: float) -> list[int]:

@@ -153,6 +153,66 @@ def residue_node_features(protein: ProteinStructure) -> np.ndarray:
     return feats
 
 
+# a cell and its 26 neighbours, as (dx, dy, dz) cell steps
+_CELL_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+
+
+def neighbor_pairs(a_pos, b_pos, cutoff: float):
+    """All pairs (i, j) with |b_pos[j] - a_pos[i]| <= cutoff, sorted by (i, j).
+
+    A cell list: both point sets are binned into cubes a hair wider than the
+    cutoff, so every pair within the cutoff lies in the same or an adjacent
+    cube, and each point of `a_pos` is checked only against the points of
+    `b_pos` in its 27 surrounding cubes. Memory grows with the number of
+    candidate pairs, not with len(a_pos) * len(b_pos).
+
+    Each distance is sqrt(sum((b_pos[j] - a_pos[i])**2)) evaluated exactly
+    as a dense (len(a_pos), len(b_pos)) block would evaluate it, so the
+    `<=` test and any later test or sum over the returned distances agree
+    bit for bit with the dense computation. A set searched against itself
+    yields its (i, i) pairs at distance 0; callers drop them.
+
+    Returns (i, j, dist) as intp, intp and float64 arrays.
+    """
+    a = np.asarray(a_pos, dtype=np.float64).reshape(-1, 3)
+    b = np.asarray(b_pos, dtype=np.float64).reshape(-1, 3)
+    if len(a) == 0 or len(b) == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, np.zeros(0)
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    extent = np.maximum(a.max(axis=0), b.max(axis=0)) - lo
+    # the slack outgrows the rounding in the cell coordinates, so a pair at
+    # exactly the cutoff never lands two cells apart
+    width = cutoff * (1.0 + 1e-6) + 1e-12 * float(extent.max())
+    # one empty cell of padding on every side keeps neighbour keys unaliased
+    dims = np.floor(extent / width) + 3
+    if float(np.prod(dims)) >= 2.0 ** 62:
+        raise ValidationError(f"points span too many {cutoff} A cells for a neighbour search")
+    dims = dims.astype(np.int64)
+    stride = np.array([dims[1] * dims[2], dims[2], 1])
+    a_key = (np.floor((a - lo) / width).astype(np.int64) + 1) @ stride
+    b_key = (np.floor((b - lo) / width).astype(np.int64) + 1) @ stride
+    offsets = _CELL_OFFSETS @ stride
+
+    b_order = np.argsort(b_key, kind="stable")
+    b_sorted = b_key[b_order]
+    query = (a_key[:, None] + offsets[None, :]).ravel()
+    first = np.searchsorted(b_sorted, query, side="left")
+    count = np.searchsorted(b_sorted, query, side="right") - first
+    total = int(count.sum())
+    i = np.repeat(np.arange(len(a), dtype=np.intp), count.reshape(len(a), -1).sum(axis=1))
+    slot = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
+    j = b_order[slot]
+
+    delta = np.take(b, j, axis=0) - np.take(a, i, axis=0)
+    dist = np.sqrt(np.sum(delta * delta, axis=-1))
+    keep = dist <= cutoff
+    i, j, dist = i[keep], j[keep], dist[keep]
+    # i is already ascending, so the stable sort only orders j within each i
+    order = np.argsort(i * len(b) + j, kind="stable")
+    return i[order], j[order], dist[order]
+
+
 def build_pair_graph(ligand: LigandMolecule, protein: ProteinStructure,
                      cfg: CutoffConfig) -> HeteroGraph:
     """Radius graph over one ligand pose and one protein.
@@ -173,24 +233,21 @@ def build_pair_graph(ligand: LigandMolecule, protein: ProteinStructure,
         np.full(nr, NodeKind.RESIDUE, dtype=np.int64),
     ])
 
-    n = nl + nr
-    delta = positions[None, :, :] - positions[:, None, :]
-    dmat = np.sqrt(np.sum(delta * delta, axis=-1))
-
-    is_res = kinds == NodeKind.RESIDUE
-    pair_kind = np.where(
-        is_res[:, None] & is_res[None, :], 2,
-        np.where(is_res[:, None] | is_res[None, :], 1, 0),
-    )  # 0=cc, 1=pc, 2=pp
-    cut = np.array([cfg.cc, cfg.pc, cfg.pp])[pair_kind]
-    connected = (dmat <= cut) & ~np.eye(n, dtype=bool)
+    cc_a, cc_b, cc_d = neighbor_pairs(lig_pos, lig_pos, cfg.cc)
+    lr_a, lr_b, lr_d = neighbor_pairs(lig_pos, res_pos, cfg.pc)
+    rl_a, rl_b, rl_d = neighbor_pairs(res_pos, lig_pos, cfg.pc)
+    pp_a, pp_b, pp_d = neighbor_pairs(res_pos, res_pos, cfg.pp)
+    cc_keep, pp_keep = cc_a != cc_b, pp_a != pp_b
+    found = {
+        EdgeKind.CC: (cc_a[cc_keep], cc_b[cc_keep], cc_d[cc_keep]),
+        EdgeKind.PC: (np.concatenate([lr_a, nl + rl_a]), np.concatenate([nl + lr_b, rl_b]),
+                      np.concatenate([lr_d, rl_d])),
+        EdgeKind.PP: (nl + pp_a[pp_keep], nl + pp_b[pp_keep], pp_d[pp_keep]),
+    }
 
     edges: dict[EdgeKind, EdgeSet] = {}
-    for kind, code in ((EdgeKind.CC, 0), (EdgeKind.PC, 1), (EdgeKind.PP, 2)):
-        a_idx, b_idx = np.nonzero(connected & (pair_kind == code))
-        # np.nonzero returns row-major order, i.e. sorted by (a, b) already
+    for kind, (a_idx, b_idx, dist) in found.items():
         r_vec = positions[b_idx] - positions[a_idx]
-        dist = dmat[a_idx, b_idx]
         edges[kind] = EdgeSet(kind=kind, a=a_idx, b=b_idx, r_vec=r_vec,
                               dist=dist, rbf=rbf_embed(dist, cfg))
 

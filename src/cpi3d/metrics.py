@@ -77,16 +77,56 @@ def concordance_index(preds, labels) -> float:
     p, y = _arrays(preds, labels)
     if p.size < 2:
         raise ValidationError("need at least two points")
-    dy = y[:, None] - y[None, :]
-    dp = p[:, None] - p[None, :]
-    upper = np.triu(np.ones_like(dy, dtype=bool), k=1)
-    comparable = upper & (dy != 0)
-    n_comp = int(comparable.sum())
+    n = p.size
+    y_code = np.unique(y, return_inverse=True)[1].ravel()
+    p_code = np.unique(p, return_inverse=True)[1].ravel()
+    n_comp = n * (n - 1) // 2 - _tied_pairs(y_code)
     if n_comp == 0:
         raise ValidationError("concordance undefined: all labels equal")
-    concordant = (np.sign(dp) == np.sign(dy)) & comparable
-    tied = (dp == 0) & comparable
-    return float((concordant.sum() + 0.5 * tied.sum()) / n_comp)
+    tied = _tied_pairs(p_code) - _tied_pairs(y_code * n + p_code)
+    # in (label, prediction) order a prediction inversion is exactly a
+    # comparable pair ordered against its labels
+    discordant = _count_inversions(p_code[np.lexsort((p_code, y_code))])
+    concordant = n_comp - discordant - tied
+    return float((concordant + 0.5 * tied) / n_comp)
+
+
+def _tied_pairs(codes: np.ndarray) -> int:
+    """Number of index pairs holding equal codes."""
+    counts = np.unique(codes, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _count_inversions(codes: np.ndarray) -> int:
+    """Pairs k < l with codes[k] > codes[l], for integer codes in [0, n).
+
+    Such a pair first differs at one bit b, where codes[k] holds the 1 and
+    codes[l] the 0 below a shared prefix. From the top bit down, the codes
+    stay grouped by their prefix above b and in input order within a group
+    (a stable radix partition), so each level counts, for every 0 bit, the
+    1 bits before it in its group. Each level is O(n) array work, so the
+    count takes O(n log n) time and O(n) memory.
+    """
+    c = codes.astype(np.int64)
+    n = c.size
+    count = 0
+    for b in range(int(n - 1).bit_length() - 1, -1, -1):
+        bit = (c >> b) & 1
+        prefix = c >> (b + 1)
+        head = np.flatnonzero(np.concatenate(([True], prefix[1:] != prefix[:-1])))
+        size = np.diff(np.append(head, n))
+        group = np.repeat(np.arange(head.size), size)
+        start = head[group]
+        ones_before = np.cumsum(bit) - bit
+        ones_before -= ones_before[start]
+        count += int(ones_before[bit == 0].sum())
+        # stable partition of every group: its 0 bits, then its 1 bits
+        zeros = (size - np.add.reduceat(bit, head))[group]
+        offset = np.where(bit == 1, zeros + ones_before, np.arange(n) - start - ones_before)
+        moved = np.empty_like(c)
+        moved[start + offset] = c
+        c = moved
+    return count
 
 
 def pearson(preds, labels) -> float:
@@ -105,14 +145,11 @@ def average_ranks(values) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
+    sv = v[order]
+    start = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    end = np.append(start[1:], v.size) - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 

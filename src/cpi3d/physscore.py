@@ -15,6 +15,7 @@ import numpy as np
 
 from .chemio import HeavyAtomRecord, LigandMolecule
 from .errors import ValidationError
+from .geograph import neighbor_pairs
 
 VDW_RADII = {
     "C": 1.9, "N": 1.8, "O": 1.7, "S": 2.0, "P": 2.1,
@@ -107,24 +108,19 @@ def type_protein_atoms(atoms: tuple[HeavyAtomRecord, ...]) -> TypedAtoms:
     pos = np.array([a.position for a in atoms])
     elements = [a.element for a in atoms]
     n = len(atoms)
-    delta = pos[None, :, :] - pos[:, None, :]
-    dist = np.sqrt((delta ** 2).sum(axis=-1))
-    bonded = (dist < COVALENT_CUTOFF) & ~np.eye(n, dtype=bool)
-
-    hydrophobic = np.zeros(n, dtype=bool)
-    donor = np.zeros(n, dtype=bool)
-    acceptor = np.zeros(n, dtype=bool)
-    for i, el in enumerate(elements):
-        nbrs = np.nonzero(bonded[i])[0]
-        if el == "C":
-            hydrophobic[i] = all(elements[j] == "C" for j in nbrs)
-        elif el in _VALENCE:
-            acceptor[i] = True
-            donor[i] = len(nbrs) < _VALENCE[el]
+    i, j, dist = neighbor_pairs(pos, pos, COVALENT_CUTOFF)
+    bonded = (dist < COVALENT_CUTOFF) & (i != j)
+    i, j = i[bonded], j[bonded]
+    is_carbon = np.array([e == "C" for e in elements], dtype=bool)
+    valence = np.array([_VALENCE.get(e, 0) for e in elements])
+    degree = np.bincount(i, minlength=n)
+    non_carbon_nbrs = np.bincount(i[~is_carbon[j]], minlength=n)
+    acceptor = valence > 0
     return TypedAtoms(
         positions=pos,
         radii=np.array([_radius(e) for e in elements]),
-        hydrophobic=hydrophobic, donor=donor, acceptor=acceptor,
+        hydrophobic=is_carbon & (non_carbon_nbrs == 0),
+        donor=acceptor & (degree < valence), acceptor=acceptor,
     )
 
 
@@ -170,18 +166,15 @@ def pairwise_energy(lig: TypedAtoms, prot: TypedAtoms, weights: VinaWeights) -> 
     """Sum of weighted pair terms over intermolecular pairs within 8 A of
     center distance. Pairs are enumerated ligand-major, so the summation
     order is pinned by atom order."""
-    delta = prot.positions[None, :, :] - lig.positions[:, None, :]
-    r = np.sqrt((delta ** 2).sum(axis=-1))
-    within = r <= INTERACTION_CUTOFF
-    if not within.any():
+    i, j, r = neighbor_pairs(lig.positions, prot.positions, INTERACTION_CUTOFF)
+    if not i.size:
         return 0.0
-    d = (r - lig.radii[:, None] - prot.radii[None, :])[within]
+    d = r - lig.radii[i] - prot.radii[j]
     gauss1 = np.exp(-((d / 0.5) ** 2))
     gauss2 = np.exp(-(((d - 3.0) / 2.0) ** 2))
     repulsion = np.where(d < 0.0, d * d, 0.0)
-    hp_pair = (lig.hydrophobic[:, None] & prot.hydrophobic[None, :])[within]
-    hb_pair = ((lig.donor[:, None] & prot.acceptor[None, :])
-               | (lig.acceptor[:, None] & prot.donor[None, :]))[within]
+    hp_pair = lig.hydrophobic[i] & prot.hydrophobic[j]
+    hb_pair = (lig.donor[i] & prot.acceptor[j]) | (lig.acceptor[i] & prot.donor[j])
     terms = (
         weights.gauss1 * gauss1
         + weights.gauss2 * gauss2
@@ -192,20 +185,26 @@ def pairwise_energy(lig: TypedAtoms, prot: TypedAtoms, weights: VinaWeights) -> 
     return float(terms.sum())
 
 
+def score_poses(poses, protein_atoms: tuple[HeavyAtomRecord, ...],
+                weights: VinaWeights | None = None) -> list[float]:
+    """`vina_score` of every pose against one receptor, which is typed once
+    for the whole pose set."""
+    if any(not pose.atoms for pose in poses):
+        raise ValidationError("empty ligand pose")
+    if not protein_atoms:
+        raise ValidationError("protein has no heavy atoms")
+    weights = weights or VinaWeights()
+    receptor = type_protein_atoms(protein_atoms)
+    return [pairwise_energy(type_ligand_atoms(pose), receptor, weights)
+            / (1.0 + weights.rot * count_rotatable_bonds(pose)) for pose in poses]
+
+
 def vina_score(ligand: LigandMolecule, protein_atoms: tuple[HeavyAtomRecord, ...],
                weights: VinaWeights | None = None) -> float:
     """Intermolecular energy divided by the flexibility penalty
     1 + w_rot * N_rotatable. Depends on distances only, so it is exactly
     invariant under joint rigid motion of both partners."""
-    if not ligand.atoms:
-        raise ValidationError("empty ligand pose")
-    if not protein_atoms:
-        raise ValidationError("protein has no heavy atoms")
-    weights = weights or VinaWeights()
-    e_inter = pairwise_energy(type_ligand_atoms(ligand), type_protein_atoms(protein_atoms),
-                              weights)
-    n_rot = count_rotatable_bonds(ligand)
-    return e_inter / (1.0 + weights.rot * n_rot)
+    return score_poses([ligand], protein_atoms, weights)[0]
 
 
 def fuse_scores(confidences, e_vinas, lam: float = 1.0, alpha: float = 1.0) -> np.ndarray:
@@ -239,7 +238,7 @@ def rerank_poses(poses, protein_atoms, weights: VinaWeights | None = None,
         raise ValidationError("no poses to rank")
     if confidences is not None and len(confidences) != len(poses):
         raise ValidationError("need one confidence per pose")
-    energies = [vina_score(p, protein_atoms, weights) for p in poses]
+    energies = score_poses(poses, protein_atoms, weights)
 
     if confidences is not None:
         fused = fuse_scores(confidences, energies, lam=lam, alpha=alpha)

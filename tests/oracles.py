@@ -1,15 +1,16 @@
-"""Brute-force reference implementations used to verify the metric code
-and the tensor-product message kernel.
+"""Brute-force reference implementations used to verify the metric code,
+the tensor-product message kernel and the neighbour search.
 
 Everything here is written longhand (python loops, explicit rank formulas,
-one einsum per coupling path) and stays independent of the vectorized
-implementations under test.
+one einsum per coupling path, dense distance blocks) and stays independent
+of the vectorized implementations under test.
 """
 
 import math
 
 import numpy as np
 
+from cpi3d.physscore import INTERACTION_CUTOFF, ramp
 from cpi3d.so3 import clebsch_gordan, sh_slice
 
 
@@ -91,3 +92,76 @@ def tp_message_oracle(h_blocks, sh, gates, weights, paths, out_muls):
         gated = coupled * gates[:, idx].reshape(n_e, 1, 1)
         out[lo] = out[lo] + np.einsum("ecM,cd->edM", gated, weights[(li, ls, lo)])
     return out
+
+
+def dense_distances(a, b):
+    """The dense (len(a), len(b)) block sqrt(sum((b[j] - a[i])**2))."""
+    delta = np.asarray(b)[None, :, :] - np.asarray(a)[:, None, :]
+    return np.sqrt((delta ** 2).sum(axis=-1))
+
+
+def neighbor_oracle(a, b, cutoff):
+    """(i, j, dist) for every pair within the cutoff, in row-major order."""
+    d = dense_distances(a, b)
+    i, j = np.nonzero(d <= cutoff)
+    return i, j, d[i, j]
+
+
+def pair_graph_oracle(positions, kinds, cfg):
+    """(a, b, dist) per edge kind from one dense block over all nodes."""
+    n = len(positions)
+    dmat = dense_distances(positions, positions)
+    is_res = kinds == 1
+    pair_kind = np.where(is_res[:, None] & is_res[None, :], 2,
+                         np.where(is_res[:, None] | is_res[None, :], 1, 0))
+    cut = np.array([cfg.cc, cfg.pc, cfg.pp])[pair_kind]
+    connected = (dmat <= cut) & ~np.eye(n, dtype=bool)
+    out = {}
+    for kind, code in (("cc", 0), ("pc", 1), ("pp", 2)):
+        a, b = np.nonzero(connected & (pair_kind == code))
+        out[kind] = (a, b, dmat[a, b])
+    return out
+
+
+def protein_typing_oracle(atoms):
+    """(hydrophobic, donor, acceptor) from dense distance rows, 512
+    receptor atoms at a time, and a python loop over every atom; bonds are
+    heavy-atom pairs below 1.9 A."""
+    valence = {"N": 3, "O": 2}
+    block = 512
+    pos = np.array([a.position for a in atoms])
+    elements = [a.element for a in atoms]
+    n = len(atoms)
+    hydrophobic = np.zeros(n, dtype=bool)
+    donor = np.zeros(n, dtype=bool)
+    acceptor = np.zeros(n, dtype=bool)
+    for lo in range(0, n, block):
+        bonded = dense_distances(pos[lo:lo + block], pos) < 1.9
+        for row, i in enumerate(range(lo, min(lo + block, n))):
+            bonded[row, i] = False
+            nbrs = np.nonzero(bonded[row])[0]
+            if elements[i] == "C":
+                hydrophobic[i] = all(elements[j] == "C" for j in nbrs)
+            elif elements[i] in valence:
+                acceptor[i] = True
+                donor[i] = len(nbrs) < valence[elements[i]]
+    return hydrophobic, donor, acceptor
+
+
+def pair_energy_oracle(lig, prot, weights):
+    """Weighted pair terms summed over the dense ligand x receptor block,
+    masked to pairs within the interaction cutoff (ligand-major)."""
+    r = dense_distances(lig.positions, prot.positions)
+    within = r <= INTERACTION_CUTOFF
+    if not within.any():
+        return 0.0
+    d = (r - lig.radii[:, None] - prot.radii[None, :])[within]
+    hp = (lig.hydrophobic[:, None] & prot.hydrophobic[None, :])[within]
+    hb = ((lig.donor[:, None] & prot.acceptor[None, :])
+          | (lig.acceptor[:, None] & prot.donor[None, :]))[within]
+    terms = (weights.gauss1 * np.exp(-((d / 0.5) ** 2))
+             + weights.gauss2 * np.exp(-(((d - 3.0) / 2.0) ** 2))
+             + weights.repulsion * np.where(d < 0.0, d * d, 0.0)
+             + weights.hydrophobic * ramp(d, 0.5, 1.5) * hp
+             + weights.hbond * ramp(d, -0.7, 0.0) * hb)
+    return float(terms.sum())

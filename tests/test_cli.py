@@ -157,6 +157,20 @@ def test_eval_command(tmp_path, capsys):
     assert set(doc["groups"]) == {"t0", "t1"}
 
 
+@pytest.mark.parametrize("body,needle", [
+    ("0.5,1,A\n0.3\n0.1,0,A\n", "row 2: no label value"),
+    ("0.5,1,A\n0.3,0,A\n0.1,nan,A\n", "row 3: label 'nan' is not finite"),
+], ids=["short-row", "nan-label"])
+def test_eval_bad_row_exits_one(tmp_path, capsys, body, needle):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("prediction,label,target\n" + body)
+    assert main(["eval", "--pred", str(pred), "--metrics", "ef1,bedroc",
+                 "--group-by", "target"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
 def test_simulate_screen_command(tmp_path):
     out = tmp_path / "baseline.json"
     assert main(["simulate-screen", "--actives", "50", "--decoys", "450",

@@ -11,8 +11,10 @@ from cpi3d.datasplit import (
     leakage_report,
     normalize_label,
     protein_similarity_matrix,
+    similarity_matrix,
 )
 from cpi3d.errors import ValidationError
+from cpi3d.fingerprint import jaccard, morgan_fingerprint, protein_kmer_set, tanimoto
 from cpi3d.synthetic import clustered_records
 
 
@@ -161,6 +163,20 @@ def test_novel_pair_crossed_clusters_fixed_point():
     assert _no_cluster_spans_folds(fa, fa.protein_cluster_of)
     # a, b, c all end in one fold through the shared chains
     assert len({fa.fold_of["a"], fa.fold_of["b"], fa.fold_of["c"]}) == 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_similarity_matrices_match_pairwise_loops(k):
+    records = clustered_records(n_families=6, family_size=4, seed=9)
+    proteins = [r.protein for r in records]
+    kmer_sets = [protein_kmer_set(p.sequence, k=k) for p in proteins]
+    got = protein_similarity_matrix(proteins, k=k)
+    np.testing.assert_array_equal(got, similarity_matrix(kmer_sets, jaccard))
+    assert ((0.0 < got) & (got < 1.0)).any()   # partial overlaps occur
+    fps = [morgan_fingerprint(r.ligand, radius=k) for r in records]
+    np.testing.assert_array_equal(compound_similarity_matrix([r.ligand for r in records],
+                                                             radius=k),
+                                  similarity_matrix(fps, tanimoto))
 
 
 def test_leakage_report_matches_brute_force():

@@ -12,12 +12,14 @@ from cpi3d.geograph import (
     RESIDUE_FEATURE_DIM,
     build_pair_graph,
     graph_to_json,
+    neighbor_pairs,
     rbf_embed,
 )
 from cpi3d.so3 import random_rotation
 from cpi3d.synthetic import random_complex
 
 from conftest import transform_ligand, transform_protein
+from oracles import neighbor_oracle, pair_graph_oracle
 
 
 def _single_atom(pos):
@@ -160,6 +162,59 @@ def test_matches_brute_force_pair_scan(rng):
     for kind in EdgeKind:
         got = {(int(a), int(b)) for a, b in zip(graph.edges[kind].a, graph.edges[kind].b)}
         assert got == expected[kind]
+
+
+def _assert_same_pairs(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def test_neighbor_pairs_match_dense_oracle(rng):
+    cases = []
+    for _ in range(20):
+        # negative and positive coordinates, sets of different sizes
+        a = rng.normal(size=(int(rng.integers(1, 60)), 3)) * 6.0 - 4.0
+        b = rng.normal(size=(int(rng.integers(1, 60)), 3)) * 6.0 + 2.0
+        cases.append((a, b, float(rng.uniform(0.5, 9.0))))
+        cases.append((a, a, float(rng.uniform(0.5, 9.0))))
+    # integer lattices put many pairs exactly at the cutoff
+    lattice = rng.integers(-5, 6, size=(80, 3)).astype(float)
+    for cutoff in (1.0, 2.0, 3.0, float(np.sqrt(2.0)), float(np.sqrt(3.0))):
+        cases.append((lattice, lattice, cutoff))
+        cases.append((lattice[:30] * 0.5, lattice[30:] * 0.5, cutoff))
+    # 3-4-5 triangles: exactly 5 apart, and a hair beyond
+    cases.append((np.zeros((1, 3)),
+                  np.array([[3.0, 4.0, 0.0], [0.0, -3.0, -4.0], [-5.0, 0.0, 0.0],
+                            [5.000001, 0.0, 0.0], [0.0, 0.0, 0.0]]), 5.0))
+    for a, b, cutoff in cases:
+        _assert_same_pairs(neighbor_pairs(a, b, cutoff), neighbor_oracle(a, b, cutoff))
+    i, j, d = neighbor_pairs(*cases[-1])
+    assert i.tolist() == [0, 0, 0, 0] and j.tolist() == [0, 1, 2, 4]
+    assert d.tolist() == [5.0, 5.0, 5.0, 0.0]
+
+
+def test_neighbor_pairs_empty_and_oversized_inputs():
+    one = np.zeros((1, 3))
+    for a, b in ((np.zeros((0, 3)), one), (one, np.zeros((0, 3))),
+                 (np.zeros((0, 3)), np.zeros((0, 3)))):
+        i, j, d = neighbor_pairs(a, b, 2.0)
+        assert i.size == j.size == d.size == 0
+        assert i.dtype == j.dtype == np.intp and d.dtype == np.float64
+    with pytest.raises(ValidationError):
+        neighbor_pairs(one, np.full((1, 3), 1e200), 1.0)
+
+
+def test_edges_bit_identical_to_dense_block(rng):
+    cfg = CutoffConfig()
+    for n_atoms, n_residues in ((1, 1), (5, 12), (30, 300)):
+        rec = random_complex(rng, "g", n_atoms=n_atoms, n_residues=n_residues)
+        graph = build_pair_graph(rec.ligand, rec.protein, cfg)
+        want = pair_graph_oracle(graph.positions, graph.kinds, cfg)
+        for kind in EdgeKind:
+            es = graph.edges[kind]
+            _assert_same_pairs((es.a, es.b, es.dist), want[kind.value])
+            np.testing.assert_array_equal(es.r_vec, graph.positions[es.b] - graph.positions[es.a])
 
 
 def test_node_features_shapes_and_order(rng):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cpi3d import physscore
 from cpi3d.chemio import Atom, Bond, HeavyAtomRecord, LigandMolecule
 from cpi3d.errors import ValidationError
 from cpi3d.physscore import (
@@ -10,6 +13,7 @@ from cpi3d.physscore import (
     pairwise_energy,
     ramp,
     rerank_poses,
+    score_poses,
     type_ligand_atoms,
     type_protein_atoms,
     vina_score,
@@ -18,6 +22,7 @@ from cpi3d.so3 import random_rotation
 from cpi3d.synthetic import random_ligand
 
 from conftest import transform_ligand
+from oracles import pair_energy_oracle, protein_typing_oracle
 
 CARBON_CONTACT = 3.8   # vdW radius sum of two carbons
 
@@ -240,3 +245,73 @@ def test_rerank_with_confidences(rng):
     ranked = rerank_poses([clashing, good], prot, confidences=[0.5, 0.5])
     assert [s.pose_index for s in ranked] == [1, 0]
     assert all(s.fused is not None for s in ranked)
+
+
+def _chain_receptor(n_atoms, seed):
+    """Heavy atoms on a random walk with PDB-rounded coordinates: steps of
+    1.2-2.0 A straddle the covalent cutoff, and the walk folds back on
+    itself, so bonded, near-bonded and distant contacts all occur."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(size=(n_atoms, 3))
+    steps *= rng.uniform(1.2, 2.0, size=(n_atoms, 1)) / np.linalg.norm(steps, axis=1,
+                                                                      keepdims=True)
+    pos = np.round(np.cumsum(steps, axis=0), 3)
+    elements = rng.choice(["C", "C", "C", "N", "O", "S"], size=n_atoms)
+    return tuple(HeavyAtomRecord(element=str(e), position=p, name=str(e), res_name="ALA",
+                                 chain="A", seq_index=i // 8 + 1)
+                 for i, (e, p) in enumerate(zip(elements, pos)))
+
+
+def test_protein_typing_matches_dense_oracle():
+    atoms = _chain_receptor(4000, seed=1)
+    typed = type_protein_atoms(atoms)
+    hydrophobic, donor, acceptor = protein_typing_oracle(atoms)
+    np.testing.assert_array_equal(typed.hydrophobic, hydrophobic)
+    np.testing.assert_array_equal(typed.donor, donor)
+    np.testing.assert_array_equal(typed.acceptor, acceptor)
+    # the receptor exercises every flag both ways
+    for flags in (hydrophobic, donor, acceptor):
+        assert 0 < flags.sum() < len(atoms)
+
+
+def test_pairwise_energy_bit_identical_to_dense_block(rng):
+    atoms = _chain_receptor(1500, seed=2)
+    receptor = type_protein_atoms(atoms)
+    weights = VinaWeights()
+    for _ in range(6):
+        center = atoms[int(rng.integers(len(atoms)))].position
+        lig = type_ligand_atoms(random_ligand(rng, n_atoms=20, center=center))
+        assert pairwise_energy(lig, receptor, weights) == pair_energy_oracle(
+            lig, receptor, weights)
+    far = type_ligand_atoms(random_ligand(rng, n_atoms=5, center=(500.0, 0.0, 0.0)))
+    assert pairwise_energy(far, receptor, weights) == 0.0
+
+
+@pytest.mark.parametrize("score", [rerank_poses, score_poses])
+def test_receptor_typed_once_per_call(rng, monkeypatch, score):
+    prot, good, clashing = _pose_set(rng)
+    calls = []
+    original = physscore.type_protein_atoms
+
+    def counting(atoms):
+        calls.append(len(atoms))
+        return original(atoms)
+
+    monkeypatch.setattr(physscore, "type_protein_atoms", counting)
+    score([good, clashing, good, clashing], prot)
+    assert calls == [len(prot)]
+
+
+def test_rerank_10k_atom_receptor_memory_bounded(rng):
+    atoms = _chain_receptor(10_000, seed=3)
+    center = atoms[5000].position
+    poses = [random_ligand(rng, n_atoms=30, center=center + rng.normal(size=3))
+             for _ in range(9)]
+    tracemalloc.start()
+    try:
+        ranked = rerank_poses(poses, atoms, confidences=rng.uniform(size=9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(s.pose_index for s in ranked) == list(range(9))
+    assert peak < 1 << 30
