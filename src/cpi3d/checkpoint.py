@@ -3,18 +3,22 @@
 Layout: magic "EQCP", little-endian u32 format version, u32 header length,
 a JSON header (sorted keys) with the config echo and the tensor directory
 (name, shape, byte offset, trainable flag), then the float64 little-endian
-payload, tensors concatenated in directory order.
+payload, tensors concatenated in directory order. `save_model` and
+`load_model` write and read a `Model` with its config echo.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
 
-from .equinet import ParameterStore
-from .errors import CheckpointError
+from .config import RunConfig, build_config, config_doc
+from .equinet import Model, ModelConfig, ParameterStore, init_params
+from .errors import CheckpointError, ConfigError, ValidationError
+from .geograph import CutoffConfig
 
 MAGIC = b"EQCP"
 FORMAT_VERSION = 1
@@ -48,9 +52,17 @@ def checkpoint_bytes(params: ParameterStore, config: dict | None = None) -> byte
 
 
 def save_checkpoint(path, params: ParameterStore, config: dict | None = None):
+    """Write atomically: a temporary file in the target's directory is
+    renamed over `path`, so a failed write leaves any previous file whole."""
     blob = checkpoint_bytes(params, config)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
@@ -70,6 +82,8 @@ def load_checkpoint(path):
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("config", {}), dict):
+        raise CheckpointError("header or its config is not a JSON object")
     payload = blob[12 + header_len:]
     if len(payload) != header.get("payload_bytes"):
         raise CheckpointError(
@@ -78,15 +92,45 @@ def load_checkpoint(path):
         )
     state: dict[str, np.ndarray] = {}
     trainable: dict[str, bool] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
-        if end > len(payload):
-            raise CheckpointError(f"tensor {entry['name']!r} overruns the payload "
-                                  f"(offset {start}, {count} values)")
-        arr = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64)
-        state[entry["name"]] = arr.reshape(shape)
-        trainable[entry["name"]] = bool(entry.get("trainable", True))
+    try:
+        for entry in header["tensors"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            start = entry["offset"]
+            end = start + count * 8
+            if end > len(payload):
+                raise CheckpointError(f"tensor {entry['name']!r} overruns the payload "
+                                      f"(offset {start}, {count} values)")
+            arr = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64)
+            state[entry["name"]] = arr.reshape(shape)
+            trainable[entry["name"]] = bool(entry.get("trainable", True))
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed tensor directory: {exc!r}") from None
     return state, header.get("config", {}), trainable
+
+
+def save_model(path, model: Model, run: RunConfig):
+    """Write `model` with the config echo `load_model` reads back."""
+    save_checkpoint(path, model.params, config={
+        "model": config_doc(model.cfg),
+        "cutoffs": config_doc(model.cutoffs),
+        "train": config_doc(run.train),
+        "config_hash": run.hash(),
+        "seed": run.train.seed,
+    })
+
+
+def load_model(path) -> Model:
+    """Rebuild a `Model` from a checkpoint whose config echo has valid model
+    and cutoffs sections; anything else raises `CheckpointError`."""
+    state, config, _ = load_checkpoint(path)
+    try:
+        model_cfg = build_config(ModelConfig, config["model"], ("model",))
+        cutoffs = build_config(CutoffConfig, config["cutoffs"], ("cutoffs",))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header has no {exc.args[0]} config") from None
+    except (ValidationError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: header {exc}") from None
+    params = init_params(model_cfg, cutoffs, seed=0)
+    params.load_state(state)
+    return Model(cfg=model_cfg, cutoffs=cutoffs, params=params)

@@ -4,29 +4,27 @@ Subcommands: fingerprint, build-graph, train, predict, score-vina, rerank,
 split, eval, simulate-screen. Configuration resolves defaults <- config
 file (JSON) <- flags; every artifact embeds the resolved-config hash and
 seed so reruns are attributable. Exit codes: 0 success, 1 validation or
-usage error, 2 I/O error.
+usage error (a bad config or checkpoint, or running out of memory), 2 I/O
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .chemio import load_manifest, parse_pdb, parse_pdb_atoms, parse_sdf
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
+from .config import RunConfig, build_config
 from .datasplit import (
-    DEFAULT_COMPOUND_THRESHOLD,
-    DEFAULT_PROTEIN_THRESHOLD,
     SplitSetting,
     assign_folds,
     compound_similarity_matrix,
@@ -34,118 +32,51 @@ from .datasplit import (
     leakage_report,
     protein_similarity_matrix,
 )
-from .equinet import Model, ModelConfig, forward, init_params
 from .errors import Cpi3dError, ValidationError
 from .fingerprint import morgan_fingerprint
-from .geograph import CutoffConfig, build_pair_graph, graph_to_json
+from .geograph import build_pair_graph, graph_to_json
 from .metrics import evaluate, evaluate_grouped, simulate_random_screen
-from .physscore import VinaWeights, rerank_poses, score_poses
-from .train import TrainConfig, train
+from .physscore import rerank_poses, score_poses
+from .train import train
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved configuration for one invocation."""
-    cutoffs: CutoffConfig = field(default_factory=CutoffConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    vina: VinaWeights = field(default_factory=VinaWeights)
-    fusion_lambda: float = 1.0
-    fusion_alpha: float = 1.0
-    compound_threshold: float = DEFAULT_COMPOUND_THRESHOLD
-    protein_threshold: float = DEFAULT_PROTEIN_THRESHOLD
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "cutoffs": self.cutoffs.to_dict(),
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "vina": self.vina.to_dict(),
-            "fusion": {"lambda": self.fusion_lambda, "alpha": self.fusion_alpha},
-            "split": {"compound_threshold": self.compound_threshold,
-                      "protein_threshold": self.protein_threshold},
-            "seed": self.seed,
-        }
-
-    def hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+# argparse dest -> the config keys ("section.key" or a top-level key) it sets
+_FLAG_KEYS = {
+    "seed": ("seed", "train.seed"),
+    "steps": ("train.steps",),
+    "lr": ("train.learning_rate",),
+    "batch_size": ("train.batch_size",),
+    "optimizer": ("train.optimizer",),
+    "fusion_lambda": ("fusion.lambda",),
+    "fusion_alpha": ("fusion.alpha",),
+    "compound_threshold": ("split.compound_threshold",),
+    "protein_threshold": ("split.protein_threshold",),
+}
 
 
-def _check_config_doc(doc) -> None:
-    """Reject any section or key that `RunConfig.to_dict` does not write."""
-    schema = RunConfig().to_dict()
-    if not isinstance(doc, dict):
-        raise ValidationError(f"config must be a JSON object, got {type(doc).__name__}")
-    for section, value in doc.items():
-        if section not in schema:
-            raise ValidationError(f"config: unknown section {section!r}, "
-                                  f"allowed {sorted(schema)}")
-        fields = schema[section]
-        if not isinstance(fields, dict):
-            continue
-        if not isinstance(value, dict):
-            raise ValidationError(f"config section {section!r} must be a JSON object")
-        unknown = sorted(set(value) - set(fields))
-        if unknown:
-            raise ValidationError(f"config section {section!r}: unknown keys {unknown}, "
-                                  f"allowed {sorted(fields)}")
-
-
-def _merge_config(args) -> RunConfig:
+def _resolve_config(args) -> RunConfig:
+    """Defaults <- config file <- flags: the flags are written into the
+    file's document, which is then built once."""
     doc: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-    _check_config_doc(doc)
-    cutoffs = CutoffConfig(**doc.get("cutoffs", {}))
-    model = ModelConfig.from_dict({**ModelConfig().to_dict(), **doc.get("model", {})})
-    train_doc = {**TrainConfig().to_dict(), **doc.get("train", {})}
-    fusion = doc.get("fusion", {})
-    split = doc.get("split", {})
-    cfg = RunConfig(
-        cutoffs=cutoffs, model=model,
-        vina=VinaWeights(**doc.get("vina", {})),
-        fusion_lambda=fusion.get("lambda", 1.0),
-        fusion_alpha=fusion.get("alpha", 1.0),
-        compound_threshold=split.get("compound_threshold", DEFAULT_COMPOUND_THRESHOLD),
-        protein_threshold=split.get("protein_threshold", DEFAULT_PROTEIN_THRESHOLD),
-        seed=doc.get("seed", 0),
-        train=TrainConfig(**train_doc),
-    )
-    # flags override the file
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        train_doc["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        train_doc["steps"] = args.steps
-    if getattr(args, "lr", None) is not None:
-        train_doc["learning_rate"] = args.lr
-    if getattr(args, "batch_size", None) is not None:
-        train_doc["batch_size"] = args.batch_size
-    if getattr(args, "optimizer", None) is not None:
-        train_doc["optimizer"] = args.optimizer
-    cfg.train = TrainConfig(**train_doc)
-    if getattr(args, "fusion_lambda", None) is not None:
-        cfg.fusion_lambda = args.fusion_lambda
-    if getattr(args, "fusion_alpha", None) is not None:
-        cfg.fusion_alpha = args.fusion_alpha
-    if getattr(args, "compound_threshold", None) is not None:
-        cfg.compound_threshold = args.compound_threshold
-    if getattr(args, "protein_threshold", None) is not None:
-        cfg.protein_threshold = args.protein_threshold
-    return cfg
-
-
-def _provenance_line(subcommand: str, cfg: RunConfig) -> str:
-    return f"# cpi3d {subcommand} config={cfg.hash()} seed={cfg.seed}"
+    for dest, keys in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None or not isinstance(doc, dict):
+            continue
+        for key in keys:
+            section, _, name = key.rpartition(".")
+            target = doc.setdefault(section, {}) if section else doc
+            if isinstance(target, dict):   # build_config rejects anything else
+                target[name] = value
+    return build_config(RunConfig, doc)
 
 
 def _write_csv(path: str, subcommand: str, cfg: RunConfig, header: list[str],
                rows: list[list]):
     buf = io.StringIO()
-    buf.write(_provenance_line(subcommand, cfg) + "\n")
+    buf.write(f"# cpi3d {subcommand} config={cfg.hash()} seed={cfg.seed}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -153,10 +84,15 @@ def _write_csv(path: str, subcommand: str, cfg: RunConfig, header: list[str],
         fh.write(buf.getvalue())
 
 
-def _write_json(path: str, doc: dict):
+def _write_json(path: str | None, cfg: RunConfig, doc: dict):
+    """Write `doc` with its provenance to `path`, or to stdout."""
+    doc["provenance"] = {"config_hash": cfg.hash(), "seed": cfg.seed}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _read_prediction_csv(path: str):
@@ -324,28 +260,13 @@ def _cmd_build_graph(args, cfg: RunConfig) -> int:
 def _cmd_train(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
     model, losses = train(records, cfg.train, cfg.model, cfg.cutoffs)
-    save_checkpoint(args.out, model.params, config={
-        "model": cfg.model.to_dict(),
-        "cutoffs": cfg.cutoffs.to_dict(),
-        "train": cfg.train.to_dict(),
-        "config_hash": cfg.hash(),
-        "seed": cfg.train.seed,
-    })
+    save_model(args.out, model, cfg)
     if args.loss_out:
         _write_csv(args.loss_out, "train", cfg, ["step", "loss"],
                    [[i, repr(v)] for i, v in enumerate(losses)])
     print(f"trained {len(records)} records for {len(losses)} steps; "
           f"final loss {losses[-1]:.6g}; checkpoint {args.out}")
     return 0
-
-
-def load_model(checkpoint_path: str) -> Model:
-    state, config, _ = load_checkpoint(checkpoint_path)
-    model_cfg = ModelConfig.from_dict(config["model"])
-    cutoffs = CutoffConfig.from_dict(config["cutoffs"])
-    params = init_params(model_cfg, cutoffs, seed=0)
-    params.load_state(state)
-    return Model(cfg=model_cfg, cutoffs=cutoffs, params=params)
 
 
 def _cmd_predict(args, cfg: RunConfig) -> int:
@@ -355,7 +276,7 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
     def predict_one(rec):
         graph = build_pair_graph(rec.poses[0], rec.protein, model.cutoffs)
         fp = morgan_fingerprint(rec.ligand, nbits=model.cfg.fingerprint_width)
-        return float(forward(graph, fp, model.params, model.cfg, training=False).data)
+        return model.predict(graph, fp)
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -396,7 +317,7 @@ def _cmd_rerank(args, cfg: RunConfig) -> int:
         with open(args.confidences, encoding="utf-8") as fh:
             confidences = [float(line) for line in fh if line.strip()]
     ranked = rerank_poses(poses, protein_atoms, cfg.vina, confidences=confidences,
-                          lam=cfg.fusion_lambda, alpha=cfg.fusion_alpha)
+                          lam=cfg.fusion.lam, alpha=cfg.fusion.alpha)
     rows = [
         [s.pose_index, repr(s.e_vina),
          "" if s.upstream_confidence is None else repr(s.upstream_confidence),
@@ -414,16 +335,15 @@ def _cmd_split(args, cfg: RunConfig) -> int:
     ids = [r.complex_id for r in records]
     comp_sim = compound_similarity_matrix([r.ligand for r in records])
     prot_sim = protein_similarity_matrix([r.protein for r in records])
-    comp_clusters = hierarchical_cluster(ids, comp_sim, cfg.compound_threshold)
-    prot_clusters = hierarchical_cluster(ids, prot_sim, cfg.protein_threshold)
+    comp_clusters = hierarchical_cluster(ids, comp_sim, cfg.split.compound_threshold)
+    prot_clusters = hierarchical_cluster(ids, prot_sim, cfg.split.protein_threshold)
     assignment = assign_folds(ids, SplitSetting(args.setting), comp_clusters,
                               prot_clusters, k=args.folds, seed=cfg.seed)
     report = leakage_report(assignment, ids, comp_sim, prot_sim,
-                            cfg.compound_threshold, cfg.protein_threshold)
+                            cfg.split.compound_threshold, cfg.split.protein_threshold)
     doc = assignment.to_dict()
     doc["leakage"] = report.to_dict()
-    doc["provenance"] = {"config_hash": cfg.hash(), "seed": cfg.seed}
-    _write_json(args.out, doc)
+    _write_json(args.out, cfg, doc)
     print(f"wrote {args.folds}-fold {args.setting} split to {args.out}; "
           f"leakage passed={report.passed}")
     return 0
@@ -443,11 +363,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         doc = evaluate_grouped(preds, labels, metric_names, groups)
     else:
         doc = evaluate(preds, labels, metric_names).to_dict()
-    doc["provenance"] = {"config_hash": cfg.hash(), "seed": cfg.seed}
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    _write_json(args.out, cfg, doc)
     return 0
 
 
@@ -475,11 +391,7 @@ def _cmd_simulate_screen(args, cfg: RunConfig) -> int:
         doc = simulate_random_screen(args.actives, args.decoys, trials=args.trials,
                                      seed=cfg.seed, ef_percent=args.ef, alpha=args.alpha)
         doc["mode"] = "pooled"
-    doc["provenance"] = {"config_hash": cfg.hash(), "seed": cfg.seed}
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    _write_json(args.out, cfg, doc)
     return 0
 
 
@@ -499,7 +411,7 @@ _COMMANDS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _merge_config(args)
+    cfg = _resolve_config(args)
     if getattr(args, "print_config", False):
         print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
         return 0
@@ -511,6 +423,9 @@ def main(argv=None) -> int:
         return run(argv)
     except (Cpi3dError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

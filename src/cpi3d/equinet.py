@@ -124,21 +124,8 @@ class ModelConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "layout": list(self.layout.muls),
-            "lmax": self.lmax,
-            "edge_mlp_hidden": self.edge_mlp_hidden,
-            "readout_hidden": self.readout_hidden,
-            "fingerprint_width": self.fingerprint_width,
-            "fingerprint_embed": self.fingerprint_embed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        doc = dict(doc)
-        doc["layout"] = IrrepLayout(tuple(doc["layout"]))
-        return cls(**doc)
+        from .config import config_doc   # cpi3d.config imports this module
+        return config_doc(self)
 
 
 class ParameterStore:
@@ -197,10 +184,6 @@ class ParameterStore:
             if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"{name!r}: non-finite entries")
             t.data = arr.copy()
-
-    def n_scalars(self, trainable_only: bool = True) -> int:
-        names = self.trainable_names() if trainable_only else self.names()
-        return sum(self._tensors[n].data.size for n in names)
 
 
 def _uniform(rng, fan_in: int, shape) -> np.ndarray:

@@ -67,15 +67,8 @@ class CutoffConfig:
         return np.linspace(self.rbf_nu_min, self.rbf_nu_max, self.rbf_k)
 
     def to_dict(self) -> dict:
-        return {
-            "cc": self.cc, "pp": self.pp, "pc": self.pc,
-            "rbf_k": self.rbf_k, "rbf_gamma": self.rbf_gamma,
-            "rbf_nu_min": self.rbf_nu_min, "rbf_nu_max": self.rbf_nu_max,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CutoffConfig":
-        return cls(**doc)
+        from .config import config_doc   # cpi3d.config imports this module
+        return config_doc(self)
 
 
 def rbf_embed(dist, cfg: CutoffConfig) -> np.ndarray:

@@ -9,7 +9,7 @@ toolkit is needed; weights are configurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,16 +40,9 @@ class VinaWeights:
     rot: float = 0.0585
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
-            if not np.isfinite(value):
-                raise ValidationError(f"weight {name} must be finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "gauss1": self.gauss1, "gauss2": self.gauss2,
-            "repulsion": self.repulsion, "hydrophobic": self.hydrophobic,
-            "hbond": self.hbond, "rot": self.rot,
-        }
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"weight {f.name} must be finite")
 
 
 @dataclass(frozen=True)

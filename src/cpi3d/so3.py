@@ -36,10 +36,6 @@ _C22 = 0.25 * math.sqrt(15.0 / math.pi)
 Y00 = 0.5 / math.sqrt(math.pi)
 
 
-def sh_width(lmax: int) -> int:
-    return (lmax + 1) ** 2
-
-
 def sh_slice(l: int) -> slice:
     """Index range of the degree-l block inside a flattened SH vector."""
     return slice(l * l, (l + 1) * (l + 1))
@@ -194,10 +190,6 @@ def wigner_d(R, l: int) -> np.ndarray:
         c = _cg112()
         return np.einsum("Mab,ac,bd,Ncd->MN", c, d1, d1, c)
     raise ValidationError(f"degree {l} not supported (lmax = {LMAX})")
-
-
-def wigner_d_blocks(R, lmax: int = LMAX) -> list[np.ndarray]:
-    return [wigner_d(R, l) for l in range(lmax + 1)]
 
 
 def allowed_paths(lmax: int = LMAX, parity_even_only: bool = True) -> tuple[tuple[int, int, int], ...]:

@@ -31,16 +31,10 @@ class TrainConfig:
             raise ValidationError("learning_rate must be non-negative")
         if self.steps < 1:
             raise ValidationError("steps must be at least 1")
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be at least 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate, "steps": self.steps,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "optimizer": self.optimizer, "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2, "adam_eps": self.adam_eps,
-        }
 
 
 def mse_loss(pred, label) -> Tensor:

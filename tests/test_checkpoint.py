@@ -1,3 +1,5 @@
+import json
+import os
 import struct
 
 import numpy as np
@@ -99,3 +101,38 @@ def test_directory_overrun_rejected(tmp_path):
 
 def test_magic_constant():
     assert MAGIC == b"EQCP"
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.eqcp"
+    save_checkpoint(path, _store(seed=0)[0])
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, _store(seed=1)[0])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.eqcp"]
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    header_len = struct.unpack("<I", blob[8:12])[0]
+    header = edit(json.loads(blob[12:12 + header_len]))
+    new_header = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len:]
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda h: [h], "not a JSON object"),
+    (lambda h: {**h, "config": 5}, "not a JSON object"),
+    (lambda h: {k: v for k, v in h.items() if k != "tensors"}, "malformed tensor directory"),
+    (lambda h: {**h, "tensors": [{"shape": [1]}]}, "malformed tensor directory"),
+], ids=["list-header", "config-not-object", "no-tensors", "entry-without-offset"])
+def test_malformed_header_rejected(tmp_path, edit, needle):
+    path = tmp_path / "bad.eqcp"
+    path.write_bytes(_with_header(checkpoint_bytes(_store()[0]), edit))
+    with pytest.raises(CheckpointError, match=needle):
+        load_checkpoint(path)

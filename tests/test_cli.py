@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 import cpi3d
+from cpi3d import cli
+from cpi3d.checkpoint import save_checkpoint
 from cpi3d.chemio import write_sdf
 from cpi3d.cli import main
+from cpi3d.config import build_config
+from cpi3d.equinet import ModelConfig, init_params
+from cpi3d.geograph import CutoffConfig
 from cpi3d.synthetic import (
     clustered_records,
     protein_to_pdb,
@@ -272,6 +277,13 @@ def test_print_config(tmp_path, capsys):
     ({"modle": {"layers": 1}}, "'modle'"),
     ({"cutoffs": 5}, "'cutoffs'"),
     ([{"seed": 1}], "JSON object"),
+    ({"model": {"layers": "three"}}, "'model.layers': must be an integer"),
+    ({"cutoffs": {"cc": "a"}}, "'cutoffs.cc': must be a number"),
+    ({"model": {"layout": 5}}, "'model.layout': must be a list of integers"),
+    ({"seed": "x"}, "'seed': must be an integer"),
+    ({"train": {"steps": 2.5}}, "'train.steps': must be an integer"),
+    ({"vina": {"rot": True}}, "'vina.rot': must be a number, got true"),
+    ({"cutoffs": {"cc": None}}, "'cutoffs.cc': must be a number, got null"),
 ])
 def test_unknown_config_entries_exit_one(tmp_path, capsys, doc, needle):
     config = tmp_path / "config.json"
@@ -281,6 +293,48 @@ def test_unknown_config_entries_exit_one(tmp_path, capsys, doc, needle):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-3"])
+def test_train_rejects_batch_size_below_one(toy_dir, capsys, batch_size):
+    tmp_path, manifest, config = toy_dir
+    assert main(["train", "--manifest", manifest, "--config", config,
+                 "--batch-size", batch_size, "--out", str(tmp_path / "m.eqcp")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: batch_size must be at least 1\n"
+
+
+TINY_HEADER = {"model": TINY_MODEL["model"], "cutoffs": TINY_MODEL["cutoffs"]}
+
+
+@pytest.mark.parametrize("header,needle", [
+    (None, "header has no model config"),
+    ({**TINY_HEADER, "model": {**TINY_MODEL["model"], "bogus": 1}},
+     "header config 'model': unknown key 'bogus'"),
+    ({"model": TINY_MODEL["model"]}, "header has no cutoffs config"),
+    ({**TINY_HEADER, "cutoffs": {"rbf_k": "6"}}, "'cutoffs.rbf_k': must be an integer"),
+], ids=["no-config", "unknown-model-key", "no-cutoffs", "wrong-type"])
+def test_predict_bad_checkpoint_header_exits_one(toy_dir, capsys, header, needle):
+    tmp_path, manifest, _ = toy_dir
+    params = init_params(build_config(ModelConfig, TINY_MODEL["model"]),
+                         build_config(CutoffConfig, TINY_MODEL["cutoffs"]), seed=0)
+    ckpt = tmp_path / "bad.eqcp"
+    save_checkpoint(ckpt, params, config=header)
+    assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+def test_out_of_memory_exits_one(monkeypatch, capsys):
+    def exhausted(args, cfg):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate-screen", exhausted)
+    assert main(["simulate-screen", "--actives", "1", "--decoys", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 8.00 GiB for an array\n"
 
 
 def test_console_entry_point():
