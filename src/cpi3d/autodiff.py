@@ -102,41 +102,6 @@ class Tensor:
     def _tracked(self) -> bool:
         return bool(_ACTIVE) and self.requires_grad
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __getitem__(self, key):
-        return take(self, key)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .config import RunConfig, build_config, config_doc
+from .config import RunConfig, build_config, config_doc, load_json
 from .equinet import Model, ModelConfig, ParameterStore, init_params
 from .errors import CheckpointError, ConfigError, ValidationError
 from .geograph import CutoffConfig
@@ -79,8 +79,8 @@ def load_checkpoint(path):
     if len(blob) < 12 + header_len:
         raise CheckpointError("truncated header")
     try:
-        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = load_json(blob[12:12 + header_len].decode("utf-8"), str(path))
+    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("config", {}), dict):
         raise CheckpointError("header or its config is not a JSON object")

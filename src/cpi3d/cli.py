@@ -16,14 +16,13 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .chemio import load_manifest, parse_pdb, parse_pdb_atoms, parse_sdf
 from .checkpoint import load_model, save_model
-from .config import RunConfig, build_config
+from .config import RunConfig, build_config, load_json
 from .datasplit import (
     SplitSetting,
     assign_folds,
@@ -60,7 +59,7 @@ def _resolve_config(args) -> RunConfig:
     doc: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = load_json(fh.read(), args.config)
     for dest, keys in _FLAG_KEYS.items():
         value = getattr(args, dest, None)
         if value is None or not isinstance(doc, dict):
@@ -95,34 +94,42 @@ def _write_json(path: str | None, cfg: RunConfig, doc: dict):
         fh.write(text)
 
 
-def _read_prediction_csv(path: str):
-    rows = []
+def _read_table(path: str, columns) -> dict[str, list[str]]:
+    """Each of `columns` that the CSV header names, mapped to its values.
+
+    Lines starting with '#' and blank lines are skipped; the first row left
+    is the header and data rows are numbered from 1. A file without data
+    rows, or a data row too short to hold a column, raises
+    `ValidationError`.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [l for l in fh if not l.startswith("#")]
-    reader = csv.DictReader(lines)
-    for row in reader:
-        rows.append(row)
-    if not rows:
+        rows = [row for row in csv.reader(line for line in fh if not line.startswith("#"))
+                if row]
+    if len(rows) < 2:
         raise ValidationError(f"{path}: no data rows")
-    return rows
+    index = {name: k for k, name in enumerate(rows[0])}
+    table = {}
+    for column in columns:
+        if column not in index:
+            continue
+        k = index[column]
+        for row_no, row in enumerate(rows[1:], start=1):
+            if k >= len(row):
+                raise ValidationError(f"{path}: row {row_no}: no {column} value")
+        table[column] = [row[k] for row in rows[1:]]
+    return table
 
 
-def _column(rows, column: str, path: str) -> list[str]:
-    """One column of a prediction CSV; data rows are numbered from 1."""
-    values = [row.get(column) for row in rows]
-    if None in values:
-        raise ValidationError(f"{path}: row {values.index(None) + 1}: no {column} value")
-    return values
-
-
-def _finite_column(rows, column: str, path: str) -> list[float]:
+def _number_column(table, column: str, path: str, kind=float) -> list:
+    """One column of `_read_table` parsed as finite `kind` (float or int)."""
     values = []
-    for row_no, raw in enumerate(_column(rows, column, path), start=1):
+    for row_no, raw in enumerate(table[column], start=1):
         try:
-            value = float(raw)
+            value = kind(raw)
         except ValueError:
+            what = "an integer" if kind is int else "a number"
             raise ValidationError(f"{path}: row {row_no}: {column} {raw!r} "
-                                  "is not a number") from None
+                                  f"is not {what}") from None
         if not math.isfinite(value):
             raise ValidationError(f"{path}: row {row_no}: {column} {raw!r} is not finite")
         values.append(value)
@@ -175,7 +182,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("score-vina", help="physics score for each pose in an SDF")
     common(p)
@@ -273,17 +279,14 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
     model = load_model(args.checkpoint)
 
+    # each graph lives only inside one call, so it is freed before the
+    # next record's graph is built
     def predict_one(rec):
         graph = build_pair_graph(rec.poses[0], rec.protein, model.cutoffs)
         fp = morgan_fingerprint(rec.ligand, nbits=model.cfg.fingerprint_width)
         return model.predict(graph, fp)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            preds = list(pool.map(predict_one, records))
-    else:
-        preds = [predict_one(r) for r in records]
-    rows = [[rec.complex_id, repr(pred)] for rec, pred in zip(records, preds)]
+    rows = [[rec.complex_id, repr(predict_one(rec))] for rec in records]
     _write_csv(args.out, "predict", cfg, ["complex_id", "prediction"], rows)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0
@@ -350,17 +353,17 @@ def _cmd_split(args, cfg: RunConfig) -> int:
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
-    rows = _read_prediction_csv(args.pred)
-    if "prediction" not in rows[0] or "label" not in rows[0]:
+    groups = [args.group_by] if args.group_by else []
+    table = _read_table(args.pred, ["prediction", "label"] + groups)
+    if "prediction" not in table or "label" not in table:
         raise ValidationError("prediction CSV needs 'prediction' and 'label' columns")
-    preds = _finite_column(rows, "prediction", args.pred)
-    labels = _finite_column(rows, "label", args.pred)
+    preds = _number_column(table, "prediction", args.pred)
+    labels = _number_column(table, "label", args.pred)
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if args.group_by:
-        if args.group_by not in rows[0]:
+        if args.group_by not in table:
             raise ValidationError(f"no column {args.group_by!r} in {args.pred}")
-        groups = _column(rows, args.group_by, args.pred)
-        doc = evaluate_grouped(preds, labels, metric_names, groups)
+        doc = evaluate_grouped(preds, labels, metric_names, table[args.group_by])
     else:
         doc = evaluate(preds, labels, metric_names).to_dict()
     _write_json(args.out, cfg, doc)
@@ -369,14 +372,17 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
 
 def _cmd_simulate_screen(args, cfg: RunConfig) -> int:
     if args.per_target:
-        targets = []
-        with open(args.per_target, encoding="utf-8") as fh:
-            for row in csv.DictReader(l for l in fh if not l.startswith("#")):
-                targets.append((row["target"], int(row["actives"]), int(row["decoys"])))
+        columns = ["target", "actives", "decoys"]
+        table = _read_table(args.per_target, columns)
+        missing = [c for c in columns if c not in table]
+        if missing:
+            raise ValidationError(f"no column {missing[0]!r} in {args.per_target}")
+        actives = _number_column(table, "actives", args.per_target, int)
+        decoys = _number_column(table, "decoys", args.per_target, int)
         per_target = {
             name: simulate_random_screen(a, d, trials=args.trials, seed=cfg.seed,
                                          ef_percent=args.ef, alpha=args.alpha)
-            for name, a, d in targets
+            for name, a, d in zip(table["target"], actives, decoys)
         }
         ef_means = np.array([r["ef_mean"] for r in per_target.values()])
         bed_means = np.array([r["bedroc_mean"] for r in per_target.values()])

@@ -1,7 +1,8 @@
 """The config document of `--config` files, `--print-config`, the run hash
 and checkpoint headers, derived from the fields of the config dataclasses:
 one key per field (`metadata["key"]` renames one), a nested dataclass as a
-section and an `IrrepLayout` as its list of multiplicities.
+section and an `IrrepLayout` as its list of multiplicities. `load_json`
+reads both kinds of document.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def config_doc(config) -> dict:
             value = config_doc(value)
         doc[f.metadata.get("key", f.name)] = value
     return doc
+
+
+def load_json(text: str, where: str):
+    """Parse a JSON document, rejecting the constants NaN, Infinity and
+    -Infinity that Python's json module accepts but JSON does not have."""
+    def reject(name):
+        raise ValidationError(f"{where}: {name} is not a JSON number")
+    return json.loads(text, parse_constant=reject)
 
 
 # field type -> (test of the JSON value, what it wants); a field of any

@@ -38,18 +38,6 @@ class SplitSetting(str, enum.Enum):
     NOVEL_PROTEIN = "novel_protein"
 
 
-def similarity_matrix(items, similarity) -> np.ndarray:
-    """Symmetric all-pairs similarity; `similarity` may already be a matrix."""
-    if isinstance(similarity, np.ndarray):
-        return similarity
-    n = len(items)
-    S = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            S[i, j] = S[j, i] = similarity(items[i], items[j])
-    return S
-
-
 def _jaccard_matrix(incidence: np.ndarray) -> np.ndarray:
     """|a AND b| / |a OR b| for every pair of 0/1 rows; 1.0 for two empty rows.
 
@@ -81,66 +69,37 @@ def protein_similarity_matrix(proteins, k: int = 3) -> np.ndarray:
     return _jaccard_matrix(incidence)
 
 
-def hierarchical_cluster(items, similarity, threshold: float) -> list[int]:
+def hierarchical_cluster(items, similarity: np.ndarray, threshold: float) -> list[int]:
     """Complete-linkage agglomeration over distance 1 - similarity.
 
-    Merging stops once the smallest inter-cluster distance exceeds
-    1 - threshold. Ties break toward the pair with the smallest member
-    index. Returned ids are dense, ordered by each cluster's smallest
-    member.
+    `similarity` is the (n, n) matrix over `items`. Merging stops once the
+    smallest inter-cluster distance exceeds 1 - threshold. A merge keeps
+    the row of its smaller index, so a cluster's row is its smallest
+    member, and ties break toward the first minimum in row-major order,
+    that is the pair with the smallest (member, member) indices. Returned
+    ids are dense, ordered by each cluster's smallest member.
     """
     if not 0 < threshold < 1:
         raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
     n = len(items)
     if n == 0:
         return []
-    S = similarity_matrix(items, similarity)
-    if S.shape != (n, n):
-        raise ValidationError(f"similarity matrix shape {S.shape} != ({n}, {n})")
+    D = 1.0 - np.asarray(similarity, dtype=np.float64)
+    if D.shape != (n, n):
+        raise ValidationError(f"similarity matrix shape {D.shape} != ({n}, {n})")
     cut = 1.0 - threshold
 
-    D = 1.0 - S.astype(np.float64)
     np.fill_diagonal(D, np.inf)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    leaders = {i: i for i in range(n)}  # cluster -> smallest member
-    active = set(range(n))
-
-    while len(active) > 1:
-        idx = sorted(active)
-        sub = D[np.ix_(idx, idx)]
-        flat = np.argmin(sub)
-        best = sub.flat[flat]
-        if best > cut:
+    row_of = np.arange(n)
+    while True:
+        i, j = divmod(int(np.argmin(D)), n)
+        if D[i, j] > cut:
             break
-        # deterministic tie-break: smallest (leader_i, leader_j) among minima
-        ties = np.argwhere(sub == best)
-        pairs = []
-        for a, b in ties:
-            if a < b:
-                ca, cb = idx[a], idx[b]
-                pairs.append((min(leaders[ca], leaders[cb]),
-                              max(leaders[ca], leaders[cb]), ca, cb))
-        pairs.sort()
-        _, _, ci, cj = pairs[0]
         # complete linkage: distance to the merge is the max of the parts
-        for ck in active:
-            if ck in (ci, cj):
-                continue
-            d = max(D[ci, ck], D[cj, ck])
-            D[ci, ck] = D[ck, ci] = d
-        members[ci].extend(members[cj])
-        leaders[ci] = min(leaders[ci], leaders[cj])
-        del members[cj], leaders[cj]
-        active.discard(cj)
-        D[cj, :] = np.inf
-        D[:, cj] = np.inf
-
-    clusters = sorted(members.values(), key=min)
-    ids = [0] * n
-    for cid, group in enumerate(clusters):
-        for i in group:
-            ids[i] = cid
-    return ids
+        D[i] = D[:, i] = np.maximum(D[i], D[j])
+        D[j] = D[:, j] = np.inf
+        row_of[row_of == j] = i
+    return np.unique(row_of, return_inverse=True)[1].tolist()
 
 
 @dataclass

@@ -39,10 +39,6 @@ class IrrepLayout:
     def mult(self, l: int) -> int:
         return self.muls[l]
 
-    @property
-    def width(self) -> int:
-        return sum(m * (2 * l + 1) for l, m in enumerate(self.muls))
-
     def degrees(self):
         return [l for l in range(3) if self.muls[l] > 0]
 
@@ -67,32 +63,6 @@ class IrrepFeature:
     def scalars(self) -> Tensor:
         b = self.blocks[0]
         return ad.reshape(b, (b.shape[0], b.shape[1]))
-
-    def to_array(self) -> np.ndarray:
-        """Flat (n, width) layout: [l=0 | l=1 channels x3 | l=2 channels x5]."""
-        parts = []
-        for l in self.layout.degrees():
-            b = self.blocks[l].data
-            parts.append(b.reshape(b.shape[0], -1))
-        return np.concatenate(parts, axis=1)
-
-    @classmethod
-    def from_array(cls, layout: IrrepLayout, arr: np.ndarray) -> "IrrepFeature":
-        blocks = {}
-        offset = 0
-        for l in layout.degrees():
-            m, d = layout.mult(l), 2 * l + 1
-            blocks[l] = arr[:, offset:offset + m * d].reshape(arr.shape[0], m, d)
-            offset += m * d
-        if offset != arr.shape[1]:
-            raise ConfigError(f"array width {arr.shape[1]} != layout width {layout.width}")
-        return cls(layout, blocks)
-
-    @classmethod
-    def zeros(cls, layout: IrrepLayout, n: int) -> "IrrepFeature":
-        return cls(layout, {
-            l: np.zeros((n, layout.mult(l), 2 * l + 1)) for l in layout.degrees()
-        })
 
     def detach(self) -> "IrrepFeature":
         return IrrepFeature(self.layout, {l: b.data.copy() for l, b in self.blocks.items()})

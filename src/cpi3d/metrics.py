@@ -16,38 +16,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class ScreenEntry:
-    id: str
-    score: float    # higher means more likely active / stronger binder
-    label: float
-
-
-@dataclass(frozen=True)
-class ScreenResult:
-    """A ranked screen: per-entry score plus a real or binary label."""
-    entries: tuple[ScreenEntry, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValidationError("screen result has no entries")
-        if not all(math.isfinite(e.score) for e in self.entries):
-            raise ValidationError("scores must be finite")
-
-    @classmethod
-    def from_arrays(cls, ids, scores, labels) -> "ScreenResult":
-        return cls(entries=tuple(
-            ScreenEntry(id=str(i), score=float(s), label=float(l))
-            for i, s, l in zip(ids, scores, labels)
-        ))
-
-    def scores(self) -> np.ndarray:
-        return np.array([e.score for e in self.entries])
-
-    def labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.entries])
-
-
 def _arrays(preds, labels):
     p = np.asarray(preds, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -264,10 +232,7 @@ def _parse_metric(name: str):
 
 def evaluate(preds, labels=None, metrics: list[str] = ()) -> MetricReport:
     """Dispatch to the requested metrics; mathematically undefined ones are
-    omitted with the reason instead of raising. Accepts a ScreenResult or
-    separate score/label arrays."""
-    if isinstance(preds, ScreenResult):
-        preds, labels = preds.scores(), preds.labels()
+    omitted with the reason instead of raising."""
     p = np.asarray(preds, dtype=np.float64)
     report = MetricReport(n=int(p.size))
     for name in metrics:

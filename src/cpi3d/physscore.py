@@ -71,50 +71,42 @@ def _radius(element: str) -> float:
     return VDW_RADII.get(element, DEFAULT_VDW)
 
 
-def type_ligand_atoms(mol: LigandMolecule) -> TypedAtoms:
-    """Hydrophobic carbons touch only carbon; N/O accept, and donate when
-    their explicit bond orders (aromatic counted 1.5) leave room for an
-    implicit hydrogen."""
-    n = len(mol.atoms)
-    hydrophobic = np.zeros(n, dtype=bool)
-    donor = np.zeros(n, dtype=bool)
-    acceptor = np.zeros(n, dtype=bool)
-    adjacency = mol.neighbors()
-    for i, atom in enumerate(mol.atoms):
-        nbr_elements = [mol.atoms[j].element for j, _ in adjacency[i]]
-        if atom.element == "C":
-            hydrophobic[i] = all(e == "C" for e in nbr_elements)
-        elif atom.element in _VALENCE:
-            acceptor[i] = True
-            order_sum = sum(1.5 if order == 4 else order for _, order in adjacency[i])
-            donor[i] = round(order_sum) < _VALENCE[atom.element]
+def _type_atoms(elements, positions, i, j, order) -> TypedAtoms:
+    """The one rule set, over a bond list that holds every bond in both
+    directions (i -> j, bond order `order`): a carbon is hydrophobic when
+    no neighbour is a non-carbon; N and O accept, and donate when their
+    bond-order sum (aromatic 4 counted 1.5), rounded half to even, is
+    below the valence, leaving room for an implicit hydrogen."""
+    n = len(elements)
+    is_carbon = np.array([e == "C" for e in elements], dtype=bool)
+    valence = np.array([_VALENCE.get(e, 0) for e in elements])
+    non_carbon_nbrs = np.bincount(i[~is_carbon[j]], minlength=n)
+    order_sum = np.bincount(i, weights=np.where(order == 4, 1.5, order), minlength=n)
+    acceptor = valence > 0
     return TypedAtoms(
-        positions=mol.coords(),
-        radii=np.array([_radius(a.element) for a in mol.atoms]),
-        hydrophobic=hydrophobic, donor=donor, acceptor=acceptor,
+        positions=positions,
+        radii=np.array([_radius(e) for e in elements]),
+        hydrophobic=is_carbon & (non_carbon_nbrs == 0),
+        donor=acceptor & (np.round(order_sum) < valence), acceptor=acceptor,
     )
+
+
+def type_ligand_atoms(mol: LigandMolecule) -> TypedAtoms:
+    """Type the ligand atoms over the bonds of its SDF record."""
+    bonds = np.array([(b.i, b.j, b.order) for b in mol.bonds], dtype=np.int64).reshape(-1, 3)
+    i, j, order = bonds.T
+    return _type_atoms([a.element for a in mol.atoms], mol.coords(),
+                       np.concatenate([i, j]), np.concatenate([j, i]), np.tile(order, 2))
 
 
 def type_protein_atoms(atoms: tuple[HeavyAtomRecord, ...]) -> TypedAtoms:
     """Same rules as the ligand, with connectivity inferred from heavy-atom
     distances below the covalent cutoff (single bonds assumed)."""
     pos = np.array([a.position for a in atoms])
-    elements = [a.element for a in atoms]
-    n = len(atoms)
     i, j, dist = neighbor_pairs(pos, pos, COVALENT_CUTOFF)
     bonded = (dist < COVALENT_CUTOFF) & (i != j)
-    i, j = i[bonded], j[bonded]
-    is_carbon = np.array([e == "C" for e in elements], dtype=bool)
-    valence = np.array([_VALENCE.get(e, 0) for e in elements])
-    degree = np.bincount(i, minlength=n)
-    non_carbon_nbrs = np.bincount(i[~is_carbon[j]], minlength=n)
-    acceptor = valence > 0
-    return TypedAtoms(
-        positions=pos,
-        radii=np.array([_radius(e) for e in elements]),
-        hydrophobic=is_carbon & (non_carbon_nbrs == 0),
-        donor=acceptor & (degree < valence), acceptor=acceptor,
-    )
+    return _type_atoms([a.element for a in atoms], pos, i[bonded], j[bonded],
+                       np.ones(int(bonded.sum()), dtype=np.int64))
 
 
 def ramp(d, a: float, b: float):

@@ -41,21 +41,6 @@ def sh_slice(l: int) -> slice:
     return slice(l * l, (l + 1) * (l + 1))
 
 
-def real_spherical_harmonics(unit_vec, lmax: int = LMAX) -> np.ndarray:
-    """Real spherical harmonics of a unit vector, blocks l = 0..lmax.
-
-    The input must already be normalized (callers divide the edge vector by
-    its length); deviations beyond 1e-6 raise.
-    """
-    v = np.asarray(unit_vec, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValidationError(f"expected a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValidationError(f"input must be a unit vector, |v| = {norm}")
-    return _sh_batch_unchecked(v[None, :], lmax)[0]
-
-
 def spherical_harmonics_batch(unit_vecs: np.ndarray, lmax: int = LMAX) -> np.ndarray:
     """Vectorized harmonics for rows of unit vectors, shape (n, (lmax+1)^2).
 
@@ -67,14 +52,6 @@ def spherical_harmonics_batch(unit_vecs: np.ndarray, lmax: int = LMAX) -> np.nda
     ok = norms > 1e-10
     if np.any(np.abs(norms[ok] - 1.0) > 1e-6):
         raise ValidationError("rows must be unit vectors (or exactly zero)")
-    out = _sh_batch_unchecked(v, lmax)
-    if not np.all(ok):
-        out[~ok] = 0.0
-        out[~ok, 0] = Y00
-    return out
-
-
-def _sh_batch_unchecked(v: np.ndarray, lmax: int) -> np.ndarray:
     if not 0 <= lmax <= LMAX:
         raise ValidationError(f"lmax must be in [0, {LMAX}], got {lmax}")
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
@@ -89,7 +66,11 @@ def _sh_batch_unchecked(v: np.ndarray, lmax: int) -> np.ndarray:
             _C2XY * z * x,
             _C22 * (x * x - y * y),
         ]
-    return np.stack(cols, axis=-1)
+    out = np.stack(cols, axis=-1)
+    if not np.all(ok):
+        out[~ok] = 0.0
+        out[~ok, 0] = Y00
+    return out
 
 
 def _factorial(n: int) -> int:

@@ -1,9 +1,11 @@
 """Brute-force reference implementations used to verify the metric code,
-the tensor-product message kernel and the neighbour search.
+the tensor-product message kernel, the neighbour search, atom typing and
+complete-linkage clustering.
 
 Everything here is written longhand (python loops, explicit rank formulas,
-one einsum per coupling path, dense distance blocks) and stays independent
-of the vectorized implementations under test.
+one einsum per coupling path, dense distance blocks, a leader table with an
+explicit tie list) and stays independent of the vectorized implementations
+under test.
 """
 
 import math
@@ -165,3 +167,76 @@ def pair_energy_oracle(lig, prot, weights):
              + weights.hydrophobic * ramp(d, 0.5, 1.5) * hp
              + weights.hbond * ramp(d, -0.7, 0.0) * hb)
     return float(terms.sum())
+
+
+def ligand_typing_oracle(mol):
+    """(hydrophobic, donor, acceptor) by a python loop over the atoms and
+    their SDF bonds; aromatic bonds (order 4) count 1.5 toward the valence."""
+    valence = {"N": 3, "O": 2}
+    n = len(mol.atoms)
+    hydrophobic = np.zeros(n, dtype=bool)
+    donor = np.zeros(n, dtype=bool)
+    acceptor = np.zeros(n, dtype=bool)
+    adjacency = mol.neighbors()
+    for i, atom in enumerate(mol.atoms):
+        nbr_elements = [mol.atoms[j].element for j, _ in adjacency[i]]
+        if atom.element == "C":
+            hydrophobic[i] = all(e == "C" for e in nbr_elements)
+        elif atom.element in valence:
+            acceptor[i] = True
+            order_sum = sum(1.5 if order == 4 else order for _, order in adjacency[i])
+            donor[i] = round(order_sum) < valence[atom.element]
+    return hydrophobic, donor, acceptor
+
+
+def similarity_matrix(items, similarity):
+    """Symmetric all-pairs matrix of a pairwise similarity function."""
+    n = len(items)
+    S = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            S[i, j] = S[j, i] = similarity(items[i], items[j])
+    return S
+
+
+def complete_linkage_oracle(S, threshold):
+    """Complete linkage over distance 1 - S with an explicit leader table:
+    among all minimum-distance pairs of active clusters, merge the one with
+    the smallest (leader, leader), leader being a cluster's smallest member;
+    stop once the minimum exceeds 1 - threshold. Ids are dense, ordered by
+    smallest member."""
+    n = len(S)
+    cut = 1.0 - threshold
+    D = 1.0 - np.asarray(S, dtype=np.float64)
+    np.fill_diagonal(D, np.inf)
+    members = {i: [i] for i in range(n)}
+    leaders = {i: i for i in range(n)}
+    active = set(range(n))
+    while len(active) > 1:
+        idx = sorted(active)
+        sub = D[np.ix_(idx, idx)]
+        best = sub.flat[np.argmin(sub)]
+        if best > cut:
+            break
+        pairs = []
+        for a, b in np.argwhere(sub == best):
+            if a < b:
+                ca, cb = idx[a], idx[b]
+                pairs.append((min(leaders[ca], leaders[cb]),
+                              max(leaders[ca], leaders[cb]), ca, cb))
+        pairs.sort()
+        _, _, ci, cj = pairs[0]
+        for ck in active:
+            if ck not in (ci, cj):
+                D[ci, ck] = D[ck, ci] = max(D[ci, ck], D[cj, ck])
+        members[ci].extend(members[cj])
+        leaders[ci] = min(leaders[ci], leaders[cj])
+        del members[cj], leaders[cj]
+        active.discard(cj)
+        D[cj, :] = np.inf
+        D[:, cj] = np.inf
+    ids = [0] * n
+    for cid, group in enumerate(sorted(members.values(), key=min)):
+        for i in group:
+            ids[i] = cid
+    return ids

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 
@@ -130,7 +131,10 @@ def _with_header(blob: bytes, edit) -> bytes:
     (lambda h: {**h, "config": 5}, "not a JSON object"),
     (lambda h: {k: v for k, v in h.items() if k != "tensors"}, "malformed tensor directory"),
     (lambda h: {**h, "tensors": [{"shape": [1]}]}, "malformed tensor directory"),
-], ids=["list-header", "config-not-object", "no-tensors", "entry-without-offset"])
+    (lambda h: {**h, "config": {"cutoffs": {"pp": math.nan}}}, "NaN is not a JSON number"),
+    (lambda h: {**h, "payload_bytes": -math.inf}, "-Infinity is not a JSON number"),
+], ids=["list-header", "config-not-object", "no-tensors", "entry-without-offset",
+        "nan-config", "infinite-size"])
 def test_malformed_header_rejected(tmp_path, edit, needle):
     path = tmp_path / "bad.eqcp"
     path.write_bytes(_with_header(checkpoint_bytes(_store()[0]), edit))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,19 +89,6 @@ def test_train_then_predict_deterministic(toy_dir, capsys):
     assert lines[0].startswith("# cpi3d predict config=")
     assert lines[1] == "complex_id,prediction"
     assert len(lines) == 2 + 4
-
-
-def test_predict_threads_preserve_order(toy_dir):
-    tmp_path, manifest, config = toy_dir
-    ckpt = tmp_path / "model.eqcp"
-    main(["train", "--manifest", manifest, "--config", config, "--out", str(ckpt)])
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    main(["predict", "--manifest", manifest, "--config", config,
-          "--checkpoint", str(ckpt), "--out", str(serial)])
-    main(["predict", "--manifest", manifest, "--config", config,
-          "--checkpoint", str(ckpt), "--out", str(threaded), "--threads", "4"])
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_score_vina_and_rerank(tmp_path, capsys):
@@ -197,6 +185,20 @@ def test_simulate_screen_per_target(tmp_path):
     assert set(doc["targets"]) == {"t1", "t2"}
 
 
+@pytest.mark.parametrize("body,needle", [
+    ("target,actives\nt1,20\n", "no column 'decoys'"),
+    ("target,actives,decoys\nt1,20,180\nt2,30,2.5e2\n", "row 2: decoys '2.5e2' is not an integer"),
+], ids=["no-decoys-column", "non-integer-count"])
+def test_simulate_screen_bad_per_target_exits_one(tmp_path, capsys, body, needle):
+    comp = tmp_path / "comp.csv"
+    comp.write_text(body)
+    assert main(["simulate-screen", "--actives", "0", "--decoys", "0",
+                 "--per-target", str(comp)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
 def test_train_predict_wraps_overfit_run(tmp_path):
     """End-to-end CLI version of the overfit capacity run: labels from a
     frozen random model, written to a manifest as EC50 values, fit back
@@ -284,6 +286,8 @@ def test_print_config(tmp_path, capsys):
     ({"train": {"steps": 2.5}}, "'train.steps': must be an integer"),
     ({"vina": {"rot": True}}, "'vina.rot': must be a number, got true"),
     ({"cutoffs": {"cc": None}}, "'cutoffs.cc': must be a number, got null"),
+    ({"cutoffs": {"pp": math.nan}}, "NaN is not a JSON number"),
+    ({"train": {"learning_rate": math.inf}}, "Infinity is not a JSON number"),
 ])
 def test_unknown_config_entries_exit_one(tmp_path, capsys, doc, needle):
     config = tmp_path / "config.json"
@@ -313,7 +317,8 @@ TINY_HEADER = {"model": TINY_MODEL["model"], "cutoffs": TINY_MODEL["cutoffs"]}
      "header config 'model': unknown key 'bogus'"),
     ({"model": TINY_MODEL["model"]}, "header has no cutoffs config"),
     ({**TINY_HEADER, "cutoffs": {"rbf_k": "6"}}, "'cutoffs.rbf_k': must be an integer"),
-], ids=["no-config", "unknown-model-key", "no-cutoffs", "wrong-type"])
+    ({**TINY_HEADER, "cutoffs": {"pp": math.nan}}, "NaN is not a JSON number"),
+], ids=["no-config", "unknown-model-key", "no-cutoffs", "wrong-type", "nan-cutoff"])
 def test_predict_bad_checkpoint_header_exits_one(toy_dir, capsys, header, needle):
     tmp_path, manifest, _ = toy_dir
     params = init_params(build_config(ModelConfig, TINY_MODEL["model"]),

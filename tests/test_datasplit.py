@@ -11,11 +11,12 @@ from cpi3d.datasplit import (
     leakage_report,
     normalize_label,
     protein_similarity_matrix,
-    similarity_matrix,
 )
 from cpi3d.errors import ValidationError
 from cpi3d.fingerprint import jaccard, morgan_fingerprint, protein_kmer_set, tanimoto
 from cpi3d.synthetic import clustered_records
+
+from oracles import complete_linkage_oracle, similarity_matrix
 
 
 def test_normalize_label_examples():
@@ -83,9 +84,22 @@ def test_cluster_empty_input():
 
 def test_cluster_with_callable_similarity():
     items = [0.0, 0.1, 5.0]
-    ids = hierarchical_cluster(items, lambda a, b: 1.0 if abs(a - b) < 1 else 0.0,
-                               threshold=0.5)
-    assert ids == [0, 0, 1]
+    S = similarity_matrix(items, lambda a, b: 1.0 if abs(a - b) < 1 else 0.0)
+    assert hierarchical_cluster(items, S, threshold=0.5) == [0, 0, 1]
+
+
+def test_cluster_matches_leader_table_oracle():
+    # few similarity levels make many exact ties, including ties at the cut
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        levels = int(rng.integers(2, 9))
+        S = np.triu(rng.integers(0, levels, size=(n, n)) / (levels - 1), 1)
+        S = S + S.T
+        np.fill_diagonal(S, 1.0)
+        threshold = float(rng.choice([0.2, 0.25, 0.4, 0.5, 0.6, 0.75]))
+        assert hierarchical_cluster(list(range(n)), S, threshold) == \
+            complete_linkage_oracle(S, threshold)
 
 
 def _singleton_clusters(n):

@@ -264,20 +264,6 @@ def test_evaluate_grouped(rng):
     assert agg["n_groups"] == 2
 
 
-def test_screen_result_container(rng):
-    from cpi3d.metrics import ScreenResult
-    scores = rng.normal(size=15)
-    labels = (rng.random(15) < 0.4).astype(float)
-    labels[:2] = [1, 0]
-    result = ScreenResult.from_arrays(range(15), scores, labels)
-    report = evaluate(result, metrics=["ef10", "bedroc20"])
-    assert report.values["ef10"] == pytest.approx(
-        enrichment_factor(scores, labels, 10))
-    assert report.values["bedroc20"] == pytest.approx(bedroc(scores, labels, 20))
-    with pytest.raises(ValidationError):
-        ScreenResult(entries=())
-
-
 def test_simulate_random_screen_reproducible():
     a = simulate_random_screen(50, 450, trials=10, seed=42)
     b = simulate_random_screen(50, 450, trials=10, seed=42)

@@ -22,7 +22,7 @@ from cpi3d.so3 import random_rotation
 from cpi3d.synthetic import random_ligand
 
 from conftest import transform_ligand
-from oracles import pair_energy_oracle, protein_typing_oracle
+from oracles import ligand_typing_oracle, pair_energy_oracle, protein_typing_oracle
 
 CARBON_CONTACT = 3.8   # vdW radius sum of two carbons
 
@@ -100,6 +100,24 @@ def test_hydrophobic_and_hbond_typing():
     assert typed.donor[3]                    # N with one single bond
     lone = type_ligand_atoms(_mol([_atom("C", [0, 0, 0])]))
     assert lone.hydrophobic[0]
+
+
+def test_ligand_typing_matches_loop_oracle(rng):
+    # random graphs with cycles, bond orders 1-4 (aromatic sums such as 2.5
+    # round half to even) and an isolated atom
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        atoms = [_atom(str(e), rng.normal(size=3))
+                 for e in rng.choice(["C", "C", "N", "O", "S", "Cl"], size=n)]
+        pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+        chosen = [pairs[k] for k in np.flatnonzero(rng.random(len(pairs)) < 0.3)]
+        bonds = [Bond(i, j, int(rng.integers(1, 5))) for i, j in chosen]
+        mol = _mol(atoms, bonds)
+        typed = type_ligand_atoms(mol)
+        hydrophobic, donor, acceptor = ligand_typing_oracle(mol)
+        np.testing.assert_array_equal(typed.hydrophobic, hydrophobic)
+        np.testing.assert_array_equal(typed.donor, donor)
+        np.testing.assert_array_equal(typed.acceptor, acceptor)
 
 
 def test_rotatable_bond_count():

@@ -8,7 +8,6 @@ from cpi3d.so3 import (
     allowed_paths,
     clebsch_gordan,
     random_rotation,
-    real_spherical_harmonics,
     rotation_about_axis,
     sh_slice,
     spherical_harmonics_batch,
@@ -16,16 +15,21 @@ from cpi3d.so3 import (
 )
 
 
+def _sh(v):
+    """Harmonics of one unit vector, as a one-row batch."""
+    return spherical_harmonics_batch(np.asarray(v)[None])[0]
+
+
 def test_l0_is_constant(rng):
     for _ in range(10):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        Y = real_spherical_harmonics(v)
+        Y = _sh(v)
         assert Y[0] == pytest.approx(0.28209479177387814, abs=1e-12)
 
 
 def test_z_axis_values():
-    Y = real_spherical_harmonics(np.array([0.0, 0.0, 1.0]))
+    Y = _sh(np.array([0.0, 0.0, 1.0]))
     np.testing.assert_allclose(Y[sh_slice(1)], [0.0, 0.48860251190292, 0.0], atol=1e-12)
     l2 = Y[sh_slice(2)]
     assert l2[2] == pytest.approx(0.6307831305050401, abs=1e-12)
@@ -36,14 +40,14 @@ def test_parity(rng):
     for _ in range(20):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        Y, Ym = real_spherical_harmonics(v), real_spherical_harmonics(-v)
+        Y, Ym = _sh(v), _sh(-v)
         for l in range(3):
             np.testing.assert_array_equal(Ym[sh_slice(l)], (-1.0) ** l * Y[sh_slice(l)])
 
 
 def test_non_unit_input_rejected():
     with pytest.raises(ValidationError):
-        real_spherical_harmonics(np.array([1.0, 1.0, 0.0]))
+        _sh(np.array([1.0, 1.0, 0.0]))
 
 
 def test_batch_matches_scalar(rng):
@@ -51,7 +55,7 @@ def test_batch_matches_scalar(rng):
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     batch = spherical_harmonics_batch(vs)
     for i, v in enumerate(vs):
-        np.testing.assert_allclose(batch[i], real_spherical_harmonics(v), atol=1e-14)
+        np.testing.assert_allclose(batch[i], _sh(v), atol=1e-14)
 
 
 def test_batch_zero_rows():
@@ -71,8 +75,8 @@ def test_wigner_transforms_harmonics(rng):
         R = random_rotation(rng)
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        Y = real_spherical_harmonics(v)
-        Yr = real_spherical_harmonics(R @ v)
+        Y = _sh(v)
+        Yr = _sh(R @ v)
         for l in range(3):
             err = np.abs(wigner_d(R, l) @ Y[sh_slice(l)] - Yr[sh_slice(l)]).max()
             worst = max(worst, err)
