@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class ProteinStructure:
             if key in seen:
                 raise ValidationError(f"duplicate residue key {key}")
             seen.add(key)
-            if not np.all(np.isfinite(r.ca_position)):
+            if not all(math.isfinite(c) for c in r.ca_position):
                 raise ValidationError(f"non-finite CA position for {key}")
 
     @property
@@ -427,10 +427,12 @@ def load_manifest(path) -> list[ComplexRecord]:
     Required columns: complex_id, ligand_sdf, protein_pdb. Optional:
     ec50_nm, confidence, is_active. Each complex_id may appear once; data
     rows are numbered from 1 in errors. File paths resolve relative to the
-    manifest's directory. Multi-record SDFs become multiple poses.
+    manifest's directory. Multi-record SDFs become multiple poses. Each
+    protein path is parsed once; records naming it share its residues.
     """
     base = os.path.dirname(os.path.abspath(path))
     records: list[ComplexRecord] = []
+    proteins: dict[str, ProteinStructure] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"complex_id", "ligand_sdf", "protein_pdb"}
@@ -454,8 +456,12 @@ def load_manifest(path) -> list[ComplexRecord]:
                 poses = parse_sdf(f.read())
             if not poses:
                 raise ValidationError(f"row {cid!r}: ligand SDF holds no molecules")
-            with open(prot_path, encoding="utf-8") as f:
-                protein = parse_pdb(f.read(), structure_id=cid)
+            protein = proteins.get(prot_path)
+            if protein is None:
+                with open(prot_path, encoding="utf-8") as f:
+                    protein = proteins[prot_path] = parse_pdb(f.read(), structure_id=cid)
+            else:
+                protein = replace(protein, id=cid)
 
             ec50 = None
             raw = (row.get("ec50_nm") or "").strip()

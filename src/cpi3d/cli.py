@@ -31,6 +31,7 @@ from .datasplit import (
     leakage_report,
     protein_similarity_matrix,
 )
+from .equinet import ReceptorCache
 from .errors import Cpi3dError, ValidationError
 from .fingerprint import morgan_fingerprint
 from .geograph import build_pair_graph, graph_to_json
@@ -278,13 +279,15 @@ def _cmd_train(args, cfg: RunConfig) -> int:
 def _cmd_predict(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
     model = load_model(args.checkpoint)
+    # consecutive records on one receptor share its pp work
+    cache = ReceptorCache()
 
     # each graph lives only inside one call, so it is freed before the
     # next record's graph is built
     def predict_one(rec):
         graph = build_pair_graph(rec.poses[0], rec.protein, model.cutoffs)
         fp = morgan_fingerprint(rec.ligand, nbits=model.cfg.fingerprint_width)
-        return model.predict(graph, fp)
+        return model.predict(graph, fp, cache)
 
     rows = [[rec.complex_id, repr(predict_one(rec))] for rec in records]
     _write_csv(args.out, "predict", cfg, ["complex_id", "prediction"], rows)
@@ -377,6 +380,12 @@ def _cmd_simulate_screen(args, cfg: RunConfig) -> int:
         missing = [c for c in columns if c not in table]
         if missing:
             raise ValidationError(f"no column {missing[0]!r} in {args.per_target}")
+        first_row: dict[str, int] = {}
+        for row_no, name in enumerate(table["target"], start=1):
+            if name in first_row:
+                raise ValidationError(f"{args.per_target}: row {row_no}: repeated target "
+                                      f"{name!r} (first in row {first_row[name]})")
+            first_row[name] = row_no
         actives = _number_column(table, "actives", args.per_target, int)
         decoys = _number_column(table, "decoys", args.per_target, int)
         per_target = {

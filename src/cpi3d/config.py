@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
@@ -74,15 +75,20 @@ def load_json(text: str, where: str):
     return json.loads(text, parse_constant=reject)
 
 
-# field type -> (test of the JSON value, what it wants); a field of any
-# other type is a nested section. JSON values have exact Python types, so
+def _is_number(v) -> bool:
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+# field type -> (test of the value, what it wants); a field of any other
+# type is a nested section. JSON values have exact Python types, so
 # `type(v) is int` also keeps a bool from passing as a number. An int is
 # accepted where a float is expected and kept as given: a document hashes
-# the same however its numbers are resolved.
+# the same however its numbers are resolved. A float must be finite, which
+# also stops a NaN or infinite flag value (argparse's `float` takes both).
 _VALUE_TYPES = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: type(v) in (int, float), "a number"),
-    float | None: (lambda v: v is None or type(v) in (int, float), "a number or null"),
+    float: (_is_number, "a number"),
+    float | None: (lambda v: v is None or _is_number(v), "a number or null"),
     str: (lambda v: type(v) is str, "a string"),
     IrrepLayout: (lambda v: type(v) is list and all(type(m) is int for m in v),
                   "a list of integers"),

@@ -25,6 +25,9 @@ from .so3 import allowed_paths, clebsch_gordan, sh_slice, spherical_harmonics_ba
 EDGE_KIND_ORDER = (EdgeKind.CC, EdgeKind.PP, EdgeKind.PC)
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# pp edges per block on the cached path: its transient gate and message
+# arrays grow with the block, not with the receptor's edge count
+PP_EDGE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -391,9 +394,108 @@ def _edge_tensors(graph: HeteroGraph):
     return out
 
 
+class ReceptorCache:
+    """The receptor-only pp work of inference forwards, for one receptor.
+
+    The entry is keyed on the bytes of the residue features and residue
+    positions, and on the parameter store that filled it; a graph of
+    another receptor replaces it. Per layer it holds the pp edge gates,
+    which depend only on the RBF and the layer-0 residue embeddings, and
+    the residue source rows and per-residue pp message sums of the first
+    forward on the receptor (the reference). `recomputed` maps each layer
+    to the number of pp edges whose messages the last forward computed.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._params = None
+        self.gates: dict[int, np.ndarray] = {}
+        self.ref_rows: dict[int, dict[int, np.ndarray]] = {}
+        self.ref_sums: dict[int, dict[int, np.ndarray]] = {}
+        self.recomputed: dict[int, int] = {}
+
+    def select(self, graph: HeteroGraph, params: ParameterStore):
+        """Keep the entry if `graph` holds its receptor, else empty it."""
+        key = (graph.residue_features.tobytes(), graph.positions[graph.n_ligand:].tobytes())
+        if key != self._key or params is not self._params:
+            self._key, self._params = key, params
+            self.gates, self.ref_rows, self.ref_sums = {}, {}, {}
+        self.recomputed = {}
+
+
+def _cached_pp_aggregate(cache: ReceptorCache, layer: int, psi_weights, tp_weights, paths,
+                         h: IrrepFeature, h0: np.ndarray, edges, n_ligand: int) -> IrrepFeature:
+    """The mean pp aggregate of one inference layer, from the cache.
+
+    Residues whose source rows equal the reference bit for bit keep its
+    messages: with none changed the reference sums are reused; if the
+    edges from changed residues are fewer than half, msg(new) - msg(ref)
+    of just those edges is added to the reference sums; otherwise every
+    sum is recomputed. Gates and messages run in blocks of PP_EDGE_BLOCK
+    edges and are summed with `np.add.at` in edge order. Ligand rows get
+    zero, as no pp edge ends on them.
+    """
+    layout = h.layout
+    a_idx, b_idx, rbf, sh = edges
+    dst, src = a_idx - n_ligand, b_idx - n_ligand
+    rows = {l: h.blocks[l].data[n_ligand:] for l in layout.degrees()}
+    n_res, n_edges = len(rows[0]), len(a_idx)
+
+    if layer not in cache.gates:
+        gates = np.empty((n_edges, len(paths)))
+        for s in range(0, n_edges, PP_EDGE_BLOCK):
+            e = slice(s, s + PP_EDGE_BLOCK)
+            gates[e] = edge_weight_net(rbf[e], h0[a_idx[e]], h0[b_idx[e]], psi_weights).data
+        cache.gates[layer] = gates
+
+    def messages(source_rows, ids):
+        h_src = IrrepFeature(layout, {l: r[src[ids]] for l, r in source_rows.items()})
+        return tensor_product_message(h_src, sh[ids], cache.gates[layer][ids],
+                                      tp_weights, paths, layout).blocks
+
+    def add_messages(sums, ids, ref_rows=None):
+        for s in range(0, len(ids), PP_EDGE_BLOCK):
+            block = ids[s:s + PP_EDGE_BLOCK]
+            new = messages(rows, block)
+            ref = messages(ref_rows, block) if ref_rows is not None else None
+            for l in layout.degrees():
+                np.add.at(sums[l], dst[block],
+                          new[l].data if ref is None else new[l].data - ref[l].data)
+
+    ref_rows = cache.ref_rows.get(layer)
+    if ref_rows is None:
+        changed = np.arange(n_edges)
+    else:
+        differs = np.zeros(n_res, dtype=bool)
+        for l, r in rows.items():
+            bits = r.view(np.int64) != ref_rows[l].view(np.int64)
+            differs |= bits.reshape(n_res, -1).any(axis=1)
+        changed = np.flatnonzero(differs[src])
+    if ref_rows is not None and 2 * len(changed) < n_edges:
+        sums = cache.ref_sums[layer]
+        if len(changed):
+            sums = {l: s.copy() for l, s in sums.items()}
+            add_messages(sums, changed, ref_rows)
+        cache.recomputed[layer] = len(changed)
+    else:
+        sums = {l: np.zeros((n_res, layout.mult(l), 2 * l + 1)) for l in layout.degrees()}
+        add_messages(sums, np.arange(n_edges))
+        cache.recomputed[layer] = n_edges
+        if ref_rows is None:
+            cache.ref_rows[layer] = {l: r.copy() for l, r in rows.items()}
+            cache.ref_sums[layer] = sums
+
+    degree = np.maximum(np.bincount(dst, minlength=n_res).astype(np.float64), 1.0)
+    out = {}
+    for l, s in sums.items():
+        out[l] = np.zeros((n_ligand + n_res,) + s.shape[1:])
+        out[l][n_ligand:] = s / degree.reshape(-1, 1, 1)
+    return IrrepFeature(layout, out)
+
+
 def forward(graph: HeteroGraph, fp: Fingerprint | np.ndarray, params: ParameterStore,
             cfg: ModelConfig, training: bool = False, return_features: bool = False,
-            edge_override: dict | None = None):
+            edge_override: dict | None = None, cache: ReceptorCache | None = None):
     """Full scalar prediction for one complex graph.
 
     Each round processes edge kinds cc, pp, pc in that fixed order with
@@ -404,7 +506,14 @@ def forward(graph: HeteroGraph, fp: Fingerprint | np.ndarray, params: ParameterS
 
     `edge_override` replaces the per-kind (rbf, sh) constants with caller
     tensors (used to differentiate through geometric inputs in tests).
+    `cache` (inference only) takes the pp aggregates from a
+    `ReceptorCache`, which reuses the receptor's work across ligands and
+    agrees with the uncached forward to rounding.
     """
+    if cache is not None:
+        if training or edge_override:
+            raise ConfigError("the receptor cache serves inference forwards only")
+        cache.select(graph, params)
     layout = cfg.layout
     m0 = layout.mult(0)
     n = graph.n_nodes
@@ -432,22 +541,21 @@ def forward(graph: HeteroGraph, fp: Fingerprint | np.ndarray, params: ParameterS
             if edge_override and kind in edge_override:
                 rbf, sh = edge_override[kind]
 
-            rbf_t = rbf if isinstance(rbf, Tensor) else Tensor(rbf)
-            psi = edge_weight_net(
-                rbf_t,
-                ad.gather_rows(h0_scalars, a_idx),
-                ad.gather_rows(h0_scalars, b_idx),
-                tuple(params[f"{prefix}.psi.{w}"] for w in ("W0", "b0", "W1", "b1", "W2", "b2")),
-            )
-            h_src = IrrepFeature(layout, {
-                l: ad.gather_rows(h.blocks[l], b_idx) for l in layout.degrees()
-            })
-            msg = tensor_product_message(
-                h_src, sh, psi,
-                {p: params[f"{prefix}.tp.{p[0]}{p[1]}{p[2]}"] for p in paths},
-                paths, layout,
-            )
-            agg = aggregate_messages(msg, a_idx, n)
+            psi_weights = tuple(params[f"{prefix}.psi.{w}"]
+                                for w in ("W0", "b0", "W1", "b1", "W2", "b2"))
+            tp_weights = {p: params[f"{prefix}.tp.{p[0]}{p[1]}{p[2]}"] for p in paths}
+            if cache is not None and kind is EdgeKind.PP:
+                agg = _cached_pp_aggregate(cache, layer, psi_weights, tp_weights, paths, h,
+                                           h0_scalars.data, edge_data[kind], graph.n_ligand)
+            else:
+                rbf_t = rbf if isinstance(rbf, Tensor) else Tensor(rbf)
+                psi = edge_weight_net(rbf_t, ad.gather_rows(h0_scalars, a_idx),
+                                      ad.gather_rows(h0_scalars, b_idx), psi_weights)
+                h_src = IrrepFeature(layout, {
+                    l: ad.gather_rows(h.blocks[l], b_idx) for l in layout.degrees()
+                })
+                msg = tensor_product_message(h_src, sh, psi, tp_weights, paths, layout)
+                agg = aggregate_messages(msg, a_idx, n)
             bn = equivariant_batch_norm(
                 agg,
                 {l: params[f"{prefix}.bn.gamma{l}"] for l in layout.degrees()},
@@ -490,5 +598,6 @@ class Model:
     cutoffs: CutoffConfig
     params: ParameterStore
 
-    def predict(self, graph: HeteroGraph, fp: Fingerprint | np.ndarray) -> float:
-        return float(forward(graph, fp, self.params, self.cfg, training=False).data)
+    def predict(self, graph: HeteroGraph, fp: Fingerprint | np.ndarray,
+                cache: ReceptorCache | None = None) -> float:
+        return float(forward(graph, fp, self.params, self.cfg, cache=cache).data)

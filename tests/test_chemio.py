@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from cpi3d import chemio
 from cpi3d.chemio import (
+    ProteinStructure,
+    Residue,
     load_manifest,
     parse_pdb,
     parse_pdb_atoms,
@@ -77,6 +80,14 @@ def test_parse_pdb_malformed_coordinate_reports_line():
     with pytest.raises(ParseError) as err:
         parse_pdb(good + "\n" + bad)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_protein_rejects_non_finite_ca_position(bad):
+    residues = (Residue("ALA", "A", 1, np.zeros(3)),
+                Residue("GLY", "A", 2, np.array([1.0, bad, 0.0])))
+    with pytest.raises(ValidationError, match=r"non-finite CA position for \('A', 2\)"):
+        ProteinStructure(id="p", residues=residues)
 
 
 def test_parse_pdb_pure():
@@ -248,3 +259,38 @@ def test_load_manifest_multi_pose(tmp_path):
     manifest = write_manifest([rec], str(tmp_path))
     (loaded,) = load_manifest(manifest)
     assert len(loaded.poses) == 2
+
+
+def _shared_receptor_manifest(tmp_path):
+    """Three records whose first and last name the same protein file."""
+    manifest = write_manifest(random_complexes(3, seed=7), str(tmp_path))
+    lines = open(manifest).read().splitlines()
+    lines[3] = lines[3].replace("toy2.pdb", "toy0.pdb")
+    open(manifest, "w").write("\n".join(lines) + "\n")
+    return manifest
+
+
+def test_load_manifest_parses_each_protein_path_once(tmp_path, monkeypatch):
+    manifest = _shared_receptor_manifest(tmp_path)
+    calls = []
+
+    def counted(data, structure_id="protein"):
+        calls.append(structure_id)
+        return parse_pdb(data, structure_id=structure_id)
+
+    monkeypatch.setattr(chemio, "parse_pdb", counted)
+    loaded = load_manifest(manifest)
+    assert calls == ["toy0", "toy1"]
+    assert loaded[2].protein.residues is loaded[0].protein.residues
+
+
+def test_load_manifest_shared_protein_equals_per_row_parse(tmp_path):
+    manifest = _shared_receptor_manifest(tmp_path)
+    for rec, pdb in zip(load_manifest(manifest), ("toy0", "toy1", "toy0")):
+        want = parse_pdb((tmp_path / f"{pdb}.pdb").read_text(), structure_id=rec.complex_id)
+        assert rec.protein.id == want.id == rec.complex_id
+        assert len(rec.protein.residues) == len(want.residues)
+        for got_res, want_res in zip(rec.protein.residues, want.residues):
+            assert (got_res.aa, got_res.chain, got_res.seq_index) == \
+                (want_res.aa, want_res.chain, want_res.seq_index)
+            np.testing.assert_array_equal(got_res.ca_position, want_res.ca_position)

@@ -188,7 +188,9 @@ def test_simulate_screen_per_target(tmp_path):
 @pytest.mark.parametrize("body,needle", [
     ("target,actives\nt1,20\n", "no column 'decoys'"),
     ("target,actives,decoys\nt1,20,180\nt2,30,2.5e2\n", "row 2: decoys '2.5e2' is not an integer"),
-], ids=["no-decoys-column", "non-integer-count"])
+    ("target,actives,decoys\nt1,20,180\nt2,5,50\nt1,30,270\n",
+     "row 3: repeated target 't1' (first in row 1)"),
+], ids=["no-decoys-column", "non-integer-count", "repeated-target"])
 def test_simulate_screen_bad_per_target_exits_one(tmp_path, capsys, body, needle):
     comp = tmp_path / "comp.csv"
     comp.write_text(body)
@@ -294,6 +296,25 @@ def test_unknown_config_entries_exit_one(tmp_path, capsys, doc, needle):
     config.write_text(json.dumps(doc))
     assert main(["simulate-screen", "--actives", "1", "--decoys", "1",
                  "--config", str(config), "--print-config"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["train", "--manifest", "m.csv", "--out", "o", "--lr=nan"],
+     "'train.learning_rate': must be a number, got NaN"),
+    (["rerank", "--poses", "p.sdf", "--protein", "r.pdb", "--out", "o", "--lambda=inf"],
+     "'fusion.lambda': must be a number, got Infinity"),
+    (["rerank", "--poses", "p.sdf", "--protein", "r.pdb", "--out", "o", "--alpha=-inf"],
+     "'fusion.alpha': must be a number, got -Infinity"),
+    (["split", "--manifest", "m.csv", "--setting", "novel_pair", "--out", "o",
+      "--compound-threshold=nan"], "'split.compound_threshold': must be a number, got NaN"),
+    (["split", "--manifest", "m.csv", "--setting", "novel_pair", "--out", "o",
+      "--protein-threshold=inf"], "'split.protein_threshold': must be a number, got Infinity"),
+], ids=["lr", "lambda", "alpha", "compound-threshold", "protein-threshold"])
+def test_non_finite_float_flag_exits_one(capsys, argv, needle):
+    assert main(argv + ["--print-config"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err

@@ -1,15 +1,18 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cpi3d import autodiff as ad
+from cpi3d import equinet
 from cpi3d.autodiff import Tape, Tensor
 from cpi3d.equinet import (
     IrrepFeature,
     IrrepLayout,
     ModelConfig,
+    ReceptorCache,
     aggregate_messages,
     edge_weight_net,
     equivariant_batch_norm,
@@ -21,9 +24,10 @@ from cpi3d.equinet import (
     readout,
     tensor_product_message,
 )
+from cpi3d.chemio import Atom, LigandMolecule, ProteinStructure, Residue
 from cpi3d.errors import ConfigError
 from cpi3d.fingerprint import morgan_fingerprint
-from cpi3d.geograph import CutoffConfig, build_pair_graph
+from cpi3d.geograph import CutoffConfig, EdgeKind, build_pair_graph
 from cpi3d.so3 import (
     P_YZX,
     allowed_paths,
@@ -32,7 +36,7 @@ from cpi3d.so3 import (
     spherical_harmonics_batch,
     wigner_d,
 )
-from cpi3d.synthetic import random_complex
+from cpi3d.synthetic import random_complex, random_ligand
 
 from conftest import transform_ligand, transform_protein
 from oracles import tp_message_oracle
@@ -622,3 +626,146 @@ def test_model_config_validation():
         ModelConfig(layers=0)
     with pytest.raises(ConfigError):
         ModelConfig(layout=IrrepLayout((0, 4, 2)))
+
+
+# ------------------------------------------------------------ receptor cache
+
+CACHE_CFG = ModelConfig(layers=3, layout=IrrepLayout((6, 3, 2)), edge_mlp_hidden=12,
+                        readout_hidden=8, fingerprint_width=64, fingerprint_embed=8)
+CACHE_CUT = CutoffConfig(rbf_k=8)
+
+
+def _receptor(rng, n_residues=300, spacing=5.2, pocket_radius=6.0):
+    """Jittered lattice residues at folded-protein density around an empty
+    pocket at the origin."""
+    axis = (np.arange(9) - 4) * spacing
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = grid + rng.uniform(-0.5, 0.5, size=grid.shape)
+    grid = grid[np.linalg.norm(grid, axis=1) > pocket_radius]
+    keep = grid[np.argsort(np.linalg.norm(grid, axis=1), kind="stable")]
+    aas = ("ALA", "GLY", "LEU", "SER", "ASP", "LYS", "PHE")
+    return ProteinStructure(id="receptor", residues=tuple(
+        Residue(aa=aas[i % len(aas)], chain="A", seq_index=i + 1, ca_position=p)
+        for i, p in enumerate(keep[:n_residues])
+    ))
+
+
+def _screen(rng, protein, ligand_sizes, center=(0.0, 0.0, 0.0), cfg=CACHE_CFG):
+    """(graph, fingerprint) for ligands of the given sizes in the pocket."""
+    out = []
+    for i, n_atoms in enumerate(ligand_sizes):
+        lig = random_ligand(rng, n_atoms=n_atoms, mol_id=f"lig{i}", center=center)
+        out.append((build_pair_graph(lig, protein, CACHE_CUT),
+                    morgan_fingerprint(lig, nbits=cfg.fingerprint_width)))
+    return out
+
+
+def _assert_cached_matches_forward(items, params, cfg=CACHE_CFG):
+    """Cached predictions, and the node features after every stage, agree
+    with the uncached forward within 1e-12 relative."""
+    cache = ReceptorCache()
+    for graph, fp in items:
+        want, want_feats = forward(graph, fp, params, cfg, return_features=True)
+        got, got_feats = forward(graph, fp, params, cfg, return_features=True, cache=cache)
+        assert abs(float(got.data) - float(want.data)) <= 1e-12 * abs(float(want.data))
+        for g, w in zip(got_feats, want_feats):
+            for l, block in w["feature"].blocks.items():
+                np.testing.assert_allclose(g["feature"].blocks[l].data, block.data, rtol=0,
+                                           atol=1e-12 * np.abs(block.data).max())
+    return cache
+
+
+@pytest.fixture(scope="module")
+def receptor():
+    return _receptor(np.random.default_rng(2024))
+
+
+def test_cache_matches_forward_on_a_shared_receptor(rng, receptor):
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    items = _screen(rng, receptor, (20, 24, 28, 32, 36, 40))
+    n_pp = len(items[0][0].edges[EdgeKind.PP])
+    assert n_pp > 4 * equinet.PP_EDGE_BLOCK
+    cache = _assert_cached_matches_forward(items, params)
+    # the last ligand reused layer 0, updated part of layer 1 and
+    # recomputed layer 2, where the changes have reached most residues
+    assert cache.recomputed[0] == 0
+    assert 0 < cache.recomputed[1] < n_pp // 2
+    assert cache.recomputed[2] == n_pp
+
+
+def test_cache_matches_forward_on_interleaved_receptors(rng):
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    rec_a, rec_b = _receptor(rng, n_residues=120), _receptor(rng, n_residues=150)
+    (a1, a2), (b1,) = _screen(rng, rec_a, (12, 16)), _screen(rng, rec_b, (14,))
+    cache = _assert_cached_matches_forward([a1, b1, a2], params)
+    # returning to receptor A found B's entry, so A was computed afresh
+    assert all(cache.recomputed[layer] == len(a2[0].edges[EdgeKind.PP])
+               for layer in range(CACHE_CFG.layers))
+
+
+def test_cache_matches_forward_for_an_out_of_pocket_ligand(rng, receptor):
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    inside = _screen(rng, receptor, (24,))
+    outside = _screen(rng, receptor, (16,), center=(200.0, 0.0, 0.0))
+    assert outside[0][0].warnings and len(outside[0][0].edges[EdgeKind.PC]) == 0
+    _assert_cached_matches_forward(inside + outside + inside, params)
+    _assert_cached_matches_forward(outside + inside, params)
+
+
+def test_cache_full_path_for_a_ligand_changing_most_edges(rng, receptor):
+    # a ligand wider than the pocket touches most residues, so layer 1
+    # already has more than half of its pp edges changed
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    small = _screen(rng, receptor, (8,))
+    lig = random_ligand(rng, n_atoms=60, mol_id="wide")
+    wide = LigandMolecule(id=lig.id, bonds=lig.bonds, atoms=tuple(
+        Atom(element=a.element, position=a.position * 3.0) for a in lig.atoms))
+    items = small + [(build_pair_graph(wide, receptor, CACHE_CUT),
+                      morgan_fingerprint(wide, nbits=CACHE_CFG.fingerprint_width))]
+    cache = _assert_cached_matches_forward(items, params)
+    assert cache.recomputed[1] == len(items[1][0].edges[EdgeKind.PP])
+
+
+def test_cache_blocked_sums_match_unblocked(rng, receptor, monkeypatch):
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    items = _screen(rng, receptor, (20, 30))
+
+    def ref_sums(block):
+        monkeypatch.setattr(equinet, "PP_EDGE_BLOCK", block)
+        cache = ReceptorCache()
+        preds = [float(forward(g, fp, params, CACHE_CFG, cache=cache).data) for g, fp in items]
+        return preds, cache.ref_sums
+
+    blocked_preds, blocked = ref_sums(500)
+    whole_preds, whole = ref_sums(10 ** 9)
+    np.testing.assert_allclose(blocked_preds, whole_preds, rtol=1e-12, atol=0)
+    for layer in range(CACHE_CFG.layers):
+        for l, s in whole[layer].items():
+            np.testing.assert_allclose(blocked[layer][l], s, rtol=1e-12,
+                                       atol=1e-12 * np.abs(s).max())
+
+
+def test_cache_rejects_training(rng):
+    _, graph, fp = _toy(rng)
+    params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
+    with pytest.raises(ConfigError, match="inference"):
+        forward(graph, fp, params, SMALL_CFG, training=True, cache=ReceptorCache())
+
+
+def test_cache_peak_memory_below_uncached_forward(rng, receptor):
+    cfg = ModelConfig(layers=1, fingerprint_width=64)
+    params = init_params(cfg, CACHE_CUT, seed=3)
+    ((graph, fp),) = _screen(rng, receptor, (24,), cfg=cfg)
+
+    def peak(**kw):
+        tracemalloc.start()
+        try:
+            forward(graph, fp, params, cfg, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    uncached = peak()
+    cache = ReceptorCache()
+    assert peak(cache=cache) < uncached    # fills the cache
+    assert peak(cache=cache) < uncached    # reuses it
