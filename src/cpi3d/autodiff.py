@@ -203,9 +203,17 @@ def power(a, p: float) -> Tensor:
     return out
 
 
+def _rows_by_batch(x: np.ndarray, batch: tuple, axis: int) -> np.ndarray:
+    """`x` broadcast over the batch shape, as a 2-D array whose rows are
+    its `axis` (-2 or -1) and whose columns run over everything else."""
+    x = np.moveaxis(np.broadcast_to(x, batch + x.shape[-2:]), axis, 0)
+    return x.reshape(x.shape[0], -1)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batching; an operand broadcast over batch
-    dimensions gets its adjoint summed over them."""
+    dimensions gets its adjoint summed over them. A 2-D operand of a
+    batched product gets that sum as one 2-D product over the batch."""
     tape = _wants_tape(a, b)
     ad, bd = _data(a), _data(b)
     out = Tensor(ad @ bd)
@@ -213,10 +221,19 @@ def matmul(a, b) -> Tensor:
         _mark(out)
 
         def backward(g, epoch, a=a, b=b, ad=ad, bd=bd):
+            batch = g.shape[:-2]
             if isinstance(a, Tensor):
-                _accumulate(a, _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape), epoch)
+                if ad.ndim == 2 and batch:
+                    ga = _rows_by_batch(g, batch, -2) @ _rows_by_batch(bd, batch, -2).T
+                else:
+                    ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+                _accumulate(a, ga, epoch)
             if isinstance(b, Tensor):
-                _accumulate(b, _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape), epoch)
+                if bd.ndim == 2 and batch:
+                    gb = _rows_by_batch(ad, batch, -1) @ _rows_by_batch(g, batch, -1).T
+                else:
+                    gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
+                _accumulate(b, gb, epoch)
 
         tape._record(out, backward)
     return out

@@ -35,7 +35,7 @@ from .equinet import ReceptorCache
 from .errors import Cpi3dError, ValidationError
 from .fingerprint import morgan_fingerprint
 from .geograph import build_pair_graph, graph_to_json
-from .metrics import evaluate, evaluate_grouped, simulate_random_screen
+from .metrics import evaluate, evaluate_grouped, sample_std, simulate_random_screen
 from .physscore import rerank_poses, score_poses
 from .train import train
 
@@ -393,14 +393,12 @@ def _cmd_simulate_screen(args, cfg: RunConfig) -> int:
                                          ef_percent=args.ef, alpha=args.alpha)
             for name, a, d in zip(table["target"], actives, decoys)
         }
-        ef_means = np.array([r["ef_mean"] for r in per_target.values()])
-        bed_means = np.array([r["bedroc_mean"] for r in per_target.values()])
+        ef_means = [r["ef_mean"] for r in per_target.values()]
+        bed_means = [r["bedroc_mean"] for r in per_target.values()]
         doc = {
             "mode": "per_target", "targets": per_target,
-            "ef_mean": float(ef_means.mean()),
-            "ef_std": float(ef_means.std(ddof=1)) if ef_means.size > 1 else 0.0,
-            "bedroc_mean": float(bed_means.mean()),
-            "bedroc_std": float(bed_means.std(ddof=1)) if bed_means.size > 1 else 0.0,
+            "ef_mean": float(np.mean(ef_means)), "ef_std": sample_std(ef_means),
+            "bedroc_mean": float(np.mean(bed_means)), "bedroc_std": sample_std(bed_means),
         }
     else:
         doc = simulate_random_screen(args.actives, args.decoys, trials=args.trials,

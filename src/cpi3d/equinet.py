@@ -19,7 +19,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericalError
 from .fingerprint import Fingerprint
-from .geograph import CutoffConfig, EdgeKind, HeteroGraph, LIGAND_FEATURE_DIM, RESIDUE_FEATURE_DIM
+from .geograph import (CutoffConfig, EdgeKind, GraphPack, HeteroGraph, LIGAND_FEATURE_DIM,
+                       RESIDUE_FEATURE_DIM, pack_graphs)
 from .so3 import allowed_paths, clebsch_gordan, sh_slice, spherical_harmonics_batch
 
 EDGE_KIND_ORDER = (EdgeKind.CC, EdgeKind.PP, EdgeKind.PC)
@@ -284,16 +285,21 @@ def aggregate_messages(messages: IrrepFeature, dst: np.ndarray, n_nodes: int) ->
 
 def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,
                            run_mean0, run_var0, run_norms: dict[int, Tensor],
-                           training: bool, momentum: float = BN_MOMENTUM,
-                           eps: float = BN_EPS) -> IrrepFeature:
+                           training: bool, node_graph: np.ndarray,
+                           momentum: float = BN_MOMENTUM, eps: float = BN_EPS) -> IrrepFeature:
     """Batch normalization that commutes with rotations.
 
     l=0 channels get standard batch norm with affine gamma/beta. l>0
     channels are divided by the batch RMS of their vector norms and scaled
     by gamma only: no mean shift, no offset, so directions are untouched.
-    Running statistics are updated in place during training and used
-    verbatim in inference mode.
+
+    In training the statistics are taken per graph: `node_graph` maps each
+    node to its graph in a pack (ascending, as `pack_graphs` numbers
+    them), and the running statistics take one EMA step per graph, in
+    graph order. In inference mode the running statistics are used
+    verbatim.
     """
+    n_graphs = int(node_graph[-1]) + 1
     out: dict[int, Tensor] = {}
     for l in feat.layout.degrees():
         block = feat.blocks[l]
@@ -301,29 +307,37 @@ def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,
         if l == 0:
             x = ad.reshape(block, (block.shape[0], ml))
             if training:
-                mean = ad.tmean(x, axis=0)
-                centered = ad.add(x, ad.mul(mean, -1.0))
-                var = ad.tmean(ad.mul(centered, centered), axis=0)
-                run_mean0.data = (1 - momentum) * run_mean0.data + momentum * mean.data
-                run_var0.data = (1 - momentum) * run_var0.data + momentum * var.data
+                mean = ad.segment_mean(x, node_graph, n_graphs)     # (graphs, ml)
+                centered = ad.add(x, ad.mul(ad.gather_rows(mean, node_graph), -1.0))
+                var = ad.segment_mean(ad.mul(centered, centered), node_graph, n_graphs)
+                _ema_per_graph(run_mean0, mean.data, momentum)
+                _ema_per_graph(run_var0, var.data, momentum)
+                denom = ad.gather_rows(ad.sqrt(ad.add(var, eps)), node_graph)
             else:
                 centered = ad.add(x, -run_mean0.data)
-                var = Tensor(run_var0.data)
-            denom = ad.sqrt(ad.add(var, eps))
+                denom = ad.sqrt(ad.add(Tensor(run_var0.data), eps))
             normed = ad.div(centered, denom)
             y = ad.add(ad.mul(normed, gamma[0]), beta0)
             out[0] = ad.reshape(y, (block.shape[0], ml, 1))
         else:
             if training:
                 sq = ad.tsum(ad.mul(block, block), axis=2)          # (n, ml)
-                msq = ad.tmean(sq, axis=0)                          # (ml,)
-                run_norms[l].data = (1 - momentum) * run_norms[l].data + momentum * msq.data
+                msq = ad.segment_mean(sq, node_graph, n_graphs)     # (graphs, ml)
+                _ema_per_graph(run_norms[l], msq.data, momentum)
             else:
                 msq = Tensor(run_norms[l].data)
             rms = ad.sqrt(ad.add(msq, eps))
-            scale = ad.div(gamma[l], rms)                           # (ml,)
-            out[l] = ad.mul(block, ad.reshape(scale, (1, ml, 1)))
+            scale = ad.div(gamma[l], rms)                           # (graphs or 1, ml)
+            if training:
+                scale = ad.gather_rows(scale, node_graph)
+            out[l] = ad.mul(block, ad.reshape(scale, (-1, ml, 1)))
     return IrrepFeature(feat.layout, out)
+
+
+def _ema_per_graph(running: Tensor, stats: np.ndarray, momentum: float):
+    """One running-statistic EMA step per row (graph) of `stats`, in order."""
+    for row in stats:
+        running.data = (1 - momentum) * running.data + momentum * row
 
 
 def node_update(h: IrrepFeature, incoming: IrrepFeature,
@@ -358,34 +372,49 @@ def gated_activation(h: IrrepFeature, gates: dict[int, tuple[Tensor, Tensor]]) -
     return IrrepFeature(h.layout, out)
 
 
-def invariant_pool(h: IrrepFeature, n_ligand: int) -> Tensor:
-    """Mean of the l=0 channels over ligand nodes, concatenated with the
-    mean over residue nodes. Only scalars enter, so the result is exactly
-    rotation invariant."""
+def invariant_pool(h: IrrepFeature, node_graph: np.ndarray, kinds: np.ndarray,
+                   n_graphs: int) -> Tensor:
+    """Per graph, the mean of the l=0 channels over its ligand nodes
+    concatenated with the mean over its residue nodes: (n_graphs, 2 m0).
+    Only scalars enter, so the result is exactly rotation invariant."""
     scalars = h.scalars()
-    lig = ad.tmean(ad.take(scalars, slice(0, n_ligand)), axis=0)
-    res = ad.tmean(ad.take(scalars, slice(n_ligand, scalars.shape[0])), axis=0)
-    return ad.concat([lig, res], axis=0)
+    means = ad.segment_mean(scalars, 2 * node_graph + kinds, 2 * n_graphs)
+    return ad.reshape(means, (n_graphs, 2 * scalars.shape[1]))
 
 
-def readout(pooled: Tensor, fp: Fingerprint | np.ndarray, weights) -> Tensor:
+def fingerprint_rows(fp) -> np.ndarray:
+    """Fingerprint bits as float rows (B, width): one `Fingerprint` or a
+    1-D array is one row; a sequence of B `Fingerprint`s or a 2-D array is
+    B rows."""
+    if isinstance(fp, Fingerprint):
+        return fp.bits.astype(np.float64).reshape(1, -1)
+    if isinstance(fp, np.ndarray):
+        return fp.astype(np.float64).reshape(-1, fp.shape[-1])
+    return np.stack([f.bits for f in fp]).astype(np.float64)
+
+
+def readout(pooled: Tensor, fp, weights) -> Tensor:
     """Project fingerprint bits to a dense vector, join with the pooled
-    graph summary, and regress to one scalar through a two-layer head."""
+    graph summary, and regress to one scalar through a two-layer head.
+
+    `pooled` is (B, P) with B fingerprint rows (see `fingerprint_rows`)
+    and gives B predictions; a 1-D `pooled` with one fingerprint gives a
+    scalar. The fingerprint projection is one (B, width) matmul."""
     Wfp, bfp, W1, b1, W2, b2 = weights
-    bits = fp.bits.astype(np.float64) if isinstance(fp, Fingerprint) else np.asarray(fp, dtype=np.float64)
-    if bits.shape[0] != Wfp.shape[0]:
-        raise ConfigError(f"fingerprint width {bits.shape[0]} != configured {Wfp.shape[0]}")
-    fp_dense = ad.add(ad.matmul(Tensor(bits.reshape(1, -1)), Wfp), bfp)
-    x = ad.concat([ad.reshape(pooled, (1, pooled.shape[0])), fp_dense], axis=1)
+    bits = fingerprint_rows(fp)
+    if bits.shape[1] != Wfp.shape[0]:
+        raise ConfigError(f"fingerprint width {bits.shape[1]} != configured {Wfp.shape[0]}")
+    fp_dense = ad.add(ad.matmul(Tensor(bits), Wfp), bfp)
+    x = ad.concat([ad.reshape(pooled, (-1, pooled.shape[-1])), fp_dense], axis=1)
     hidden = ad.silu(ad.add(ad.matmul(x, W1), b1))
     out = ad.add(ad.matmul(hidden, W2), b2)
-    return ad.reshape(out, ())
+    return ad.reshape(out, pooled.shape[:-1])
 
 
-def _edge_tensors(graph: HeteroGraph):
+def _edge_tensors(pack: GraphPack):
     """Per-kind constant edge arrays: indices, RBF embedding, harmonics."""
     out = {}
-    for kind, es in graph.edges.items():
+    for kind, es in pack.edges.items():
         if len(es) == 0:
             out[kind] = (es.a, es.b, es.rbf, np.zeros((0, 9)))
             continue
@@ -493,36 +522,40 @@ def _cached_pp_aggregate(cache: ReceptorCache, layer: int, psi_weights, tp_weigh
     return IrrepFeature(layout, out)
 
 
-def forward(graph: HeteroGraph, fp: Fingerprint | np.ndarray, params: ParameterStore,
+def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
             cfg: ModelConfig, training: bool = False, return_features: bool = False,
             edge_override: dict | None = None, cache: ReceptorCache | None = None):
-    """Full scalar prediction for one complex graph.
+    """Scalar predictions for a pack of complex graphs, one per graph.
 
-    Each round processes edge kinds cc, pp, pc in that fixed order with
-    kind-specific parameters: edge gates, tensor-product message, mean
-    aggregation, equivariant batch norm, concat-project node update, gated
-    activation. Scalars are then pooled per node kind and regressed
-    together with the fingerprint.
+    `graph` is a `GraphPack` with one fingerprint row per graph in `fp`
+    (see `fingerprint_rows`), giving a (B,) prediction; a plain
+    `HeteroGraph` is a pack of one and gives a scalar. Each round
+    processes edge kinds cc, pp, pc in that fixed order with kind-specific
+    parameters: edge gates, tensor-product message, mean aggregation,
+    equivariant batch norm (per-graph statistics in training),
+    concat-project node update, gated activation. Scalars are then pooled
+    per graph and node kind and regressed together with the fingerprint.
 
     `edge_override` replaces the per-kind (rbf, sh) constants with caller
     tensors (used to differentiate through geometric inputs in tests).
-    `cache` (inference only) takes the pp aggregates from a
-    `ReceptorCache`, which reuses the receptor's work across ligands and
+    `cache` (inference on a pack of one only) takes the pp aggregates from
+    a `ReceptorCache`, which reuses the receptor's work across ligands and
     agrees with the uncached forward to rounding.
     """
+    pack = graph if isinstance(graph, GraphPack) else pack_graphs([graph])
     if cache is not None:
-        if training or edge_override:
-            raise ConfigError("the receptor cache serves inference forwards only")
-        cache.select(graph, params)
+        if training or edge_override or pack.n_graphs != 1:
+            raise ConfigError("the receptor cache serves inference forwards of one graph only")
+        cache.select(pack.graphs[0], params)
     layout = cfg.layout
     m0 = layout.mult(0)
-    n = graph.n_nodes
+    n = pack.n_nodes
 
-    h0_lig = ad.add(ad.matmul(Tensor(graph.ligand_features), params["embed.ligand.W"]),
+    h0_lig = ad.add(ad.matmul(Tensor(pack.ligand_features), params["embed.ligand.W"]),
                     params["embed.ligand.b"])
-    h0_res = ad.add(ad.matmul(Tensor(graph.residue_features), params["embed.residue.W"]),
+    h0_res = ad.add(ad.matmul(Tensor(pack.residue_features), params["embed.residue.W"]),
                     params["embed.residue.b"])
-    h0_scalars = ad.concat([h0_lig, h0_res], axis=0)                # (n, m0)
+    h0_scalars = ad.gather_rows(ad.concat([h0_lig, h0_res], axis=0), pack.feature_rows)
 
     blocks: dict[int, Tensor | np.ndarray] = {0: ad.reshape(h0_scalars, (n, m0, 1))}
     for l in layout.degrees():
@@ -530,7 +563,7 @@ def forward(graph: HeteroGraph, fp: Fingerprint | np.ndarray, params: ParameterS
             blocks[l] = np.zeros((n, layout.mult(l), 2 * l + 1))
     h = IrrepFeature(layout, blocks)
 
-    edge_data = _edge_tensors(graph)
+    edge_data = _edge_tensors(pack)
     paths = cfg.active_paths()
     features: list[dict] = []
 
@@ -546,7 +579,8 @@ def forward(graph: HeteroGraph, fp: Fingerprint | np.ndarray, params: ParameterS
             tp_weights = {p: params[f"{prefix}.tp.{p[0]}{p[1]}{p[2]}"] for p in paths}
             if cache is not None and kind is EdgeKind.PP:
                 agg = _cached_pp_aggregate(cache, layer, psi_weights, tp_weights, paths, h,
-                                           h0_scalars.data, edge_data[kind], graph.n_ligand)
+                                           h0_scalars.data, edge_data[kind],
+                                           pack.graphs[0].n_ligand)
             else:
                 rbf_t = rbf if isinstance(rbf, Tensor) else Tensor(rbf)
                 psi = edge_weight_net(rbf_t, ad.gather_rows(h0_scalars, a_idx),
@@ -563,7 +597,7 @@ def forward(graph: HeteroGraph, fp: Fingerprint | np.ndarray, params: ParameterS
                 params[f"{prefix}.bn.run_mean0"],
                 params[f"{prefix}.bn.run_var0"],
                 {l: params[f"{prefix}.bn.run_norm{l}"] for l in layout.degrees() if l > 0},
-                training=training,
+                training=training, node_graph=pack.node_graph,
             )
             h = node_update(
                 h, bn,
@@ -582,10 +616,12 @@ def forward(graph: HeteroGraph, fp: Fingerprint | np.ndarray, params: ParameterS
             if return_features:
                 features.append({"layer": layer, "kind": kind.value, "feature": h.detach()})
 
-    pooled = invariant_pool(h, graph.n_ligand)
+    pooled = invariant_pool(h, pack.node_graph, pack.kinds, pack.n_graphs)
     pred = readout(pooled, fp, tuple(
         params[f"readout.{w}"] for w in ("fp.W", "fp.b", "hidden.W", "hidden.b", "out.W", "out.b")
     ))
+    if pack is not graph:
+        pred = ad.reshape(pred, ())
     if return_features:
         return pred, features
     return pred

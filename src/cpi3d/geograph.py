@@ -115,6 +115,72 @@ class HeteroGraph:
         return sum(len(e) for e in self.edges.values())
 
 
+@dataclass(frozen=True)
+class GraphPack:
+    """Disjoint union of complex graphs, the unit of one batched forward.
+
+    Graphs are joined in order, each graph's ligand atoms then its
+    residues, so every graph's nodes form one contiguous run. Edge indices
+    are shifted by their graph's node offset and concatenated in graph
+    order: each kind stays sorted by (destination, source), and every
+    node's messages are summed in the order of its own graph.
+    """
+    graphs: tuple[HeteroGraph, ...]
+    node_graph: np.ndarray         # (n_nodes,) index of each node's graph
+    kinds: np.ndarray              # (n_nodes,) NodeKind values
+    ligand_features: np.ndarray    # every graph's ligand rows, in graph order
+    residue_features: np.ndarray   # every graph's residue rows, in graph order
+    feature_rows: np.ndarray       # (n_nodes,) each node's row in ligand rows + residue rows
+    edges: dict[EdgeKind, EdgeSet]
+
+    @property
+    def n_graphs(self) -> int:
+        return len(self.graphs)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.kinds)
+
+
+def _join(parts: list[np.ndarray], shifts=None) -> np.ndarray:
+    """Concatenate the graphs' arrays, each shifted by its graph's node
+    offset if `shifts` is given; a pack of one shares its graph's arrays."""
+    if len(parts) == 1:
+        return parts[0]
+    if shifts is not None:
+        parts = [p + shift for p, shift in zip(parts, shifts)]
+    return np.concatenate(parts)
+
+
+def pack_graphs(graphs) -> GraphPack:
+    """Join graphs into one `GraphPack`; a single graph is a pack of one."""
+    graphs = tuple(graphs)
+    if not graphs:
+        raise ValidationError("cannot pack zero graphs")
+    sizes = [g.n_nodes for g in graphs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    kinds = _join([g.kinds for g in graphs])
+    is_ligand = kinds == NodeKind.LIGAND_ATOM
+    n_ligand = int(is_ligand.sum())
+    feature_rows = np.empty(len(kinds), dtype=np.intp)
+    feature_rows[is_ligand] = np.arange(n_ligand)
+    feature_rows[~is_ligand] = n_ligand + np.arange(len(kinds) - n_ligand)
+    edges = {}
+    for kind in graphs[0].edges:
+        sets = [g.edges[kind] for g in graphs]
+        edges[kind] = EdgeSet(
+            kind=kind,
+            a=_join([es.a for es in sets], offsets), b=_join([es.b for es in sets], offsets),
+            r_vec=_join([es.r_vec for es in sets]), dist=_join([es.dist for es in sets]),
+            rbf=_join([es.rbf for es in sets]))
+    return GraphPack(
+        graphs=graphs, node_graph=np.repeat(np.arange(len(graphs)), sizes), kinds=kinds,
+        ligand_features=_join([g.ligand_features for g in graphs]),
+        residue_features=_join([g.residue_features for g in graphs]),
+        feature_rows=feature_rows, edges=edges,
+    )
+
+
 def ligand_atom_features(mol: LigandMolecule) -> np.ndarray:
     """One-hot chemistry features: element, degree (clamped to 5), formal
     charge (clipped to [-2, 2]), aromatic flag."""

@@ -193,8 +193,8 @@ def bedroc(scores, labels, alpha: float = 80.5) -> float:
     y = _binary_labels(labels)
     if s.shape != y.shape:
         raise ValidationError("scores and labels must align")
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
     N = s.size
     n = int(y.sum())
     if n == 0 or n == N:
@@ -273,10 +273,16 @@ def evaluate_grouped(preds, labels, metrics: list[str], groups) -> dict:
         arr = np.asarray(vals)
         out["aggregate"][name] = {
             "mean": float(arr.mean()),
-            "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+            "std": sample_std(arr),
             "n_groups": int(arr.size),
         }
     return out
+
+
+def sample_std(values) -> float:
+    """Sample standard deviation (ddof 1); 0.0 for a single value."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
 
 def simulate_random_screen(n_actives: int, n_decoys: int, trials: int = 200,
@@ -288,6 +294,8 @@ def simulate_random_screen(n_actives: int, n_decoys: int, trials: int = 200,
     reproducible regardless of execution order."""
     if n_actives < 1 or n_decoys < 1:
         raise ValidationError("need at least one active and one decoy")
+    if trials < 1:
+        raise ValidationError(f"need at least one trial, got {trials}")
     N = n_actives + n_decoys
     labels = np.zeros(N, dtype=bool)
     labels[:n_actives] = True
@@ -297,10 +305,9 @@ def simulate_random_screen(n_actives: int, n_decoys: int, trials: int = 200,
         scores = rng.standard_normal(N)
         efs.append(enrichment_factor(scores, labels, x_percent=ef_percent))
         beds.append(bedroc(scores, labels, alpha=alpha))
-    efs_a, beds_a = np.asarray(efs), np.asarray(beds)
     return {
         "n_actives": n_actives, "n_decoys": n_decoys, "trials": trials,
         "seed": seed, "ef_percent": ef_percent, "alpha": alpha,
-        "ef_mean": float(efs_a.mean()), "ef_std": float(efs_a.std(ddof=1)),
-        "bedroc_mean": float(beds_a.mean()), "bedroc_std": float(beds_a.std(ddof=1)),
+        "ef_mean": float(np.mean(efs)), "ef_std": sample_std(efs),
+        "bedroc_mean": float(np.mean(beds)), "bedroc_std": sample_std(beds),
     }

@@ -1,19 +1,22 @@
 """Brute-force reference implementations used to verify the metric code,
-the tensor-product message kernel, the neighbour search, atom typing and
-complete-linkage clustering.
+the tensor-product message kernel, the neighbour search, atom typing,
+complete-linkage clustering and packed training.
 
 Everything here is written longhand (python loops, explicit rank formulas,
 one einsum per coupling path, dense distance blocks, a leader table with an
-explicit tie list) and stays independent of the vectorized implementations
-under test.
+explicit tie list, one forward per graph on one tape) and stays independent
+of the vectorized implementations under test.
 """
 
 import math
 
 import numpy as np
 
+from cpi3d import autodiff as ad
+from cpi3d.equinet import forward
 from cpi3d.physscore import INTERACTION_CUTOFF, ramp
 from cpi3d.so3 import clebsch_gordan, sh_slice
+from cpi3d.train import grad, mse_loss
 
 
 def ci_oracle(preds, labels):
@@ -240,3 +243,19 @@ def complete_linkage_oracle(S, threshold):
         for i in group:
             ids[i] = cid
     return ids
+
+
+def batch_loss_oracle(graphs, fps, labels, batch, params, cfg):
+    """(loss, name -> gradient) of one training batch: one forward per
+    graph, in batch order, all recorded on one tape, the squared errors
+    summed and divided by the batch size. Updates the batch-norm running
+    statistics in `params` like a training step does."""
+    def batch_loss():
+        terms = [mse_loss(forward(graphs[i], fps[i], params, cfg, training=True), labels[i])
+                 for i in batch]
+        total = terms[0]
+        for t in terms[1:]:
+            total = ad.add(total, t)
+        return ad.mul(total, 1.0 / len(terms))
+
+    return grad(batch_loss, params)

@@ -80,6 +80,29 @@ def test_matmul_broadcast_gradients():
     check_op(lambda p: _sq(ad.matmul(p, X)), [[0.5, 1.0, -1.0], [2.0, -0.5, 0.25]])
     Y = np.arange(24.0).reshape(4, 2, 3) / 13.0
     check_op(lambda p: _sq(ad.matmul(Y, p)), [[0.5, 1.0], [2.0, -0.5], [-1.0, 0.25]])
+    Z = np.arange(24.0).reshape(2, 2, 3, 2) / 17.0
+    check_op(lambda p: _sq(ad.matmul(p, Z)), [[0.5, 1.0, -1.0], [2.0, -0.5, 0.25]])
+    # the one-GEMM contraction of a 2-D operand agrees with the batched
+    # products summed over the batch: the channel-mix shape
+    # (m_out, m_in) @ (E, m_in, 2l+1), and two batch dimensions on either side
+    rng = np.random.default_rng(4)
+    for a_shape, b_shape in (((32, 32), (1500, 32, 5)), ((5, 3), (2, 4, 3, 6)),
+                             ((2, 4, 3, 6), (6, 5))):
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        seed = rng.normal(size=(a.data @ b.data).shape)
+        with Tape() as tape:
+            loss = ad.tsum(ad.mul(ad.matmul(a, b), seed))
+        got_a, got_b = tape.gradient(loss, [a, b])
+        want_a = _batch_summed(seed @ b.data.swapaxes(-1, -2), a_shape)
+        want_b = _batch_summed(a.data.swapaxes(-1, -2) @ seed, b_shape)
+        for got, want in ((got_a, want_a), (got_b, want_b)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _batch_summed(full, shape):
+    return full.reshape((-1,) + full.shape[-2:]).sum(axis=0) if len(shape) == 2 else full
 
 
 def test_broadcast_add_gradient():

@@ -185,6 +185,29 @@ def test_simulate_screen_per_target(tmp_path):
     assert set(doc["targets"]) == {"t1", "t2"}
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags,code,needle", [
+    (["--alpha", "nan"], 1, "alpha must be positive and finite"),
+    (["--alpha", "inf"], 1, "alpha must be positive and finite"),
+    (["--trials", "0"], 1, "need at least one trial"),
+    (["--trials", "1"], 0, None),
+], ids=["alpha-nan", "alpha-inf", "zero-trials", "one-trial"])
+def test_simulate_screen_degenerate_flags(tmp_path, capsys, flags, code, needle):
+    out = tmp_path / "baseline.json"
+    assert main(["simulate-screen", "--actives", "5", "--decoys", "45", "--seed", "2",
+                 "--out", str(out), *flags]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+        assert not out.exists()
+    else:
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        doc = json.loads(text)
+        assert doc["trials"] == 1 and doc["ef_std"] == 0.0 and doc["bedroc_std"] == 0.0
+
+
 @pytest.mark.parametrize("body,needle", [
     ("target,actives\nt1,20\n", "no column 'decoys'"),
     ("target,actives,decoys\nt1,20,180\nt2,30,2.5e2\n", "row 2: decoys '2.5e2' is not an integer"),

@@ -326,7 +326,8 @@ def test_bn_equal_norms_normalize_to_one(rng):
     vecs *= norm / np.linalg.norm(vecs, axis=2, keepdims=True)
     feat = IrrepFeature(layout, {0: rng.normal(size=(6, 1, 1)), 1: vecs})
     gamma, beta0, rm, rv, rn = _bn_args(layout)
-    out = equivariant_batch_norm(feat, gamma, beta0, rm, rv, rn, training=True)
+    out = equivariant_batch_norm(feat, gamma, beta0, rm, rv, rn, training=True,
+                                 node_graph=np.zeros(6, dtype=np.intp))
     norms = np.linalg.norm(out.blocks[1].data, axis=2)
     np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
@@ -336,7 +337,8 @@ def test_bn_zero_variance_returns_beta(rng):
     feat = IrrepFeature(layout, {0: np.full((5, 3, 1), 7.0)})
     gamma, _, rm, rv, rn = _bn_args(layout)
     beta0 = Tensor(np.array([1.0, -2.0, 0.5]))
-    out = equivariant_batch_norm(feat, gamma, beta0, rm, rv, rn, training=True)
+    out = equivariant_batch_norm(feat, gamma, beta0, rm, rv, rn, training=True,
+                                 node_graph=np.zeros(5, dtype=np.intp))
     np.testing.assert_array_equal(out.blocks[0].data[:, :, 0],
                                   np.tile(beta0.data, (5, 1)))
 
@@ -347,10 +349,11 @@ def test_bn_commutes_with_rotation(rng):
     R = random_rotation(rng)
     args_a = _bn_args(layout, gamma_value=1.7)
     args_b = _bn_args(layout, gamma_value=1.7)
+    one_graph = np.zeros(8, dtype=np.intp)
     out_then_rot = rotate_feature(
-        equivariant_batch_norm(feat, *args_a, training=True), R)
+        equivariant_batch_norm(feat, *args_a, training=True, node_graph=one_graph), R)
     rot_then_out = equivariant_batch_norm(
-        rotate_feature(feat, R), *args_b, training=True)
+        rotate_feature(feat, R), *args_b, training=True, node_graph=one_graph)
     feature_allclose(out_then_rot, rot_then_out, atol=1e-10)
 
 
@@ -360,7 +363,8 @@ def test_bn_running_stats_used_in_eval(rng):
     gamma, beta0, rm, rv, rn = _bn_args(layout)
     rm.data = np.array([1.0, -1.0])
     rv.data = np.array([4.0, 0.25])
-    out = equivariant_batch_norm(feat, gamma, beta0, rm, rv, rn, training=False)
+    out = equivariant_batch_norm(feat, gamma, beta0, rm, rv, rn, training=False,
+                                 node_graph=np.zeros(4, dtype=np.intp))
     x = feat.blocks[0].data[:, :, 0]
     want = (x - rm.data) / np.sqrt(rv.data + 1e-5)
     np.testing.assert_allclose(out.blocks[0].data[:, :, 0], want, atol=1e-12)
@@ -426,23 +430,24 @@ def test_gated_activation_equivariance(rng):
 def test_pool_single_nodes_verbatim(rng):
     layout = IrrepLayout((4, 1, 0))
     feat = random_feature(rng, layout, 2)
-    pooled = invariant_pool(feat, n_ligand=1)
-    np.testing.assert_allclose(pooled.data[:4], feat.blocks[0].data[0, :, 0])
-    np.testing.assert_allclose(pooled.data[4:], feat.blocks[0].data[1, :, 0])
+    pooled = invariant_pool(feat, np.zeros(2, dtype=np.intp), np.array([0, 1]), 1)
+    np.testing.assert_allclose(pooled.data[0, :4], feat.blocks[0].data[0, :, 0])
+    np.testing.assert_allclose(pooled.data[0, 4:], feat.blocks[0].data[1, :, 0])
 
 
 def test_pool_invariant_under_rotation_and_permutation(rng):
     layout = IrrepLayout((3, 2, 1))
     feat = random_feature(rng, layout, 7)
-    pooled = invariant_pool(feat, n_ligand=4)
+    node_graph, kinds = np.zeros(7, dtype=np.intp), np.array([0] * 4 + [1] * 3)
+    pooled = invariant_pool(feat, node_graph, kinds, 1)
     R = random_rotation(rng)
-    np.testing.assert_allclose(invariant_pool(rotate_feature(feat, R), 4).data,
+    np.testing.assert_allclose(invariant_pool(rotate_feature(feat, R), node_graph, kinds, 1).data,
                                pooled.data, atol=1e-12)
     perm = np.concatenate([rng.permutation(4), 4 + rng.permutation(3)])
     shuffled = IrrepFeature(layout, {l: feat.blocks[l].data[perm]
                                      for l in layout.degrees()})
-    np.testing.assert_allclose(invariant_pool(shuffled, 4).data, pooled.data,
-                               atol=1e-12)
+    np.testing.assert_allclose(invariant_pool(shuffled, node_graph, kinds, 1).data,
+                               pooled.data, atol=1e-12)
 
 
 # ------------------------------------------------------------------ readout

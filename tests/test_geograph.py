@@ -13,6 +13,7 @@ from cpi3d.geograph import (
     build_pair_graph,
     graph_to_json,
     neighbor_pairs,
+    pack_graphs,
     rbf_embed,
 )
 from cpi3d.so3 import random_rotation
@@ -246,3 +247,48 @@ def test_cutoff_config_validation():
     cfg = CutoffConfig()
     assert cfg.rbf_nu_max == 15.0
     assert cfg.rbf_gamma == pytest.approx(10.0 / 15.0)
+
+
+def test_pack_layout(rng):
+    cut = CutoffConfig(rbf_k=6)
+    graphs = [build_pair_graph(r.ligand, r.protein, cut) for r in (
+        random_complex(rng, "a", n_atoms=3, n_residues=4),
+        random_complex(rng, "b", n_atoms=1, n_residues=5),
+        random_complex(rng, "c", n_atoms=6, n_residues=1))]
+    pack = pack_graphs(graphs)
+    assert pack.n_graphs == 3 and pack.n_nodes == 7 + 6 + 7
+    offsets = [0, 7, 13]
+    # graph by graph: each graph's ligand atoms, then its residues
+    np.testing.assert_array_equal(pack.node_graph, np.repeat([0, 1, 2], [7, 6, 7]))
+    np.testing.assert_array_equal(pack.kinds, np.concatenate([g.kinds for g in graphs]))
+    is_ligand = pack.kinds == 0
+    n_ligand = len(pack.ligand_features)
+    np.testing.assert_array_equal(pack.ligand_features[pack.feature_rows[is_ligand]],
+                                  np.concatenate([g.ligand_features for g in graphs]))
+    np.testing.assert_array_equal(pack.residue_features[pack.feature_rows[~is_ligand] - n_ligand],
+                                  np.concatenate([g.residue_features for g in graphs]))
+    for kind in EdgeKind:
+        es = pack.edges[kind]
+        np.testing.assert_array_equal(
+            es.a, np.concatenate([g.edges[kind].a + o for g, o in zip(graphs, offsets)]))
+        np.testing.assert_array_equal(
+            es.b, np.concatenate([g.edges[kind].b + o for g, o in zip(graphs, offsets)]))
+        np.testing.assert_array_equal(es.rbf, np.concatenate([g.edges[kind].rbf for g in graphs]))
+        # still sorted by (destination, source), and no edge crosses graphs
+        key = es.a * pack.n_nodes + es.b
+        assert np.all(np.diff(key) > 0)
+        np.testing.assert_array_equal(pack.node_graph[es.a], pack.node_graph[es.b])
+    assert len(pack.edges[EdgeKind.CC]) == len(graphs[0].edges[EdgeKind.CC]) \
+        + len(graphs[2].edges[EdgeKind.CC])
+
+
+def test_pack_of_one_shares_the_graph_arrays(rng):
+    rec = random_complex(rng, "one", n_atoms=4, n_residues=5)
+    graph = build_pair_graph(rec.ligand, rec.protein, CutoffConfig())
+    pack = pack_graphs([graph])
+    np.testing.assert_array_equal(pack.feature_rows, np.arange(graph.n_nodes))
+    for kind, es in graph.edges.items():
+        assert all(getattr(pack.edges[kind], f) is getattr(es, f)
+                   for f in ("a", "b", "r_vec", "dist", "rbf"))
+    with pytest.raises(ValidationError):
+        pack_graphs([])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cpi3d import autodiff as ad
+from cpi3d import train as train_module
 from cpi3d.autodiff import Tape, Tensor
 from cpi3d.equinet import (
     EDGE_KIND_ORDER,
@@ -15,17 +17,22 @@ from cpi3d.equinet import (
 )
 from cpi3d.errors import ConfigError, TrainingDiverged
 from cpi3d.fingerprint import morgan_fingerprint
-from cpi3d.geograph import CutoffConfig, build_pair_graph
+from cpi3d.geograph import CutoffConfig, EdgeKind, build_pair_graph, pack_graphs
 from cpi3d.so3 import Y00
 from cpi3d.synthetic import random_complex, random_complexes
 from cpi3d.train import (
     AdamOptimizer,
     SgdOptimizer,
     TrainConfig,
+    batch_gradients,
+    edge_budget_packs,
     grad,
     mse_loss,
+    prepare_training_inputs,
     train,
 )
+
+from oracles import batch_loss_oracle
 
 TINY_CFG = ModelConfig(layers=1, layout=IrrepLayout((4, 2, 1)),
                        edge_mlp_hidden=8, readout_hidden=6,
@@ -213,3 +220,142 @@ def test_training_reduces_loss(rng):
     cfg = TrainConfig(learning_rate=3e-3, steps=60, batch_size=4, seed=0)
     _, losses = train(records, cfg, TINY_CFG, TINY_CUT)
     assert losses[-1] < losses[0]
+
+
+# ------------------------------------------------------------ packed training
+
+PACK_CFG = ModelConfig(layers=2, layout=IrrepLayout((4, 2, 1)), edge_mlp_hidden=8,
+                       readout_hidden=6, fingerprint_width=32, fingerprint_embed=4)
+# acceptance 2's tiny model
+ACC2_CFG = ModelConfig(layers=2, layout=IrrepLayout((3, 2, 1)), edge_mlp_hidden=6,
+                       readout_hidden=5, fingerprint_width=16, fingerprint_embed=3)
+# (ligand atoms, residues) per graph: one graph has no cc edges, one no pp edges
+PACK_SIZES = ((5, 4), (1, 6), (7, 3), (4, 1), (3, 5), (6, 4), (2, 7), (8, 2))
+
+
+def _pack_inputs(cfg, sizes, seed=31):
+    rng = np.random.default_rng(seed)
+    records = [random_complex(rng, f"pack{i}", n_atoms=a, n_residues=r)
+               for i, (a, r) in enumerate(sizes)]
+    graphs, fps = prepare_training_inputs(records, cfg, TINY_CUT)
+    return graphs, fps, rng.normal(size=len(records))
+
+
+def _assert_within_1e12(got, want):
+    """Equal within 1e-12 of the largest entry of `want`, so entries that
+    cancel to near zero are held to the tensor's scale, not their own."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _assert_packed_matches_oracle(graphs, fps, labels, batch):
+    packed = init_params(PACK_CFG, TINY_CUT, seed=3)
+    looped = init_params(PACK_CFG, TINY_CUT, seed=3)
+    loss, grads = batch_gradients(graphs, fps, labels, batch, packed, PACK_CFG)
+    want_loss, want_grads = batch_loss_oracle(graphs, fps, labels, batch, looped, PACK_CFG)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert sorted(grads) == sorted(want_grads)
+    for name, want in want_grads.items():
+        _assert_within_1e12(grads[name], want)
+    # running statistics: one EMA step per graph, in batch order
+    stats = [n for n in packed.names() if not packed.is_trainable(n)]
+    assert stats
+    for name in stats:
+        _assert_within_1e12(packed[name].data, looped[name].data)
+
+
+@pytest.mark.parametrize("n_packs", [1, 2, 8])
+def test_packed_batch_matches_per_graph_loop(monkeypatch, n_packs):
+    graphs, fps, labels = _pack_inputs(PACK_CFG, PACK_SIZES)
+    assert len(graphs[1].edges[EdgeKind.CC]) == 0 and len(graphs[3].edges[EdgeKind.PP]) == 0
+    batch = [6, 1, 3, 0, 7, 2, 5, 4]
+    edges = [graphs[i].edge_count() for i in batch]
+    budget = {1: sum(edges), 2: max(sum(edges[:4]), sum(edges[4:])), 8: 0}[n_packs]
+    monkeypatch.setattr(train_module, "PACK_EDGE_BUDGET", budget)
+    packs = edge_budget_packs(graphs, batch)
+    assert len(packs) == n_packs
+    assert [i for p in packs for i in p] == batch
+    _assert_packed_matches_oracle(graphs, fps, labels, batch)
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_packed_batch_of_one_matches_per_graph_loop(index):
+    graphs, fps, labels = _pack_inputs(PACK_CFG, PACK_SIZES)
+    _assert_packed_matches_oracle(graphs, fps, labels, [index])
+
+
+def test_packed_inference_matches_single_graph_forwards():
+    graphs, fps, _ = _pack_inputs(PACK_CFG, PACK_SIZES)
+    params = init_params(PACK_CFG, TINY_CUT, seed=3)
+    packed = forward(pack_graphs(graphs), fps, params, PACK_CFG)
+    assert packed.shape == (len(graphs),)
+    single = [float(forward(g, fp, params, PACK_CFG).data) for g, fp in zip(graphs, fps)]
+    np.testing.assert_allclose(packed.data, single, rtol=1e-12, atol=0)
+
+
+def test_training_losses_do_not_depend_on_the_pack_budget(monkeypatch):
+    records = random_complexes(6, seed=13, with_label=True, n_atoms=5, n_residues=5)
+    cfg = TrainConfig(learning_rate=1e-3, steps=4, batch_size=4, seed=2)
+
+    def run(budget):
+        monkeypatch.setattr(train_module, "PACK_EDGE_BUDGET", budget)
+        return train(records, cfg, PACK_CFG, TINY_CUT)
+
+    (one, one_losses), (many, many_losses) = run(10 ** 9), run(0)
+    np.testing.assert_allclose(many_losses, one_losses, rtol=1e-12, atol=0)
+    for name, want in one.params.state_dict().items():
+        _assert_within_1e12(many.params[name].data, want)
+
+
+def test_packed_gradients_match_finite_differences():
+    """Acceptance 2's check on a pack of three graphs at its tiny config:
+    analytic gradients against central differences for every trainable
+    tensor, at four seeded entries of each (acceptance 2 itself checks
+    every entry on one graph)."""
+    graphs, fps, labels = _pack_inputs(ACC2_CFG, ((4, 3), (1, 5), (5, 1)), seed=7)
+    pack = pack_graphs(graphs)
+    params = init_params(ACC2_CFG, TINY_CUT, seed=1)
+    pick = np.random.default_rng(0)
+
+    def loss_fn():
+        preds = forward(pack, fps, params, ACC2_CFG, training=True)
+        return ad.mul(ad.tsum(mse_loss(preds, labels)), 1.0 / len(graphs))
+
+    _, grads = grad(loss_fn, params)
+    h = 1e-5
+    worst = 0.0
+    for name in params.trainable_names():
+        flat = params[name].data.reshape(-1)
+        analytic = grads[name].reshape(-1)
+        for i in pick.choice(flat.size, size=min(flat.size, 4), replace=False):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = float(loss_fn().data)
+            flat[i] = orig - h
+            f_minus = float(loss_fn().data)
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (2 * h)
+            worst = max(worst, abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-5))
+    assert worst < 1e-4, f"gradient mismatch: max relative error {worst}"
+
+
+def test_packed_training_peak_memory_follows_the_budget(monkeypatch):
+    """With the budget below one graph's edges every graph is its own pack,
+    so a batch of 4 peaks near one graph's forward and backward, not 4x."""
+    cfg = ModelConfig(layers=2, layout=IrrepLayout((8, 4, 2)), edge_mlp_hidden=16,
+                      readout_hidden=8, fingerprint_width=64, fingerprint_embed=8)
+    records = random_complexes(4, seed=17, with_label=True, n_atoms=8, n_residues=24)
+    graph = build_pair_graph(records[0].ligand, records[0].protein, TINY_CUT)
+    monkeypatch.setattr(train_module, "PACK_EDGE_BUDGET", graph.edge_count() // 2)
+    train_cfg = TrainConfig(learning_rate=1e-3, steps=1, seed=0)
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            train(records[:batch], TrainConfig(**{**train_cfg.__dict__, "batch_size": batch}),
+                  cfg, TINY_CUT)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(1), peak(4)
+    assert four <= 1.5 * one, f"batch of 4 peaked at {four / one:.2f}x one graph"
