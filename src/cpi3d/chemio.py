@@ -345,13 +345,20 @@ def _parse_mol_block(block: list[str], offset: int, record_index: int) -> Ligand
 
     # "M  CHG" property lines supersede all atom-block charge codes
     chg_overrides: dict[int, int] = {}
-    for line in block[4 + n_atoms + n_bonds:]:
+    props = 4 + n_atoms + n_bonds
+    for lineno, line in enumerate(block[props:], start=offset + 1 + props):
         if line.startswith("M  CHG"):
             fields = line.split()
-            count = int(fields[2])
-            for c in range(count):
-                idx = int(fields[3 + 2 * c]) - 1
-                chg_overrides[idx] = int(fields[4 + 2 * c])
+            try:
+                count = int(fields[2])
+                pairs = [(int(i) - 1, int(c)) for i, c in zip(fields[3::2], fields[4::2])]
+            except (IndexError, ValueError):
+                count = -1
+            if len(fields) != 3 + 2 * count:
+                raise ParseError(f"malformed charge line {line!r}", line=lineno)
+            if not all(0 <= idx < n_atoms for idx, _ in pairs):
+                raise ParseError(f"charge atom index out of range in {line!r}", line=lineno)
+            chg_overrides.update(pairs)
         elif line.startswith("M  END"):
             break
     if chg_overrides:
@@ -412,6 +419,22 @@ def write_sdf(mols, stream=None) -> str:
     return out
 
 
+def parse_numbers(items, where, kind=float) -> list:
+    """The raw strings of (label, raw) `items` parsed as finite `kind`
+    (float or int); a bad one raises `ValidationError` naming `where(label)`."""
+    values = []
+    for label, raw in items:
+        try:
+            value = kind(raw)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValidationError(f"{where(label)} {raw!r} is not {what}") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{where(label)} {raw!r} is not finite")
+        values.append(value)
+    return values
+
+
 def _parse_bool(raw: str):
     value = raw.strip().lower()
     if value in ("1", "true", "yes"):
@@ -442,6 +465,9 @@ def load_manifest(path) -> list[ComplexRecord]:
             )
         first_row: dict[str, int] = {}
         for row_no, row in enumerate(reader, start=1):
+            for column in sorted(required):
+                if row[column] is None:
+                    raise ValidationError(f"row {row_no}: no {column} value")
             cid = row["complex_id"].strip()
             if cid in first_row:
                 raise ValidationError(f"row {row_no}: duplicate complex_id {cid!r} "
@@ -466,13 +492,11 @@ def load_manifest(path) -> list[ComplexRecord]:
             ec50 = None
             raw = (row.get("ec50_nm") or "").strip()
             if raw:
-                ec50 = float(raw)
-                if not ec50 > 0:
-                    raise ValidationError(f"row {cid!r}: ec50_nm must be positive, got {raw}")
+                (ec50,) = parse_numbers([(cid, raw)], lambda cid: f"row {cid!r}: ec50_nm")
             conf = None
             raw = (row.get("confidence") or "").strip()
             if raw:
-                conf = float(raw)
+                (conf,) = parse_numbers([(cid, raw)], lambda cid: f"row {cid!r}: confidence")
             active = None
             raw = (row.get("is_active") or "").strip()
             if raw:

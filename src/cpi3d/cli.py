@@ -14,13 +14,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .chemio import load_manifest, parse_pdb, parse_pdb_atoms, parse_sdf
+from .chemio import load_manifest, parse_numbers, parse_pdb, parse_pdb_atoms, parse_sdf
 from .checkpoint import load_model, save_model
 from .config import RunConfig, build_config, load_json
 from .datasplit import (
@@ -123,18 +122,8 @@ def _read_table(path: str, columns) -> dict[str, list[str]]:
 
 def _number_column(table, column: str, path: str, kind=float) -> list:
     """One column of `_read_table` parsed as finite `kind` (float or int)."""
-    values = []
-    for row_no, raw in enumerate(table[column], start=1):
-        try:
-            value = kind(raw)
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ValidationError(f"{path}: row {row_no}: {column} {raw!r} "
-                                  f"is not {what}") from None
-        if not math.isfinite(value):
-            raise ValidationError(f"{path}: row {row_no}: {column} {raw!r} is not finite")
-        values.append(value)
-    return values
+    return parse_numbers(enumerate(table[column], start=1),
+                         lambda row_no: f"{path}: row {row_no}: {column}", kind)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,7 +310,9 @@ def _cmd_rerank(args, cfg: RunConfig) -> int:
     confidences = None
     if args.confidences:
         with open(args.confidences, encoding="utf-8") as fh:
-            confidences = [float(line) for line in fh if line.strip()]
+            confidences = parse_numbers(
+                ((n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()),
+                lambda n: f"{args.confidences}: line {n}: confidence")
     ranked = rerank_poses(poses, protein_atoms, cfg.vina, confidences=confidences,
                           lam=cfg.fusion.lam, alpha=cfg.fusion.alpha)
     rows = [

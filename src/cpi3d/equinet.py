@@ -456,13 +456,14 @@ def _cached_pp_aggregate(cache: ReceptorCache, layer: int, psi_weights, tp_weigh
                          h: IrrepFeature, h0: np.ndarray, edges, n_ligand: int) -> IrrepFeature:
     """The mean pp aggregate of one inference layer, from the cache.
 
-    Residues whose source rows equal the reference bit for bit keep its
-    messages: with none changed the reference sums are reused; if the
-    edges from changed residues are fewer than half, msg(new) - msg(ref)
-    of just those edges is added to the reference sums; otherwise every
-    sum is recomputed. Gates and messages run in blocks of PP_EDGE_BLOCK
-    edges and are summed with `np.add.at` in edge order. Ligand rows get
-    zero, as no pp edge ends on them.
+    With its gate and harmonics fixed, a pp edge's message is linear in
+    its source rows, so the sums of the current rows are the reference
+    sums plus the messages of `rows - ref_rows` over the edges leaving
+    residues whose rows differ. A receptor's first forward runs the same
+    rule from an all-zero reference, which it then replaces. Gates and
+    messages run in blocks of PP_EDGE_BLOCK edges and are summed with
+    `np.add.at` in edge order. Ligand rows get zero, as no pp edge ends
+    on them.
     """
     layout = h.layout
     a_idx, b_idx, rbf, sh = edges
@@ -477,42 +478,25 @@ def _cached_pp_aggregate(cache: ReceptorCache, layer: int, psi_weights, tp_weigh
             gates[e] = edge_weight_net(rbf[e], h0[a_idx[e]], h0[b_idx[e]], psi_weights).data
         cache.gates[layer] = gates
 
-    def messages(source_rows, ids):
-        h_src = IrrepFeature(layout, {l: r[src[ids]] for l, r in source_rows.items()})
-        return tensor_product_message(h_src, sh[ids], cache.gates[layer][ids],
-                                      tp_weights, paths, layout).blocks
-
-    def add_messages(sums, ids, ref_rows=None):
-        for s in range(0, len(ids), PP_EDGE_BLOCK):
-            block = ids[s:s + PP_EDGE_BLOCK]
-            new = messages(rows, block)
-            ref = messages(ref_rows, block) if ref_rows is not None else None
-            for l in layout.degrees():
-                np.add.at(sums[l], dst[block],
-                          new[l].data if ref is None else new[l].data - ref[l].data)
-
-    ref_rows = cache.ref_rows.get(layer)
-    if ref_rows is None:
-        changed = np.arange(n_edges)
-    else:
-        differs = np.zeros(n_res, dtype=bool)
-        for l, r in rows.items():
-            bits = r.view(np.int64) != ref_rows[l].view(np.int64)
-            differs |= bits.reshape(n_res, -1).any(axis=1)
-        changed = np.flatnonzero(differs[src])
-    if ref_rows is not None and 2 * len(changed) < n_edges:
-        sums = cache.ref_sums[layer]
-        if len(changed):
-            sums = {l: s.copy() for l, s in sums.items()}
-            add_messages(sums, changed, ref_rows)
-        cache.recomputed[layer] = len(changed)
-    else:
-        sums = {l: np.zeros((n_res, layout.mult(l), 2 * l + 1)) for l in layout.degrees()}
-        add_messages(sums, np.arange(n_edges))
-        cache.recomputed[layer] = n_edges
-        if ref_rows is None:
-            cache.ref_rows[layer] = {l: r.copy() for l, r in rows.items()}
-            cache.ref_sums[layer] = sums
+    zeros = {l: np.zeros_like(r) for l, r in rows.items()}
+    ref_rows = cache.ref_rows.get(layer, zeros)
+    sums = {l: s.copy() for l, s in cache.ref_sums.get(layer, zeros).items()}
+    diff = {l: r - ref_rows[l] for l, r in rows.items()}
+    differs = np.zeros(n_res, dtype=bool)
+    for d in diff.values():
+        differs |= (d != 0).reshape(n_res, -1).any(axis=1)
+    changed = np.flatnonzero(differs[src])
+    for s in range(0, len(changed), PP_EDGE_BLOCK):
+        block = changed[s:s + PP_EDGE_BLOCK]
+        h_src = IrrepFeature(layout, {l: d[src[block]] for l, d in diff.items()})
+        msg = tensor_product_message(h_src, sh[block], cache.gates[layer][block],
+                                     tp_weights, paths, layout)
+        for l in layout.degrees():
+            np.add.at(sums[l], dst[block], msg.blocks[l].data)
+    cache.recomputed[layer] = len(changed)
+    if layer not in cache.ref_rows:
+        cache.ref_rows[layer] = {l: r.copy() for l, r in rows.items()}
+        cache.ref_sums[layer] = sums
 
     degree = np.maximum(np.bincount(dst, minlength=n_res).astype(np.float64), 1.0)
     out = {}

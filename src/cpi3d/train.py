@@ -148,8 +148,7 @@ def prepare_training_inputs(records, model_cfg: ModelConfig, cutoffs: CutoffConf
 
 
 def train(records, cfg: TrainConfig, model_cfg: ModelConfig,
-          cutoffs: CutoffConfig | None = None, labels=None,
-          params: ParameterStore | None = None, target_mse: float | None = None):
+          cutoffs: CutoffConfig | None = None, labels=None, target_mse: float | None = None):
     """Mini-batch regression training, bitwise deterministic for a fixed seed.
 
     Labels default to the log-molar normalization of each record's EC50;
@@ -169,8 +168,7 @@ def train(records, cfg: TrainConfig, model_cfg: ModelConfig,
         raise ValidationError("need one label per record and at least one record")
 
     graphs, fps = prepare_training_inputs(records, model_cfg, cutoffs)
-    if params is None:
-        params = init_params(model_cfg, cutoffs, seed=cfg.seed)
+    params = init_params(model_cfg, cutoffs, seed=cfg.seed)
     optimizer = make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
 

@@ -184,6 +184,19 @@ def test_parse_sdf_m_chg_override():
     assert mol.atoms[1].formal_charge == -1
 
 
+@pytest.mark.parametrize("prop,needle", [
+    ("M  CHG  2   1   1", "line 8: malformed charge line"),
+    ("M  CHG  1   9   1", "line 8: charge atom index out of range"),
+    ("M  CHG  1   0   1", "line 8: charge atom index out of range"),
+    ("M  CHG  x   1   1", "line 8: malformed charge line"),
+], ids=["missing-pair", "index-past-block", "index-zero", "bad-count"])
+def test_parse_sdf_bad_m_chg_line(prop, needle):
+    rec = _sdf_record("charged", [(0.0, 0.0, 0.0, "N"), (1.3, 0.0, 0.0, "O")],
+                      [(1, 2, 1)], props=[prop])
+    with pytest.raises(ParseError, match=needle):
+        parse_sdf(rec)
+
+
 def test_sdf_round_trip(rng):
     from cpi3d.synthetic import random_ligand
     for k in range(5):

@@ -119,6 +119,47 @@ def test_score_vina_and_rerank(tmp_path, capsys):
     assert fused == sorted(fused, reverse=True)
 
 
+@pytest.mark.parametrize("body,needle", [
+    ("0.1\nnan\n0.3\n0.4\n0.5\n", "line 2: confidence 'nan' is not finite"),
+    ("0.1\n\n0.3\nabc\n0.4\n0.5\n", "line 4: confidence 'abc' is not a number"),
+], ids=["nan", "not-a-number"])
+def test_rerank_bad_confidence_exits_one(tmp_path, capsys, body, needle):
+    rng = np.random.default_rng(5)
+    poses = [random_ligand(rng, n_atoms=6, mol_id=f"pose{i}") for i in range(5)]
+    (tmp_path / "poses.sdf").write_text(write_sdf(poses))
+    (tmp_path / "rec.pdb").write_text(protein_to_pdb(random_protein(rng, n_residues=6)))
+    (tmp_path / "conf.txt").write_text(body)
+    assert main(["rerank", "--poses", str(tmp_path / "poses.sdf"),
+                 "--protein", str(tmp_path / "rec.pdb"),
+                 "--confidences", str(tmp_path / "conf.txt"),
+                 "--out", str(tmp_path / "ranked.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    assert not (tmp_path / "ranked.csv").exists()
+
+
+@pytest.mark.parametrize("row,needle", [
+    ("toy0", "row 1: no ligand_sdf value"),
+    ("toy0,toy0.sdf", "row 1: no protein_pdb value"),
+    ("toy0,toy0.sdf,toy0.pdb,abc,,", "row 'toy0': ec50_nm 'abc' is not a number"),
+    ("toy0,toy0.sdf,toy0.pdb,inf,,", "row 'toy0': ec50_nm 'inf' is not finite"),
+    ("toy0,toy0.sdf,toy0.pdb,0,,", "toy0: ec50 must be positive"),
+    ("toy0,toy0.sdf,toy0.pdb,,nan,", "row 'toy0': confidence 'nan' is not finite"),
+    ("toy0,toy0.sdf,toy0.pdb,,high,", "row 'toy0': confidence 'high' is not a number"),
+], ids=["id-only", "no-protein", "ec50-abc", "ec50-inf", "ec50-zero", "confidence-nan",
+        "confidence-text"])
+def test_bad_manifest_row_exits_one(tmp_path, capsys, row, needle):
+    manifest = write_manifest(random_complexes(1, seed=3), str(tmp_path / "data"))
+    header = open(manifest).read().splitlines()[0]
+    open(manifest, "w").write(f"{header}\n{row}\n")
+    assert main(["split", "--manifest", manifest, "--setting", "novel_compound",
+                 "--out", str(tmp_path / "splits.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
 def test_split_command(tmp_path):
     records = clustered_records(n_families=5, family_size=3, seed=13)
     manifest = write_manifest(records, str(tmp_path / "lib"))

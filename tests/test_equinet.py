@@ -181,6 +181,25 @@ def test_tp_matches_per_path_einsum_oracle(rng, muls, parity_even_only):
         assert np.max(np.abs(out.blocks[l].data - block)) <= 1e-12 * np.max(np.abs(block))
 
 
+def test_tp_message_is_linear_in_source_rows(rng):
+    # the receptor cache adds msg(new - ref) to the reference sums
+    layout = IrrepLayout((32, 8, 4))
+    paths = _paths_for(layout, parity_even_only=True)
+    assert len(paths) == 11
+    a, sh, gates, weights = _tp_inputs(rng, layout, paths, 40)
+    b, _, _, _ = _tp_inputs(rng, layout, paths, 40)
+
+    def msg(h):
+        return tensor_product_message(h, sh, gates, weights, paths, layout).blocks
+
+    diff = IrrepFeature(layout, {l: a.blocks[l].data - b.blocks[l].data
+                                 for l in layout.degrees()})
+    msg_a, msg_b, msg_diff = msg(a), msg(b), msg(diff)
+    for l in layout.degrees():
+        want = msg_a[l].data - msg_b[l].data
+        assert np.max(np.abs(msg_diff[l].data - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_tp_gradients_match_finite_differences(rng):
     layout = IrrepLayout((3, 2, 1))
     paths = _paths_for(layout, parity_even_only=False)
@@ -717,9 +736,9 @@ def test_cache_matches_forward_for_an_out_of_pocket_ligand(rng, receptor):
     _assert_cached_matches_forward(outside + inside, params)
 
 
-def test_cache_full_path_for_a_ligand_changing_most_edges(rng, receptor):
+def test_cache_updates_the_edges_from_residues_a_wide_ligand_changes(rng, receptor):
     # a ligand wider than the pocket touches most residues, so layer 1
-    # already has more than half of its pp edges changed
+    # adds the row change of most pp edges to the reference sums
     params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
     small = _screen(rng, receptor, (8,))
     lig = random_ligand(rng, n_atoms=60, mol_id="wide")
@@ -728,7 +747,20 @@ def test_cache_full_path_for_a_ligand_changing_most_edges(rng, receptor):
     items = small + [(build_pair_graph(wide, receptor, CACHE_CUT),
                       morgan_fingerprint(wide, nbits=CACHE_CFG.fingerprint_width))]
     cache = _assert_cached_matches_forward(items, params)
-    assert cache.recomputed[1] == len(items[1][0].edges[EdgeKind.PP])
+    # layer 1's pp stage reads the features after layer 1's cc stage
+    layer1_rows = []
+    for graph, fp in items:
+        _, feats = forward(graph, fp, params, CACHE_CFG, return_features=True)
+        h = next(f["feature"] for f in feats if f["layer"] == 1 and f["kind"] == "cc")
+        layer1_rows.append({l: b.data[graph.n_ligand:] for l, b in h.blocks.items()})
+    n_res = len(layer1_rows[0][0])
+    differs = np.zeros(n_res, dtype=bool)
+    for l, rows in layer1_rows[1].items():
+        differs |= (rows != layer1_rows[0][l]).reshape(n_res, -1).any(axis=1)
+    pp = items[1][0].edges[EdgeKind.PP]
+    src = pp.b - items[1][0].n_ligand
+    assert len(pp) // 2 < cache.recomputed[1] < len(pp)
+    assert cache.recomputed[1] == np.count_nonzero(differs[src])
 
 
 def test_cache_blocked_sums_match_unblocked(rng, receptor, monkeypatch):
