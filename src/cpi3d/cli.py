@@ -30,10 +30,10 @@ from .datasplit import (
     leakage_report,
     protein_similarity_matrix,
 )
-from .equinet import ReceptorCache
+from .equinet import ReceptorCache, forward
 from .errors import Cpi3dError, ValidationError
 from .fingerprint import morgan_fingerprint
-from .geograph import build_pair_graph, graph_to_json
+from .geograph import build_graph, build_pair_graph, edge_budget_packs, graph_to_json
 from .metrics import evaluate, evaluate_grouped, sample_std, simulate_random_screen
 from .physscore import rerank_poses, score_poses
 from .train import train
@@ -268,17 +268,14 @@ def _cmd_train(args, cfg: RunConfig) -> int:
 def _cmd_predict(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
     model = load_model(args.checkpoint)
-    # consecutive records on one receptor share its pp work
+    # packs of one (graphs over the edge budget) share a receptor's pp work
     cache = ReceptorCache()
-
-    # each graph lives only inside one call, so it is freed before the
-    # next record's graph is built
-    def predict_one(rec):
-        graph = build_pair_graph(rec.poses[0], rec.protein, model.cutoffs)
-        fp = morgan_fingerprint(rec.ligand, nbits=model.cfg.fingerprint_width)
-        return model.predict(graph, fp, cache)
-
-    rows = [[rec.complex_id, repr(predict_one(rec))] for rec in records]
+    rows = []
+    for run, pack in edge_budget_packs(records, lambda rec: build_graph(rec, model.cutoffs)):
+        fps = [morgan_fingerprint(rec.ligand, nbits=model.cfg.fingerprint_width) for rec in run]
+        preds = forward(pack, fps, model.params, model.cfg, cache=cache).data
+        rows += [[rec.complex_id, repr(float(p))] for rec, p in zip(run, preds)]
+        del pack  # freed before the next record's graph is built
     _write_csv(args.out, "predict", cfg, ["complex_id", "prediction"], rows)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0
@@ -310,9 +307,15 @@ def _cmd_rerank(args, cfg: RunConfig) -> int:
     confidences = None
     if args.confidences:
         with open(args.confidences, encoding="utf-8") as fh:
-            confidences = parse_numbers(
-                ((n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()),
-                lambda n: f"{args.confidences}: line {n}: confidence")
+            lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+
+        def where(n):
+            return f"{args.confidences}: line {n}: confidence"
+
+        confidences = parse_numbers(lines, where)
+        for (n, raw), value in zip(lines, confidences):
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{where(n)} {raw!r} must lie in [0, 1]")
     ranked = rerank_poses(poses, protein_atoms, cfg.vina, confidences=confidences,
                           lam=cfg.fusion.lam, alpha=cfg.fusion.alpha)
     rows = [

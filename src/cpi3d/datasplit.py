@@ -167,6 +167,8 @@ def assign_folds(record_ids: list[str], setting: SplitSetting,
         raise ValidationError("cluster assignments must align with records")
     if n == 0:
         raise ValidationError("no records to split")
+    if k < 1:
+        raise ValidationError(f"need at least one fold, got {k}")
     rng = np.random.default_rng(seed)
     warnings: list[str] = []
 

@@ -522,15 +522,19 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
 
     `edge_override` replaces the per-kind (rbf, sh) constants with caller
     tensors (used to differentiate through geometric inputs in tests).
-    `cache` (inference on a pack of one only) takes the pp aggregates from
+    `cache` (inference only) takes the pp aggregates of a pack of one from
     a `ReceptorCache`, which reuses the receptor's work across ligands and
-    agrees with the uncached forward to rounding.
+    agrees with the uncached forward to rounding; a larger pack runs
+    uncached.
     """
     pack = graph if isinstance(graph, GraphPack) else pack_graphs([graph])
     if cache is not None:
-        if training or edge_override or pack.n_graphs != 1:
-            raise ConfigError("the receptor cache serves inference forwards of one graph only")
-        cache.select(pack.graphs[0], params)
+        if training or edge_override:
+            raise ConfigError("the receptor cache serves inference forwards only")
+        if pack.n_graphs == 1:
+            cache.select(pack.graphs[0], params)
+        else:
+            cache = None
     layout = cfg.layout
     m0 = layout.mult(0)
     n = pack.n_nodes
@@ -613,11 +617,7 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
 
 @dataclass
 class Model:
-    """Bundled config + parameters with a plain-float prediction helper."""
+    """Bundled config + parameters."""
     cfg: ModelConfig
     cutoffs: CutoffConfig
     params: ParameterStore
-
-    def predict(self, graph: HeteroGraph, fp: Fingerprint | np.ndarray,
-                cache: ReceptorCache | None = None) -> float:
-        return float(forward(graph, fp, self.params, self.cfg, cache=cache).data)

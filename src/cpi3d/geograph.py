@@ -23,6 +23,9 @@ CHARGE_CLASSES = (-2, -1, 0, 1, 2)
 LIGAND_FEATURE_DIM = len(LIGAND_ELEMENT_CLASSES) + 1 + (MAX_DEGREE_CLASS + 1) + len(CHARGE_CLASSES) + 1
 RESIDUE_CLASSES = tuple(sorted(AMINO_ACIDS_3TO1)) + ("UNK",)
 RESIDUE_FEATURE_DIM = len(RESIDUE_CLASSES)
+# edges per pack of `edge_budget_packs`: peak memory follows this budget,
+# not the batch or manifest size
+PACK_EDGE_BUDGET = 8192
 
 
 class NodeKind(enum.IntEnum):
@@ -179,6 +182,28 @@ def pack_graphs(graphs) -> GraphPack:
         residue_features=_join([g.residue_features for g in graphs]),
         feature_rows=feature_rows, edges=edges,
     )
+
+
+def edge_budget_packs(items, build):
+    """Yield (run of `items`, `GraphPack` of their graphs) in order, a run
+    holding at most `PACK_EDGE_BUDGET` edges or one graph over it. Graphs
+    come from `build(item)`, lazily: a run over the budget is yielded
+    before the next graph is built, others look one graph ahead."""
+    run, graphs, used = [], [], 0
+    for item in items:
+        graph = build(item)
+        if graphs and used + graph.edge_count() > PACK_EDGE_BUDGET:
+            yield run, pack_graphs(graphs)
+            run, graphs, used = [], [], 0
+        run.append(item)
+        graphs.append(graph)
+        used += graph.edge_count()
+        del graph  # an over-budget run is freed before the next build
+        if used > PACK_EDGE_BUDGET:
+            yield run, pack_graphs(graphs)
+            run, graphs, used = [], [], 0
+    if graphs:
+        yield run, pack_graphs(graphs)
 
 
 def ligand_atom_features(mol: LigandMolecule) -> np.ndarray:

@@ -223,10 +223,13 @@ class MetricReport:
 def _parse_metric(name: str):
     if name in ("ci", "spearman", "pearson", "mse"):
         return name, None
-    if name.startswith("ef"):
-        return "ef", float(name[2:]) if len(name) > 2 else 1.0
-    if name.startswith("bedroc"):
-        return "bedroc", float(name[6:]) if len(name) > 6 else 80.5
+    for kind, default in (("ef", 1.0), ("bedroc", 80.5)):
+        if name.startswith(kind):
+            suffix = name[len(kind):]
+            try:
+                return kind, float(suffix) if suffix else default
+            except ValueError:
+                break
     raise ValidationError(f"unknown metric {name!r}")
 
 

@@ -12,13 +12,7 @@ from .datasplit import normalize_label
 from .equinet import Model, ModelConfig, ParameterStore, forward, init_params
 from .errors import ConfigError, TrainingDiverged, ValidationError
 from .fingerprint import morgan_fingerprint
-from .geograph import CutoffConfig, build_graph, pack_graphs
-
-# edges per training pack: a batch is cut, in order, into packs of at most
-# this many edges (a larger graph is a pack of its own), and each pack gets
-# one forward, tape and backward, so peak memory follows this budget
-# rather than the batch size
-PACK_EDGE_BUDGET = 8192
+from .geograph import CutoffConfig, build_graph, edge_budget_packs
 
 
 @dataclass(frozen=True)
@@ -98,34 +92,18 @@ def make_optimizer(cfg: TrainConfig):
     return AdamOptimizer(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
 
-def edge_budget_packs(graphs, batch) -> list[list[int]]:
-    """The batch's graph indices cut, in order, into runs of at most
-    `PACK_EDGE_BUDGET` edges; a graph over the budget is a run of its own."""
-    packs: list[list[int]] = []
-    used = 0
-    for i in batch:
-        edges = graphs[i].edge_count()
-        if not packs or used + edges > PACK_EDGE_BUDGET:
-            packs.append([])
-            used = 0
-        packs[-1].append(i)
-        used += edges
-    return packs
-
-
 def batch_gradients(graphs, fps, labels, batch, params: ParameterStore, model_cfg: ModelConfig):
     """(loss, name -> gradient) of the batch loss sum_i (pred_i - y_i)^2 / B.
 
-    Each pack from `edge_budget_packs` runs one training forward and one
-    backward on its own tape; its loss terms and gradients are added into
-    float64 totals before the next pack starts, and the batch-norm running
-    statistics step once per graph, in batch order.
+    Each pack of `geograph.edge_budget_packs` runs one training forward
+    and one backward on its own tape; its loss terms and gradients are
+    added into float64 totals before the next pack starts, and the
+    batch-norm running statistics step once per graph, in batch order.
     """
     names = params.trainable_names()
     total = {name: np.zeros_like(params[name].data) for name in names}
     loss_value = 0.0
-    for ids in edge_budget_packs(graphs, batch):
-        pack = pack_graphs([graphs[i] for i in ids])
+    for ids, pack in edge_budget_packs(batch, lambda i: graphs[i]):
 
         def pack_loss():
             preds = forward(pack, [fps[i] for i in ids], params, model_cfg, training=True)

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import cpi3d
-from cpi3d import cli
+from cpi3d import cli, geograph
 from cpi3d.checkpoint import save_checkpoint
-from cpi3d.chemio import write_sdf
+from cpi3d.chemio import ComplexRecord, load_manifest, write_sdf
 from cpi3d.cli import main
 from cpi3d.config import build_config
-from cpi3d.equinet import ModelConfig, init_params
-from cpi3d.geograph import CutoffConfig
+from cpi3d.equinet import ModelConfig, forward, init_params
+from cpi3d.fingerprint import morgan_fingerprint
+from cpi3d.geograph import CutoffConfig, build_graph
 from cpi3d.synthetic import (
     clustered_records,
     protein_to_pdb,
@@ -122,7 +123,9 @@ def test_score_vina_and_rerank(tmp_path, capsys):
 @pytest.mark.parametrize("body,needle", [
     ("0.1\nnan\n0.3\n0.4\n0.5\n", "line 2: confidence 'nan' is not finite"),
     ("0.1\n\n0.3\nabc\n0.4\n0.5\n", "line 4: confidence 'abc' is not a number"),
-], ids=["nan", "not-a-number"])
+    ("7.5\n0.2\n0.3\n0.4\n0.5\n", "line 1: confidence '7.5' must lie in [0, 1]"),
+    ("0.1\n-3\n0.3\n0.4\n0.5\n", "line 2: confidence '-3' must lie in [0, 1]"),
+], ids=["nan", "not-a-number", "above-one", "negative"])
 def test_rerank_bad_confidence_exits_one(tmp_path, capsys, body, needle):
     rng = np.random.default_rng(5)
     poses = [random_ligand(rng, n_atoms=6, mol_id=f"pose{i}") for i in range(5)]
@@ -173,6 +176,17 @@ def test_split_command(tmp_path):
     assert "config_hash" in doc["provenance"]
 
 
+@pytest.mark.parametrize("folds", ["0", "-2"])
+def test_split_needs_a_fold(tmp_path, capsys, folds):
+    manifest = write_manifest(clustered_records(n_families=2, family_size=2, seed=13),
+                              str(tmp_path / "lib"))
+    assert main(["split", "--manifest", manifest, "--setting", "novel_compound",
+                 "--folds", folds, "--out", str(tmp_path / "splits.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: need at least one fold, got {folds}\n"
+    assert not (tmp_path / "splits.json").exists()
+
+
 def test_eval_command(tmp_path, capsys):
     pred = tmp_path / "preds.csv"
     rows = ["prediction,label,target"]
@@ -203,6 +217,14 @@ def test_eval_bad_row_exits_one(tmp_path, capsys, body, needle):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("metric", ["efabc", "bedroc_x", "auc"])
+def test_eval_unknown_metric_exits_one(tmp_path, capsys, metric):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("prediction,label\n0.5,1\n0.3,0\n")
+    assert main(["eval", "--pred", str(pred), "--metrics", f"ci,{metric}"]) == 1
+    assert capsys.readouterr().err == f"error: unknown metric {metric!r}\n"
 
 
 def test_simulate_screen_command(tmp_path):
@@ -394,6 +416,53 @@ def test_train_rejects_batch_size_below_one(toy_dir, capsys, batch_size):
 
 
 TINY_HEADER = {"model": TINY_MODEL["model"], "cutoffs": TINY_MODEL["cutoffs"]}
+
+
+def test_predict_scores_edge_budget_packs(tmp_path, monkeypatch):
+    """Small records share packs, two records on one receptor over the
+    budget are packs of one on the receptor cache, and every prediction
+    equals a forward of its record alone."""
+    rng = np.random.default_rng(8)
+    small = random_complexes(5, seed=9, n_atoms=5, n_residues=5)
+    receptor = random_protein(rng, n_residues=40)
+    shared = [ComplexRecord(complex_id=f"big{i}", ligand=lig, protein=receptor)
+              for i, lig in enumerate(random_ligand(rng, n_atoms=n) for n in (6, 8))]
+    records = small[:2] + shared + small[2:]
+    manifest = write_manifest(records, str(tmp_path / "data"))
+    records = load_manifest(manifest)     # coordinates as the files round them
+    cfg = build_config(ModelConfig, TINY_MODEL["model"])
+    cut = build_config(CutoffConfig, TINY_MODEL["cutoffs"])
+    params = init_params(cfg, cut, seed=4)
+    ckpt = tmp_path / "model.eqcp"
+    save_checkpoint(ckpt, params, config=TINY_HEADER)
+
+    graphs = [build_graph(rec, cut) for rec in records]
+    edges = [g.edge_count() for g in graphs]
+    budget = max(sum(edges[:2]), sum(edges[4:]))
+    assert min(edges[2:4]) > budget
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", budget)
+    pack_sizes, caches = [], []
+
+    def spy_forward(pack, fp, params, cfg, cache=None):
+        pack_sizes.append(pack.n_graphs)
+        caches.append(cache)
+        return forward(pack, fp, params, cfg, cache=cache)
+
+    monkeypatch.setattr(cli, "forward", spy_forward)
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 0
+    assert pack_sizes == [2, 1, 1, 3]
+    cache = caches[2]
+    # the second record on the receptor reused its layer-0 pp sums
+    assert cache.recomputed == {0: 0}
+
+    rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    assert [r[0] for r in rows] == [rec.complex_id for rec in records]
+    got = np.array([float(r[1]) for r in rows])
+    want = [float(forward(g, morgan_fingerprint(rec.ligand, nbits=cfg.fingerprint_width),
+                          params, cfg).data) for g, rec in zip(graphs, records)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("header,needle", [

@@ -1,8 +1,10 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from cpi3d import geograph
 from cpi3d.chemio import Atom, LigandMolecule, ProteinStructure, Residue
 from cpi3d.errors import ValidationError
 from cpi3d.geograph import (
@@ -11,6 +13,7 @@ from cpi3d.geograph import (
     LIGAND_FEATURE_DIM,
     RESIDUE_FEATURE_DIM,
     build_pair_graph,
+    edge_budget_packs,
     graph_to_json,
     neighbor_pairs,
     pack_graphs,
@@ -292,3 +295,34 @@ def test_pack_of_one_shares_the_graph_arrays(rng):
                    for f in ("a", "b", "r_vec", "dist", "rbf"))
     with pytest.raises(ValidationError):
         pack_graphs([])
+
+
+def test_edge_budget_packs_build_lazily(rng, monkeypatch):
+    """Runs are cut in order under the budget; a graph over the budget is
+    a run of its own, yielded and released before the next graph is
+    built, and a run under the budget builds at most one graph ahead."""
+    cut = CutoffConfig(rbf_k=6)
+    sizes = [(3, 4), (2, 3), (6, 30), (4, 4), (6, 30), (6, 30), (1, 2), (3, 3), (2, 2)]
+    records = [random_complex(rng, f"g{i}", n_atoms=a, n_residues=r)
+               for i, (a, r) in enumerate(sizes)]
+    edges = [build_pair_graph(r.ligand, r.protein, cut).edge_count() for r in records]
+    budget = max(sum(edges[:2]), sum(edges[6:]))
+    assert min(edges[2], edges[4], edges[5]) > budget
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", budget)
+    built, over_budget = [], []
+
+    def build(i):
+        assert all(ref() is None for ref in over_budget), "an over-budget graph outlived its run"
+        built.append(i)
+        graph = build_pair_graph(records[i].ligand, records[i].protein, cut)
+        if graph.edge_count() > budget:
+            over_budget.append(weakref.ref(graph))
+        return graph
+
+    runs = []
+    for run, pack in edge_budget_packs(range(len(records)), build):
+        assert [g.edge_count() for g in pack.graphs] == [edges[i] for i in run]
+        assert built[-1] <= run[-1] + (edges[run[-1]] <= budget)
+        runs.append(run)
+        del pack
+    assert runs == [[0, 1], [2], [3], [4], [5], [6, 7, 8]]

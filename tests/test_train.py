@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpi3d import autodiff as ad
-from cpi3d import train as train_module
+from cpi3d import geograph
 from cpi3d.autodiff import Tape, Tensor
 from cpi3d.equinet import (
     EDGE_KIND_ORDER,
@@ -17,7 +17,13 @@ from cpi3d.equinet import (
 )
 from cpi3d.errors import ConfigError, TrainingDiverged
 from cpi3d.fingerprint import morgan_fingerprint
-from cpi3d.geograph import CutoffConfig, EdgeKind, build_pair_graph, pack_graphs
+from cpi3d.geograph import (
+    CutoffConfig,
+    EdgeKind,
+    build_pair_graph,
+    edge_budget_packs,
+    pack_graphs,
+)
 from cpi3d.so3 import Y00
 from cpi3d.synthetic import random_complex, random_complexes
 from cpi3d.train import (
@@ -25,7 +31,6 @@ from cpi3d.train import (
     SgdOptimizer,
     TrainConfig,
     batch_gradients,
-    edge_budget_packs,
     grad,
     mse_loss,
     prepare_training_inputs,
@@ -270,8 +275,8 @@ def test_packed_batch_matches_per_graph_loop(monkeypatch, n_packs):
     batch = [6, 1, 3, 0, 7, 2, 5, 4]
     edges = [graphs[i].edge_count() for i in batch]
     budget = {1: sum(edges), 2: max(sum(edges[:4]), sum(edges[4:])), 8: 0}[n_packs]
-    monkeypatch.setattr(train_module, "PACK_EDGE_BUDGET", budget)
-    packs = edge_budget_packs(graphs, batch)
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", budget)
+    packs = [ids for ids, _ in edge_budget_packs(batch, lambda i: graphs[i])]
     assert len(packs) == n_packs
     assert [i for p in packs for i in p] == batch
     _assert_packed_matches_oracle(graphs, fps, labels, batch)
@@ -297,7 +302,7 @@ def test_training_losses_do_not_depend_on_the_pack_budget(monkeypatch):
     cfg = TrainConfig(learning_rate=1e-3, steps=4, batch_size=4, seed=2)
 
     def run(budget):
-        monkeypatch.setattr(train_module, "PACK_EDGE_BUDGET", budget)
+        monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", budget)
         return train(records, cfg, PACK_CFG, TINY_CUT)
 
     (one, one_losses), (many, many_losses) = run(10 ** 9), run(0)
@@ -345,7 +350,7 @@ def test_packed_training_peak_memory_follows_the_budget(monkeypatch):
                       readout_hidden=8, fingerprint_width=64, fingerprint_embed=8)
     records = random_complexes(4, seed=17, with_label=True, n_atoms=8, n_residues=24)
     graph = build_pair_graph(records[0].ligand, records[0].protein, TINY_CUT)
-    monkeypatch.setattr(train_module, "PACK_EDGE_BUDGET", graph.edge_count() // 2)
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", graph.edge_count() // 2)
     train_cfg = TrainConfig(learning_rate=1e-3, steps=1, seed=0)
 
     def peak(batch):
