@@ -371,29 +371,35 @@ def gather_rows(a, idx: np.ndarray) -> Tensor:
     return take(a, np.asarray(idx))
 
 
+def index_add(base, idx: np.ndarray, rows) -> Tensor:
+    """`base` plus each row of `rows` at its index in `idx`, added in array
+    order (`np.add.at` on a copy): blockwise sums equal one call bit for bit."""
+    tape = _wants_tape(base, rows)
+    out = Tensor(_data(base).copy())
+    np.add.at(out.data, idx, _data(rows))
+    if tape is not None:
+        _mark(out)
+
+        def backward(g, epoch, base=base, rows=rows, idx=idx):
+            if isinstance(base, Tensor):
+                _accumulate(base, g, epoch)
+            if isinstance(rows, Tensor):
+                _accumulate(rows, g[idx], epoch)
+
+        tape._record(out, backward)
+    return out
+
+
 def segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Rows of `a` averaged per segment; empty segments yield zero rows.
 
     Summation runs in array order, so callers wanting a pinned order sort
     their rows by (segment, neighbor) beforehand.
     """
-    tape = _wants_tape(a)
-    ad = _data(a)
     seg = np.asarray(segment_ids)
-    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    safe = np.maximum(counts, 1.0)
-    sums = np.zeros((num_segments,) + ad.shape[1:])
-    np.add.at(sums, seg, ad)
-    out = Tensor(sums / safe.reshape((-1,) + (1,) * (ad.ndim - 1)))
-    if tape is not None:
-        _mark(out)
-
-        def backward(g, epoch, a=a, seg=seg, safe=safe, nd=ad.ndim):
-            scale = safe.reshape((-1,) + (1,) * (nd - 1))
-            _accumulate(a, (g / scale)[seg], epoch)
-
-        tape._record(out, backward)
-    return out
+    sums = index_add(np.zeros((num_segments,) + _data(a).shape[1:]), seg, a)
+    counts = np.maximum(np.bincount(seg, minlength=num_segments), 1.0)
+    return div(sums, counts.reshape((-1,) + (1,) * (sums.ndim - 1)))
 
 
 def einsum(subscripts: str, *operands) -> Tensor:

@@ -357,6 +357,8 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     preds = _number_column(table, "prediction", args.pred)
     labels = _number_column(table, "label", args.pred)
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metric_names:
+        raise ValidationError(f"--metrics {args.metrics!r} names no metric")
     if args.group_by:
         if args.group_by not in table:
             raise ValidationError(f"no column {args.group_by!r} in {args.pred}")

@@ -26,9 +26,9 @@ from .so3 import allowed_paths, clebsch_gordan, sh_slice, spherical_harmonics_ba
 EDGE_KIND_ORDER = (EdgeKind.CC, EdgeKind.PP, EdgeKind.PC)
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-# pp edges per block on the cached path: its transient gate and message
-# arrays grow with the block, not with the receptor's edge count
-PP_EDGE_BLOCK = 2048
+# edges per block of the message stage: its transient gate and message
+# arrays grow with the block, not with a graph's edge count
+EDGE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,6 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
     generic matmul/mul adjoints give the backward pass.
     """
     n_e = h_src.n
-    sh_data = sh if isinstance(sh, Tensor) else np.asarray(sh, dtype=np.float64)
     out: dict[int, Tensor] = {}
     for idx, (li, ls, lo) in enumerate(paths):
         key = (li, ls, lo)
@@ -261,8 +260,7 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
         mi, mo = h_src.layout.mult(li), out_layout.mult(lo)
         if w.shape != (mi, mo):
             raise ConfigError(f"path {key}: weight shape {w.shape} != ({mi}, {mo})")
-        sh_block = sh_data[:, sh_slice(ls)] if not isinstance(sh_data, Tensor) \
-            else ad.take(sh_data, (slice(None), sh_slice(ls)))
+        sh_block = ad.take(sh, (slice(None), sh_slice(ls)))
         coupling = ad.einsum("Mab,eb->eaM", clebsch_gordan(li, ls, lo), sh_block)
         gate = ad.reshape(ad.take(path_gates, (slice(None), slice(idx, idx + 1))), (n_e, 1, 1))
         coupled = ad.matmul(h_src.blocks[li], ad.mul(coupling, gate))     # (E, mi, 2lo+1)
@@ -274,13 +272,23 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
     return IrrepFeature(out_layout, out)
 
 
-def aggregate_messages(messages: IrrepFeature, dst: np.ndarray, n_nodes: int) -> IrrepFeature:
-    """Arithmetic mean of incoming messages per destination node; nodes
-    without incoming edges get zero blocks. Summation order is the edge
-    order, which graph construction pins to ascending (dst, src)."""
-    return IrrepFeature(messages.layout, {
-        l: ad.segment_mean(b, dst, n_nodes) for l, b in messages.blocks.items()
-    })
+def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weights, paths,
+                       sums: dict) -> IrrepFeature:
+    """The message stage: `sums` plus the messages of the edge ids `edges`
+    at rows `dst[edges]`. Per block `e` of EDGE_BLOCK ids, in order: the
+    gates `gates(e)`, the messages of rows `rows[src[e]]` along `sh[e]`,
+    and their `ad.index_add` into the sums, so the sums run in edge order
+    (ascending (dst, src) from graph construction) whatever the block size.
+    """
+    for start in range(0, len(edges), EDGE_BLOCK):
+        e = edges[start:start + EDGE_BLOCK]
+        gate = gates(e)    # first, so the edge network's temporaries are freed
+        h_src = IrrepFeature(rows.layout, {l: ad.gather_rows(b, src[e])
+                                           for l, b in rows.blocks.items()})
+        msg = tensor_product_message(h_src, ad.gather_rows(sh, e), gate,
+                                     tp_weights, paths, rows.layout)
+        sums = {l: ad.index_add(s, dst[e], msg.blocks[l]) for l, s in sums.items()}
+    return IrrepFeature(rows.layout, sums)
 
 
 def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,
@@ -415,9 +423,6 @@ def _edge_tensors(pack: GraphPack):
     """Per-kind constant edge arrays: indices, RBF embedding, harmonics."""
     out = {}
     for kind, es in pack.edges.items():
-        if len(es) == 0:
-            out[kind] = (es.a, es.b, es.rbf, np.zeros((0, 9)))
-            continue
         unit = es.r_vec / np.where(es.dist[:, None] > 1e-10, es.dist[:, None], 1.0)
         out[kind] = (es.a, es.b, es.rbf, spherical_harmonics_batch(unit))
     return out
@@ -452,58 +457,42 @@ class ReceptorCache:
         self.recomputed = {}
 
 
-def _cached_pp_aggregate(cache: ReceptorCache, layer: int, psi_weights, tp_weights, paths,
-                         h: IrrepFeature, h0: np.ndarray, edges, n_ligand: int) -> IrrepFeature:
-    """The mean pp aggregate of one inference layer, from the cache.
+def _cached_pp_sums(cache: ReceptorCache, layer: int, gates, tp_weights, paths,
+                    h: IrrepFeature, edges, n_ligand: int) -> IrrepFeature:
+    """The pp message sums of one inference layer, from the cache. A pp
+    edge's message is linear in its source rows, so the sums are the
+    reference sums plus the messages of `rows - ref_rows` over the edges
+    leaving residues whose rows differ. A receptor's first forward sums
+    all edges from zero, stores their gates, and becomes the reference."""
+    a_idx, b_idx, _, sh = edges
+    fresh = layer not in cache.ref_rows
+    rows = {l: b.data for l, b in h.blocks.items()}
+    sums = {l: np.zeros_like(r) for l, r in rows.items()}
+    if fresh:
+        cache.gates[layer] = np.empty((len(a_idx), len(paths)))
+        ids = np.arange(len(a_idx))
+    else:
+        differs = np.zeros(h.n, dtype=bool)
+        for l, b in h.blocks.items():
+            rows[l] = b.data.copy()
+            rows[l][n_ligand:] -= cache.ref_rows[layer][l]
+            sums[l][n_ligand:] = cache.ref_sums[layer][l]
+            differs |= (rows[l] != 0).reshape(h.n, -1).any(axis=1)
+        ids = np.flatnonzero(differs[b_idx])    # pp edges leave residue rows only
+    stored = cache.gates[layer]
 
-    With its gate and harmonics fixed, a pp edge's message is linear in
-    its source rows, so the sums of the current rows are the reference
-    sums plus the messages of `rows - ref_rows` over the edges leaving
-    residues whose rows differ. A receptor's first forward runs the same
-    rule from an all-zero reference, which it then replaces. Gates and
-    messages run in blocks of PP_EDGE_BLOCK edges and are summed with
-    `np.add.at` in edge order. Ligand rows get zero, as no pp edge ends
-    on them.
-    """
-    layout = h.layout
-    a_idx, b_idx, rbf, sh = edges
-    dst, src = a_idx - n_ligand, b_idx - n_ligand
-    rows = {l: h.blocks[l].data[n_ligand:] for l in layout.degrees()}
-    n_res, n_edges = len(rows[0]), len(a_idx)
+    def block_gates(e):
+        if fresh:
+            stored[e] = gates(e).data
+        return stored[e]
 
-    if layer not in cache.gates:
-        gates = np.empty((n_edges, len(paths)))
-        for s in range(0, n_edges, PP_EDGE_BLOCK):
-            e = slice(s, s + PP_EDGE_BLOCK)
-            gates[e] = edge_weight_net(rbf[e], h0[a_idx[e]], h0[b_idx[e]], psi_weights).data
-        cache.gates[layer] = gates
-
-    zeros = {l: np.zeros_like(r) for l, r in rows.items()}
-    ref_rows = cache.ref_rows.get(layer, zeros)
-    sums = {l: s.copy() for l, s in cache.ref_sums.get(layer, zeros).items()}
-    diff = {l: r - ref_rows[l] for l, r in rows.items()}
-    differs = np.zeros(n_res, dtype=bool)
-    for d in diff.values():
-        differs |= (d != 0).reshape(n_res, -1).any(axis=1)
-    changed = np.flatnonzero(differs[src])
-    for s in range(0, len(changed), PP_EDGE_BLOCK):
-        block = changed[s:s + PP_EDGE_BLOCK]
-        h_src = IrrepFeature(layout, {l: d[src[block]] for l, d in diff.items()})
-        msg = tensor_product_message(h_src, sh[block], cache.gates[layer][block],
-                                     tp_weights, paths, layout)
-        for l in layout.degrees():
-            np.add.at(sums[l], dst[block], msg.blocks[l].data)
-    cache.recomputed[layer] = len(changed)
-    if layer not in cache.ref_rows:
-        cache.ref_rows[layer] = {l: r.copy() for l, r in rows.items()}
-        cache.ref_sums[layer] = sums
-
-    degree = np.maximum(np.bincount(dst, minlength=n_res).astype(np.float64), 1.0)
-    out = {}
-    for l, s in sums.items():
-        out[l] = np.zeros((n_ligand + n_res,) + s.shape[1:])
-        out[l][n_ligand:] = s / degree.reshape(-1, 1, 1)
-    return IrrepFeature(layout, out)
+    out = aggregate_messages(IrrepFeature(h.layout, rows), ids, b_idx, a_idx, sh, block_gates,
+                             tp_weights, paths, sums)
+    if fresh:
+        cache.ref_rows[layer] = {l: r[n_ligand:].copy() for l, r in rows.items()}
+        cache.ref_sums[layer] = {l: s.data[n_ligand:] for l, s in out.blocks.items()}
+    cache.recomputed[layer] = len(ids)
+    return out
 
 
 def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
@@ -515,15 +504,16 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
     (see `fingerprint_rows`), giving a (B,) prediction; a plain
     `HeteroGraph` is a pack of one and gives a scalar. Each round
     processes edge kinds cc, pp, pc in that fixed order with kind-specific
-    parameters: edge gates, tensor-product message, mean aggregation,
-    equivariant batch norm (per-graph statistics in training),
+    parameters: the message stage (edge gates, tensor-product messages and
+    their per-node sums, in blocks of EDGE_BLOCK edges) divided by the
+    in-degree, equivariant batch norm (per-graph statistics in training),
     concat-project node update, gated activation. Scalars are then pooled
     per graph and node kind and regressed together with the fingerprint.
 
     `edge_override` replaces the per-kind (rbf, sh) constants with caller
     tensors (used to differentiate through geometric inputs in tests).
-    `cache` (inference only) takes the pp aggregates of a pack of one from
-    a `ReceptorCache`, which reuses the receptor's work across ligands and
+    `cache` (inference only) takes the pp message sums of a pack of one
+    from a `ReceptorCache`, which reuses the receptor's work across ligands and
     agrees with the uncached forward to rounding; a larger pack runs
     uncached.
     """
@@ -565,19 +555,21 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
             psi_weights = tuple(params[f"{prefix}.psi.{w}"]
                                 for w in ("W0", "b0", "W1", "b1", "W2", "b2"))
             tp_weights = {p: params[f"{prefix}.tp.{p[0]}{p[1]}{p[2]}"] for p in paths}
+
+            def gates(e):
+                return edge_weight_net(ad.gather_rows(rbf, e),
+                                       ad.gather_rows(h0_scalars, a_idx[e]),
+                                       ad.gather_rows(h0_scalars, b_idx[e]), psi_weights)
+
             if cache is not None and kind is EdgeKind.PP:
-                agg = _cached_pp_aggregate(cache, layer, psi_weights, tp_weights, paths, h,
-                                           h0_scalars.data, edge_data[kind],
-                                           pack.graphs[0].n_ligand)
+                sums = _cached_pp_sums(cache, layer, gates, tp_weights, paths, h,
+                                       edge_data[kind], pack.graphs[0].n_ligand)
             else:
-                rbf_t = rbf if isinstance(rbf, Tensor) else Tensor(rbf)
-                psi = edge_weight_net(rbf_t, ad.gather_rows(h0_scalars, a_idx),
-                                      ad.gather_rows(h0_scalars, b_idx), psi_weights)
-                h_src = IrrepFeature(layout, {
-                    l: ad.gather_rows(h.blocks[l], b_idx) for l in layout.degrees()
-                })
-                msg = tensor_product_message(h_src, sh, psi, tp_weights, paths, layout)
-                agg = aggregate_messages(msg, a_idx, n)
+                sums = aggregate_messages(h, np.arange(len(a_idx)), b_idx, a_idx, sh, gates,
+                                          tp_weights, paths,
+                                          {l: np.zeros(b.shape) for l, b in h.blocks.items()})
+            degree = np.maximum(np.bincount(a_idx, minlength=n), 1.0).reshape(-1, 1, 1)
+            agg = IrrepFeature(layout, {l: ad.div(s, degree) for l, s in sums.blocks.items()})
             bn = equivariant_batch_norm(
                 agg,
                 {l: params[f"{prefix}.bn.gamma{l}"] for l in layout.degrees()},

@@ -223,13 +223,18 @@ class MetricReport:
 def _parse_metric(name: str):
     if name in ("ci", "spearman", "pearson", "mse"):
         return name, None
-    for kind, default in (("ef", 1.0), ("bedroc", 80.5)):
+    for kind, default, valid, domain in (
+            ("ef", 1.0, lambda x: 0 < x <= 100, "x must lie in (0, 100]"),
+            ("bedroc", 80.5, lambda a: math.isfinite(a) and a > 0, "alpha must be finite and > 0")):
         if name.startswith(kind):
             suffix = name[len(kind):]
             try:
-                return kind, float(suffix) if suffix else default
+                param = float(suffix) if suffix else default
             except ValueError:
                 break
+            if not valid(param):
+                raise ValidationError(f"metric {name!r}: {domain}, got {param}")
+            return kind, param
     raise ValidationError(f"unknown metric {name!r}")
 
 

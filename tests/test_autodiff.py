@@ -129,6 +129,23 @@ def test_segment_mean_forward_and_gradient():
     check_op(lambda p: _sq(ad.segment_mean(p, seg, 3)), x)
 
 
+def test_index_add_gradients_and_blocked_sums(rng):
+    idx = np.array([2, 0, 2, 1, 2])
+    base = np.arange(6.0).reshape(3, 2) / 5.0
+    rows = np.linspace(-1.0, 2.0, 10).reshape(5, 2)
+    check_op(lambda p: _sq(ad.index_add(p, idx, rows)), base)
+    check_op(lambda p: _sq(ad.index_add(base, idx, p)), rows)
+    # sums added block by block equal one np.add.at over all rows, bit for bit
+    idx = rng.integers(0, 7, size=1000)
+    rows = rng.normal(size=(1000, 3)) * 10.0 ** rng.integers(-8, 8, size=(1000, 1))
+    want = np.zeros((7, 3))
+    np.add.at(want, idx, rows)
+    got = np.zeros((7, 3))
+    for start in range(0, 1000, 37):
+        got = ad.index_add(got, idx[start:start + 37], rows[start:start + 37]).data
+    np.testing.assert_array_equal(got, want)
+
+
 def test_einsum_forward_and_gradients():
     C = np.arange(12.0).reshape(3, 2, 2)
     sh = np.array([[1.0, -1.0], [0.5, 2.0]])

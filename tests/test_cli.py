@@ -227,6 +227,34 @@ def test_eval_unknown_metric_exits_one(tmp_path, capsys, metric):
     assert capsys.readouterr().err == f"error: unknown metric {metric!r}\n"
 
 
+@pytest.mark.parametrize("metric,domain", [
+    ("ef0", "x must lie in (0, 100], got 0.0"),
+    ("ef150", "x must lie in (0, 100], got 150.0"),
+    ("efnan", "x must lie in (0, 100], got nan"),
+    ("bedroc0", "alpha must be finite and > 0, got 0.0"),
+    ("bedroc-1", "alpha must be finite and > 0, got -1.0"),
+    ("bedrocinf", "alpha must be finite and > 0, got inf"),
+])
+def test_eval_metric_parameter_out_of_domain_exits_one(tmp_path, capsys, metric, domain):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("prediction,label,target\n0.5,1,A\n0.3,0,A\n0.2,1,B\n0.1,0,B\n")
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--pred", str(pred), "--metrics", f"ci,{metric}",
+                 "--group-by", "target", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: metric {metric!r}: {domain}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metrics", ["", ",", " , "])
+def test_eval_without_a_metric_exits_one(tmp_path, capsys, metrics):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("prediction,label\n0.5,1\n0.3,0\n")
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--pred", str(pred), "--metrics", metrics, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --metrics {metrics!r} names no metric\n"
+    assert not out.exists()
+
+
 def test_simulate_screen_command(tmp_path):
     out = tmp_path / "baseline.json"
     assert main(["simulate-screen", "--actives", "50", "--decoys", "450",

@@ -289,42 +289,77 @@ def test_edge_net_gradients_match_finite_differences(rng):
 
 # ------------------------------------------------------------- aggregation
 
+def _stage_weights(layout):
+    """Every parity-even path of `layout` with seeded weight matrices."""
+    paths = _paths_for(layout, parity_even_only=True)
+    w_rng = np.random.default_rng(7)
+    return paths, {p: Tensor(w_rng.normal(size=(layout.mult(p[0]), layout.mult(p[2]))))
+                   for p in paths}
+
+
+def _stage(rows, src, dst, n_nodes, sums=None, edges=None):
+    """`aggregate_messages` with `_stage_weights`, unit gates and +z
+    harmonics on every edge; `sums` default to zero."""
+    layout = rows.layout
+    paths, weights = _stage_weights(layout)
+    sh = spherical_harmonics_batch(np.tile([0.0, 0.0, 1.0], (len(src), 1)))
+    if sums is None:
+        sums = {l: np.zeros((n_nodes, layout.mult(l), 2 * l + 1)) for l in layout.degrees()}
+    edges = np.arange(len(src)) if edges is None else edges
+    return aggregate_messages(rows, edges, np.asarray(src), np.asarray(dst), sh,
+                              lambda e: np.ones((len(e), len(paths))), weights, paths, sums)
+
+
 def test_aggregate_single_and_opposite(rng):
-    layout = IrrepLayout((2, 1, 0))
-    single = random_feature(rng, layout, 1)
-    out = aggregate_messages(single, np.array([0]), 1)
-    feature_allclose(out, single, atol=0)
+    layout = IrrepLayout((2, 1, 1))
+    rows = random_feature(rng, layout, 1)
+    out = _stage(rows, [0], [0], 1)
+    paths, weights = _stage_weights(layout)
+    msg = tensor_product_message(rows, spherical_harmonics_batch(np.array([[0.0, 0.0, 1.0]])),
+                                 np.ones((1, len(paths))), weights, paths, layout)
+    for l in layout.degrees():
+        np.testing.assert_array_equal(out.blocks[l].data, msg.blocks[l].data)
 
     m = random_feature(rng, layout, 1)
     both = IrrepFeature(layout, {
         l: np.concatenate([m.blocks[l].data, -m.blocks[l].data]) for l in layout.degrees()
     })
-    out = aggregate_messages(both, np.array([0, 0]), 1)
+    out = _stage(both, [0, 1], [0, 0], 1)
     for l in layout.degrees():
         np.testing.assert_allclose(out.blocks[l].data, 0.0, atol=1e-16)
 
 
 def test_aggregate_empty_segment_is_zero(rng):
     layout = IrrepLayout((2, 0, 0))
-    msgs = random_feature(rng, layout, 3)
-    out = aggregate_messages(msgs, np.array([0, 0, 2]), 4)
+    rows = random_feature(rng, layout, 3)
+    out = _stage(rows, [0, 1, 2], [0, 0, 2], 4)
     np.testing.assert_array_equal(out.blocks[0].data[1], 0.0)
     np.testing.assert_array_equal(out.blocks[0].data[3], 0.0)
+    # nodes without an incoming edge keep their starting sums
+    start = rng.normal(size=(4, 2, 1))
+    out = _stage(rows, [0, 1, 2], [0, 0, 2], 4, sums={0: start})
+    np.testing.assert_array_equal(out.blocks[0].data[[1, 3]], start[[1, 3]])
+    # and with no edges at all, every node does
+    out = _stage(rows, [0, 1, 2], [0, 0, 2], 4, sums={0: start}, edges=np.arange(0))
+    np.testing.assert_array_equal(out.blocks[0].data, start)
 
 
-def test_aggregate_mean_within_bounds(rng):
+def test_aggregate_mean_within_bounds(rng, monkeypatch):
+    monkeypatch.setattr(equinet, "EDGE_BLOCK", 5)
     layout = IrrepLayout((3, 2, 1))
-    msgs = random_feature(rng, layout, 12)
+    rows = random_feature(rng, layout, 12)
     dst = np.asarray(rng.integers(0, 3, size=12))
-    out = aggregate_messages(msgs, dst, 3)
+    sums = _stage(rows, np.arange(12), dst, 3)
+    msgs = _stage(rows, np.arange(12), np.arange(12), 12)
+    degree = np.maximum(np.bincount(dst, minlength=3), 1).reshape(-1, 1, 1)
     for l in layout.degrees():
+        mean = sums.blocks[l].data / degree
         for node in range(3):
-            rows = msgs.blocks[l].data[dst == node]
-            if len(rows) == 0:
+            per_edge = msgs.blocks[l].data[dst == node]
+            if len(per_edge) == 0:
                 continue
-            got = out.blocks[l].data[node]
-            assert np.all(got <= rows.max(axis=0) + 1e-12)
-            assert np.all(got >= rows.min(axis=0) - 1e-12)
+            assert np.all(mean[node] <= per_edge.max(axis=0) + 1e-12)
+            assert np.all(mean[node] >= per_edge.min(axis=0) - 1e-12)
 
 
 # ---------------------------------------------------------------- batchnorm
@@ -708,7 +743,7 @@ def test_cache_matches_forward_on_a_shared_receptor(rng, receptor):
     params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
     items = _screen(rng, receptor, (20, 24, 28, 32, 36, 40))
     n_pp = len(items[0][0].edges[EdgeKind.PP])
-    assert n_pp > 4 * equinet.PP_EDGE_BLOCK
+    assert n_pp > 4 * equinet.EDGE_BLOCK
     cache = _assert_cached_matches_forward(items, params)
     # the last ligand reused layer 0, updated part of layer 1 and
     # recomputed layer 2, where the changes have reached most residues
@@ -768,7 +803,7 @@ def test_cache_blocked_sums_match_unblocked(rng, receptor, monkeypatch):
     items = _screen(rng, receptor, (20, 30))
 
     def ref_sums(block):
-        monkeypatch.setattr(equinet, "PP_EDGE_BLOCK", block)
+        monkeypatch.setattr(equinet, "EDGE_BLOCK", block)
         cache = ReceptorCache()
         preds = [float(forward(g, fp, params, CACHE_CFG, cache=cache).data) for g, fp in items]
         return preds, cache.ref_sums
@@ -789,7 +824,7 @@ def test_cache_rejects_training(rng):
         forward(graph, fp, params, SMALL_CFG, training=True, cache=ReceptorCache())
 
 
-def test_cache_peak_memory_below_uncached_forward(rng, receptor):
+def test_cache_peak_memory_below_uncached_forward(rng, receptor, monkeypatch):
     cfg = ModelConfig(layers=1, fingerprint_width=64)
     params = init_params(cfg, CACHE_CUT, seed=3)
     ((graph, fp),) = _screen(rng, receptor, (24,), cfg=cfg)
@@ -803,6 +838,14 @@ def test_cache_peak_memory_below_uncached_forward(rng, receptor):
             tracemalloc.stop()
 
     uncached = peak()
+    # the blocked message stage peaks at half the unblocked one or less
+    with monkeypatch.context() as m:
+        m.setattr(equinet, "EDGE_BLOCK", 10 ** 9)
+        assert uncached <= peak() / 2
     cache = ReceptorCache()
-    assert peak(cache=cache) < uncached    # fills the cache
+    fill = peak(cache=cache)
+    held = sum(g.nbytes for g in cache.gates.values()) + sum(
+        a.nbytes for store in (cache.ref_rows, cache.ref_sums)
+        for blocks in store.values() for a in blocks.values())
+    assert fill <= uncached + held    # the uncached work plus what the cache keeps
     assert peak(cache=cache) < uncached    # reuses it

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpi3d import autodiff as ad
-from cpi3d import geograph
+from cpi3d import equinet, geograph
 from cpi3d.autodiff import Tape, Tensor
 from cpi3d.equinet import (
     EDGE_KIND_ORDER,
@@ -236,6 +236,8 @@ ACC2_CFG = ModelConfig(layers=2, layout=IrrepLayout((3, 2, 1)), edge_mlp_hidden=
                        readout_hidden=5, fingerprint_width=16, fingerprint_embed=3)
 # (ligand atoms, residues) per graph: one graph has no cc edges, one no pp edges
 PACK_SIZES = ((5, 4), (1, 6), (7, 3), (4, 1), (3, 5), (6, 4), (2, 7), (8, 2))
+# an EDGE_BLOCK that cuts every edge kind of a PACK_SIZES pack into blocks
+SMALL_EDGE_BLOCK = 7
 
 
 def _pack_inputs(cfg, sizes, seed=31):
@@ -252,11 +254,12 @@ def _assert_within_1e12(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def _assert_packed_matches_oracle(graphs, fps, labels, batch):
+def _assert_packed_matches_oracle(graphs, fps, labels, batch, before_packed=lambda: None):
     packed = init_params(PACK_CFG, TINY_CUT, seed=3)
     looped = init_params(PACK_CFG, TINY_CUT, seed=3)
-    loss, grads = batch_gradients(graphs, fps, labels, batch, packed, PACK_CFG)
     want_loss, want_grads = batch_loss_oracle(graphs, fps, labels, batch, looped, PACK_CFG)
+    before_packed()
+    loss, grads = batch_gradients(graphs, fps, labels, batch, packed, PACK_CFG)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert sorted(grads) == sorted(want_grads)
     for name, want in want_grads.items():
@@ -286,6 +289,30 @@ def test_packed_batch_matches_per_graph_loop(monkeypatch, n_packs):
 def test_packed_batch_of_one_matches_per_graph_loop(index):
     graphs, fps, labels = _pack_inputs(PACK_CFG, PACK_SIZES)
     _assert_packed_matches_oracle(graphs, fps, labels, [index])
+
+
+def test_packed_gradients_in_small_edge_blocks_match_per_graph_loop(monkeypatch):
+    # the oracle's graphs are below the default block, so it runs unblocked
+    graphs, fps, labels = _pack_inputs(PACK_CFG, PACK_SIZES)
+    assert max(len(es) for g in graphs for es in g.edges.values()) < equinet.EDGE_BLOCK
+    pack = pack_graphs(graphs)
+    assert all(len(pack.edges[kind]) > SMALL_EDGE_BLOCK for kind in EDGE_KIND_ORDER)
+    _assert_packed_matches_oracle(
+        graphs, fps, labels, [6, 1, 3, 0, 7, 2, 5, 4],
+        before_packed=lambda: monkeypatch.setattr(equinet, "EDGE_BLOCK", SMALL_EDGE_BLOCK))
+
+
+def test_packed_inference_does_not_depend_on_the_edge_block(monkeypatch):
+    graphs, fps, _ = _pack_inputs(PACK_CFG, PACK_SIZES)
+    pack = pack_graphs(graphs)
+    assert all(len(pack.edges[kind]) > SMALL_EDGE_BLOCK for kind in EDGE_KIND_ORDER)
+    params = init_params(PACK_CFG, TINY_CUT, seed=3)
+
+    def predict(block):
+        monkeypatch.setattr(equinet, "EDGE_BLOCK", block)
+        return forward(pack, fps, params, PACK_CFG).data
+
+    np.testing.assert_allclose(predict(SMALL_EDGE_BLOCK), predict(10 ** 9), rtol=1e-12, atol=0)
 
 
 def test_packed_inference_matches_single_graph_forwards():
@@ -341,6 +368,13 @@ def test_packed_gradients_match_finite_differences():
             fd = (f_plus - f_minus) / (2 * h)
             worst = max(worst, abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-5))
     assert worst < 1e-4, f"gradient mismatch: max relative error {worst}"
+
+
+def test_packed_gradients_in_small_edge_blocks_match_finite_differences(monkeypatch):
+    monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
+    pack = pack_graphs(_pack_inputs(ACC2_CFG, ((4, 3), (1, 5), (5, 1)), seed=7)[0])
+    assert all(len(pack.edges[kind]) > 16 for kind in EDGE_KIND_ORDER)
+    test_packed_gradients_match_finite_differences()
 
 
 def test_packed_training_peak_memory_follows_the_budget(monkeypatch):
