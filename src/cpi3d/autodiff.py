@@ -5,9 +5,18 @@ order; `tape.gradient(loss, sources)` seeds the scalar loss with adjoint 1
 and replays the recorded adjoint functions in exact reverse order. Outside
 a tape, the same ops run as plain numpy with no recording overhead. All
 arithmetic is float64.
+
+Every primitive records by one rule: it hands `_op` its value and, only
+under a tape, one rule `(input, adjoint, *saved)` per input; the input's
+adjoint is `adjoint(g, *saved)`, summed over the axes the op broadcast.
+Only tracked inputs keep their rule: tensors with `requires_grad`, which
+every recorded output gets. So adjoints reach only tensors on the tape,
+and the tape keeps no untracked input alive.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -37,9 +46,6 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def _record(self, out: "Tensor", backward):
-        self._records.append((out, backward))
-
     def gradient(self, loss: "Tensor", sources) -> list[np.ndarray]:
         """Adjoints of `loss` with respect to each source tensor.
 
@@ -55,15 +61,9 @@ class Tape:
         epoch = _EPOCH[0]
         _accumulate(loss, np.ones_like(loss.data), epoch)
         for out, backward in reversed(self._records):
-            if out._epoch == epoch and out.grad is not None:
+            if out._epoch == epoch:
                 backward(out.grad, epoch)
-        result = []
-        for s in sources:
-            if s._epoch == epoch and s.grad is not None:
-                result.append(s.grad)
-            else:
-                result.append(np.zeros_like(s.data))
-        return result
+        return [s.grad if s._epoch == epoch else np.zeros_like(s.data) for s in sources]
 
 
 def _accumulate(t: "Tensor", g: np.ndarray, epoch: int):
@@ -93,14 +93,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, tracked={self._tracked()})"
-
-    def _tracked(self) -> bool:
-        return bool(_ACTIVE) and self.requires_grad
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:
@@ -111,18 +105,28 @@ def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _wants_tape(*xs) -> Tape | None:
-    if not _ACTIVE:
-        return None
-    for x in xs:
-        if isinstance(x, Tensor) and (x.requires_grad or x._epoch == -2):
-            return _ACTIVE[0]
-    return None
+class _Rules(list):
+    """The rules of one recorded op's tracked inputs: its backward function."""
+
+    __slots__ = ()
+
+    def __call__(self, g, epoch):
+        for x, adjoint, *saved in self:
+            _accumulate(x, _unbroadcast(adjoint(g, *saved), x.data.shape), epoch)
 
 
-def _mark(out: Tensor) -> Tensor:
-    # _epoch == -2 marks a tensor produced on the active tape
-    out._epoch = -2
+def _op(value, rules) -> Tensor:
+    """`value` as a Tensor, recorded on the active tape with the `rules` of
+    its tracked inputs; ops pass rules only under a tape."""
+    out = Tensor(value)
+    if rules:
+        live = _Rules()
+        for r in rules:
+            if isinstance(r[0], Tensor) and r[0].requires_grad:
+                live.append(r)
+        if live:
+            out.requires_grad = True
+            _ACTIVE[0]._records.append((out, live))
     return out
 
 
@@ -138,69 +142,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _unchanged(g):
+    return g
+
+
 def add(a, b) -> Tensor:
-    tape = _wants_tape(a, b)
     ad, bd = _data(a), _data(b)
-    out = Tensor(ad + bd)
-    if tape is not None:
-        _mark(out)
-
-        def backward(g, epoch, a=a, b=b, ash=ad.shape, bsh=bd.shape):
-            if isinstance(a, Tensor):
-                _accumulate(a, _unbroadcast(g, ash), epoch)
-            if isinstance(b, Tensor):
-                _accumulate(b, _unbroadcast(g, bsh), epoch)
-
-        tape._record(out, backward)
-    return out
+    return _op(ad + bd, ((a, _unchanged), (b, _unchanged)) if _ACTIVE else ())
 
 
 def mul(a, b) -> Tensor:
-    tape = _wants_tape(a, b)
     ad, bd = _data(a), _data(b)
-    out = Tensor(ad * bd)
-    if tape is not None:
-        _mark(out)
+    return _op(ad * bd, ((a, np.multiply, bd), (b, np.multiply, ad)) if _ACTIVE else ())
 
-        def backward(g, epoch, a=a, b=b, ad=ad, bd=bd):
-            if isinstance(a, Tensor):
-                _accumulate(a, _unbroadcast(g * bd, ad.shape), epoch)
-            if isinstance(b, Tensor):
-                _accumulate(b, _unbroadcast(g * ad, bd.shape), epoch)
 
-        tape._record(out, backward)
-    return out
+def _divisor_adjoint(g, a, b):
+    return -g * a / (b * b)
 
 
 def div(a, b) -> Tensor:
-    tape = _wants_tape(a, b)
     ad, bd = _data(a), _data(b)
-    out = Tensor(ad / bd)
-    if tape is not None:
-        _mark(out)
-
-        def backward(g, epoch, a=a, b=b, ad=ad, bd=bd):
-            if isinstance(a, Tensor):
-                _accumulate(a, _unbroadcast(g / bd, ad.shape), epoch)
-            if isinstance(b, Tensor):
-                _accumulate(b, _unbroadcast(-g * ad / (bd * bd), bd.shape), epoch)
-
-        tape._record(out, backward)
-    return out
-
-
-def power(a, p: float) -> Tensor:
-    tape = _wants_tape(a)
-    ad = _data(a)
-    out = Tensor(ad ** p)
-    if tape is not None:
-        _mark(out)
-
-        def backward(g, epoch, a=a, ad=ad, p=p):
-            _accumulate(a, g * p * ad ** (p - 1.0), epoch)
-
-        tape._record(out, backward)
-    return out
+    return _op(ad / bd, ((a, np.divide, bd), (b, _divisor_adjoint, ad, bd)) if _ACTIVE else ())
 
 
 def _rows_by_batch(x: np.ndarray, batch: tuple, axis: int) -> np.ndarray:
@@ -210,98 +172,76 @@ def _rows_by_batch(x: np.ndarray, batch: tuple, axis: int) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
+def _matmul_adjoint(g, other, ndim, axis):
+    """Adjoint of the left (`axis` -2) or right (-1) operand, of `ndim`
+    dimensions, of a product with `other`."""
+    batch = g.shape[:-2]
+    if ndim == 2 and batch:
+        rows_g, rows_other = _rows_by_batch(g, batch, axis), _rows_by_batch(other, batch, axis)
+        return rows_g @ rows_other.T if axis == -2 else rows_other @ rows_g.T
+    return g @ other.swapaxes(-1, -2) if axis == -2 else other.swapaxes(-1, -2) @ g
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batching; an operand broadcast over batch
     dimensions gets its adjoint summed over them. A 2-D operand of a
     batched product gets that sum as one 2-D product over the batch."""
-    tape = _wants_tape(a, b)
     ad, bd = _data(a), _data(b)
-    out = Tensor(ad @ bd)
-    if tape is not None:
-        _mark(out)
-
-        def backward(g, epoch, a=a, b=b, ad=ad, bd=bd):
-            batch = g.shape[:-2]
-            if isinstance(a, Tensor):
-                if ad.ndim == 2 and batch:
-                    ga = _rows_by_batch(g, batch, -2) @ _rows_by_batch(bd, batch, -2).T
-                else:
-                    ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
-                _accumulate(a, ga, epoch)
-            if isinstance(b, Tensor):
-                if bd.ndim == 2 and batch:
-                    gb = _rows_by_batch(ad, batch, -1) @ _rows_by_batch(g, batch, -1).T
-                else:
-                    gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
-                _accumulate(b, gb, epoch)
-
-        tape._record(out, backward)
-    return out
+    return _op(ad @ bd, ((a, _matmul_adjoint, bd, ad.ndim, -2),
+                         (b, _matmul_adjoint, ad, bd.ndim, -1)) if _ACTIVE else ())
 
 
-def _unary(a, fn, dfn) -> Tensor:
-    tape = _wants_tape(a)
+def _unary(a, fn, adjoint) -> Tensor:
+    """`fn` of `a`, whose adjoint is `adjoint(g, x, y)` at input x and output y."""
     ad = _data(a)
-    out = Tensor(fn(ad))
-    if tape is not None:
-        _mark(out)
+    y = fn(ad)
+    return _op(y, ((a, adjoint, ad, y),) if _ACTIVE else ())
 
-        def backward(g, epoch, a=a, ad=ad, od=out.data):
-            _accumulate(a, g * dfn(ad, od), epoch)
 
-        tape._record(out, backward)
-    return out
+def power(a, p: float) -> Tensor:
+    return _unary(a, lambda x: x ** p, lambda g, x, y: g * p * x ** (p - 1.0))
 
 
 def exp(a) -> Tensor:
-    return _unary(a, np.exp, lambda x, y: y)
+    return _unary(a, np.exp, lambda g, x, y: g * y)
 
 
 def log(a) -> Tensor:
-    return _unary(a, np.log, lambda x, y: 1.0 / x)
+    return _unary(a, np.log, lambda g, x, y: g * (1.0 / x))
 
 
 def sqrt(a) -> Tensor:
-    return _unary(a, np.sqrt, lambda x, y: 0.5 / y)
+    return _unary(a, np.sqrt, lambda g, x, y: g * (0.5 / y))
 
 
 def sin(a) -> Tensor:
-    return _unary(a, np.sin, lambda x, y: np.cos(x))
+    return _unary(a, np.sin, lambda g, x, y: g * np.cos(x))
 
 
 def cos(a) -> Tensor:
-    return _unary(a, np.cos, lambda x, y: -np.sin(x))
+    return _unary(a, np.cos, lambda g, x, y: g * -np.sin(x))
 
 
 def tanh(a) -> Tensor:
-    return _unary(a, np.tanh, lambda x, y: 1.0 - y * y)
+    return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
 def sigmoid(a) -> Tensor:
-    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y))
+    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)), lambda g, x, y: g * (y * (1.0 - y)))
 
 
 def silu(a) -> Tensor:
     return mul(a, sigmoid(a))
 
 
+def _sum_adjoint(g, axis, keepdims, shape):
+    return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), shape)
+
+
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    tape = _wants_tape(a)
     ad = _data(a)
-    out = Tensor(ad.sum(axis=axis, keepdims=keepdims))
-    if tape is not None:
-        _mark(out)
-
-        def backward(g, epoch, a=a, ad=ad, axis=axis, keepdims=keepdims):
-            if axis is None:
-                grad = np.broadcast_to(g, ad.shape)
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                grad = np.broadcast_to(gg, ad.shape)
-            _accumulate(a, grad, epoch)
-
-        tape._record(out, backward)
-    return out
+    return _op(ad.sum(axis=axis, keepdims=keepdims),
+               ((a, _sum_adjoint, axis, keepdims, ad.shape),) if _ACTIVE else ())
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -316,55 +256,34 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    tape = _wants_tape(a)
     ad = _data(a)
-    out = Tensor(ad.reshape(shape))
-    if tape is not None:
-        _mark(out)
+    return _op(ad.reshape(shape), ((a, np.reshape, ad.shape),) if _ACTIVE else ())
 
-        def backward(g, epoch, a=a, orig=ad.shape):
-            _accumulate(a, g.reshape(orig), epoch)
 
-        tape._record(out, backward)
-    return out
+def _part_adjoint(g, axis, start, stop):
+    return g.swapaxes(0, axis)[start:stop].swapaxes(0, axis)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
-    tape = _wants_tape(*parts)
     datas = [_data(p) for p in parts]
-    out = Tensor(np.concatenate(datas, axis=axis))
-    if tape is not None:
-        _mark(out)
-        sizes = [d.shape[axis] for d in datas]
+    rules, stop = [], 0
+    if _ACTIVE:
+        for p, d in zip(parts, datas):
+            stop += d.shape[axis]
+            rules.append((p, _part_adjoint, axis, stop - d.shape[axis], stop))
+    return _op(np.concatenate(datas, axis=axis), rules)
 
-        def backward(g, epoch, parts=parts, sizes=sizes, axis=axis):
-            offset = 0
-            for p, size in zip(parts, sizes):
-                if isinstance(p, Tensor):
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(offset, offset + size)
-                    _accumulate(p, g[tuple(sl)], epoch)
-                offset += size
 
-        tape._record(out, backward)
-    return out
+def _scatter_adjoint(g, key, shape):
+    buf = np.zeros(shape)
+    np.add.at(buf, key, g)
+    return buf
 
 
 def take(a, key) -> Tensor:
     """Basic and integer-array indexing with scatter-add adjoint."""
-    tape = _wants_tape(a)
     ad = _data(a)
-    out = Tensor(ad[key])
-    if tape is not None:
-        _mark(out)
-
-        def backward(g, epoch, a=a, key=key, shape=ad.shape):
-            buf = np.zeros(shape)
-            np.add.at(buf, key, g)
-            _accumulate(a, buf, epoch)
-
-        tape._record(out, backward)
-    return out
+    return _op(ad[key], ((a, _scatter_adjoint, key, ad.shape),) if _ACTIVE else ())
 
 
 def gather_rows(a, idx: np.ndarray) -> Tensor:
@@ -374,20 +293,9 @@ def gather_rows(a, idx: np.ndarray) -> Tensor:
 def index_add(base, idx: np.ndarray, rows) -> Tensor:
     """`base` plus each row of `rows` at its index in `idx`, added in array
     order (`np.add.at` on a copy): blockwise sums equal one call bit for bit."""
-    tape = _wants_tape(base, rows)
-    out = Tensor(_data(base).copy())
-    np.add.at(out.data, idx, _data(rows))
-    if tape is not None:
-        _mark(out)
-
-        def backward(g, epoch, base=base, rows=rows, idx=idx):
-            if isinstance(base, Tensor):
-                _accumulate(base, g, epoch)
-            if isinstance(rows, Tensor):
-                _accumulate(rows, g[idx], epoch)
-
-        tape._record(out, backward)
-    return out
+    out = _data(base).copy()
+    np.add.at(out, idx, _data(rows))
+    return _op(out, ((base, _unchanged), (rows, operator.getitem, idx)) if _ACTIVE else ())
 
 
 def segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -402,34 +310,26 @@ def segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     return div(sums, counts.reshape((-1,) + (1,) * (sums.ndim - 1)))
 
 
+def _einsum_adjoint(g, k, in_subs, out_spec, datas):
+    spec = ",".join([out_spec] + in_subs[:k] + in_subs[k + 1:]) + "->" + in_subs[k]
+    return np.einsum(spec, g, *datas[:k], *datas[k + 1:])
+
+
 def einsum(subscripts: str, *operands) -> Tensor:
-    """Multilinear einsum; each operand's indices must appear in the output
-    or another operand (no internal traces), which every caller here obeys.
+    """Multilinear einsum; each differentiated operand's indices must appear
+    in the output or another operand (no internal traces), which every
+    caller here obeys.
     """
     in_spec, out_spec = subscripts.replace(" ", "").split("->")
     in_subs = in_spec.split(",")
     if len(in_subs) != len(operands):
         raise ConfigError(f"{subscripts!r} expects {len(in_subs)} operands")
-    tape = _wants_tape(*operands)
     datas = [_data(op) for op in operands]
-    out = Tensor(np.einsum(subscripts, *datas))
-    if tape is not None:
+    rules = []
+    if _ACTIVE:
         for k, op in enumerate(operands):
-            if isinstance(op, Tensor):
-                external = set(out_spec).union(*(s for i, s in enumerate(in_subs) if i != k))
-                if not set(in_subs[k]) <= external:
+            if isinstance(op, Tensor) and op.requires_grad:
+                if not set(in_subs[k]) <= set(out_spec).union(*in_subs[:k], *in_subs[k + 1:]):
                     raise ConfigError(f"cannot differentiate operand {k} of {subscripts!r}")
-        _mark(out)
-
-        def backward(g, epoch, operands=operands, datas=datas,
-                     in_subs=in_subs, out_spec=out_spec):
-            for k, op in enumerate(operands):
-                if not isinstance(op, Tensor):
-                    continue
-                other_subs = [out_spec] + [s for i, s in enumerate(in_subs) if i != k]
-                other_data = [g] + [d for i, d in enumerate(datas) if i != k]
-                spec = ",".join(other_subs) + "->" + in_subs[k]
-                _accumulate(op, np.einsum(spec, *other_data), epoch)
-
-        tape._record(out, backward)
-    return out
+                rules.append((op, _einsum_adjoint, k, in_subs, out_spec, datas))
+    return _op(np.einsum(subscripts, *datas), rules)

@@ -10,6 +10,7 @@ payload, tensors concatenated in directory order. `save_model` and
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -92,20 +93,31 @@ def load_checkpoint(path):
         )
     state: dict[str, np.ndarray] = {}
     trainable: dict[str, bool] = {}
+    name, end = None, 0   # the directory tiles the payload in order: no gap, no overlap
     try:
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            start = entry["offset"]
+            name, shape, start = entry["name"], entry["shape"], entry["offset"]
+            if not isinstance(name, str) or name in state:
+                raise CheckpointError(f"tensor {name!r} is repeated or not a string")
+            if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+                raise CheckpointError(f"tensor {name!r} has shape {shape!r}, "
+                                      "not a list of non-negative integers")
+            if type(start) is not int or start != end:
+                raise CheckpointError(f"tensor {name!r} starts at offset {start!r}, "
+                                      f"not at {end} where the previous tensor ends")
+            count = math.prod(shape)
             end = start + count * 8
             if end > len(payload):
-                raise CheckpointError(f"tensor {entry['name']!r} overruns the payload "
+                raise CheckpointError(f"tensor {name!r} overruns the payload "
                                       f"(offset {start}, {count} values)")
             arr = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64)
-            state[entry["name"]] = arr.reshape(shape)
-            trainable[entry["name"]] = bool(entry.get("trainable", True))
+            state[name] = arr.reshape(shape)
+            trainable[name] = bool(entry.get("trainable", True))
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed tensor directory: {exc!r}") from None
+    if end != len(payload):
+        raise CheckpointError(f"the payload has {len(payload)} bytes, but its last tensor "
+                              f"{name!r} ends at byte {end}")
     return state, header.get("config", {}), trainable
 
 

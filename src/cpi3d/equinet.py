@@ -124,12 +124,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def names(self) -> list[str]:
         return list(self._tensors)
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -211,7 +214,7 @@ def test_no_tape_means_no_recording():
     t = Tensor(np.ones(3), requires_grad=True)
     out = ad.mul(t, 2.0)
     np.testing.assert_allclose(out.data, [2.0, 2.0, 2.0])
-    assert out._epoch == -1   # never marked
+    assert not out.requires_grad   # never recorded
 
 
 def test_grad_accumulates_over_reuse():
@@ -229,3 +232,40 @@ def test_fresh_gradients_between_tapes():
             y = ad.tsum(ad.mul(t, t))
         (g,) = tape.gradient(y, [t])
         np.testing.assert_allclose(g, [4.0])   # no stale accumulation
+
+
+class _Probe(Tensor):
+    """A Tensor that takes weak references."""
+
+
+def test_adjoints_reach_only_tracked_inputs():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = Tensor(np.array([3.0, -1.0]))
+    with Tape() as tape:
+        y = ad.tsum(ad.mul(ad.add(p, c), c))
+    (g,) = tape.gradient(y, [p])
+    np.testing.assert_allclose(g, [3.0, -1.0])
+    assert c.grad is None
+
+
+def test_tape_keeps_no_untracked_input_alive():
+    p = Tensor(np.ones((3, 2)), requires_grad=True)
+    c = _Probe(np.full((3, 2), 2.0))
+    base = np.zeros((2, 2))
+    refs = [weakref.ref(c), weakref.ref(base)]
+    with Tape() as tape:
+        y = ad.tsum(ad.index_add(base, np.array([0, 1, 1]), ad.mul(p, c)))
+    del c, base
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    (g,) = tape.gradient(y, [p])
+    np.testing.assert_allclose(g, np.full((3, 2), 2.0))
+
+
+def test_op_without_tracked_input_is_not_recorded():
+    c = Tensor(np.arange(6.0).reshape(2, 3))
+    with Tape() as tape:
+        ad.tsum(ad.concat([ad.take(c, np.array([1, 0])), np.ones((2, 3))], axis=1))
+        ad.einsum("ij,jk->ik", c, np.ones((3, 2)))
+        ad.index_add(np.zeros((3, 3)), np.array([0, 2]), ad.sigmoid(c))
+    assert len(tape) == 0

@@ -126,6 +126,10 @@ def _with_header(blob: bytes, edit) -> bytes:
     return blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + header_len:]
 
 
+def _edit_tensors(header: dict, edit) -> dict:
+    return {**header, "tensors": edit(header["tensors"])}
+
+
 @pytest.mark.parametrize("edit,needle", [
     (lambda h: [h], "not a JSON object"),
     (lambda h: {**h, "config": 5}, "not a JSON object"),
@@ -133,8 +137,22 @@ def _with_header(blob: bytes, edit) -> bytes:
     (lambda h: {**h, "tensors": [{"shape": [1]}]}, "malformed tensor directory"),
     (lambda h: {**h, "config": {"cutoffs": {"pp": math.nan}}}, "NaN is not a JSON number"),
     (lambda h: {**h, "payload_bytes": -math.inf}, "-Infinity is not a JSON number"),
+    (lambda h: _edit_tensors(h, lambda t: [{**e, "offset": 0} for e in t]), "offset 0, not at"),
+    (lambda h: _edit_tensors(h, lambda t: [t[0], {**t[1], "offset": t[1]["offset"] + 4}] + t[2:]),
+     "not at"),
+    (lambda h: _edit_tensors(h, lambda t: [{**t[0], "offset": -8}] + t[1:]), "offset -8"),
+    (lambda h: _edit_tensors(h, lambda t: [{**t[0], "offset": 0.0}] + t[1:]), "offset 0.0"),
+    (lambda h: _edit_tensors(h, lambda t: [t[0], {**t[1], "name": t[0]["name"]}] + t[2:]),
+     "is repeated"),
+    (lambda h: _edit_tensors(h, lambda t: [{**t[0], "shape": [-1, -8]}] + t[1:]),
+     "not a list of non-negative integers"),
+    (lambda h: _edit_tensors(h, lambda t: [{**t[0], "shape": [2.5]}] + t[1:]),
+     "not a list of non-negative integers"),
+    (lambda h: _edit_tensors(h, lambda t: t[:-1]), "but its last tensor"),
 ], ids=["list-header", "config-not-object", "no-tensors", "entry-without-offset",
-        "nan-config", "infinite-size"])
+        "nan-config", "infinite-size", "all-at-offset-zero", "unaligned-offset",
+        "negative-offset", "float-offset", "repeated-name", "negative-shape", "float-shape",
+        "payload-not-covered"])
 def test_malformed_header_rejected(tmp_path, edit, needle):
     path = tmp_path / "bad.eqcp"
     path.write_bytes(_with_header(checkpoint_bytes(_store()[0]), edit))
