@@ -1,18 +1,22 @@
 """Binary checkpoint serialization with bitwise-stable round trips.
 
 Layout: magic "EQCP", little-endian u32 format version, u32 header length,
-a JSON header (sorted keys) with the config echo and the tensor directory
-(name, shape, byte offset, trainable flag), then the float64 little-endian
-payload, tensors concatenated in directory order. `save_model` and
-`load_model` write and read a `Model` with its config echo.
+a JSON header (sorted keys) with the config echo, the tensor directory
+(name, shape, byte offset, trainable flag), the payload length and the
+payload's SHA-256, then the float64 little-endian payload, tensors
+concatenated in directory order. A version-1 file has no checksum; it is
+read with a warning on stderr. `save_model` and `load_model` write and
+read a `Model` with its config echo.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from .errors import CheckpointError, ConfigError, ValidationError
 from .geograph import CutoffConfig
 
 MAGIC = b"EQCP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def checkpoint_bytes(params: ParameterStore, config: dict | None = None) -> bytes:
@@ -41,6 +45,7 @@ def checkpoint_bytes(params: ParameterStore, config: dict | None = None) -> byte
         "config": config or {},
         "tensors": directory,
         "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return b"".join([
@@ -73,9 +78,9 @@ def load_checkpoint(path):
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise CheckpointError("bad magic bytes: not a checkpoint file")
     (version,) = struct.unpack("<I", blob[4:8])
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(f"unsupported format version {version} "
-                              f"(expected {FORMAT_VERSION})")
+                              f"(expected 1 or {FORMAT_VERSION})")
     (header_len,) = struct.unpack("<I", blob[8:12])
     if len(blob) < 12 + header_len:
         raise CheckpointError("truncated header")
@@ -91,6 +96,8 @@ def load_checkpoint(path):
             f"truncated payload: {len(payload)} bytes, header says "
             f"{header.get('payload_bytes')}"
         )
+    if version > 1 and header.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
+        raise CheckpointError("payload checksum mismatch: the file is corrupt")
     state: dict[str, np.ndarray] = {}
     trainable: dict[str, bool] = {}
     name, end = None, 0   # the directory tiles the payload in order: no gap, no overlap
@@ -118,6 +125,9 @@ def load_checkpoint(path):
     if end != len(payload):
         raise CheckpointError(f"the payload has {len(payload)} bytes, but its last tensor "
                               f"{name!r} ends at byte {end}")
+    if version == 1:
+        print(f"warning: {path}: format version 1 has no payload checksum; "
+              "saving the model again adds one", file=sys.stderr)
     return state, header.get("config", {}), trainable
 
 

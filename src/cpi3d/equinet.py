@@ -7,6 +7,16 @@ gate each coupling path, and static per-path matrices mix channels. Only
 parity-even paths (l_in + l_sh + l_out even) are wired into the forward
 pass, so the scalar output is invariant under reflections as well as
 rotations and translations.
+
+The readout reads only l = 0 channels, so `forward` computes only what it
+reads (`live_rows`, one walk back from the readout). The final stage runs
+its l_out = 0 paths and no l > 0 batch norm, update or gate. In inference,
+a stage's l > 0 outputs are live only on the rows a later stage reads:
+the last `pp` stage runs its l_out > 0 paths only over the edges into
+residues that send a `pc` edge. In training, batch norm takes l > 0
+statistics over every row, so only the final stage is pruned. The
+values the readout reads are unchanged bit for bit; blocks and rows that
+nothing reads are zero.
 """
 
 from __future__ import annotations
@@ -243,8 +253,14 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
     transposed (m_in, m_out) weight matrix, added into the l_out block.
     Only one path's per-edge intermediates are alive at a time; the
     generic matmul/mul adjoints give the backward pass.
+
+    Column i of `path_gates` gates `paths[i]`, so a caller that runs a
+    subset of paths passes the matching gate columns. A path whose source
+    block is all zero and off the tape (layer 0's l > 0 blocks) is
+    skipped: its message is zero and it sends no adjoint.
     """
     n_e = h_src.n
+    zero = {l: not b.requires_grad and not b.data.any() for l, b in h_src.blocks.items()}
     out: dict[int, Tensor] = {}
     for idx, (li, ls, lo) in enumerate(paths):
         key = (li, ls, lo)
@@ -254,6 +270,8 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
         mi, mo = h_src.layout.mult(li), out_layout.mult(lo)
         if w.shape != (mi, mo):
             raise ConfigError(f"path {key}: weight shape {w.shape} != ({mi}, {mo})")
+        if zero[li]:
+            continue
         sh_block = ad.take(sh, (slice(None), sh_slice(ls)))
         coupling = ad.einsum("Mab,eb->eaM", clebsch_gordan(li, ls, lo), sh_block)
         gate = ad.reshape(ad.take(path_gates, (slice(None), slice(idx, idx + 1))), (n_e, 1, 1))
@@ -269,20 +287,28 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
 def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weights, paths,
                        sums: dict) -> IrrepFeature:
     """The message stage: `sums` plus the messages of the edge ids `edges`
-    at rows `dst[edges]`. Per block `e` of EDGE_BLOCK ids, in order: the
-    gates `gates(e)`, the messages of rows `rows[src[e]]` along `sh[e]`,
-    and their `ad.index_add` into the sums, so the sums run in edge order
-    (ascending (dst, src) from graph construction) whatever the block size.
+    at rows `dst[edges]`. Only the paths into the degrees of `sums` run,
+    with their columns of the gates. Per block `e` of EDGE_BLOCK ids, in
+    order: the gates `gates(e)` (one column per entry of `paths`), the
+    messages of rows `rows[src[e]]` along `sh[e]`, and their
+    `ad.index_add` into the sums, so the sums run in edge order (ascending
+    (dst, src) from graph construction) whatever the block size.
     """
+    out_layout = IrrepLayout(tuple(rows.layout.mult(l) if l in sums else 0 for l in range(3)))
+    run = [i for i, p in enumerate(paths) if out_layout.mult(p[2]) > 0]
+    run_paths = tuple(paths[i] for i in run)
+    cols = (slice(None), np.asarray(run))
     for start in range(0, len(edges), EDGE_BLOCK):
         e = edges[start:start + EDGE_BLOCK]
         gate = gates(e)    # first, so the edge network's temporaries are freed
+        if len(run) < len(paths):
+            gate = ad.take(gate, cols)
         h_src = IrrepFeature(rows.layout, {l: ad.gather_rows(b, src[e])
                                            for l, b in rows.blocks.items()})
         msg = tensor_product_message(h_src, ad.gather_rows(sh, e), gate,
-                                     tp_weights, paths, rows.layout)
+                                     tp_weights, run_paths, out_layout)
         sums = {l: ad.index_add(s, dst[e], msg.blocks[l]) for l, s in sums.items()}
-    return IrrepFeature(rows.layout, sums)
+    return IrrepFeature(out_layout, sums)
 
 
 def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,
@@ -430,8 +456,13 @@ class ReceptorCache:
     another receptor replaces it. Per layer it holds the pp edge gates,
     which depend only on the RBF and the layer-0 residue embeddings, and
     the residue source rows and per-residue pp message sums of the first
-    forward on the receptor (the reference). `recomputed` maps each layer
-    to the number of pp edges whose messages the last forward computed.
+    forward on the receptor (the reference). In the last layer the
+    reference holds only the l = 0 sums: its l > 0 sums are live only on
+    the ligand's pocket, which changes from ligand to ligand, so each
+    forward sums them fresh over the edges into the pocket. `recomputed`
+    maps each layer to the number of pp edges whose messages the last
+    forward added to the reference sums; in the last layer these are the
+    l = 0 messages, and the fresh pocket edges are not counted.
     """
 
     def __init__(self):
@@ -451,17 +482,69 @@ class ReceptorCache:
         self.recomputed = {}
 
 
-def _cached_pp_sums(cache: ReceptorCache, layer: int, gates, tp_weights, paths,
-                    h: IrrepFeature, edges, n_ligand: int) -> IrrepFeature:
+def live_rows(pack: GraphPack, edge_data, layers: int, training: bool) -> list[np.ndarray]:
+    """Walk back from the readout: per stage, in forward order, the node
+    mask of the rows whose l > 0 outputs a later stage reads.
+
+    The readout reads l = 0 only, so nothing of the final stage's l > 0
+    outputs is read. A stage reads every block of its edges' sources (its
+    l_out = 0 paths run on every edge), and the l > 0 rows that are live
+    after it (the update mixes within a row). In training, batch norm
+    takes l > 0 statistics over every row and the running statistics are
+    kept for inference, so every stage but the final one stays whole.
+    """
+    n = pack.n_nodes
+    live = np.zeros(n, dtype=bool)
+    masks = []
+    for kind in reversed(EDGE_KIND_ORDER * layers):
+        masks.append(live)
+        if training:
+            live = np.ones(n, dtype=bool)
+        else:
+            live = live.copy()
+            live[edge_data[kind][1]] = True
+    return masks[::-1]
+
+
+def _pocket_sums(h: IrrepFeature, live, edges, gates, tp_weights, paths) -> dict:
+    """The l > 0 message sums of the edges into `live` rows, from zero;
+    none when no row is live."""
+    a_idx, b_idx, _, sh = edges
+    zeros = {l: np.zeros(b.shape) for l, b in h.blocks.items() if l > 0}
+    if not zeros or not live.any():
+        return {}
+    return aggregate_messages(h, np.flatnonzero(live[a_idx]), b_idx, a_idx, sh, gates,
+                              tp_weights, paths, zeros).blocks
+
+
+def _stage_sums(h: IrrepFeature, live, edges, gates, tp_weights, paths) -> dict:
+    """The message sums of one uncached stage: the l = 0 sums over every
+    edge, and the l > 0 sums over the edges into `live` rows."""
+    a_idx, b_idx, _, sh = edges
+    every = np.arange(len(a_idx))
+    if live.any() and live[a_idx].all():
+        return aggregate_messages(h, every, b_idx, a_idx, sh, gates, tp_weights, paths,
+                                  {l: np.zeros(b.shape) for l, b in h.blocks.items()}).blocks
+    sums = aggregate_messages(h, every, b_idx, a_idx, sh, gates, tp_weights, paths,
+                              {0: np.zeros(h.blocks[0].shape)}).blocks
+    sums.update(_pocket_sums(h, live, edges, gates, tp_weights, paths))
+    return sums
+
+
+def _cached_pp_sums(cache: ReceptorCache, layer: int, last: bool, live, gates, tp_weights,
+                    paths, h: IrrepFeature, edges, n_ligand: int) -> dict:
     """The pp message sums of one inference layer, from the cache. A pp
     edge's message is linear in its source rows, so the sums are the
     reference sums plus the messages of `rows - ref_rows` over the edges
     leaving residues whose rows differ. A receptor's first forward sums
-    all edges from zero, stores their gates, and becomes the reference."""
+    all edges from zero, stores their gates, and becomes the reference.
+    In the `last` layer the reference covers the l = 0 sums only, and the
+    l > 0 sums run fresh over the edges into `live` rows, from the full
+    rows and the stored gates."""
     a_idx, b_idx, _, sh = edges
     fresh = layer not in cache.ref_rows
     rows = {l: b.data for l, b in h.blocks.items()}
-    sums = {l: np.zeros_like(r) for l, r in rows.items()}
+    sums = {l: np.zeros_like(r) for l, r in rows.items() if l == 0 or not last}
     if fresh:
         cache.gates[layer] = np.empty((len(a_idx), len(paths)))
         ids = np.arange(len(a_idx))
@@ -470,8 +553,9 @@ def _cached_pp_sums(cache: ReceptorCache, layer: int, gates, tp_weights, paths,
         for l, b in h.blocks.items():
             rows[l] = b.data.copy()
             rows[l][n_ligand:] -= cache.ref_rows[layer][l]
-            sums[l][n_ligand:] = cache.ref_sums[layer][l]
             differs |= (rows[l] != 0).reshape(h.n, -1).any(axis=1)
+        for l, s in sums.items():
+            s[n_ligand:] = cache.ref_sums[layer][l]
         ids = np.flatnonzero(differs[b_idx])    # pp edges leave residue rows only
     stored = cache.gates[layer]
 
@@ -481,11 +565,13 @@ def _cached_pp_sums(cache: ReceptorCache, layer: int, gates, tp_weights, paths,
         return stored[e]
 
     out = aggregate_messages(IrrepFeature(h.layout, rows), ids, b_idx, a_idx, sh, block_gates,
-                             tp_weights, paths, sums)
+                             tp_weights, paths, sums).blocks
     if fresh:
         cache.ref_rows[layer] = {l: r[n_ligand:].copy() for l, r in rows.items()}
-        cache.ref_sums[layer] = {l: s.data[n_ligand:] for l, s in out.blocks.items()}
+        cache.ref_sums[layer] = {l: s.data[n_ligand:] for l, s in out.items()}
     cache.recomputed[layer] = len(ids)
+    if last:
+        out.update(_pocket_sums(h, live, edges, lambda e: stored[e], tp_weights, paths))
     return out
 
 
@@ -503,6 +589,15 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
     in-degree, equivariant batch norm (per-graph statistics in training),
     concat-project node update, gated activation. Scalars are then pooled
     per graph and node kind and regressed together with the fingerprint.
+
+    Each stage computes only what the readout reads (`live_rows`): the
+    final stage runs its l_out = 0 paths and only its l = 0 batch norm,
+    update and activation, so its l > 0 blocks are zero and, in training,
+    its l > 0 running statistics stay at their initial values. In
+    inference a stage runs its l_out > 0 paths only over the edges into
+    live rows, which leaves out the last pp stage's edges into residues
+    that send no pc edge; rows that no later stage reads are set to zero.
+    The returned features show these zeros.
 
     `edge_override` replaces the per-kind (rbf, sh) constants with caller
     tensors (used to differentiate through geometric inputs in tests).
@@ -537,6 +632,7 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
 
     edge_data = _edge_tensors(pack)
     paths = cfg.active_paths()
+    live_masks = iter(live_rows(pack, edge_data, cfg.layers, training))
     features: list[dict] = []
 
     for layer in range(cfg.layers):
@@ -545,6 +641,9 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
             a_idx, b_idx, rbf, sh = edge_data[kind]
             if edge_override and kind in edge_override:
                 rbf, sh = edge_override[kind]
+            live = next(live_masks)
+            # a stage with no live l > 0 row runs on its scalars alone
+            stage = layout if live.any() else IrrepLayout((m0, 0, 0))
 
             psi_weights = tuple(params[f"{prefix}.psi.{w}"]
                                 for w in ("W0", "b0", "W1", "b1", "W2", "b2"))
@@ -556,32 +655,38 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
                                        ad.gather_rows(h0_scalars, b_idx[e]), psi_weights)
 
             if cache is not None and kind is EdgeKind.PP:
-                sums = _cached_pp_sums(cache, layer, gates, tp_weights, paths, h,
-                                       edge_data[kind], pack.graphs[0].n_ligand)
+                sums = _cached_pp_sums(cache, layer, layer == cfg.layers - 1, live, gates,
+                                       tp_weights, paths, h, (a_idx, b_idx, rbf, sh),
+                                       pack.graphs[0].n_ligand)
             else:
-                sums = aggregate_messages(h, np.arange(len(a_idx)), b_idx, a_idx, sh, gates,
-                                          tp_weights, paths,
-                                          {l: np.zeros(b.shape) for l, b in h.blocks.items()})
+                sums = _stage_sums(h, live, (a_idx, b_idx, rbf, sh), gates, tp_weights, paths)
             degree = np.maximum(np.bincount(a_idx, minlength=n), 1.0).reshape(-1, 1, 1)
-            agg = IrrepFeature(layout, {l: ad.div(s, degree) for l, s in sums.blocks.items()})
+            agg = IrrepFeature(stage, {l: ad.div(sums[l], degree) for l in stage.degrees()})
             bn = equivariant_batch_norm(
                 agg,
-                {l: params[f"{prefix}.bn.gamma{l}"] for l in layout.degrees()},
+                {l: params[f"{prefix}.bn.gamma{l}"] for l in stage.degrees()},
                 params[f"{prefix}.bn.beta0"],
                 params[f"{prefix}.bn.run_mean0"],
                 params[f"{prefix}.bn.run_var0"],
-                {l: params[f"{prefix}.bn.run_norm{l}"] for l in layout.degrees() if l > 0},
+                {l: params[f"{prefix}.bn.run_norm{l}"] for l in stage.degrees() if l > 0},
                 training=training, node_graph=pack.node_graph,
             )
-            h = node_update(
-                h, bn,
-                {l: params[f"{prefix}.proj.l{l}.W"] for l in layout.degrees()},
+            out = node_update(
+                IrrepFeature(stage, {l: h.blocks[l] for l in stage.degrees()}), bn,
+                {l: params[f"{prefix}.proj.l{l}.W"] for l in stage.degrees()},
                 params[f"{prefix}.proj.l0.b"],
             )
-            h = gated_activation(h, {
+            out = gated_activation(out, {
                 l: (params[f"{prefix}.gate.l{l}.W"], params[f"{prefix}.gate.l{l}.b"])
-                for l in layout.degrees() if l > 0
+                for l in stage.degrees() if l > 0
             })
+            blocks = dict(out.blocks)
+            for l in layout.degrees():
+                if l not in blocks:
+                    blocks[l] = np.zeros((n, layout.mult(l), 2 * l + 1))
+                elif l > 0 and not live.all():
+                    blocks[l] = ad.mul(blocks[l], live.reshape(-1, 1, 1).astype(np.float64))
+            h = IrrepFeature(layout, blocks)
             for l in layout.degrees():
                 if not np.all(np.isfinite(h.blocks[l].data)):
                     raise NumericalError(

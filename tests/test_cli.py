@@ -514,6 +514,55 @@ def test_predict_bad_checkpoint_header_exits_one(toy_dir, capsys, header, needle
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
+def _tiny_checkpoint(path):
+    params = init_params(build_config(ModelConfig, TINY_MODEL["model"]),
+                         build_config(CutoffConfig, TINY_MODEL["cutoffs"]), seed=0)
+    save_checkpoint(path, params, config=TINY_HEADER)
+    return path.read_bytes()
+
+
+def _flip_payload_bit(blob: bytes) -> bytes:
+    i = len(blob) - 4           # a mantissa byte of the last tensor value
+    return blob[:i] + bytes([blob[i] ^ 0x10]) + blob[i + 1:]
+
+
+@pytest.mark.parametrize("damage,needle", [
+    (lambda blob: blob[:-12], "truncated payload"),
+    (_flip_payload_bit, "payload checksum mismatch"),
+], ids=["truncated", "bit-flipped"])
+def test_predict_damaged_checkpoint_exits_one(toy_dir, capsys, damage, needle):
+    tmp_path, manifest, _ = toy_dir
+    ckpt = tmp_path / "model.eqcp"
+    ckpt.write_bytes(damage(_tiny_checkpoint(ckpt)))
+    assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+def test_predict_reads_a_version_1_checkpoint_with_one_warning(toy_dir, capsys):
+    tmp_path, manifest, _ = toy_dir
+    blob = _tiny_checkpoint(tmp_path / "v2.eqcp")
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + header_len])
+    del header["payload_sha256"]
+    v1_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    (tmp_path / "v1.eqcp").write_bytes(b"EQCP" + (1).to_bytes(4, "little")
+                                       + len(v1_header).to_bytes(4, "little") + v1_header
+                                       + blob[12 + header_len:])
+    preds, errs = {}, {}
+    for version in ("v2", "v1"):
+        out = tmp_path / f"{version}.csv"
+        assert main(["predict", "--manifest", manifest, "--checkpoint",
+                     str(tmp_path / f"{version}.eqcp"), "--out", str(out)]) == 0
+        preds[version], errs[version] = out.read_text(), capsys.readouterr().err
+    assert preds["v1"] == preds["v2"]
+    assert errs["v2"] == ""
+    assert errs["v1"].startswith("warning: ") and errs["v1"].count("\n") == 1
+    assert "version 1 has no payload checksum" in errs["v1"]
+
+
 def test_out_of_memory_exits_one(monkeypatch, capsys):
     def exhausted(args, cfg):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")

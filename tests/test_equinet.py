@@ -27,7 +27,7 @@ from cpi3d.equinet import (
 from cpi3d.chemio import Atom, LigandMolecule, ProteinStructure, Residue
 from cpi3d.errors import ConfigError
 from cpi3d.fingerprint import morgan_fingerprint
-from cpi3d.geograph import CutoffConfig, EdgeKind, build_pair_graph
+from cpi3d.geograph import CutoffConfig, EdgeKind, build_pair_graph, pack_graphs
 from cpi3d.so3 import (
     P_YZX,
     allowed_paths,
@@ -37,6 +37,7 @@ from cpi3d.so3 import (
     wigner_d,
 )
 from cpi3d.synthetic import random_complex, random_ligand
+from cpi3d.train import grad
 
 from conftest import transform_ligand, transform_protein
 from oracles import tp_message_oracle
@@ -162,12 +163,17 @@ def _paths_for(layout, parity_even_only):
                  if layout.mult(p[0]) > 0 and layout.mult(p[2]) > 0)
 
 
-@pytest.mark.parametrize("muls,parity_even_only", [
-    ((32, 8, 4), True),     # the model's 11 paths at the default layout
-    ((32, 8, 4), False),    # every triangle-rule path
-    ((5, 0, 3), False),     # no l=1 channels, so no path touches l=1
-])
-def test_tp_matches_per_path_einsum_oracle(rng, muls, parity_even_only):
+@pytest.mark.parametrize("muls,parity_even_only,subset", [
+    ((32, 8, 4), True, None),     # the model's 11 paths at the default layout
+    ((32, 8, 4), False, None),    # every triangle-rule path
+    ((5, 0, 3), False, None),     # no l=1 channels, so no path touches l=1
+    # a subset of paths with the matching gate columns gives the same
+    # l_out blocks, bit for bit, as the full call: the final stage's
+    # l_out = 0 paths, and the pocket's l_out > 0 paths
+    ((32, 8, 4), True, (0,)),
+    ((32, 8, 4), True, (1, 2)),
+], ids=["muls0-True", "muls1-False", "muls2-False", "l_out-0", "l_out-1-2"])
+def test_tp_matches_per_path_einsum_oracle(rng, muls, parity_even_only, subset):
     layout = IrrepLayout(muls)
     paths = _paths_for(layout, parity_even_only)
     if parity_even_only:
@@ -179,6 +185,38 @@ def test_tp_matches_per_path_einsum_oracle(rng, muls, parity_even_only):
     assert set(out.blocks) == set(want)
     for l, block in want.items():
         assert np.max(np.abs(out.blocks[l].data - block)) <= 1e-12 * np.max(np.abs(block))
+    if subset is not None:
+        cols = [i for i, p in enumerate(paths) if p[2] in subset]
+        part = tensor_product_message(
+            h, sh, ad.take(gates, (slice(None), np.asarray(cols))), weights,
+            tuple(paths[i] for i in cols),
+            IrrepLayout(tuple(m if l in subset else 0 for l, m in enumerate(muls))))
+        assert set(part.blocks) == set(subset)
+        for l in subset:
+            np.testing.assert_array_equal(part.blocks[l].data, out.blocks[l].data)
+
+
+def test_tp_skips_untracked_all_zero_sources(rng):
+    # layer 0's l > 0 blocks are zeros off the tape: skipping their paths
+    # leaves the message unchanged, and a zero block on the tape still
+    # receives its adjoint
+    layout = IrrepLayout((4, 3, 2))
+    paths = _paths_for(layout, parity_even_only=True)
+    h, sh, gates, weights = _tp_inputs(rng, layout, paths, 12)
+    zeros = IrrepFeature(layout, {0: h.blocks[0], 1: np.zeros((12, 3, 3)),
+                                  2: np.zeros((12, 2, 5))})
+    out = tensor_product_message(zeros, sh, gates, weights, paths, layout)
+    want = tp_message_oracle({l: b.data for l, b in zeros.blocks.items()}, sh, gates.data,
+                             {p: w.data for p, w in weights.items()}, paths, layout.muls)
+    for l, block in want.items():
+        assert np.max(np.abs(out.blocks[l].data - block)) <= 1e-12 * np.max(np.abs(block))
+    tracked = Tensor(np.zeros((12, 3, 3)), requires_grad=True)
+    with Tape() as tape:
+        msg = tensor_product_message(IrrepFeature(layout, {**zeros.blocks, 1: tracked}), sh,
+                                     gates, weights, paths, layout)
+        loss = ad.tsum(msg.blocks[0])
+    (g,) = tape.gradient(loss, [tracked])
+    assert np.abs(g).max() > 0
 
 
 def test_tp_message_is_linear_in_source_rows(rng):
@@ -815,6 +853,55 @@ def test_cache_blocked_sums_match_unblocked(rng, receptor, monkeypatch):
         for l, s in whole[layer].items():
             np.testing.assert_allclose(blocked[layer][l], s, rtol=1e-12,
                                        atol=1e-12 * np.abs(s).max())
+
+
+def test_dead_final_stage_tensors_move_nothing(rng, receptor):
+    """The readout reads no l > 0 output of the final stage: perturbing
+    the tensors that only produce them leaves inference predictions and
+    every training gradient byte-identical. A last-layer pp l_out > 0
+    weight moves an in-pocket ligand's prediction, and not that of a
+    ligand with no pc edge, whose pocket is empty."""
+    inside = _screen(rng, receptor, (24,))
+    outside = _screen(rng, receptor, (16,), center=(200.0, 0.0, 0.0))
+    toys = [random_complex(rng, f"t{i}", with_label=True) for i in range(3)]
+    batch = [(build_pair_graph(r.ligand, r.protein, CACHE_CUT),
+              morgan_fingerprint(r.ligand, nbits=CACHE_CFG.fingerprint_width)) for r in toys]
+    last = f"layer{CACHE_CFG.layers - 1}"
+    paths = CACHE_CFG.active_paths()
+
+    def observe(perturbed, scale=1.0):
+        params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+        for name in perturbed:
+            params[name].data = params[name].data + scale * rng.normal(size=params[name].shape)
+        cache = ReceptorCache()
+        preds = [float(forward(g, fp, params, CACHE_CFG, **kw).data)
+                 for g, fp in inside + outside for kw in ({}, {"cache": cache})]
+
+        def loss():
+            pred = forward(pack_graphs([g for g, _ in batch]), [fp for _, fp in batch],
+                           params, CACHE_CFG, training=True)
+            return ad.tsum(ad.mul(pred, pred))
+
+        _, grads = grad(loss, params)
+        return preds, grads
+
+    base_preds, base_grads = observe([])
+    dead = [f"{last}.pc.tp.{li}{ls}{lo}" for li, ls, lo in paths if lo > 0]
+    assert len(dead) == 8
+    dead += [f"{last}.pc.{t}{l}" for l in (1, 2) for t in ("bn.gamma", "bn.run_norm")]
+    dead += [f"{last}.pc.{t}" for l in (1, 2) for t in (f"proj.l{l}.W", f"gate.l{l}.W",
+                                                         f"gate.l{l}.b")]
+    preds, grads = observe(dead)
+    assert preds == base_preds
+    assert grads.keys() == base_grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == base_grads[name].tobytes(), name
+
+    pp_weight = next(f"{last}.pp.tp.{li}{ls}{lo}" for li, ls, lo in paths if lo > 0)
+    # at initialisation the last layer's l > 0 features are about 1e-9
+    preds, _ = observe([pp_weight], scale=1e6)
+    assert preds[0] != base_preds[0] and preds[1] != base_preds[1]    # in the pocket
+    assert preds[2:] == base_preds[2:]                                # no pc edge
 
 
 def test_cache_rejects_training(rng):
