@@ -435,13 +435,7 @@ def parse_numbers(items, where, kind=float) -> list:
     return values
 
 
-def _parse_bool(raw: str):
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ValidationError(f"cannot interpret {raw!r} as a boolean")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def load_manifest(path) -> list[ComplexRecord]:
@@ -500,7 +494,9 @@ def load_manifest(path) -> list[ComplexRecord]:
             active = None
             raw = (row.get("is_active") or "").strip()
             if raw:
-                active = _parse_bool(raw)
+                active = _BOOLEANS.get(raw.lower())
+                if active is None:
+                    raise ValidationError(f"row {cid!r}: is_active {raw!r} is not a boolean")
 
             records.append(ComplexRecord(
                 complex_id=cid, ligand=poses[0], protein=protein,

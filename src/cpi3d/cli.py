@@ -228,8 +228,7 @@ def _cmd_fingerprint(args, cfg: RunConfig) -> int:
     if args.out:
         _write_csv(args.out, "fingerprint", cfg, ["molecule_id", "hex_bits"], rows)
     else:
-        for mol_id, hexbits in rows:
-            print(f"{mol_id},{hexbits}")
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return 0
 
 

@@ -146,9 +146,6 @@ class ParameterStore:
     def tensors(self, names=None) -> list[Tensor]:
         return [self._tensors[n] for n in (names or self.names())]
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {n: t.data.copy() for n, t in self._tensors.items()}
-
     def load_state(self, state: dict[str, np.ndarray]):
         missing = set(self._tensors) - set(state)
         extra = set(state) - set(self._tensors)
@@ -453,16 +450,13 @@ class ReceptorCache:
 
     The entry is keyed on the bytes of the residue features and residue
     positions, and on the parameter store that filled it; a graph of
-    another receptor replaces it. Per layer it holds the pp edge gates,
-    which depend only on the RBF and the layer-0 residue embeddings, and
-    the residue source rows and per-residue pp message sums of the first
-    forward on the receptor (the reference). In the last layer the
-    reference holds only the l = 0 sums: its l > 0 sums are live only on
-    the ligand's pocket, which changes from ligand to ligand, so each
-    forward sums them fresh over the edges into the pocket. `recomputed`
-    maps each layer to the number of pp edges whose messages the last
-    forward added to the reference sums; in the last layer these are the
-    l = 0 messages, and the fresh pocket edges are not counted.
+    another receptor replaces it. Per layer it holds the gates of every pp
+    edge, which depend only on the RBF and the layer-0 residue embeddings,
+    and, for a layer whose pp stage has run whole (every edge ends on a
+    live row), the residue source rows and per-residue pp message sums of
+    that forward (the reference). `recomputed` maps each layer to the
+    number of pp edges whose messages the last forward computed: the edges
+    from changed residues in a whole stage, every edge in any other.
     """
 
     def __init__(self):
@@ -506,72 +500,63 @@ def live_rows(pack: GraphPack, edge_data, layers: int, training: bool) -> list[n
     return masks[::-1]
 
 
-def _pocket_sums(h: IrrepFeature, live, edges, gates, tp_weights, paths) -> dict:
-    """The l > 0 message sums of the edges into `live` rows, from zero;
-    none when no row is live."""
-    a_idx, b_idx, _, sh = edges
-    zeros = {l: np.zeros(b.shape) for l, b in h.blocks.items() if l > 0}
-    if not zeros or not live.any():
-        return {}
-    return aggregate_messages(h, np.flatnonzero(live[a_idx]), b_idx, a_idx, sh, gates,
-                              tp_weights, paths, zeros).blocks
-
-
 def _stage_sums(h: IrrepFeature, live, edges, gates, tp_weights, paths) -> dict:
     """The message sums of one uncached stage: the l = 0 sums over every
-    edge, and the l > 0 sums over the edges into `live` rows."""
+    edge, and the l > 0 sums over the edges into `live` rows; one pass when
+    the stage is whole (every edge ends on a live row)."""
     a_idx, b_idx, _, sh = edges
-    every = np.arange(len(a_idx))
-    if live.any() and live[a_idx].all():
-        return aggregate_messages(h, every, b_idx, a_idx, sh, gates, tp_weights, paths,
-                                  {l: np.zeros(b.shape) for l, b in h.blocks.items()}).blocks
-    sums = aggregate_messages(h, every, b_idx, a_idx, sh, gates, tp_weights, paths,
-                              {0: np.zeros(h.blocks[0].shape)}).blocks
-    sums.update(_pocket_sums(h, live, edges, gates, tp_weights, paths))
+    zeros = {l: np.zeros(b.shape) for l, b in h.blocks.items()}
+    if live[a_idx].all():
+        return aggregate_messages(h, np.arange(len(a_idx)), b_idx, a_idx, sh, gates,
+                                  tp_weights, paths, zeros).blocks
+    sums = aggregate_messages(h, np.arange(len(a_idx)), b_idx, a_idx, sh, gates, tp_weights,
+                              paths, {0: zeros.pop(0)}).blocks
+    if zeros:
+        sums.update(aggregate_messages(h, np.flatnonzero(live[a_idx]), b_idx, a_idx, sh, gates,
+                                       tp_weights, paths, zeros).blocks)
     return sums
 
 
-def _cached_pp_sums(cache: ReceptorCache, layer: int, last: bool, live, gates, tp_weights,
-                    paths, h: IrrepFeature, edges, n_ligand: int) -> dict:
-    """The pp message sums of one inference layer, from the cache. A pp
-    edge's message is linear in its source rows, so the sums are the
+def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, paths,
+                    h: IrrepFeature, edges, n_ligand: int) -> dict:
+    """The pp message sums of one inference layer, from the cache. The
+    receptor's first forward stores the gates of every edge. A pp edge's
+    message is linear in its source rows, so a whole stage's sums are the
     reference sums plus the messages of `rows - ref_rows` over the edges
-    leaving residues whose rows differ. A receptor's first forward sums
-    all edges from zero, stores their gates, and becomes the reference.
-    In the `last` layer the reference covers the l = 0 sums only, and the
-    l > 0 sums run fresh over the edges into `live` rows, from the full
-    rows and the stored gates."""
+    leaving residues whose rows differ; with no reference yet the
+    reference is zero, and the result becomes the reference. Any other
+    stage runs `_stage_sums` on the stored gates."""
     a_idx, b_idx, _, sh = edges
-    fresh = layer not in cache.ref_rows
-    rows = {l: b.data for l, b in h.blocks.items()}
-    sums = {l: np.zeros_like(r) for l, r in rows.items() if l == 0 or not last}
-    if fresh:
-        cache.gates[layer] = np.empty((len(a_idx), len(paths)))
-        ids = np.arange(len(a_idx))
-    else:
-        differs = np.zeros(h.n, dtype=bool)
-        for l, b in h.blocks.items():
-            rows[l] = b.data.copy()
-            rows[l][n_ligand:] -= cache.ref_rows[layer][l]
-            differs |= (rows[l] != 0).reshape(h.n, -1).any(axis=1)
-        for l, s in sums.items():
-            s[n_ligand:] = cache.ref_sums[layer][l]
-        ids = np.flatnonzero(differs[b_idx])    # pp edges leave residue rows only
-    stored = cache.gates[layer]
+    if layer not in cache.gates:
+        every = np.arange(len(a_idx))
+        cache.gates[layer] = np.empty((len(every), len(paths)))
+        for start in range(0, len(every), EDGE_BLOCK):
+            e = every[start:start + EDGE_BLOCK]
+            cache.gates[layer][e] = gates(e).data
 
-    def block_gates(e):
-        if fresh:
-            stored[e] = gates(e).data
-        return stored[e]
+    def stored(e):
+        return cache.gates[layer][e]
 
-    out = aggregate_messages(IrrepFeature(h.layout, rows), ids, b_idx, a_idx, sh, block_gates,
+    if not live[a_idx].all():
+        cache.recomputed[layer] = len(a_idx)
+        return _stage_sums(h, live, edges, stored, tp_weights, paths)
+    zero = {l: 0.0 for l in h.blocks}
+    ref_rows, ref_sums = cache.ref_rows.get(layer, zero), cache.ref_sums.get(layer, zero)
+    rows, sums = {}, {}
+    differs = np.zeros(h.n, dtype=bool)
+    for l, b in h.blocks.items():
+        rows[l] = b.data.copy()
+        rows[l][n_ligand:] -= ref_rows[l]
+        differs |= (rows[l] != 0).reshape(h.n, -1).any(axis=1)
+        sums[l] = np.zeros_like(rows[l])
+        sums[l][n_ligand:] = ref_sums[l]
+    ids = np.flatnonzero(differs[b_idx])    # pp edges leave residue rows only
+    out = aggregate_messages(IrrepFeature(h.layout, rows), ids, b_idx, a_idx, sh, stored,
                              tp_weights, paths, sums).blocks
-    if fresh:
+    if layer not in cache.ref_rows:
         cache.ref_rows[layer] = {l: r[n_ligand:].copy() for l, r in rows.items()}
         cache.ref_sums[layer] = {l: s.data[n_ligand:] for l, s in out.items()}
     cache.recomputed[layer] = len(ids)
-    if last:
-        out.update(_pocket_sums(h, live, edges, lambda e: stored[e], tp_weights, paths))
     return out
 
 
@@ -655,9 +640,8 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
                                        ad.gather_rows(h0_scalars, b_idx[e]), psi_weights)
 
             if cache is not None and kind is EdgeKind.PP:
-                sums = _cached_pp_sums(cache, layer, layer == cfg.layers - 1, live, gates,
-                                       tp_weights, paths, h, (a_idx, b_idx, rbf, sh),
-                                       pack.graphs[0].n_ligand)
+                sums = _cached_pp_sums(cache, layer, live, gates, tp_weights, paths, h,
+                                       (a_idx, b_idx, rbf, sh), pack.graphs[0].n_ligand)
             else:
                 sums = _stage_sums(h, live, (a_idx, b_idx, rbf, sh), gates, tp_weights, paths)
             degree = np.maximum(np.bincount(a_idx, minlength=n), 1.0).reshape(-1, 1, 1)

@@ -35,12 +35,6 @@ class Fingerprint:
     nbits: int
     radius: int
 
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def on_bits(self) -> list[int]:
-        return np.flatnonzero(self.bits).tolist()
-
     def to_hex(self) -> str:
         packed = np.packbits(self.bits.astype(np.uint8))
         return packed.tobytes().hex()

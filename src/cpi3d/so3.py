@@ -198,15 +198,3 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(Q) < 0:
         Q[:, [0, 1]] = Q[:, [1, 0]]
     return Q
-
-
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation about an arbitrary axis."""
-    u = np.asarray(axis, dtype=np.float64)
-    u = u / np.linalg.norm(u)
-    K = np.array([
-        [0.0, -u[2], u[1]],
-        [u[2], 0.0, -u[0]],
-        [-u[1], u[0], 0.0],
-    ])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -54,6 +56,19 @@ def test_fingerprint_command(tmp_path, capsys):
     assert len(out) == 2
     assert out[0].startswith("m0,")
     assert len(out[0].split(",")[1]) == 2048 // 4   # hex digits
+
+
+def test_fingerprint_stdout_quotes_a_title_with_a_comma(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    sdf = tmp_path / "mols.sdf"
+    sdf.write_text(write_sdf([random_ligand(rng, mol_id="a,b"), random_ligand(rng, mol_id="c")]))
+    assert main(["fingerprint", "--sdf", str(sdf)]) == 0
+    printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [row[0] for row in printed] == ["a,b", "c"]
+    assert all(len(row) == 2 for row in printed)
+    # the same rows as the --out file, after its provenance and header lines
+    assert main(["fingerprint", "--sdf", str(sdf), "--out", str(tmp_path / "fp.csv")]) == 0
+    assert list(csv.reader(io.StringIO((tmp_path / "fp.csv").read_text())))[2:] == printed
 
 
 def test_build_graph_command(tmp_path, capsys):
@@ -150,8 +165,9 @@ def test_rerank_bad_confidence_exits_one(tmp_path, capsys, body, needle):
     ("toy0,toy0.sdf,toy0.pdb,0,,", "toy0: ec50 must be positive"),
     ("toy0,toy0.sdf,toy0.pdb,,nan,", "row 'toy0': confidence 'nan' is not finite"),
     ("toy0,toy0.sdf,toy0.pdb,,high,", "row 'toy0': confidence 'high' is not a number"),
+    ("toy0,toy0.sdf,toy0.pdb,,,2", "row 'toy0': is_active '2' is not a boolean"),
 ], ids=["id-only", "no-protein", "ec50-abc", "ec50-inf", "ec50-zero", "confidence-nan",
-        "confidence-text"])
+        "confidence-text", "is-active-two"])
 def test_bad_manifest_row_exits_one(tmp_path, capsys, row, needle):
     manifest = write_manifest(random_complexes(1, seed=3), str(tmp_path / "data"))
     header = open(manifest).read().splitlines()[0]

@@ -757,10 +757,11 @@ def _screen(rng, protein, ligand_sizes, center=(0.0, 0.0, 0.0), cfg=CACHE_CFG):
     return out
 
 
-def _assert_cached_matches_forward(items, params, cfg=CACHE_CFG):
+def _assert_cached_matches_forward(items, params, cfg=CACHE_CFG, cache=None):
     """Cached predictions, and the node features after every stage, agree
     with the uncached forward within 1e-12 relative."""
-    cache = ReceptorCache()
+    if cache is None:
+        cache = ReceptorCache()
     for graph, fp in items:
         want, want_feats = forward(graph, fp, params, cfg, return_features=True)
         got, got_feats = forward(graph, fp, params, cfg, return_features=True, cache=cache)
@@ -809,6 +810,35 @@ def test_cache_matches_forward_for_an_out_of_pocket_ligand(rng, receptor):
     _assert_cached_matches_forward(outside + inside, params)
 
 
+def test_cache_matches_forward_when_the_last_pp_stage_turns_whole_and_back(rng):
+    # on a small receptor a central ligand sends a pc edge from every
+    # residue, so the last pp stage is whole; an off-centre one does not
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    receptor = _receptor(rng, n_residues=20)
+    (whole,) = _screen(rng, receptor, (12,))
+    (part,) = _screen(rng, receptor, (12,), center=(9.0, 0.0, 0.0))
+    pp = whole[0].edges[EdgeKind.PP]
+    assert np.array_equal(part[0].edges[EdgeKind.PP].a, pp.a)
+
+    def is_whole(graph):
+        return np.isin(pp.a, graph.edges[EdgeKind.PC].b).all()
+
+    assert is_whole(whole[0]) and not is_whole(part[0])
+    assert len(part[0].edges[EdgeKind.PC]) > 0
+    last = CACHE_CFG.layers - 1
+    for first, second in ((whole, part), (part, whole)):
+        cache = ReceptorCache()
+        for step, item in enumerate((first, second, first)):
+            _assert_cached_matches_forward([item], params, cache=cache)
+            if item is part:
+                assert cache.recomputed[last] == len(pp)
+            else:
+                # the whole stage's reference is the first whole forward
+                assert last in cache.ref_sums
+                assert cache.recomputed[last] == (0 if step == 2 else len(pp))
+        assert (last in cache.ref_sums) == (first is whole or second is whole)
+
+
 def test_cache_updates_the_edges_from_residues_a_wide_ligand_changes(rng, receptor):
     # a ligand wider than the pocket touches most residues, so layer 1
     # adds the row change of most pp edges to the reference sums
@@ -849,7 +879,9 @@ def test_cache_blocked_sums_match_unblocked(rng, receptor, monkeypatch):
     blocked_preds, blocked = ref_sums(500)
     whole_preds, whole = ref_sums(10 ** 9)
     np.testing.assert_allclose(blocked_preds, whole_preds, rtol=1e-12, atol=0)
-    for layer in range(CACHE_CFG.layers):
+    # the last layer's pp stage is not whole, so it keeps no reference
+    assert whole.keys() == blocked.keys() == set(range(CACHE_CFG.layers - 1))
+    for layer in whole:
         for l, s in whole[layer].items():
             np.testing.assert_allclose(blocked[layer][l], s, rtol=1e-12,
                                        atol=1e-12 * np.abs(s).max())

@@ -55,7 +55,7 @@ def reference_bits(mol, radius=2, nbits=2048):
 def test_single_atom_sets_exactly_one_bit():
     mol = LigandMolecule(id="c", atoms=(Atom("C", np.zeros(3)),), bonds=())
     fp = morgan_fingerprint(mol, radius=2)
-    assert fp.popcount() == 1
+    assert np.count_nonzero(fp.bits) == 1
 
 
 def test_determinism():
@@ -70,8 +70,8 @@ def test_ethane_vs_propane_matches_reference():
     propane = _chain(["C", "C", "C"], mol_id="propane")
     fp_e = morgan_fingerprint(ethane)
     fp_p = morgan_fingerprint(propane)
-    assert set(fp_e.on_bits()) == reference_bits(ethane)
-    assert set(fp_p.on_bits()) == reference_bits(propane)
+    assert set(np.flatnonzero(fp_e.bits).tolist()) == reference_bits(ethane)
+    assert set(np.flatnonzero(fp_p.bits).tolist()) == reference_bits(propane)
     assert not np.array_equal(fp_e.bits, fp_p.bits)
     # both have a degree-1 carbon, so the round-0 terminal invariant is shared
     terminal = fnv1a64(b"atom|C|1|0|0") % 2048

@@ -8,7 +8,6 @@ from cpi3d.so3 import (
     allowed_paths,
     clebsch_gordan,
     random_rotation,
-    rotation_about_axis,
     sh_slice,
     spherical_harmonics_batch,
     wigner_d,
@@ -173,5 +172,12 @@ def test_allowed_paths_parity_filter():
 
 
 def test_rotation_about_axis():
-    R = rotation_about_axis([0, 0, 1], math.pi / 2)
+    # a quarter turn about z by Rodrigues' formula: x goes to y, and the
+    # degree-1 harmonics follow wigner_d
+    K = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    R = np.eye(3) + math.sin(math.pi / 2) * K + (1.0 - math.cos(math.pi / 2)) * (K @ K)
     np.testing.assert_allclose(R @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-12)
+    unit = np.array([[1.0, 0.0, 0.0], [0.6, 0.0, 0.8]])
+    np.testing.assert_allclose(spherical_harmonics_batch(unit @ R.T)[:, sh_slice(1)],
+                               spherical_harmonics_batch(unit)[:, sh_slice(1)] @ wigner_d(R, 1).T,
+                               atol=1e-12)

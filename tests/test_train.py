@@ -176,11 +176,10 @@ def test_differentiable_edges_match_graph_constants(rng):
 def test_zero_learning_rate_leaves_parameters(rng):
     records = random_complexes(2, seed=5, with_label=True, n_atoms=4, n_residues=4)
     cfg = TrainConfig(learning_rate=0.0, steps=3, batch_size=2, seed=0)
-    before = init_params(TINY_CFG, TINY_CUT, seed=0).state_dict()
+    before = init_params(TINY_CFG, TINY_CUT, seed=0)
     model, losses = train(records, cfg, TINY_CFG, TINY_CUT)
-    after = model.params.state_dict()
     for name in model.params.trainable_names():
-        np.testing.assert_array_equal(before[name], after[name])
+        np.testing.assert_array_equal(before[name].data, model.params[name].data)
     assert len(losses) == 3
 
 
@@ -334,8 +333,8 @@ def test_training_losses_do_not_depend_on_the_pack_budget(monkeypatch):
 
     (one, one_losses), (many, many_losses) = run(10 ** 9), run(0)
     np.testing.assert_allclose(many_losses, one_losses, rtol=1e-12, atol=0)
-    for name, want in one.params.state_dict().items():
-        _assert_within_1e12(many.params[name].data, want)
+    for name in one.params.names():
+        _assert_within_1e12(many.params[name].data, one.params[name].data)
 
 
 def test_packed_gradients_match_finite_differences():
