@@ -31,7 +31,7 @@ from .errors import ConfigError, NumericalError
 from .fingerprint import Fingerprint
 from .geograph import (CutoffConfig, EdgeKind, GraphPack, HeteroGraph, LIGAND_FEATURE_DIM,
                        RESIDUE_FEATURE_DIM, pack_graphs)
-from .so3 import allowed_paths, clebsch_gordan, sh_slice, spherical_harmonics_batch
+from .so3 import allowed_paths, coupling_matrix, sh_slice, spherical_harmonics_batch
 
 EDGE_KIND_ORDER = (EdgeKind.CC, EdgeKind.PP, EdgeKind.PC)
 BN_EPS = 1e-5
@@ -242,14 +242,17 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
                            paths, out_layout: IrrepLayout) -> IrrepFeature:
     """Couple source features with edge harmonics along the given paths.
 
-    Each path (l_in, l_sh, l_out) runs four steps. Coupling: contract the
-    Clebsch-Gordan tensor with the degree-l_sh harmonic block into a
-    per-edge matrix K of shape (E, 2l_in+1, 2l_out+1). Gate: scale K by
-    the path's per-edge gate. Contract: one batched matmul of the source
-    block (E, m_in, 2l_in+1) with K. Mix: one broadcast matmul by the
-    transposed (m_in, m_out) weight matrix, added into the l_out block.
-    Only one path's per-edge intermediates are alive at a time; the
-    generic matmul/mul adjoints give the backward pass.
+    Each path (l_in, l_sh, l_out) starts from its gated coupling K: the
+    degree-l_sh harmonic block times the path's `coupling_matrix`, scaled
+    by the path's per-edge gate, as (E, 2l_in+1, 2l_out+1). The message is
+    the source block (E, m_in, 2l_in+1) contracted with K, channels mixed
+    by the path's (m_in, m_out) weights, in the cheaper order: an l_in = 0
+    path mixes as one (E, m_in) @ (m_in, m_out) product, then scales by K;
+    an l_out = 0 path contracts, then mixes as that 2-D product; any other
+    path contracts in one batched matmul and mixes by one broadcast matmul
+    with the transposed weights. Only one path's per-edge intermediates
+    are alive at a time; the generic matmul, reshape and mul adjoints give
+    the backward pass.
 
     Column i of `path_gates` gates `paths[i]`, so a caller that runs a
     subset of paths passes the matching gate columns. A path whose source
@@ -270,10 +273,18 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
         if zero[li]:
             continue
         sh_block = ad.take(sh, (slice(None), sh_slice(ls)))
-        coupling = ad.einsum("Mab,eb->eaM", clebsch_gordan(li, ls, lo), sh_block)
-        gate = ad.reshape(ad.take(path_gates, (slice(None), slice(idx, idx + 1))), (n_e, 1, 1))
-        coupled = ad.matmul(h_src.blocks[li], ad.mul(coupling, gate))     # (E, mi, 2lo+1)
-        term = ad.matmul(ad.einsum("cd->dc", w), coupled)                  # (E, mo, 2lo+1)
+        gate = ad.take(path_gates, (slice(None), slice(idx, idx + 1)))
+        coupling = ad.reshape(ad.mul(ad.matmul(sh_block, coupling_matrix(li, ls, lo)), gate),
+                              (n_e, 2 * li + 1, 2 * lo + 1))
+        src = h_src.blocks[li]
+        if li == 0:
+            mixed = ad.matmul(ad.reshape(src, (n_e, mi)), w)
+            term = ad.mul(ad.reshape(mixed, (n_e, mo, 1)), coupling)
+        elif lo == 0:
+            coupled = ad.matmul(src, coupling)                                # (E, mi, 1)
+            term = ad.reshape(ad.matmul(ad.reshape(coupled, (n_e, mi)), w), (n_e, mo, 1))
+        else:
+            term = ad.matmul(ad.einsum("cd->dc", w), ad.matmul(src, coupling))
         out[lo] = ad.add(out[lo], term) if lo in out else term
     for l in out_layout.degrees():
         if l not in out:
@@ -368,16 +379,21 @@ def _ema_per_graph(running: Tensor, stats: np.ndarray, momentum: float):
 def node_update(h: IrrepFeature, incoming: IrrepFeature,
                 proj: dict[int, Tensor], proj_bias0) -> IrrepFeature:
     """Concatenate incoming blocks onto the current ones channel-wise and
-    project back to the layout width, mixing only within equal l."""
+    project back to the layout width, mixing only within equal l: the
+    scalars as one (n, 2m) @ (2m, m) product plus the bias, each l > 0
+    block (n, 2m, 2l+1) by one broadcast matmul with the transposed
+    (2m, m) weights."""
     if h.layout != incoming.layout:
         raise ConfigError("node_update needs matching layouts")
     out: dict[int, Tensor] = {}
     for l in h.layout.degrees():
         cat = ad.concat([h.blocks[l], incoming.blocks[l]], axis=1)  # (n, 2ml, 2l+1)
-        mixed = ad.einsum("ecm,cd->edm", cat, proj[l])
         if l == 0:
-            mixed = ad.add(mixed, ad.reshape(proj_bias0, (1, h.layout.mult(0), 1)))
-        out[l] = mixed
+            m0 = h.layout.mult(0)
+            mixed = ad.add(ad.matmul(ad.reshape(cat, (h.n, 2 * m0)), proj[0]), proj_bias0)
+            out[0] = ad.reshape(mixed, (h.n, m0, 1))
+        else:
+            out[l] = ad.matmul(ad.einsum("cd->dc", proj[l]), cat)
     return IrrepFeature(h.layout, out)
 
 

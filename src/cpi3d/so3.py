@@ -142,6 +142,20 @@ def clebsch_gordan(l1: int, l2: int, l3: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def coupling_matrix(l1: int, l2: int, l3: int) -> np.ndarray:
+    """`clebsch_gordan(l1, l2, l3)` as a (2l2+1, (2l1+1)(2l3+1)) matrix B
+    with B[m2, m1 (2l3+1) + m3] = C[m3, m1, m2].
+
+    Rows v of degree-l2 features times B, reshaped to (rows, 2l1+1, 2l3+1),
+    give per row the matrix K with w = u @ K, as `clebsch_gordan` defines w.
+    """
+    c = clebsch_gordan(l1, l2, l3)
+    out = c.transpose(2, 1, 0).reshape(2 * l2 + 1, -1)
+    out.setflags(write=False)
+    return out
+
+
 def _check_rotation(R: np.ndarray):
     if R.shape != (3, 3):
         raise ValidationError(f"rotation must be 3x3, got {R.shape}")

@@ -9,6 +9,7 @@ from cpi3d import autodiff as ad
 from cpi3d import equinet
 from cpi3d.autodiff import Tape, Tensor
 from cpi3d.equinet import (
+    BN_MOMENTUM,
     IrrepFeature,
     IrrepLayout,
     ModelConfig,
@@ -163,22 +164,28 @@ def _paths_for(layout, parity_even_only):
                  if layout.mult(p[0]) > 0 and layout.mult(p[2]) > 0)
 
 
-@pytest.mark.parametrize("muls,parity_even_only,subset", [
-    ((32, 8, 4), True, None),     # the model's 11 paths at the default layout
-    ((32, 8, 4), False, None),    # every triangle-rule path
-    ((5, 0, 3), False, None),     # no l=1 channels, so no path touches l=1
+@pytest.mark.parametrize("muls,parity_even_only,subset,n_e", [
+    ((32, 8, 4), True, None, 40),     # the model's 11 paths at the default layout
+    ((32, 8, 4), False, None, 40),    # every triangle-rule path
+    ((5, 0, 3), False, None, 40),     # no l=1 channels, so no path touches l=1
     # a subset of paths with the matching gate columns gives the same
     # l_out blocks, bit for bit, as the full call: the final stage's
     # l_out = 0 paths, and the pocket's l_out > 0 paths
-    ((32, 8, 4), True, (0,)),
-    ((32, 8, 4), True, (1, 2)),
-], ids=["muls0-True", "muls1-False", "muls2-False", "l_out-0", "l_out-1-2"])
-def test_tp_matches_per_path_einsum_oracle(rng, muls, parity_even_only, subset):
+    ((32, 8, 4), True, (0,), 40),
+    ((32, 8, 4), True, (1, 2), 40),
+    # the l_in = 0, l_out = 0 and general branches at their edge shapes:
+    # one channel per degree, and a single edge
+    ((1, 1, 1), True, None, 40),
+    ((1, 1, 1), False, None, 1),
+    ((32, 8, 4), True, None, 1),
+], ids=["muls0-True", "muls1-False", "muls2-False", "l_out-0", "l_out-1-2",
+        "unit-muls", "unit-muls-one-edge", "one-edge"])
+def test_tp_matches_per_path_einsum_oracle(rng, muls, parity_even_only, subset, n_e):
     layout = IrrepLayout(muls)
     paths = _paths_for(layout, parity_even_only)
     if parity_even_only:
         assert len(paths) == 11
-    h, sh, gates, weights = _tp_inputs(rng, layout, paths, 40)
+    h, sh, gates, weights = _tp_inputs(rng, layout, paths, n_e)
     out = tensor_product_message(h, sh, gates, weights, paths, layout)
     want = tp_message_oracle({l: b.data for l, b in h.blocks.items()}, sh, gates.data,
                              {p: w.data for p, w in weights.items()}, paths, muls)
@@ -238,22 +245,12 @@ def test_tp_message_is_linear_in_source_rows(rng):
         assert np.max(np.abs(msg_diff[l].data - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_tp_gradients_match_finite_differences(rng):
-    layout = IrrepLayout((3, 2, 1))
-    paths = _paths_for(layout, parity_even_only=False)
-    h, sh_arr, gates, weights = _tp_inputs(rng, layout, paths, 5, requires_grad=True)
-    sh = Tensor(sh_arr, requires_grad=True)   # the edge_override route
-    sources = [*h.blocks.values(), gates, *weights.values(), sh]
-
-    def loss_fn():
-        out = tensor_product_message(h, sh, gates, weights, paths, layout)
-        return functools.reduce(ad.add, (ad.tsum(ad.mul(b, b)) for b in out.blocks.values()))
-
+def _assert_gradients_match_finite_differences(loss_fn, sources, step=1e-5):
+    """Tape adjoints of `loss_fn()` against central differences, entry by
+    entry, for every source tensor."""
     with Tape() as tape:
         loss = loss_fn()
     grads = tape.gradient(loss, sources)
-
-    step = 1e-5
     for src, got in zip(sources, grads):
         assert got.shape == src.shape
         flat = src.data.reshape(-1)
@@ -266,6 +263,24 @@ def test_tp_gradients_match_finite_differences(rng):
             flat[i] = orig
             want = (fp - fm) / (2 * step)
             assert abs(got.reshape(-1)[i] - want) <= 1e-6 * max(1.0, abs(want))
+
+
+def test_tp_gradients_match_finite_differences(rng):
+    # every triangle-rule path, also with one channel per degree (each
+    # branch at m = 1) and with a single edge (E = 1)
+    for muls, n_e in (((3, 2, 1), 5), ((1, 1, 1), 5), ((3, 2, 1), 1)):
+        layout = IrrepLayout(muls)
+        paths = _paths_for(layout, parity_even_only=False)
+        h, sh_arr, gates, weights = _tp_inputs(rng, layout, paths, n_e, requires_grad=True)
+        sh = Tensor(sh_arr, requires_grad=True)   # the edge_override route
+
+        def loss_fn():
+            out = tensor_product_message(h, sh, gates, weights, paths, layout)
+            return functools.reduce(ad.add, (ad.tsum(ad.mul(b, b))
+                                             for b in out.blocks.values()))
+
+        _assert_gradients_match_finite_differences(
+            loss_fn, [*h.blocks.values(), gates, *weights.values(), sh])
 
 
 # ---------------------------------------------------------------- edge net
@@ -503,6 +518,39 @@ def test_node_update_output_width(rng):
     out = node_update(h, m, proj, Tensor(np.zeros(4)))
     assert {l: b.shape for l, b in out.blocks.items()} == {
         l: (7, layout.mult(l), 2 * l + 1) for l in layout.degrees()}
+
+
+def test_node_update_matches_its_einsum_definition(rng):
+    layout = IrrepLayout((4, 3, 2))
+    h, m = random_feature(rng, layout, 9), random_feature(rng, layout, 9)
+    proj = {l: Tensor(rng.normal(size=(2 * layout.mult(l), layout.mult(l))))
+            for l in layout.degrees()}
+    b0 = Tensor(rng.normal(size=layout.mult(0)))
+    out = node_update(h, m, proj, b0)
+    for l in layout.degrees():
+        cat = np.concatenate([h.blocks[l].data, m.blocks[l].data], axis=1)
+        want = np.einsum("ecm,cd->edm", cat, proj[l].data)
+        if l == 0:
+            want = want + b0.data.reshape(1, -1, 1)
+        assert np.max(np.abs(out.blocks[l].data - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_node_update_gradients_match_finite_differences(rng):
+    layout = IrrepLayout((3, 2, 1))
+    h, m = random_feature(rng, layout, 4), random_feature(rng, layout, 4)
+    for feat in (h, m):
+        for b in feat.blocks.values():
+            b.requires_grad = True
+    proj = {l: Tensor(rng.normal(size=(2 * layout.mult(l), layout.mult(l))), requires_grad=True)
+            for l in layout.degrees()}
+    b0 = Tensor(rng.normal(size=layout.mult(0)), requires_grad=True)
+
+    def loss_fn():
+        out = node_update(h, m, proj, b0)
+        return functools.reduce(ad.add, (ad.tsum(ad.mul(b, b)) for b in out.blocks.values()))
+
+    _assert_gradients_match_finite_differences(
+        loss_fn, [*h.blocks.values(), *m.blocks.values(), *proj.values(), b0])
 
 
 def test_gated_activation_equivariance(rng):
@@ -934,6 +982,51 @@ def test_dead_final_stage_tensors_move_nothing(rng, receptor):
     preds, _ = observe([pp_weight], scale=1e6)
     assert preds[0] != base_preds[0] and preds[1] != base_preds[1]    # in the pocket
     assert preds[2:] == base_preds[2:]                                # no pc edge
+
+
+def _oracle_kernel(h_src, sh, path_gates, path_weights, paths, out_layout):
+    """`tensor_product_message` through `oracles.tp_message_oracle`."""
+    return IrrepFeature(out_layout, tp_message_oracle(
+        {l: b.data for l, b in h_src.blocks.items()}, ad.as_tensor(sh).data,
+        ad.as_tensor(path_gates).data, {p: w.data for p, w in path_weights.items()},
+        paths, out_layout.muls))
+
+
+def test_forward_matches_the_per_path_oracle_through_the_last_layer(rng, monkeypatch):
+    """On a model whose last-layer features are O(1), cached and uncached
+    predictions agree with the forward that runs `tp_message_oracle` in
+    place of the kernel, and a 1e-6 relative change to a last-layer weight
+    moves them by more than 1e-9 relative."""
+    items = _screen(rng, _receptor(rng, n_residues=80), (14, 18))
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    # gates near 1 keep the messages above the batch-norm epsilon, and
+    # the running statistics of one training forward then normalise
+    # every stage
+    for name in params.names():
+        if name.endswith(".psi.b2"):
+            params[name].data = params[name].data + 1.0
+    running = [name for name in params.names() if ".bn.run_" in name]
+    before = {name: params[name].data.copy() for name in running}
+    forward(*items[0], params, CACHE_CFG, training=True)
+    for name in running:
+        params[name].data = (params[name].data - (1 - BN_MOMENTUM) * before[name]) / BN_MOMENTUM
+    _, feats = forward(*items[0], params, CACHE_CFG, return_features=True)
+    assert all(np.abs(f["feature"].blocks[0].data).max() > 0.1 for f in feats)
+
+    def predict(cache):
+        return np.array([float(forward(g, fp, params, CACHE_CFG, cache=cache).data)
+                         for g, fp in items])
+
+    uncached, cached = predict(None), predict(ReceptorCache())
+    with monkeypatch.context() as m:
+        m.setattr(equinet, "tensor_product_message", _oracle_kernel)
+        np.testing.assert_allclose(uncached, predict(None), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cached, predict(ReceptorCache()), rtol=1e-12, atol=0)
+
+    weight = params[f"layer{CACHE_CFG.layers - 1}.pp.tp.110"]
+    weight.data = weight.data * (1 + 1e-6)
+    for moved, base in ((predict(None), uncached), (predict(ReceptorCache()), cached)):
+        assert np.all(np.abs(moved - base) > 1e-9 * np.abs(base))
 
 
 def test_cache_rejects_training(rng):
