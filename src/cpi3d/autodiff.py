@@ -16,6 +16,7 @@ and the tape keeps no untracked input alive.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -50,19 +51,26 @@ class Tape:
         """Adjoints of `loss` with respect to each source tensor.
 
         Sources never reached by the recorded computation get zero
-        gradients. The tape is single-use.
+        gradients. A recorded output's adjoint is freed once its rules
+        have run, unless the output is a source, so the sweep holds the
+        forward tape plus the adjoints still to be used. The tape is
+        single-use.
         """
         if self._consumed:
             raise ConfigError("tape already replayed")
         self._consumed = True
         if loss.data.size != 1:
             raise ConfigError(f"loss must be scalar, got shape {loss.data.shape}")
+        sources = list(sources)
+        keep = {id(s) for s in sources}
         _EPOCH[0] += 1
         epoch = _EPOCH[0]
         _accumulate(loss, np.ones_like(loss.data), epoch)
         for out, backward in reversed(self._records):
             if out._epoch == epoch:
                 backward(out.grad, epoch)
+                if id(out) not in keep:
+                    out.grad = None
         return [s.grad if s._epoch == epoch else np.zeros_like(s.data) for s in sources]
 
 
@@ -286,8 +294,23 @@ def take(a, key) -> Tensor:
     return _op(ad[key], ((a, _scatter_adjoint, key, ad.shape),) if _ACTIVE else ())
 
 
+def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """`n` rows of zeros plus each of `rows` at its index in `idx`, by one
+    `np.bincount` over the flat cells `idx * k + column`. Each cell adds
+    its terms in array order from +0.0, so the result equals `np.add.at`
+    into `np.zeros` bit for bit, signed zeros included. The cast is for
+    an empty `idx`, whose `bincount` is integer."""
+    k = math.prod(rows.shape[idx.ndim:])
+    flat = (idx.astype(np.intp, copy=False).reshape(-1, 1) * k + np.arange(k)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=n * k)
+    return sums.astype(np.float64, copy=False).reshape((n,) + rows.shape[idx.ndim:])
+
+
 def gather_rows(a, idx: np.ndarray) -> Tensor:
-    return take(a, np.asarray(idx))
+    """Rows `a[idx]`; the adjoint sums each row's terms by `np.bincount`,
+    in array order."""
+    ad, idx = _data(a), np.asarray(idx)
+    return _op(ad[idx], ((a, _scatter_rows, idx, ad.shape[0]),) if _ACTIVE else ())
 
 
 def index_add(base, idx: np.ndarray, rows) -> Tensor:
@@ -301,11 +324,13 @@ def index_add(base, idx: np.ndarray, rows) -> Tensor:
 def segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Rows of `a` averaged per segment; empty segments yield zero rows.
 
-    Summation runs in array order, so callers wanting a pinned order sort
-    their rows by (segment, neighbor) beforehand.
+    The sums run by `np.bincount`, in array order from zero, so callers
+    wanting a pinned order sort their rows by (segment, neighbor)
+    beforehand.
     """
     seg = np.asarray(segment_ids)
-    sums = index_add(np.zeros((num_segments,) + _data(a).shape[1:]), seg, a)
+    sums = _op(_scatter_rows(_data(a), seg, num_segments),
+               ((a, operator.getitem, seg),) if _ACTIVE else ())
     counts = np.maximum(np.bincount(seg, minlength=num_segments), 1.0)
     return div(sums, counts.reshape((-1,) + (1,) * (sums.ndim - 1)))
 

@@ -26,6 +26,21 @@ def transform_protein(protein: ProteinStructure, R=None, t=None) -> ProteinStruc
     return ProteinStructure(id=protein.id, residues=residues)
 
 
+def lattice_receptor(rng, n_residues=300, spacing=5.2, pocket_radius=6.0):
+    """Jittered lattice residues at folded-protein density around an empty
+    pocket at the origin."""
+    axis = (np.arange(9) - 4) * spacing
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = grid + rng.uniform(-0.5, 0.5, size=grid.shape)
+    grid = grid[np.linalg.norm(grid, axis=1) > pocket_radius]
+    keep = grid[np.argsort(np.linalg.norm(grid, axis=1), kind="stable")]
+    aas = ("ALA", "GLY", "LEU", "SER", "ASP", "LYS", "PHE")
+    return ProteinStructure(id="receptor", residues=tuple(
+        Residue(aa=aas[i % len(aas)], chain="A", seq_index=i + 1, ca_position=p)
+        for i, p in enumerate(keep[:n_residues])
+    ))
+
+
 def pdb_atom_line(serial, name, altloc, resname, chain, seq, x, y, z, element,
                   record="ATOM"):
     """One fixed-column PDB coordinate record."""

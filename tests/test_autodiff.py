@@ -124,6 +124,56 @@ def test_gather_rows_gradient():
     check_op(lambda p: _sq(ad.gather_rows(p, idx)), [[1.0], [2.0], [3.0]])
 
 
+def _scatter_case(name):
+    """(idx, rows, n): rows summed at their index into n rows."""
+    rng = np.random.default_rng(7)
+
+    def spread(shape):    # row magnitudes 1e-8..1e8, so the order of the sums shows
+        scale = 10.0 ** rng.integers(-8, 8, size=shape[:1] + (1,) * (len(shape) - 1))
+        return rng.normal(size=shape) * scale
+
+    zeros = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0]])
+    return {
+        "random-2d": (rng.integers(0, 9, size=300), spread((300, 4)), 9),
+        "random-3d": (rng.integers(0, 9, size=300), spread((300, 3, 5)), 9),
+        "ties": (np.full(200, 3), spread((200, 2, 3)), 5),
+        "signed-zeros": (np.array([1, 1, 1, 2]), zeros, 3),
+        "empty": (np.zeros(0, dtype=np.intp), np.zeros((0, 3)), 4),
+        "untouched": (np.array([0, 0, 4]), spread((3, 2)), 6),
+    }[name]
+
+
+SCATTER_CASES = ("random-2d", "random-3d", "ties", "signed-zeros", "empty", "untouched")
+
+
+def _add_at(idx, rows, n):
+    out = np.zeros((n,) + rows.shape[1:])
+    np.add.at(out, idx, rows)
+    return out
+
+
+@pytest.mark.parametrize("case", SCATTER_CASES)
+def test_gather_rows_adjoint_equals_add_at_bit_for_bit(case):
+    idx, rows, n = _scatter_case(case)
+    p = Tensor(np.ones((n,) + rows.shape[1:]), requires_grad=True)
+    with Tape() as tape:
+        y = ad.tsum(ad.mul(ad.gather_rows(p, idx), rows))   # adjoint of the gather: rows
+    (got,) = tape.gradient(y, [p])
+    want = _add_at(idx, rows, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", SCATTER_CASES)
+def test_segment_mean_sums_equal_add_at_bit_for_bit(case):
+    idx, rows, n = _scatter_case(case)
+    got = ad.segment_mean(Tensor(rows), idx, n).data
+    counts = np.maximum(np.bincount(idx, minlength=n), 1.0)
+    want = _add_at(idx, rows, n) / counts.reshape((-1,) + (1,) * (rows.ndim - 1))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_segment_mean_forward_and_gradient():
     x = np.array([[1.0], [3.0], [5.0], [7.0]])
     seg = np.array([0, 0, 2, 2])
@@ -223,6 +273,26 @@ def test_grad_accumulates_over_reuse():
         y = ad.tsum(ad.add(ad.mul(t, t), ad.mul(t, 5.0)))   # x^2 + 5x
     (g,) = tape.gradient(y, [t])
     np.testing.assert_allclose(g, [2.0 * 3.0 + 5.0])
+    # a recorded intermediate read by several ops sums their adjoints too
+    with Tape() as tape:
+        u = ad.mul(t, 2.0)
+        y = ad.tsum(ad.add(ad.mul(u, u), ad.mul(u, 5.0)))   # u^2 + 5u, u = 2x
+    (g,) = tape.gradient(y, [t])
+    np.testing.assert_array_equal(g, [2.0 * (2.0 * 6.0 + 5.0)])
+
+
+def test_recorded_sources_keep_their_adjoints():
+    t = Tensor(np.array([3.0]), requires_grad=True)
+    with Tape() as tape:
+        u = ad.mul(t, 2.0)
+        v = ad.mul(u, u)
+        y = ad.tsum(ad.add(v, ad.mul(u, 5.0)))
+    g_t, g_u, g_y = tape.gradient(y, [t, u, y])
+    np.testing.assert_array_equal(g_y, [1.0])
+    np.testing.assert_array_equal(g_u, [2.0 * 6.0 + 5.0])
+    np.testing.assert_array_equal(g_t, [2.0 * (2.0 * 6.0 + 5.0)])
+    assert u.grad is g_u and y.grad is g_y
+    assert v.grad is None    # freed once the sweep used it
 
 
 def test_fresh_gradients_between_tapes():

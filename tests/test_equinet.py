@@ -25,7 +25,7 @@ from cpi3d.equinet import (
     readout,
     tensor_product_message,
 )
-from cpi3d.chemio import Atom, LigandMolecule, ProteinStructure, Residue
+from cpi3d.chemio import Atom, LigandMolecule
 from cpi3d.errors import ConfigError
 from cpi3d.fingerprint import morgan_fingerprint
 from cpi3d.geograph import CutoffConfig, EdgeKind, build_pair_graph, pack_graphs
@@ -40,7 +40,7 @@ from cpi3d.so3 import (
 from cpi3d.synthetic import random_complex, random_ligand
 from cpi3d.train import grad
 
-from conftest import transform_ligand, transform_protein
+from conftest import lattice_receptor, transform_ligand, transform_protein
 from oracles import tp_message_oracle
 
 SMALL_CFG = ModelConfig(layers=2, layout=IrrepLayout((6, 3, 2)),
@@ -780,21 +780,6 @@ CACHE_CFG = ModelConfig(layers=3, layout=IrrepLayout((6, 3, 2)), edge_mlp_hidden
 CACHE_CUT = CutoffConfig(rbf_k=8)
 
 
-def _receptor(rng, n_residues=300, spacing=5.2, pocket_radius=6.0):
-    """Jittered lattice residues at folded-protein density around an empty
-    pocket at the origin."""
-    axis = (np.arange(9) - 4) * spacing
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    grid = grid + rng.uniform(-0.5, 0.5, size=grid.shape)
-    grid = grid[np.linalg.norm(grid, axis=1) > pocket_radius]
-    keep = grid[np.argsort(np.linalg.norm(grid, axis=1), kind="stable")]
-    aas = ("ALA", "GLY", "LEU", "SER", "ASP", "LYS", "PHE")
-    return ProteinStructure(id="receptor", residues=tuple(
-        Residue(aa=aas[i % len(aas)], chain="A", seq_index=i + 1, ca_position=p)
-        for i, p in enumerate(keep[:n_residues])
-    ))
-
-
 def _screen(rng, protein, ligand_sizes, center=(0.0, 0.0, 0.0), cfg=CACHE_CFG):
     """(graph, fingerprint) for ligands of the given sizes in the pocket."""
     out = []
@@ -823,7 +808,7 @@ def _assert_cached_matches_forward(items, params, cfg=CACHE_CFG, cache=None):
 
 @pytest.fixture(scope="module")
 def receptor():
-    return _receptor(np.random.default_rng(2024))
+    return lattice_receptor(np.random.default_rng(2024))
 
 
 def test_cache_matches_forward_on_a_shared_receptor(rng, receptor):
@@ -841,7 +826,7 @@ def test_cache_matches_forward_on_a_shared_receptor(rng, receptor):
 
 def test_cache_matches_forward_on_interleaved_receptors(rng):
     params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
-    rec_a, rec_b = _receptor(rng, n_residues=120), _receptor(rng, n_residues=150)
+    rec_a, rec_b = lattice_receptor(rng, n_residues=120), lattice_receptor(rng, n_residues=150)
     (a1, a2), (b1,) = _screen(rng, rec_a, (12, 16)), _screen(rng, rec_b, (14,))
     cache = _assert_cached_matches_forward([a1, b1, a2], params)
     # returning to receptor A found B's entry, so A was computed afresh
@@ -862,7 +847,7 @@ def test_cache_matches_forward_when_the_last_pp_stage_turns_whole_and_back(rng):
     # on a small receptor a central ligand sends a pc edge from every
     # residue, so the last pp stage is whole; an off-centre one does not
     params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
-    receptor = _receptor(rng, n_residues=20)
+    receptor = lattice_receptor(rng, n_residues=20)
     (whole,) = _screen(rng, receptor, (12,))
     (part,) = _screen(rng, receptor, (12,), center=(9.0, 0.0, 0.0))
     pp = whole[0].edges[EdgeKind.PP]
@@ -997,7 +982,7 @@ def test_forward_matches_the_per_path_oracle_through_the_last_layer(rng, monkeyp
     predictions agree with the forward that runs `tp_message_oracle` in
     place of the kernel, and a 1e-6 relative change to a last-layer weight
     moves them by more than 1e-9 relative."""
-    items = _screen(rng, _receptor(rng, n_residues=80), (14, 18))
+    items = _screen(rng, lattice_receptor(rng, n_residues=80), (14, 18))
     params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
     # gates near 1 keep the messages above the batch-norm epsilon, and
     # the running statistics of one training forward then normalise
