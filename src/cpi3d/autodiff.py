@@ -10,8 +10,10 @@ Every primitive records by one rule: it hands `_op` its value and, only
 under a tape, one rule `(input, adjoint, *saved)` per input; the input's
 adjoint is `adjoint(g, *saved)`, summed over the axes the op broadcast.
 Only tracked inputs keep their rule: tensors with `requires_grad`, which
-every recorded output gets. So adjoints reach only tensors on the tape,
-and the tape keeps no untracked input alive.
+every recorded output gets. A tracked tensor's adjoint lives in its
+`_Slot`, and the tape's records and rules hold slots, not tensors. So the
+tape keeps alive only the arrays that some rule saves: an op output that
+no rule saves is freed as soon as user code drops it, under a tape too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class Tape:
     """Ordered record of primitive operations for adjoint replay."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, object]] = []
+        self._records: list[tuple[_Slot, _Rules]] = []
         self._consumed = False
 
     def __enter__(self):
@@ -53,8 +55,8 @@ class Tape:
         Sources never reached by the recorded computation get zero
         gradients. A recorded output's adjoint is freed once its rules
         have run, unless the output is a source, so the sweep holds the
-        forward tape plus the adjoints still to be used. The tape is
-        single-use.
+        operands the rules saved plus the adjoints still to be used. The
+        tape is single-use.
         """
         if self._consumed:
             raise ConfigError("tape already replayed")
@@ -62,36 +64,68 @@ class Tape:
         if loss.data.size != 1:
             raise ConfigError(f"loss must be scalar, got shape {loss.data.shape}")
         sources = list(sources)
-        keep = {id(s) for s in sources}
+        keep = {s._slot for s in sources}
         _EPOCH[0] += 1
         epoch = _EPOCH[0]
-        _accumulate(loss, np.ones_like(loss.data), epoch)
+        _accumulate(loss._slot or _Slot(loss.data.shape), np.ones_like(loss.data), epoch)
         for out, backward in reversed(self._records):
-            if out._epoch == epoch:
+            if out.epoch == epoch:
                 backward(out.grad, epoch)
-                if id(out) not in keep:
+                if out not in keep:
                     out.grad = None
-        return [s.grad if s._epoch == epoch else np.zeros_like(s.data) for s in sources]
+        return [s._slot.grad if s._slot is not None and s._slot.epoch == epoch
+                else np.zeros_like(s.data) for s in sources]
 
 
-def _accumulate(t: "Tensor", g: np.ndarray, epoch: int):
-    if t._epoch != epoch:
-        t._epoch = epoch
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+class _Slot:
+    """The adjoint of one tracked tensor: what the reverse sweep reads and
+    writes, without the tensor's value."""
+
+    __slots__ = ("grad", "epoch", "shape")
+
+    def __init__(self, shape: tuple):
+        self.grad: np.ndarray | None = None
+        self.epoch = -1
+        self.shape = shape
+
+
+def _accumulate(slot: _Slot, g: np.ndarray, epoch: int):
+    if slot.epoch != epoch:
+        slot.epoch = epoch
+        slot.grad = np.array(g, dtype=np.float64, copy=True)
     else:
-        t.grad += g
+        slot.grad += g
 
 
 class Tensor:
-    """A float64 numpy array plus an adjoint slot."""
+    """A float64 numpy array plus, once tracked, an adjoint slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_epoch")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._epoch = -1
+        self._slot = _Slot(self.data.shape) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._slot is not None
+
+    @requires_grad.setter
+    def requires_grad(self, tracked: bool):
+        if not tracked:
+            self._slot = None
+        elif self._slot is None:
+            self._slot = _Slot(self.data.shape)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._slot is None:
+            raise ConfigError("an untracked tensor has no adjoint")
+        self._slot.grad = g
 
     @property
     def shape(self):
@@ -119,22 +153,24 @@ class _Rules(list):
     __slots__ = ()
 
     def __call__(self, g, epoch):
-        for x, adjoint, *saved in self:
-            _accumulate(x, _unbroadcast(adjoint(g, *saved), x.data.shape), epoch)
+        for slot, adjoint, *saved in self:
+            _accumulate(slot, _unbroadcast(adjoint(g, *saved), slot.shape), epoch)
 
 
 def _op(value, rules) -> Tensor:
     """`value` as a Tensor, recorded on the active tape with the `rules` of
-    its tracked inputs; ops pass rules only under a tape."""
+    its tracked inputs; ops pass rules only under a tape. The record and
+    its rules hold the slots of `value` and of those inputs, not the
+    tensors, so neither array stays alive unless a rule saved it."""
     out = Tensor(value)
     if rules:
         live = _Rules()
-        for r in rules:
-            if isinstance(r[0], Tensor) and r[0].requires_grad:
-                live.append(r)
+        for x, *rest in rules:
+            if isinstance(x, Tensor) and x._slot is not None:
+                live.append((x._slot, *rest))
         if live:
-            out.requires_grad = True
-            _ACTIVE[0]._records.append((out, live))
+            out._slot = _Slot(out.data.shape)
+            _ACTIVE[0]._records.append((out._slot, live))
     return out
 
 

@@ -332,6 +332,38 @@ def test_tape_keeps_no_untracked_input_alive():
     np.testing.assert_allclose(g, np.full((3, 2), 2.0))
 
 
+def test_tape_frees_outputs_that_no_rule_saves():
+    """The tape holds adjoint slots, not tensors: under a live tape, a
+    matmul output that feeds only an add dies with its last reference,
+    while the operand that the matmul's rule saves stays alive."""
+    p0 = np.arange(6.0).reshape(2, 3) / 7.0
+    w = np.arange(6.0).reshape(3, 2) / 5.0
+    p = Tensor(p0.copy(), requires_grad=True)
+    with Tape() as tape:
+        saved = Tensor(w.copy())
+        m = ad.matmul(p, saved)
+        y = ad.add(m, 1.0)
+        refs = weakref.ref(m.data), weakref.ref(saved.data)
+        del m, saved
+        gc.collect()
+        assert refs[0]() is None
+        assert refs[1]() is not None
+        loss = _sq(y)
+    (g,) = tape.gradient(loss, [p])
+    np.testing.assert_allclose(g, 2.0 * (p0 @ w + 1.0) @ w.T)
+    check_op(lambda t: _sq(ad.add(ad.matmul(t, w), 1.0)), p0)
+
+
+def test_grad_reads_and_writes_the_slot():
+    t = Tensor(np.ones(2), requires_grad=True)
+    t.grad = np.array([1.0, 2.0])
+    assert t._slot.grad is t.grad
+    t.requires_grad = False
+    assert t.grad is None
+    with pytest.raises(ConfigError):
+        t.grad = np.zeros(2)
+
+
 def test_op_without_tracked_input_is_not_recorded():
     c = Tensor(np.arange(6.0).reshape(2, 3))
     with Tape() as tape:
