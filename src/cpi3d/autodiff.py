@@ -270,12 +270,32 @@ def tanh(a) -> Tensor:
     return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> Tensor:
-    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)), lambda g, x, y: g * (y * (1.0 - y)))
+    return _unary(a, _sigmoid, lambda g, x, y: g * (y * (1.0 - y)))
+
+
+def _silu_direct_adjoint(g, x):
+    return g * _sigmoid(x)
+
+
+def _silu_gate_adjoint(g, x):
+    s = _sigmoid(x)
+    return (g * x) * (s * (1.0 - s))
 
 
 def silu(a) -> Tensor:
-    return mul(a, sigmoid(a))
+    """x * sigmoid(x) as one op whose rules save only x and recompute the
+    sigmoid. Its adjoint reaches x as two terms, g * s and then
+    (g * x) * (s * (1 - s)), the order in which the product's and the
+    sigmoid's rules added them, so an x that feeds other ops too sums its
+    adjoint in the same order as `mul(a, sigmoid(a))`, bit for bit."""
+    ad = _data(a)
+    return _op(ad * _sigmoid(ad), ((a, _silu_direct_adjoint, ad),
+                                   (a, _silu_gate_adjoint, ad)) if _ACTIVE else ())
 
 
 def _sum_adjoint(g, axis, keepdims, shape):

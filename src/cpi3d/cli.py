@@ -98,31 +98,51 @@ def _read_table(path: str, columns) -> dict[str, list[str]]:
     """Each of `columns` that the CSV header names, mapped to its values.
 
     Lines starting with '#' and blank lines are skipped; the first row left
-    is the header and data rows are numbered from 1. A file without data
-    rows, or a data row too short to hold a column, raises
-    `ValidationError`.
+    is the header and data rows are numbered from 1. Only the wanted
+    columns are kept while reading. A file without data rows, or a data row
+    too short to hold a column, raises `ValidationError`; among short rows
+    it names the first of the first such column in `columns` order.
     """
     with open(path, encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(line for line in fh if not line.startswith("#"))
-                if row]
-    if len(rows) < 2:
+        rows = (row for row in csv.reader(line for line in fh if not line.startswith("#"))
+                if row)
+        header = next(rows, None)
+        index = {name: k for k, name in enumerate(header or ())}
+        wanted = {column: index[column] for column in columns if column in index}
+        table: dict[str, list[str]] = {column: [] for column in wanted}
+        first_short: dict[str, int] = {}
+        n_rows = 0
+        for n_rows, row in enumerate(rows, start=1):
+            for column, k in wanted.items():
+                if k < len(row):
+                    table[column].append(row[k])
+                else:
+                    first_short.setdefault(column, n_rows)
+    if n_rows == 0:
         raise ValidationError(f"{path}: no data rows")
-    index = {name: k for k, name in enumerate(rows[0])}
-    table = {}
-    for column in columns:
-        if column not in index:
-            continue
-        k = index[column]
-        for row_no, row in enumerate(rows[1:], start=1):
-            if k >= len(row):
-                raise ValidationError(f"{path}: row {row_no}: no {column} value")
-        table[column] = [row[k] for row in rows[1:]]
+    for column in wanted:
+        if column in first_short:
+            raise ValidationError(f"{path}: row {first_short[column]}: no {column} value")
     return table
 
 
-def _number_column(table, column: str, path: str, kind=float) -> list:
-    """One column of `_read_table` parsed as finite `kind` (float or int)."""
-    return parse_numbers(enumerate(table[column], start=1),
+def _number_column(table, column: str, path: str, kind=float):
+    """One column of `_read_table` parsed as finite `kind`: a float64 array
+    for float, a list of ints for int.
+
+    A float column parses in one pass; only a column holding a bad value
+    goes through `parse_numbers`, which names the first one.
+    """
+    raws = table[column]
+    if kind is float:
+        try:
+            values = np.fromiter(map(float, raws), dtype=np.float64, count=len(raws))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    return parse_numbers(enumerate(raws, start=1),
                          lambda row_no: f"{path}: row {row_no}: {column}", kind)
 
 
@@ -353,15 +373,19 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     table = _read_table(args.pred, ["prediction", "label"] + groups)
     if "prediction" not in table or "label" not in table:
         raise ValidationError("prediction CSV needs 'prediction' and 'label' columns")
+    group_of = np.asarray(table[args.group_by]) if args.group_by in table else None
     preds = _number_column(table, "prediction", args.pred)
     labels = _number_column(table, "label", args.pred)
+    # the text columns go before the per-group work, so their strings' memory
+    # can return to the system first
+    del table
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metric_names:
         raise ValidationError(f"--metrics {args.metrics!r} names no metric")
     if args.group_by:
-        if args.group_by not in table:
+        if group_of is None:
             raise ValidationError(f"no column {args.group_by!r} in {args.pred}")
-        doc = evaluate_grouped(preds, labels, metric_names, table[args.group_by])
+        doc = evaluate_grouped(preds, labels, metric_names, group_of)
     else:
         doc = evaluate(preds, labels, metric_names).to_dict()
     _write_json(args.out, cfg, doc)

@@ -18,6 +18,9 @@ from .fingerprint import morgan_fingerprint, protein_kmer_set
 
 DEFAULT_COMPOUND_THRESHOLD = 0.4
 DEFAULT_PROTEIN_THRESHOLD = 0.5
+# incidence columns per similarity product: the float copy of a block grows
+# with the rows, not with the k-mer or fingerprint width
+COLUMN_BLOCK = 256
 
 
 def normalize_label(ec50_nm: float) -> float:
@@ -39,18 +42,24 @@ class SplitSetting(str, enum.Enum):
 
 
 def _jaccard_matrix(incidence: np.ndarray) -> np.ndarray:
-    """|a AND b| / |a OR b| for every pair of 0/1 rows; 1.0 for two empty rows.
+    """|a AND b| / |a OR b| for every pair of rows of a bool incidence
+    matrix; 1.0 for two empty rows.
 
-    The rows go through BLAS as float64, which counts every intersection
-    exactly, so each entry divides the same two integers as
-    `fingerprint.tanimoto` and `fingerprint.jaccard` do.
+    The intersections are summed over blocks of COLUMN_BLOCK columns, each
+    block going through BLAS as float64, which counts exactly; so each
+    entry divides the same two integers as `fingerprint.tanimoto` and
+    `fingerprint.jaccard` do, and the float copy of the incidence never
+    exceeds one block.
     """
-    x = incidence.astype(np.float64)
-    size = x.sum(axis=1)
-    inter = x @ x.T
-    union = size[:, None] + size[None, :] - inter
-    with np.errstate(invalid="ignore"):
-        return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+    n, m = incidence.shape
+    inter = np.zeros((n, n))
+    for start in range(0, m, COLUMN_BLOCK):
+        x = incidence[:, start:start + COLUMN_BLOCK].astype(np.float64)
+        inter += x @ x.T
+    size = incidence.sum(axis=1, dtype=np.float64)
+    union = np.add.outer(size, size)
+    union -= inter
+    return np.divide(inter, union, out=np.ones((n, n)), where=union > 0)
 
 
 def compound_similarity_matrix(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:

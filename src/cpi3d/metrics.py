@@ -265,15 +265,19 @@ def evaluate(preds, labels=None, metrics: list[str] = ()) -> MetricReport:
 
 def evaluate_grouped(preds, labels, metrics: list[str], groups) -> dict:
     """Per-group reports plus the mean and standard deviation of each
-    metric across groups (the per-target aggregation convention)."""
+    metric across groups (the per-target aggregation convention). Groups
+    run in sorted order, each over its rows in input order."""
     p = np.asarray(preds, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    groups = np.asarray(groups)
+    keys, code = np.unique(np.asarray(groups), return_inverse=True)
+    code = code.ravel()
+    order = np.argsort(code, kind="stable")
+    bounds = np.append(0, np.cumsum(np.bincount(code, minlength=keys.size)))
     out: dict = {"groups": {}, "aggregate": {}}
     collected: dict[str, list[float]] = {}
-    for g in sorted(set(groups.tolist())):
-        mask = groups == g
-        report = evaluate(p[mask], y[mask], metrics)
+    for g, start, stop in zip(keys.tolist(), bounds[:-1], bounds[1:]):
+        rows = order[start:stop]
+        report = evaluate(p[rows], y[rows], metrics)
         out["groups"][str(g)] = report.to_dict()
         for name, value in report.values.items():
             collected.setdefault(name, []).append(value)

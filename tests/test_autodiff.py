@@ -354,6 +354,43 @@ def test_tape_frees_outputs_that_no_rule_saves():
     check_op(lambda t: _sq(ad.add(ad.matmul(t, w), 1.0)), p0)
 
 
+def _unfused_silu(a):
+    return ad.mul(a, ad.sigmoid(a))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["silu-only", "also-matmul"])
+def test_silu_equals_mul_of_sigmoid_bit_for_bit(shared):
+    """The fused silu adds its two adjoint terms in the unfused sweep's
+    order, so an input that also feeds a matmul, as the gate scalars do in
+    `equinet.gated_activation`, gets the same adjoint bits."""
+    rng = np.random.default_rng(12)
+    x0 = 3.0 * rng.normal(size=(50, 4))
+    w, seed = rng.normal(size=(4, 3)), rng.normal(size=(50, 4))
+
+    def build(silu, t):
+        loss = ad.tsum(ad.mul(silu(t), seed))
+        return ad.add(loss, ad.tsum(ad.matmul(t, w))) if shared else loss
+
+    runs = []
+    for silu in (ad.silu, _unfused_silu):
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = build(silu, x)
+        runs.append((loss.data.tobytes(), tape.gradient(loss, [x])[0].tobytes()))
+    assert runs[0] == runs[1]
+    check_op(lambda t: build(ad.silu, t), x0)
+
+
+def test_silu_is_one_op_that_saves_only_its_input():
+    x = Tensor(np.linspace(-2.0, 2.0, 6), requires_grad=True)
+    with Tape() as tape:
+        ad.silu(x)
+    assert len(tape) == 1
+    ((_, rules),) = tape._records
+    assert len(rules) == 2
+    assert all(len(saved) == 1 and saved[0] is x.data for _, _, *saved in rules)
+
+
 def test_grad_reads_and_writes_the_slot():
     t = Tensor(np.ones(2), requires_grad=True)
     t.grad = np.array([1.0, 2.0])

@@ -235,6 +235,40 @@ def test_eval_bad_row_exits_one(tmp_path, capsys, body, needle):
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
+@pytest.mark.parametrize("column", ["prediction", "label"])
+@pytest.mark.parametrize("raw,reason", [
+    ("x", "is not a number"), ("", "is not a number"), ("nan", "is not finite"),
+    ("inf", "is not finite"), ("1e309", "is not finite"),
+])
+def test_eval_names_the_first_bad_number(tmp_path, capsys, column, raw, reason):
+    """The one-pass float parse falls back to the per-row loop, which names
+    the first bad row even when a later row holds another kind of bad value."""
+    rows = [["0.5", "1"], ["0.3", "0"], ["0.2", "1"], ["0.1", "0"], ["0.4", "x"]]
+    rows[2][column == "label"] = raw
+    pred = tmp_path / "preds.csv"
+    pred.write_text("prediction,label\n" + "".join(f"{p},{y}\n" for p, y in rows))
+    assert main(["eval", "--pred", str(pred), "--metrics", "ci"]) == 1
+    assert capsys.readouterr().err == f"error: {pred}: row 3: {column} {raw!r} {reason}\n"
+
+
+def test_eval_short_rows_name_the_first_column_in_column_order(tmp_path, capsys):
+    """Row 2 is short of `target` only and row 4 of `label` and `target`:
+    the error names `label`, the first short column in the order eval asks
+    for its columns, at its first short row."""
+    pred = tmp_path / "preds.csv"
+    pred.write_text("prediction,label,target\n0.5,1,A\n0.3,0\n0.2,1,A\n0.1\n")
+    assert main(["eval", "--pred", str(pred), "--metrics", "ci", "--group-by", "target"]) == 1
+    assert capsys.readouterr().err == f"error: {pred}: row 4: no label value\n"
+
+
+def test_number_columns_are_float_arrays_or_python_ints():
+    table = {"score": ["0.5", "-1e3"], "count": ["3", "40"]}
+    scores = cli._number_column(table, "score", "t.csv")
+    assert scores.dtype == np.float64 and scores.tolist() == [0.5, -1000.0]
+    counts = cli._number_column(table, "count", "t.csv", int)
+    assert counts == [3, 40] and all(type(c) is int for c in counts)
+
+
 @pytest.mark.parametrize("metric", ["efabc", "bedroc_x", "auc"])
 def test_eval_unknown_metric_exits_one(tmp_path, capsys, metric):
     pred = tmp_path / "preds.csv"

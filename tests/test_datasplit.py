@@ -1,6 +1,10 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cpi3d import datasplit
 from cpi3d.datasplit import (
     FoldAssignment,
     SplitSetting,
@@ -13,7 +17,14 @@ from cpi3d.datasplit import (
     protein_similarity_matrix,
 )
 from cpi3d.errors import ValidationError
-from cpi3d.fingerprint import jaccard, morgan_fingerprint, protein_kmer_set, tanimoto
+from cpi3d.fingerprint import (
+    Fingerprint,
+    KmerSet,
+    jaccard,
+    morgan_fingerprint,
+    protein_kmer_set,
+    tanimoto,
+)
 from cpi3d.synthetic import clustered_records
 
 from oracles import complete_linkage_oracle, similarity_matrix
@@ -191,6 +202,46 @@ def test_similarity_matrices_match_pairwise_loops(k):
     np.testing.assert_array_equal(compound_similarity_matrix([r.ligand for r in records],
                                                              radius=k),
                                   similarity_matrix(fps, tanimoto))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_jaccard_matrix_column_blocks_match_pairwise_loops(monkeypatch, block):
+    """Any column block, including one wider than the 40 columns, gives the
+    bits of the pairwise `tanimoto` and `jaccard`, with two empty rows (1.0
+    between them, 0.0 to the rest) and an all-ones column."""
+    rng = np.random.default_rng(11)
+    incidence = rng.random((12, 40)) < 0.3
+    incidence[:, 5] = True
+    incidence[[3, 8]] = False
+    monkeypatch.setattr(datasplit, "COLUMN_BLOCK", block)
+    got = datasplit._jaccard_matrix(incidence)
+    fps = [Fingerprint(bits=row, nbits=row.size, radius=0) for row in incidence]
+    kmer_sets = [KmerSet(kmers=frozenset(map(str, np.flatnonzero(row))), k=1)
+                 for row in incidence]
+    assert got.tobytes() == similarity_matrix(fps, tanimoto).tobytes()
+    assert got.tobytes() == similarity_matrix(kmer_sets, jaccard).tobytes()
+    assert got[3, 8] == 1.0 and got[3, 0] == 0.0
+
+
+def similarity_peak_mb() -> float:
+    """`tracemalloc` peak, in MB, of `protein_similarity_matrix` over 400
+    random 300-residue sequences (about 8,000 distinct 3-mer columns)."""
+    rng = np.random.default_rng(2)
+    letters = np.array(list("ACDEFGHIKLMNPQRSTVWY"))
+    proteins = [SimpleNamespace(sequence="".join(rng.choice(letters, 300))) for _ in range(400)]
+    tracemalloc.start()
+    try:
+        protein_similarity_matrix(proteins)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_protein_similarity_of_400_sequences_peaks_below_30_mb():
+    """Column blocks keep the float copy of the (400, ~8,000) k-mer incidence
+    to one block: a whole-table float copy alone is 25.6 MB here."""
+    peak = similarity_peak_mb()
+    assert peak < 30, f"400 sequences peaked at {peak:.1f} MB"
 
 
 def test_leakage_report_matches_brute_force():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from cpi3d.metrics import (
     evaluate_grouped,
     mse,
     pearson,
+    sample_std,
     simulate_random_screen,
     spearman,
 )
@@ -262,6 +264,40 @@ def test_evaluate_grouped(rng):
     vals = [doc["groups"][g]["values"]["pearson"] for g in ("t1", "t2")]
     assert agg["mean"] == pytest.approx(np.mean(vals))
     assert agg["n_groups"] == 2
+
+
+def _grouped_by_masks(preds, labels, metrics, groups):
+    """`evaluate_grouped` by one full-length mask per group: the reference."""
+    p, y, groups = np.asarray(preds), np.asarray(labels), np.asarray(groups)
+    out = {"groups": {}, "aggregate": {}}
+    collected = {}
+    for g in sorted(set(groups.tolist())):
+        report = evaluate(p[groups == g], y[groups == g], metrics)
+        out["groups"][str(g)] = report.to_dict()
+        for name, value in report.values.items():
+            collected.setdefault(name, []).append(value)
+    for name, vals in sorted(collected.items()):
+        arr = np.asarray(vals)
+        out["aggregate"][name] = {"mean": float(arr.mean()), "std": sample_std(arr),
+                                  "n_groups": int(arr.size)}
+    return out
+
+
+@pytest.mark.parametrize("groups", [
+    np.random.default_rng(8).permutation([f"T{t:02d}" for t in range(12)] * 25),
+    ["only"] * 300,
+    np.random.default_rng(9).integers(-3, 40, size=300),
+], ids=["shuffled-strings", "one-group", "integers"])
+def test_evaluate_grouped_matches_per_mask_loop(groups):
+    """Rows keep their input order within each group, so the ranking
+    metrics, whose ties break by input order, match bit for bit; so does
+    the JSON, including omitted metrics of one-row or one-label groups."""
+    rng = np.random.default_rng(10)
+    preds = np.round(rng.normal(size=300), 1)       # tie-heavy
+    labels = (rng.random(300) < 0.3).astype(float)
+    metrics = ["ci", "spearman", "pearson", "mse", "ef1", "bedroc"]
+    got = evaluate_grouped(preds, labels, metrics, list(groups))
+    assert json.dumps(got) == json.dumps(_grouped_by_masks(preds, labels, metrics, groups))
 
 
 def test_simulate_random_screen_reproducible():
