@@ -17,7 +17,7 @@ from .chemio import (
     load_manifest,
 )
 from .geograph import CutoffConfig, HeteroGraph, build_graph, rbf_embed
-from .fingerprint import morgan_fingerprint, tanimoto, protein_kmer_set, jaccard
+from .fingerprint import morgan_fingerprint, morgan_fingerprints, tanimoto, protein_kmer_set, jaccard
 
 __all__ = [
     "LigandMolecule",
@@ -31,6 +31,7 @@ __all__ = [
     "build_graph",
     "rbf_embed",
     "morgan_fingerprint",
+    "morgan_fingerprints",
     "tanimoto",
     "protein_kmer_set",
     "jaccard",

@@ -39,6 +39,29 @@ _SDF_CHARGE_FIELDS = {v: k for k, v in _SDF_CHARGE_CODES.items() if k != 4}
 AROMATIC_BOND = 4
 
 
+def _position_fault(positions) -> tuple[int, str] | None:
+    """(index, reason) of the first position that is not three finite
+    numbers, or None; all positions are checked as one array when they
+    stack into an (n, 3) numeric array."""
+    try:
+        xyz = np.array(positions)
+    except ValueError:  # ragged
+        xyz = None
+    if xyz is not None and xyz.dtype.kind in "biuf" and xyz.shape == (len(positions), 3):
+        finite = np.isfinite(xyz).all(axis=1)
+        return None if finite.all() else (int(np.argmin(finite)), "non-finite")
+    for i, position in enumerate(positions):
+        try:
+            p = np.asarray(position)
+        except ValueError:
+            return i, "shape"
+        if p.dtype.kind not in "biuf" or p.shape != (3,):
+            return i, "shape"
+        if not np.isfinite(p).all():
+            return i, "non-finite"
+    return None
+
+
 @dataclass(frozen=True)
 class Residue:
     aa: str                # three-letter code, UNK for non-standard
@@ -59,14 +82,20 @@ class ProteinStructure:
     def __post_init__(self):
         if not self.residues:
             raise EmptyStructureError("protein has no residues")
-        seen = set()
-        for r in self.residues:
-            key = (r.chain, r.seq_index)
-            if key in seen:
-                raise ValidationError(f"duplicate residue key {key}")
-            seen.add(key)
-            if not all(math.isfinite(c) for c in r.ca_position):
-                raise ValidationError(f"non-finite CA position for {key}")
+        keys = [(r.chain, r.seq_index) for r in self.residues]
+        fault = _position_fault([r.ca_position for r in self.residues])
+        bad = len(keys) if fault is None else fault[0]
+        if len(set(keys)) < len(keys):
+            seen = set()
+            for key in keys[:bad + 1]:
+                if key in seen:
+                    raise ValidationError(f"duplicate residue key {key}")
+                seen.add(key)
+        if fault is not None:
+            key = keys[bad]
+            if fault[1] == "shape":
+                raise ValidationError(f"CA position for {key} is not three numbers")
+            raise ValidationError(f"non-finite CA position for {key}")
 
     @property
     def sequence(self) -> str:
@@ -119,11 +148,15 @@ class LigandMolecule:
             if key in seen:
                 raise ValidationError(f"duplicate bond {key}")
             seen.add(key)
-        for a in self.atoms:
-            if a.element == "H":
-                raise ValidationError("hydrogens must be stripped before construction")
-            if not np.all(np.isfinite(a.position)):
-                raise ValidationError("non-finite atom position")
+        elements = [a.element for a in self.atoms]
+        hydrogen = elements.index("H") if "H" in elements else n
+        fault = _position_fault([a.position for a in self.atoms])
+        if fault is not None and fault[0] < hydrogen:
+            if fault[1] == "shape":
+                raise ValidationError(f"atom {fault[0]} position is not three numbers")
+            raise ValidationError("non-finite atom position")
+        if hydrogen < n:
+            raise ValidationError("hydrogens must be stripped before construction")
 
     def coords(self) -> np.ndarray:
         return np.array([a.position for a in self.atoms], dtype=np.float64)
@@ -186,15 +219,34 @@ def _pdb_float(line: str, start: int, end: int, lineno: int, what: str) -> float
     return value
 
 
+def _pdb_coords(kept) -> np.ndarray:
+    """(n, 3) x, y, z of the (lineno, line) ATOM records `kept`, parsed in one
+    pass; if any field is malformed or non-finite, they are parsed field by
+    field in order instead, so the first bad field raises its own error."""
+    try:
+        xyz = np.array([(line[30:38], line[38:46], line[46:54]) for _, line in kept],
+                       dtype=np.float64).reshape(-1, 3)
+        if np.isfinite(xyz).all():
+            return xyz
+    except ValueError:
+        pass
+    return np.array([[_pdb_float(line, 30, 38, lineno, "x"),
+                      _pdb_float(line, 38, 46, lineno, "y"),
+                      _pdb_float(line, 46, 54, lineno, "z")] for lineno, line in kept])
+
+
 def parse_pdb(data, structure_id: str = "protein") -> ProteinStructure:
     """Extract one residue per (chain, resSeq) that has a CA ATOM record.
 
     The first CA encountered for a residue wins, which also resolves
     alternate locations in favour of the first altLoc. HETATM records and
     insertion codes are ignored. Residues come back sorted by (chain, resSeq).
+    The kept records' coordinates are parsed together after the scan (see
+    `_pdb_coords`); a malformed field still raises for the first bad line in
+    file order, a bad resSeq after a bad coordinate included.
     """
     text = _as_text(data)
-    by_key: dict[tuple[str, int], Residue] = {}
+    kept: dict[tuple[str, int], tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.startswith("ATOM"):
             continue
@@ -204,19 +256,17 @@ def parse_pdb(data, structure_id: str = "protein") -> ProteinStructure:
         try:
             seq_index = int(line[22:26])
         except ValueError:
+            _pdb_coords(kept.values())
             raise ParseError(f"malformed resSeq field {line[22:26]!r}", line=lineno) from None
-        key = (chain, seq_index)
-        if key in by_key:
-            continue
-        x = _pdb_float(line, 30, 38, lineno, "x")
-        y = _pdb_float(line, 38, 46, lineno, "y")
-        z = _pdb_float(line, 46, 54, lineno, "z")
+        kept.setdefault((chain, seq_index), (lineno, line))
+    if not kept:
+        raise EmptyStructureError("no CA ATOM records found")
+    by_key = {}
+    for ((chain, seq_index), (_, line)), position in zip(kept.items(), _pdb_coords(kept.values())):
         res_name = line[17:20].strip()
         aa = res_name if res_name in AMINO_ACIDS_3TO1 else UNKNOWN_AA
-        by_key[key] = Residue(aa=aa, chain=chain, seq_index=seq_index,
-                              ca_position=np.array([x, y, z]))
-    if not by_key:
-        raise EmptyStructureError("no CA ATOM records found")
+        by_key[chain, seq_index] = Residue(aa=aa, chain=chain, seq_index=seq_index,
+                                           ca_position=position)
     residues = tuple(by_key[k] for k in sorted(by_key))
     return ProteinStructure(id=structure_id, residues=residues)
 

@@ -32,7 +32,7 @@ from .datasplit import (
 )
 from .equinet import ReceptorCache, forward
 from .errors import Cpi3dError, ValidationError
-from .fingerprint import morgan_fingerprint
+from .fingerprint import morgan_fingerprints
 from .geograph import build_graph, build_pair_graph, edge_budget_packs, graph_to_json
 from .metrics import evaluate, evaluate_grouped, sample_std, simulate_random_screen
 from .physscore import rerank_poses, score_poses
@@ -243,8 +243,8 @@ def build_parser() -> _Parser:
 def _cmd_fingerprint(args, cfg: RunConfig) -> int:
     with open(args.sdf, encoding="utf-8") as fh:
         mols = parse_sdf(fh.read())
-    rows = [[m.id, morgan_fingerprint(m, radius=args.radius, nbits=args.nbits).to_hex()]
-            for m in mols]
+    fps = morgan_fingerprints(mols, radius=args.radius, nbits=args.nbits)
+    rows = [[m.id, fp.to_hex()] for m, fp in zip(mols, fps)]
     if args.out:
         _write_csv(args.out, "fingerprint", cfg, ["molecule_id", "hex_bits"], rows)
     else:
@@ -291,7 +291,7 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
     cache = ReceptorCache()
     rows = []
     for run, pack in edge_budget_packs(records, lambda rec: build_graph(rec, model.cutoffs)):
-        fps = [morgan_fingerprint(rec.ligand, nbits=model.cfg.fingerprint_width) for rec in run]
+        fps = morgan_fingerprints([rec.ligand for rec in run], nbits=model.cfg.fingerprint_width)
         preds = forward(pack, fps, model.params, model.cfg, cache=cache).data
         rows += [[rec.complex_id, repr(float(p))] for rec, p in zip(run, preds)]
         del pack  # freed before the next record's graph is built

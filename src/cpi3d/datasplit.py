@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fingerprint import morgan_fingerprint, protein_kmer_set
+from .fingerprint import morgan_fingerprints, protein_kmer_set
 
 DEFAULT_COMPOUND_THRESHOLD = 0.4
 DEFAULT_PROTEIN_THRESHOLD = 0.5
-# incidence columns per similarity product: the float copy of a block grows
-# with the rows, not with the k-mer or fingerprint width
-COLUMN_BLOCK = 256
+# shared-column pairs counted per block of incidence rows; a row with more
+# pairs than this is a block of its own
+PAIR_BLOCK = 1 << 14
 
 
 def normalize_label(ec50_nm: float) -> float:
@@ -41,21 +41,51 @@ class SplitSetting(str, enum.Enum):
     NOVEL_PROTEIN = "novel_protein"
 
 
+def _shared_counts(incidence: np.ndarray) -> np.ndarray:
+    """(n, n) float64 number of columns each pair of rows of a bool
+    incidence matrix shares, counted exactly from the set entries.
+
+    Every set entry (a, c) pairs row a with each row b that also holds
+    column c. The rows are walked in blocks of at most PAIR_BLOCK such pairs
+    (whole rows; a row with more pairs is a block of its own), and each
+    block's rows of the counts are one `np.bincount` over the cells
+    a * n + b.
+    """
+    n, m = incidence.shape
+    rows, cols = np.divmod(np.flatnonzero(incidence), m)   # entries by row
+    by_col = rows[np.argsort(cols, kind="stable")]         # and by column
+    col_size = np.bincount(cols, minlength=m)
+    col_start = np.cumsum(col_size) - col_size
+    row_start = np.searchsorted(rows, np.arange(n + 1))
+    pairs = col_size[cols]
+    # pairs before each row, and per block the longest run of rows that fits
+    pairs_before = np.concatenate([[0], np.cumsum(pairs)])[row_start]
+    counts = np.empty((n, n))
+    r0 = 0
+    while r0 < n:
+        r1 = max(r0 + 1, int(np.searchsorted(pairs_before, pairs_before[r0] + PAIR_BLOCK,
+                                             side="right")) - 1)
+        entries = slice(row_start[r0], row_start[r1])
+        lengths = pairs[entries]
+        # position in `by_col` of each pair's second row
+        at = np.arange(lengths.sum()) + np.repeat(
+            col_start[cols[entries]] - (np.cumsum(lengths) - lengths), lengths)
+        cells = np.repeat(rows[entries] - r0, lengths) * n + by_col[at]
+        counts[r0:r1] = np.bincount(cells, minlength=(r1 - r0) * n).reshape(r1 - r0, n)
+        r0 = r1
+    return counts
+
+
 def _jaccard_matrix(incidence: np.ndarray) -> np.ndarray:
     """|a AND b| / |a OR b| for every pair of rows of a bool incidence
     matrix; 1.0 for two empty rows.
 
-    The intersections are summed over blocks of COLUMN_BLOCK columns, each
-    block going through BLAS as float64, which counts exactly; so each
+    The intersections are exact integer counts (`_shared_counts`), so each
     entry divides the same two integers as `fingerprint.tanimoto` and
-    `fingerprint.jaccard` do, and the float copy of the incidence never
-    exceeds one block.
+    `fingerprint.jaccard` do, and no float copy of the incidence is made.
     """
-    n, m = incidence.shape
-    inter = np.zeros((n, n))
-    for start in range(0, m, COLUMN_BLOCK):
-        x = incidence[:, start:start + COLUMN_BLOCK].astype(np.float64)
-        inter += x @ x.T
+    n = incidence.shape[0]
+    inter = _shared_counts(incidence)
     size = incidence.sum(axis=1, dtype=np.float64)
     union = np.add.outer(size, size)
     union -= inter
@@ -64,18 +94,24 @@ def _jaccard_matrix(incidence: np.ndarray) -> np.ndarray:
 
 def compound_similarity_matrix(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
     """Tanimoto over Morgan bitsets, vectorized through the bit matrix."""
-    return _jaccard_matrix(np.stack([morgan_fingerprint(m, radius=radius, nbits=nbits).bits
-                                     for m in mols]))
+    return _jaccard_matrix(np.stack([fp.bits for fp in
+                                     morgan_fingerprints(mols, radius=radius, nbits=nbits)]))
 
 
-def protein_similarity_matrix(proteins, k: int = 3) -> np.ndarray:
-    """k-mer Jaccard, vectorized through the k-mer incidence matrix."""
+def _kmer_incidence(proteins, k: int) -> np.ndarray:
+    """(proteins, distinct k-mers) bool matrix, columns in k-mer order."""
     kmer_sets = [protein_kmer_set(p.sequence, k=k).kmers for p in proteins]
     column = {kmer: c for c, kmer in enumerate(sorted(set().union(*kmer_sets)))}
     incidence = np.zeros((len(kmer_sets), len(column)), dtype=bool)
     for row, kmers in zip(incidence, kmer_sets):
         row[[column[kmer] for kmer in kmers]] = True
-    return _jaccard_matrix(incidence)
+    return incidence
+
+
+def protein_similarity_matrix(proteins, k: int = 3) -> np.ndarray:
+    """k-mer Jaccard, vectorized through the k-mer incidence matrix (the
+    k-mer strings are freed before the pairs are counted)."""
+    return _jaccard_matrix(_kmer_incidence(proteins, k))
 
 
 def hierarchical_cluster(items, similarity: np.ndarray, threshold: float) -> list[int]:

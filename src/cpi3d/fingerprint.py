@@ -17,6 +17,7 @@ from .errors import ValidationError
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_PRIME = np.uint64(FNV_PRIME)
 
 PROTEIN_ALPHABET = frozenset("ACDEFGHIKLMNPQRSTVWYX")
 
@@ -44,47 +45,99 @@ def _atom_invariant(element: str, degree: int, charge: int, aromatic: bool) -> i
     return fnv1a64(f"atom|{element}|{degree}|{charge}|{int(aromatic)}".encode())
 
 
-def morgan_fingerprint(mol: LigandMolecule, radius: int = 2, nbits: int = 2048) -> Fingerprint:
-    """Iterative neighborhood-hashing fingerprint on the heavy-atom graph.
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _hex_digits(codes: np.ndarray) -> np.ndarray:
+    """(n, 16) ASCII bytes of each code's `:016x` text."""
+    octets = codes.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return _HEX[np.stack([octets >> 4, octets & 15], axis=2).reshape(-1, 16)]
+
+
+def _fold(h: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """FNV-1a of each lane's state over the bytes in its row of `data`
+    (the products wrap mod 2**64)."""
+    for column in data.T:
+        h = (h ^ column) * _PRIME
+    return h
+
+
+def morgan_fingerprints(mols, radius: int = 2, nbits: int = 2048) -> list[Fingerprint]:
+    """Iterative neighborhood-hashing fingerprints on the heavy-atom graphs,
+    one per molecule, hashed for all atoms of all molecules at once.
 
     Round 0 hashes the per-atom tuple (element, degree, formal charge,
-    aromatic); each later round hashes (round, own code, sorted neighbor
-    (bond order, code) pairs). Atoms without neighbors keep their code, so
-    an isolated atom contributes exactly one bit. Every code from every
-    round sets bit (code mod nbits). Coordinates never enter the hash.
+    aromatic) as the string `atom|{element}|{degree}|{charge}|{0 or 1}`;
+    each later round r hashes `round|{r}|{own code:016x}` followed by
+    `|{order}:{code:016x}` for every neighbor in ascending (bond order,
+    code) order. Atoms without neighbors keep their code, so an isolated
+    atom contributes exactly one bit. Every code from every round sets bit
+    (code mod nbits). Coordinates never enter the hash.
+
+    The hash is 64-bit FNV-1a over those bytes, computed on uint64 lanes,
+    one per atom: a lane starts from the state after `round|{r}|` and folds
+    the hex digits of its own code, then neighbor by neighbor the bytes of
+    `|{order}:` and the neighbor's hex digits, so the codes equal the
+    string-built ones bit for bit. The bits of molecule i are row i of
+    one (len(mols), nbits) bool matrix.
     """
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
     if nbits <= 0:
         raise ValidationError(f"nbits must be positive, got {nbits}")
-    if not mol.atoms:
+    if not all(mol.atoms for mol in mols):
         raise ValidationError("molecule has no atoms")
 
-    degrees = mol.degrees()
-    adjacency = mol.neighbors()
-    codes = [
-        _atom_invariant(a.element, degrees[i], a.formal_charge, a.aromatic)
-        for i, a in enumerate(mol.atoms)
-    ]
-    bits = np.zeros(nbits, dtype=bool)
-    for c in codes:
-        bits[c % nbits] = True
+    sizes = np.array([len(mol.atoms) for mol in mols], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    mol_of = np.repeat(np.arange(len(mols)), sizes)
+    bi, bj, order = np.array([(b.i + off, b.j + off, b.order)
+                              for mol, off in zip(mols, offsets.tolist()) for b in mol.bonds],
+                             dtype=np.int64).reshape(-1, 3).T
+    degrees = np.bincount(bi, minlength=len(mol_of)) + np.bincount(bj, minlength=len(mol_of))
 
+    atoms = (a for mol in mols for a in mol.atoms)
+    keys = [(a.element, d, a.formal_charge, a.aromatic) for a, d in zip(atoms, degrees.tolist())]
+    invariants = {key: _atom_invariant(*key) for key in set(keys)}
+    codes = np.array([invariants[key] for key in keys], dtype=np.uint64)
+    bits = np.zeros((len(mols), nbits), dtype=bool)
+    bits[mol_of, (codes % np.uint64(nbits)).astype(np.intp)] = True
+
+    # directed bonds (atom, neighbor, order); each distinct order is
+    # folded through a row of `prefix`: the bytes of `|{order}:`
+    src, nbr, order = np.concatenate([bi, bj]), np.concatenate([bj, bi]), np.tile(order, 2)
+    orders, order_row = np.unique(order, return_inverse=True)
+    texts = [f"|{o}:".encode() for o in orders.tolist()]
+    width = max(map(len, texts), default=0)
+    prefix = np.zeros((len(texts), width), dtype=np.uint64)
+    prefix_len = np.array([len(t) for t in texts], dtype=np.intp)
+    for row, text in zip(prefix, texts):
+        row[:len(text)] = np.frombuffer(text, dtype=np.uint8)
+    first = np.cumsum(degrees) - degrees
+    bonded = degrees > 0
     for rnd in range(1, radius + 1):
-        new_codes = list(codes)
-        for i, nbrs in enumerate(adjacency):
-            if not nbrs:
-                continue
-            env = sorted((order, codes[j]) for j, order in nbrs)
-            payload = f"round|{rnd}|{codes[i]:016x}" + "".join(
-                f"|{order}:{code:016x}" for order, code in env
-            )
-            new_codes[i] = fnv1a64(payload.encode())
-        codes = new_codes
-        for c in codes:
-            bits[c % nbits] = True
+        # neighbors of each atom in ascending (order, code) order
+        sort = np.lexsort((codes[nbr], order, src))
+        atom, slot_row, slot_nbr = src[sort], order_row[sort], nbr[sort]
+        rank = np.arange(len(sort)) - first[atom]
+        digits = _hex_digits(codes)
+        h = _fold(np.full(len(codes), fnv1a64(f"round|{rnd}|".encode()), dtype=np.uint64),
+                  digits)
+        for k in range(int(degrees.max(initial=0))):
+            at = np.flatnonzero(rank == k)
+            lanes, rows = h[atom[at]], slot_row[at]
+            for c in range(width):
+                lanes = np.where(prefix_len[rows] > c, (lanes ^ prefix[rows, c]) * _PRIME, lanes)
+            h[atom[at]] = _fold(lanes, digits[slot_nbr[at]])
+        codes = np.where(bonded, h, codes)
+        bits[mol_of, (codes % np.uint64(nbits)).astype(np.intp)] = True
 
-    return Fingerprint(bits=bits, nbits=nbits, radius=radius)
+    return [Fingerprint(bits=row, nbits=nbits, radius=radius) for row in bits]
+
+
+def morgan_fingerprint(mol: LigandMolecule, radius: int = 2, nbits: int = 2048) -> Fingerprint:
+    """The fingerprint of one molecule: `morgan_fingerprints` of a batch of one."""
+    return morgan_fingerprints([mol], radius=radius, nbits=nbits)[0]
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:

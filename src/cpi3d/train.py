@@ -11,7 +11,7 @@ from .autodiff import Tape, Tensor
 from .datasplit import normalize_label
 from .equinet import Model, ModelConfig, ParameterStore, forward, init_params
 from .errors import ConfigError, TrainingDiverged, ValidationError
-from .fingerprint import morgan_fingerprint
+from .fingerprint import morgan_fingerprints
 from .geograph import CutoffConfig, build_graph, edge_budget_packs
 
 
@@ -118,10 +118,8 @@ def batch_gradients(graphs, fps, labels, batch, params: ParameterStore, model_cf
 
 def prepare_training_inputs(records, model_cfg: ModelConfig, cutoffs: CutoffConfig):
     """Graphs and fingerprints are static per record; build them once."""
-    graphs, fps = [], []
-    for rec in records:
-        graphs.append(build_graph(rec, cutoffs))
-        fps.append(morgan_fingerprint(rec.ligand, nbits=model_cfg.fingerprint_width))
+    graphs = [build_graph(rec, cutoffs) for rec in records]
+    fps = morgan_fingerprints([rec.ligand for rec in records], nbits=model_cfg.fingerprint_width)
     return graphs, fps
 
 

@@ -1,11 +1,13 @@
 """Brute-force reference implementations used to verify the metric code,
 the tensor-product message kernel, the neighbour search, atom typing,
-complete-linkage clustering and packed training.
+complete-linkage clustering, packed training, Morgan hashing and the PDB
+alpha-carbon parse.
 
 Everything here is written longhand (python loops, explicit rank formulas,
 one einsum per coupling path, dense distance blocks, a leader table with an
-explicit tie list, one forward per graph on one tape) and stays independent
-of the vectorized implementations under test.
+explicit tie list, one forward per graph on one tape, one hashed string per
+atom and round, one float per coordinate field) and stays independent of
+the vectorized implementations under test.
 """
 
 import math
@@ -13,7 +15,10 @@ import math
 import numpy as np
 
 from cpi3d import autodiff as ad
+from cpi3d.chemio import AMINO_ACIDS_3TO1, UNKNOWN_AA
 from cpi3d.equinet import forward
+from cpi3d.errors import EmptyStructureError, ParseError
+from cpi3d.fingerprint import fnv1a64
 from cpi3d.physscore import INTERACTION_CUTOFF, ramp
 from cpi3d.so3 import clebsch_gordan, sh_slice
 from cpi3d.train import grad, mse_loss
@@ -190,6 +195,72 @@ def ligand_typing_oracle(mol):
             order_sum = sum(1.5 if order == 4 else order for _, order in adjacency[i])
             donor[i] = round(order_sum) < valence[atom.element]
     return hydrophobic, donor, acceptor
+
+
+def morgan_oracle(mol, radius=2, nbits=2048):
+    """Morgan bits of one molecule, each round's code the FNV-1a hash of its
+    payload string: `atom|{element}|{degree}|{charge}|{aromatic}` in round
+    0, then `round|{r}|{code:016x}` and `|{order}:{code:016x}` per neighbor
+    in ascending (order, code) order; an atom without neighbors keeps its
+    code."""
+    adjacency = [[] for _ in mol.atoms]
+    for b in mol.bonds:
+        adjacency[b.i].append((b.j, b.order))
+        adjacency[b.j].append((b.i, b.order))
+    codes = [fnv1a64(f"atom|{a.element}|{len(adjacency[i])}|{a.formal_charge}|"
+                     f"{int(a.aromatic)}".encode()) for i, a in enumerate(mol.atoms)]
+    bits = np.zeros(nbits, dtype=bool)
+    for c in codes:
+        bits[c % nbits] = True
+    for rnd in range(1, radius + 1):
+        new_codes = list(codes)
+        for i, nbrs in enumerate(adjacency):
+            if not nbrs:
+                continue
+            env = sorted((order, codes[j]) for j, order in nbrs)
+            payload = f"round|{rnd}|{codes[i]:016x}" + "".join(
+                f"|{order}:{code:016x}" for order, code in env
+            )
+            new_codes[i] = fnv1a64(payload.encode())
+        codes = new_codes
+        for c in codes:
+            bits[c % nbits] = True
+    return bits
+
+
+def pdb_ca_oracle(text):
+    """(aa, chain, resSeq, (x, y, z)) per residue of a PDB text, sorted by
+    (chain, resSeq): the first CA ATOM record of each (chain, resSeq) wins,
+    each field is parsed as it is reached, and the first bad field raises
+    `ParseError` with its line."""
+    def number(line, start, end, lineno, what):
+        raw = line[start:end].strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"malformed {what} field {raw!r}", line=lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite {what} field {raw!r}", line=lineno)
+        return value
+
+    found = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.startswith("ATOM") or line[12:16].strip() != "CA":
+            continue
+        try:
+            seq_index = int(line[22:26])
+        except ValueError:
+            raise ParseError(f"malformed resSeq field {line[22:26]!r}", line=lineno) from None
+        key = (line[21:22].strip(), seq_index)
+        if key in found:
+            continue
+        xyz = (number(line, 30, 38, lineno, "x"), number(line, 38, 46, lineno, "y"),
+               number(line, 46, 54, lineno, "z"))
+        res_name = line[17:20].strip()
+        found[key] = (res_name if res_name in AMINO_ACIDS_3TO1 else UNKNOWN_AA, *key, xyz)
+    if not found:
+        raise EmptyStructureError("no CA ATOM records found")
+    return [found[key] for key in sorted(found)]
 
 
 def similarity_matrix(items, similarity):

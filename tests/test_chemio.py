@@ -3,6 +3,9 @@ import pytest
 
 from cpi3d import chemio
 from cpi3d.chemio import (
+    Atom,
+    Bond,
+    LigandMolecule,
     ProteinStructure,
     Residue,
     load_manifest,
@@ -15,6 +18,7 @@ from cpi3d.errors import EmptyStructureError, ParseError, ValidationError
 from cpi3d.synthetic import random_complexes, write_manifest
 
 from conftest import pdb_atom_line
+from oracles import pdb_ca_oracle
 
 
 def test_parse_pdb_single_ca():
@@ -80,6 +84,121 @@ def test_parse_pdb_malformed_coordinate_reports_line():
     with pytest.raises(ParseError) as err:
         parse_pdb(good + "\n" + bad)
     assert err.value.line == 2
+
+
+def _parsed(text):
+    """parse_pdb's residues as pdb_ca_oracle tuples, or its error."""
+    try:
+        prot = parse_pdb(text)
+    except (ParseError, EmptyStructureError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return [(r.aa, r.chain, r.seq_index, tuple(r.ca_position.tolist())) for r in prot.residues]
+
+
+def _oracle(text):
+    try:
+        return pdb_ca_oracle(text)
+    except (ParseError, EmptyStructureError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+
+
+def _with_field(line, start, raw):
+    return line[:start] + f"{raw:>8s}" + line[start + 8:]
+
+
+@pytest.mark.parametrize("raw", ["x", "", "nan", "inf", "1e309"])
+@pytest.mark.parametrize("start", [30, 38, 46])
+def test_parse_pdb_bad_coordinate_names_field_and_line(start, raw):
+    """A bad x, y or z on the fourth kept record is reported as the
+    field-by-field parse reports it; the same value on a skipped duplicate
+    or a record after a bad resSeq is not reached."""
+    lines = [pdb_atom_line(i + 1, "CA", " ", "ALA", "A", i + 1, i, -i, 0.5, "C")
+             for i in range(6)]
+    lines[3] = _with_field(lines[3], start, raw)
+    text = "\n".join(lines)
+    got = _parsed(text)
+    assert got == _oracle(text)
+    assert got[0] is ParseError and got[2] == 4
+    assert ("non-finite" if raw in ("nan", "inf", "1e309") else "malformed") in got[1]
+    # a later bad resSeq is not reached; an earlier one is
+    resseq = lines[0][:22] + "  ?A" + lines[0][26:]
+    for text in ("\n".join(lines + [resseq]), "\n".join([resseq] + lines)):
+        assert _parsed(text) == _oracle(text)
+    # the bad field on a duplicate (chain, resSeq) is never parsed
+    dup = _with_field(pdb_atom_line(9, "CA", "B", "ALA", "A", 1, 0, 0, 0, "C"), start, raw)
+    text = "\n".join([lines[0], dup])
+    assert _parsed(text) == _oracle(text) != []
+
+
+def test_parse_pdb_matches_the_field_by_field_parse():
+    """Underscored and odd-width numbers parse as Python's `float` does;
+    altLoc and duplicate keys keep the first record; chains out of order
+    come back sorted; HETATM and non-CA records are skipped."""
+    rng = np.random.default_rng(5)
+    lines = []
+    for i in range(200):
+        chain = str(rng.choice(["C", "A", "B", " "]))
+        seq = int(rng.integers(-5, 30))
+        x, y, z = rng.uniform(-999, 9999, size=3)
+        name = str(rng.choice(["CA", "CA", "CB", "N"]))
+        record = "HETATM" if rng.random() < 0.1 else "ATOM"
+        altloc = str(rng.choice([" ", "A", "B"]))
+        lines.append(pdb_atom_line(i + 1, name, altloc, str(rng.choice(["GLY", "HOH", "TRP"])),
+                                   chain, seq, x, y, z, "C", record=record))
+    lines[7] = pdb_atom_line(8, "CA", " ", "ALA", "Z", 1, 0, 0, 0, "C")
+    lines[7] = _with_field(_with_field(lines[7], 30, "1_0"), 38, "  -.5e1")
+    text = "\n".join(lines)
+    got = _parsed(text)
+    assert got == _oracle(text)
+    assert ("ALA", "Z", 1, (10.0, -5.0, 0.0)) in got
+    assert len(got) > 50
+
+
+def test_residue_positions_must_be_three_numbers():
+    for bad in (np.zeros(2), np.zeros((1, 3)), ["a", "b", "c"], [1.0, None, 2.0]):
+        residues = (Residue("ALA", "A", 1, np.zeros(3)), Residue("GLY", "B", 7, bad))
+        with pytest.raises(ValidationError,
+                           match=r"^CA position for \('B', 7\) is not three numbers$"):
+            ProteinStructure(id="p", residues=residues)
+
+
+def test_protein_checks_report_the_first_failing_residue():
+    """A duplicate key and a bad position raise for whichever residue comes
+    first; on the same residue the duplicate key is reported."""
+    ok = np.zeros(3)
+    nan = np.array([np.nan, 0.0, 0.0])
+
+    def check(*residues):
+        with pytest.raises(ValidationError) as err:
+            ProteinStructure(id="p", residues=tuple(Residue("ALA", c, i, p) for c, i, p in residues))
+        return str(err.value)
+
+    assert check(("A", 1, ok), ("A", 1, nan), ("A", 2, nan)) == "duplicate residue key ('A', 1)"
+    assert check(("A", 1, ok), ("A", 2, nan), ("A", 1, ok)) == "non-finite CA position for ('A', 2)"
+    assert check(("A", 1, ok), ("A", 2, ok[:2]), ("A", 1, ok)) == \
+        "CA position for ('A', 2) is not three numbers"
+
+
+def test_ligand_checks_report_the_first_failing_atom():
+    """Bonds are checked first; then atom by atom, a hydrogen before its
+    own position."""
+    ok = np.zeros(3)
+    nan = np.array([0.0, np.inf, 0.0])
+
+    def check(atoms, bonds=()):
+        with pytest.raises(ValidationError) as err:
+            LigandMolecule(id="m", atoms=tuple(Atom(e, p) for e, p in atoms), bonds=bonds)
+        return str(err.value)
+
+    assert check([("C", ok), ("H", nan)], (Bond(0, 5, 1),)) == "bond (0,5) has invalid endpoints"
+    assert check([("C", ok), ("H", nan), ("C", nan)]) == \
+        "hydrogens must be stripped before construction"
+    assert check([("C", nan), ("H", ok)]) == "non-finite atom position"
+    assert check([("C", ok), ("O", [1.0, 2.0]), ("H", ok)]) == \
+        "atom 1 position is not three numbers"
+    assert check([("C", ok), ("O", "xyz")]) == "atom 1 position is not three numbers"
+    mol = LigandMolecule(id="m", atoms=(Atom("C", [1, 2, 3]), Atom("N", ok)), bonds=())
+    np.testing.assert_array_equal(mol.coords(), [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -25,7 +25,7 @@ from cpi3d.fingerprint import (
     protein_kmer_set,
     tanimoto,
 )
-from cpi3d.synthetic import clustered_records
+from cpi3d.synthetic import clustered_records, random_ligand
 
 from oracles import complete_linkage_oracle, similarity_matrix
 
@@ -204,16 +204,19 @@ def test_similarity_matrices_match_pairwise_loops(k):
                                   similarity_matrix(fps, tanimoto))
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_jaccard_matrix_column_blocks_match_pairwise_loops(monkeypatch, block):
-    """Any column block, including one wider than the 40 columns, gives the
-    bits of the pairwise `tanimoto` and `jaccard`, with two empty rows (1.0
-    between them, 0.0 to the rest) and an all-ones column."""
+@pytest.mark.parametrize("block", [1, 7, 10**9])
+def test_jaccard_matrix_pair_blocks_match_pairwise_loops(monkeypatch, block):
+    """Any pair block, from one pair (every row over it) to more than all
+    pairs, gives the bits of the pairwise `tanimoto` and `jaccard`, with two
+    empty rows (1.0 between them, 0.0 to the rest), an all-ones column and
+    a row whose shared-column pairs alone exceed a block of 7."""
     rng = np.random.default_rng(11)
     incidence = rng.random((12, 40)) < 0.3
     incidence[:, 5] = True
     incidence[[3, 8]] = False
-    monkeypatch.setattr(datasplit, "COLUMN_BLOCK", block)
+    incidence[10] = True
+    assert incidence[10] @ incidence.sum(axis=0) > 7
+    monkeypatch.setattr(datasplit, "PAIR_BLOCK", block)
     got = datasplit._jaccard_matrix(incidence)
     fps = [Fingerprint(bits=row, nbits=row.size, radius=0) for row in incidence]
     kmer_sets = [KmerSet(kmers=frozenset(map(str, np.flatnonzero(row))), k=1)
@@ -221,6 +224,7 @@ def test_jaccard_matrix_column_blocks_match_pairwise_loops(monkeypatch, block):
     assert got.tobytes() == similarity_matrix(fps, tanimoto).tobytes()
     assert got.tobytes() == similarity_matrix(kmer_sets, jaccard).tobytes()
     assert got[3, 8] == 1.0 and got[3, 0] == 0.0
+    assert datasplit._jaccard_matrix(np.zeros((0, 4), dtype=bool)).shape == (0, 0)
 
 
 def similarity_peak_mb() -> float:
@@ -237,9 +241,22 @@ def similarity_peak_mb() -> float:
         tracemalloc.stop()
 
 
+def compound_similarity_peak_mb() -> float:
+    """`tracemalloc` peak, in MB, of `compound_similarity_matrix` over 400
+    random 4- to 40-atom ligands at the default radius and width."""
+    rng = np.random.default_rng(3)
+    mols = [random_ligand(rng, n_atoms=int(n)) for n in rng.integers(4, 41, size=400)]
+    tracemalloc.start()
+    try:
+        compound_similarity_matrix(mols)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_protein_similarity_of_400_sequences_peaks_below_30_mb():
-    """Column blocks keep the float copy of the (400, ~8,000) k-mer incidence
-    to one block: a whole-table float copy alone is 25.6 MB here."""
+    """No float copy of the (400, ~8,000) k-mer incidence is made: a
+    whole-table float copy alone is 25.6 MB here."""
     peak = similarity_peak_mb()
     assert peak < 30, f"400 sequences peaked at {peak:.1f} MB"
 

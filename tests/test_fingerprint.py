@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from cpi3d.chemio import Atom, Bond, LigandMolecule
+from cpi3d.chemio import AROMATIC_BOND, Atom, Bond, LigandMolecule
 from cpi3d.errors import ValidationError
 from cpi3d.fingerprint import (
     Fingerprint,
     fnv1a64,
     jaccard,
     morgan_fingerprint,
+    morgan_fingerprints,
     protein_kmer_set,
     tanimoto,
 )
 from cpi3d.synthetic import random_ligand
+
+from oracles import morgan_oracle
 
 
 def _chain(elements, orders=None, mol_id="chain"):
@@ -24,32 +27,19 @@ def _chain(elements, orders=None, mol_id="chain"):
     return LigandMolecule(id=mol_id, atoms=atoms, bonds=bonds)
 
 
-def reference_bits(mol, radius=2, nbits=2048):
-    """Oracle: the documented hashing scheme written out longhand."""
-    adj = [[] for _ in mol.atoms]
-    for b in mol.bonds:
-        adj[b.i].append((b.j, b.order))
-        adj[b.j].append((b.i, b.order))
-    deg = [len(a) for a in adj]
-    codes = []
-    for i, a in enumerate(mol.atoms):
-        payload = f"atom|{a.element}|{deg[i]}|{a.formal_charge}|{int(a.aromatic)}"
-        codes.append(fnv1a64(payload.encode()))
-    on = {c % nbits for c in codes}
-    for rnd in range(1, radius + 1):
-        nxt = []
-        for i in range(len(mol.atoms)):
-            if not adj[i]:
-                nxt.append(codes[i])
-                continue
-            env = sorted((order, codes[j]) for j, order in adj[i])
-            payload = f"round|{rnd}|{codes[i]:016x}" + "".join(
-                f"|{o}:{c:016x}" for o, c in env
-            )
-            nxt.append(fnv1a64(payload.encode()))
-        codes = nxt
-        on |= {c % nbits for c in codes}
-    return on
+def _random_molecule(rng, n_atoms):
+    """Random heavy-atom graph: charges -3..3, some isolated atoms, bond
+    orders including 0 and the multi-digit 12, aromatic atoms on aromatic
+    bonds."""
+    pairs = [(i, j) for i in range(n_atoms) for j in range(i + 1, n_atoms)
+             if rng.random() < 2.5 / n_atoms]
+    orders = [int(rng.choice([0, 1, 1, 2, 3, AROMATIC_BOND, 5, 12])) for _ in pairs]
+    aromatic = {k for (i, j), o in zip(pairs, orders) if o == AROMATIC_BOND for k in (i, j)}
+    atoms = tuple(Atom(element=str(rng.choice(["C", "N", "O", "S", "Cl"])),
+                       position=rng.normal(size=3), formal_charge=int(rng.integers(-3, 4)),
+                       aromatic=i in aromatic) for i in range(n_atoms))
+    bonds = tuple(Bond(i=i, j=j, order=o) for (i, j), o in zip(pairs, orders))
+    return LigandMolecule(id="random", atoms=atoms, bonds=bonds)
 
 
 def test_single_atom_sets_exactly_one_bit():
@@ -70,8 +60,8 @@ def test_ethane_vs_propane_matches_reference():
     propane = _chain(["C", "C", "C"], mol_id="propane")
     fp_e = morgan_fingerprint(ethane)
     fp_p = morgan_fingerprint(propane)
-    assert set(np.flatnonzero(fp_e.bits).tolist()) == reference_bits(ethane)
-    assert set(np.flatnonzero(fp_p.bits).tolist()) == reference_bits(propane)
+    np.testing.assert_array_equal(fp_e.bits, morgan_oracle(ethane))
+    np.testing.assert_array_equal(fp_p.bits, morgan_oracle(propane))
     assert not np.array_equal(fp_e.bits, fp_p.bits)
     # both have a degree-1 carbon, so the round-0 terminal invariant is shared
     terminal = fnv1a64(b"atom|C|1|0|0") % 2048
@@ -105,12 +95,43 @@ def test_coordinate_invariance(rng):
     )
 
 
+def test_fnv1a64_known_vectors():
+    assert fnv1a64(b"") == 0xCBF29CE484222325
+    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+@pytest.mark.parametrize("nbits", [1, 7, 2048])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_batch_matches_the_string_built_oracle(radius, nbits):
+    """One mixed batch (isolated atoms, charges -3..3, aromatic bonds, bond
+    orders 0, 5 and 12) equals the oracle row for row, and a batch of one
+    equals its row."""
+    rng = np.random.default_rng(100 * radius + nbits)
+    mols = [_random_molecule(rng, int(n)) for n in rng.integers(1, 14, size=40)]
+    mols.append(LigandMolecule(id="lone", atoms=(Atom("N", np.zeros(3), -3),), bonds=()))
+    assert any(b.order in (0, 5, 12) for m in mols for b in m.bonds)
+    assert any(a.aromatic for m in mols for a in m.atoms)
+    assert any(0 in m.degrees() for m in mols if len(m.atoms) > 1)
+    fps = morgan_fingerprints(mols, radius=radius, nbits=nbits)
+    assert len(fps) == len(mols)
+    for mol, fp in zip(mols, fps):
+        assert (fp.nbits, fp.radius) == (nbits, radius)
+        np.testing.assert_array_equal(fp.bits, morgan_oracle(mol, radius, nbits))
+    np.testing.assert_array_equal(morgan_fingerprint(mols[3], radius, nbits).bits, fps[3].bits)
+
+
 def test_argument_errors():
     mol = _chain(["C", "C"])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^radius must be >= 0, got -1$"):
         morgan_fingerprint(mol, radius=-1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^nbits must be positive, got 0$"):
         morgan_fingerprint(mol, nbits=0)
+    empty = LigandMolecule(id="empty", atoms=(), bonds=())
+    for batch in ([empty], [empty, mol], [mol, empty, mol], [mol, empty]):
+        with pytest.raises(ValidationError, match=r"^molecule has no atoms$"):
+            morgan_fingerprints(batch)
+    assert morgan_fingerprints([]) == []
 
 
 def _fp_from_bits(on_bits, nbits=16):
