@@ -1,8 +1,9 @@
 """Parsers for protein (PDB) and ligand (SDF V2000) structure files.
 
 Only the fields the pipeline consumes are extracted: alpha-carbon positions
-and residue identities on the protein side, heavy atoms with connectivity on
-the ligand side. All parsers are pure functions of their input bytes.
+and residue identities, or heavy-atom elements and positions, on the protein
+side, heavy atoms with connectivity on the ligand side. All parsers are pure
+functions of their input bytes.
 """
 
 from __future__ import annotations
@@ -107,14 +108,14 @@ class ProteinStructure:
 
 
 @dataclass(frozen=True)
-class HeavyAtomRecord:
-    """One non-hydrogen ATOM record from a full-detail protein parse."""
-    element: str
-    position: np.ndarray
-    name: str
-    res_name: str
-    chain: str
-    seq_index: int
+class HeavyAtoms:
+    """The non-hydrogen ATOM records of a full-detail protein parse: one
+    element symbol and one (x, y, z) row per atom."""
+    elements: tuple[str, ...]
+    positions: np.ndarray   # (n, 3) float64
+
+    def __len__(self):
+        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,6 @@ class ComplexRecord:
     protein: ProteinStructure
     poses: tuple[LigandMolecule, ...] = ()
     label_ec50_nm: float | None = None
-    upstream_confidence: float | None = None
     is_active: bool | None = None
 
     def __post_init__(self):
@@ -194,11 +194,6 @@ class ComplexRecord:
         if self.label_ec50_nm is not None and not self.label_ec50_nm > 0:
             raise ValidationError(
                 f"{self.complex_id}: ec50 must be positive, got {self.label_ec50_nm}"
-            )
-        if self.upstream_confidence is not None and not 0.0 <= self.upstream_confidence <= 1.0:
-            raise ValidationError(
-                f"{self.complex_id}: confidence must lie in [0, 1], "
-                f"got {self.upstream_confidence}"
             )
 
 
@@ -271,47 +266,46 @@ def parse_pdb(data, structure_id: str = "protein") -> ProteinStructure:
     return ProteinStructure(id=structure_id, residues=residues)
 
 
-def parse_pdb_atoms(data) -> tuple[HeavyAtomRecord, ...]:
+def parse_pdb_atoms(data) -> HeavyAtoms:
     """Full-detail parse keeping every non-hydrogen ATOM record.
 
     Used by the physics score, which needs all protein heavy atoms rather
     than just alpha carbons. Alternate locations resolve to the first seen
-    (chain, resSeq, atom name).
+    (chain, resSeq, atom name). As in `parse_pdb`, the kept records'
+    coordinates are parsed together after the scan, and a malformed field
+    still raises for the first bad line in file order.
     """
     text = _as_text(data)
-    atoms: list[HeavyAtomRecord] = []
+    kept: list[tuple[int, str]] = []
+    elements: list[str] = []
     seen: set[tuple[str, int, str]] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.startswith("ATOM"):
             continue
         name = line[12:16].strip()
-        chain = line[21:22].strip()
         try:
             seq_index = int(line[22:26])
         except ValueError:
+            _pdb_coords(kept)
             raise ParseError(f"malformed resSeq field {line[22:26]!r}", line=lineno) from None
-        key = (chain, seq_index, name)
+        key = (line[21:22].strip(), seq_index, name)
         if key in seen:
             continue
         element = line[76:78].strip().capitalize()
         if not element:
             # fall back to the first letter of the atom name
-            stripped = name.lstrip("0123456789")
-            element = stripped[:1].upper()
+            element = name.lstrip("0123456789")[:1].upper()
         if element in ("H", "D"):
             continue
         if element not in ELEMENT_SYMBOLS:
+            _pdb_coords(kept)
             raise ParseError(f"unknown element {element!r}", line=lineno)
         seen.add(key)
-        x = _pdb_float(line, 30, 38, lineno, "x")
-        y = _pdb_float(line, 38, 46, lineno, "y")
-        z = _pdb_float(line, 46, 54, lineno, "z")
-        atoms.append(HeavyAtomRecord(element=element, position=np.array([x, y, z]),
-                                     name=name, res_name=line[17:20].strip(),
-                                     chain=chain, seq_index=seq_index))
-    if not atoms:
+        kept.append((lineno, line))
+        elements.append(element)
+    if not kept:
         raise EmptyStructureError("no heavy-atom ATOM records found")
-    return tuple(atoms)
+    return HeavyAtoms(elements=tuple(elements), positions=_pdb_coords(kept))
 
 
 def parse_sdf(data) -> list[LigandMolecule]:
@@ -492,10 +486,10 @@ def load_manifest(path) -> list[ComplexRecord]:
     """Load a dataset manifest CSV and parse every referenced file.
 
     Required columns: complex_id, ligand_sdf, protein_pdb. Optional:
-    ec50_nm, confidence, is_active. Each complex_id may appear once; data
-    rows are numbered from 1 in errors. File paths resolve relative to the
-    manifest's directory. Multi-record SDFs become multiple poses. Each
-    protein path is parsed once; records naming it share its residues.
+    ec50_nm, is_active. Each complex_id may appear once; data rows are
+    numbered from 1 in errors. File paths resolve relative to the manifest's
+    directory. Multi-record SDFs become multiple poses. Each protein path is
+    parsed once; records naming it share its residues.
     """
     base = os.path.dirname(os.path.abspath(path))
     records: list[ComplexRecord] = []
@@ -537,10 +531,6 @@ def load_manifest(path) -> list[ComplexRecord]:
             raw = (row.get("ec50_nm") or "").strip()
             if raw:
                 (ec50,) = parse_numbers([(cid, raw)], lambda cid: f"row {cid!r}: ec50_nm")
-            conf = None
-            raw = (row.get("confidence") or "").strip()
-            if raw:
-                (conf,) = parse_numbers([(cid, raw)], lambda cid: f"row {cid!r}: confidence")
             active = None
             raw = (row.get("is_active") or "").strip()
             if raw:
@@ -550,7 +540,6 @@ def load_manifest(path) -> list[ComplexRecord]:
 
             records.append(ComplexRecord(
                 complex_id=cid, ligand=poses[0], protein=protein,
-                poses=tuple(poses), label_ec50_nm=ec50,
-                upstream_confidence=conf, is_active=active,
+                poses=tuple(poses), label_ec50_nm=ec50, is_active=active,
             ))
     return records

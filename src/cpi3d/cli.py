@@ -73,9 +73,11 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _write_csv(path: str, subcommand: str, cfg: RunConfig, header: list[str],
-               rows: list[list]):
+               rows: list[list], seed: int | None = None):
+    # the provenance line names the run's top-level seed unless `seed` is given
     buf = io.StringIO()
-    buf.write(f"# cpi3d {subcommand} config={cfg.hash()} seed={cfg.seed}\n")
+    buf.write(f"# cpi3d {subcommand} config={cfg.hash()} "
+              f"seed={cfg.seed if seed is None else seed}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -278,7 +280,7 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     save_model(args.out, model, cfg)
     if args.loss_out:
         _write_csv(args.loss_out, "train", cfg, ["step", "loss"],
-                   [[i, repr(v)] for i, v in enumerate(losses)])
+                   [[i, repr(v)] for i, v in enumerate(losses)], seed=cfg.train.seed)
     print(f"trained {len(records)} records for {len(losses)} steps; "
           f"final loss {losses[-1]:.6g}; checkpoint {args.out}")
     return 0

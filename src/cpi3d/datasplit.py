@@ -30,11 +30,6 @@ def normalize_label(ec50_nm: float) -> float:
     return math.log10(ec50_nm * 1e-9)
 
 
-def denormalize_label(p: float) -> float:
-    """Inverse of normalize_label, back to nanomolar."""
-    return 10.0 ** p * 1e9
-
-
 class SplitSetting(str, enum.Enum):
     NOVEL_PAIR = "novel_pair"
     NOVEL_COMPOUND = "novel_compound"

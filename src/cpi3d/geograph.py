@@ -60,11 +60,10 @@ class CutoffConfig:
             object.__setattr__(self, "rbf_nu_max", max(self.cc, self.pp, self.pc))
         if self.rbf_gamma is None:
             object.__setattr__(self, "rbf_gamma", 10.0 / self.rbf_nu_max)
+        if not self.rbf_gamma > 0:
+            raise ValidationError("rbf_gamma must be positive")
         if not self.rbf_nu_min < self.rbf_nu_max:
             raise ValidationError("rbf_nu_min must be below rbf_nu_max")
-
-    def cutoff(self, kind: EdgeKind) -> float:
-        return {EdgeKind.CC: self.cc, EdgeKind.PP: self.pp, EdgeKind.PC: self.pc}[kind]
 
     def anchors(self) -> np.ndarray:
         return np.linspace(self.rbf_nu_min, self.rbf_nu_max, self.rbf_k)
@@ -348,9 +347,9 @@ def build_pair_graph(ligand: LigandMolecule, protein: ProteinStructure,
     )
 
 
-def build_graph(record: ComplexRecord, cfg: CutoffConfig, pose: int = 0) -> HeteroGraph:
-    """Graph for one pose of a complex record (default: the first pose)."""
-    return build_pair_graph(record.poses[pose], record.protein, cfg)
+def build_graph(record: ComplexRecord, cfg: CutoffConfig) -> HeteroGraph:
+    """Graph for a complex record's ligand (its first pose)."""
+    return build_pair_graph(record.ligand, record.protein, cfg)
 
 
 def graph_to_json(graph: HeteroGraph) -> str:

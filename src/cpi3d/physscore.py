@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chemio import HeavyAtomRecord, LigandMolecule
+from .chemio import HeavyAtoms, LigandMolecule
 from .errors import ValidationError
 from .geograph import neighbor_pairs
 
@@ -99,13 +99,13 @@ def type_ligand_atoms(mol: LigandMolecule) -> TypedAtoms:
                        np.concatenate([i, j]), np.concatenate([j, i]), np.tile(order, 2))
 
 
-def type_protein_atoms(atoms: tuple[HeavyAtomRecord, ...]) -> TypedAtoms:
+def type_protein_atoms(atoms: HeavyAtoms) -> TypedAtoms:
     """Same rules as the ligand, with connectivity inferred from heavy-atom
     distances below the covalent cutoff (single bonds assumed)."""
-    pos = np.array([a.position for a in atoms])
+    pos = atoms.positions
     i, j, dist = neighbor_pairs(pos, pos, COVALENT_CUTOFF)
     bonded = (dist < COVALENT_CUTOFF) & (i != j)
-    return _type_atoms([a.element for a in atoms], pos, i[bonded], j[bonded],
+    return _type_atoms(atoms.elements, pos, i[bonded], j[bonded],
                        np.ones(int(bonded.sum()), dtype=np.int64))
 
 
@@ -170,7 +170,7 @@ def pairwise_energy(lig: TypedAtoms, prot: TypedAtoms, weights: VinaWeights) -> 
     return float(terms.sum())
 
 
-def score_poses(poses, protein_atoms: tuple[HeavyAtomRecord, ...],
+def score_poses(poses, protein_atoms: HeavyAtoms,
                 weights: VinaWeights | None = None) -> list[float]:
     """`vina_score` of every pose against one receptor, which is typed once
     for the whole pose set."""
@@ -184,7 +184,7 @@ def score_poses(poses, protein_atoms: tuple[HeavyAtomRecord, ...],
             / (1.0 + weights.rot * count_rotatable_bonds(pose)) for pose in poses]
 
 
-def vina_score(ligand: LigandMolecule, protein_atoms: tuple[HeavyAtomRecord, ...],
+def vina_score(ligand: LigandMolecule, protein_atoms: HeavyAtoms,
                weights: VinaWeights | None = None) -> float:
     """Intermolecular energy divided by the flexibility penalty
     1 + w_rot * N_rotatable. Depends on distances only, so it is exactly

@@ -1,13 +1,13 @@
-"""Real spherical harmonics, Wigner rotation matrices, and real-basis
-Clebsch-Gordan coupling tensors for degrees l <= 2.
+"""Real spherical harmonics and real-basis Clebsch-Gordan coupling tensors
+for degrees l <= 2.
 
 Conventions: real harmonics in the standard (Wikipedia) normalization with
 integral of |Y|^2 over the sphere equal to 1; blocks ordered l = 0..lmax
 with components m = -l..l, so the l=1 block of a unit vector (x, y, z) is
 sqrt(3/4pi) * (y, z, x). Coupling tensors are built from exact complex
 Clebsch-Gordan coefficients via the real-harmonic change of basis and have
-orthonormal rows, so each degree-l3 slice intertwines the Wigner matrices:
-D(l3) C = C (D(l1) x D(l2)).
+orthonormal rows, so each degree-l3 slice intertwines the Wigner rotation
+matrices D(l) of the blocks: D(l3) C = C (D(l1) x D(l2)).
 """
 
 from __future__ import annotations
@@ -20,13 +20,6 @@ import numpy as np
 from .errors import ValidationError
 
 LMAX = 2
-
-# permutation taking a cartesian (x, y, z) vector to l=1 component order (m=-1,0,1)
-P_YZX = np.array([
-    [0.0, 1.0, 0.0],
-    [0.0, 0.0, 1.0],
-    [1.0, 0.0, 0.0],
-])
 
 _C1 = math.sqrt(3.0 / (4.0 * math.pi))
 _C2XY = 0.5 * math.sqrt(15.0 / math.pi)
@@ -154,37 +147,6 @@ def coupling_matrix(l1: int, l2: int, l3: int) -> np.ndarray:
     out = c.transpose(2, 1, 0).reshape(2 * l2 + 1, -1)
     out.setflags(write=False)
     return out
-
-
-def _check_rotation(R: np.ndarray):
-    if R.shape != (3, 3):
-        raise ValidationError(f"rotation must be 3x3, got {R.shape}")
-    if np.abs(R @ R.T - np.eye(3)).max() > 1e-8 or np.linalg.det(R) < 0:
-        raise ValidationError("matrix is not a proper rotation")
-
-
-@lru_cache(maxsize=None)
-def _cg112() -> np.ndarray:
-    return clebsch_gordan(1, 1, 2)
-
-
-def wigner_d(R, l: int) -> np.ndarray:
-    """Rotation matrix acting on a degree-l block of real harmonics.
-
-    D(0) is [1]; D(1) conjugates R into (y, z, x) component order; D(2) is
-    the l=2 projection of D(1) x D(1) through the coupling tensor.
-    """
-    R = np.asarray(R, dtype=np.float64)
-    _check_rotation(R)
-    if l == 0:
-        return np.ones((1, 1))
-    d1 = P_YZX @ R @ P_YZX.T
-    if l == 1:
-        return d1
-    if l == 2:
-        c = _cg112()
-        return np.einsum("Mab,ac,bd,Ncd->MN", c, d1, d1, c)
-    raise ValidationError(f"degree {l} not supported (lmax = {LMAX})")
 
 
 def allowed_paths(lmax: int = LMAX, parity_even_only: bool = True) -> tuple[tuple[int, int, int], ...]:

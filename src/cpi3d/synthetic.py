@@ -188,7 +188,7 @@ def write_manifest(records: list[ComplexRecord], directory: str) -> str:
     the manifest path."""
     os.makedirs(directory, exist_ok=True)
     manifest = os.path.join(directory, "manifest.csv")
-    rows = ["complex_id,ligand_sdf,protein_pdb,ec50_nm,confidence,is_active"]
+    rows = ["complex_id,ligand_sdf,protein_pdb,ec50_nm,is_active"]
     for rec in records:
         sdf_name = f"{rec.complex_id}.sdf"
         pdb_name = f"{rec.complex_id}.pdb"
@@ -197,9 +197,8 @@ def write_manifest(records: list[ComplexRecord], directory: str) -> str:
         with open(os.path.join(directory, pdb_name), "w", encoding="utf-8") as fh:
             fh.write(protein_to_pdb(rec.protein))
         ec50 = "" if rec.label_ec50_nm is None else repr(float(rec.label_ec50_nm))
-        conf = "" if rec.upstream_confidence is None else repr(float(rec.upstream_confidence))
         active = "" if rec.is_active is None else str(int(rec.is_active))
-        rows.append(f"{rec.complex_id},{sdf_name},{pdb_name},{ec50},{conf},{active}")
+        rows.append(f"{rec.complex_id},{sdf_name},{pdb_name},{ec50},{active}")
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
     return manifest

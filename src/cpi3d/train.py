@@ -35,6 +35,11 @@ class TrainConfig:
             raise ValidationError("batch_size must be at least 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValidationError("adam_eps must be positive")
 
 
 def mse_loss(pred, label) -> Tensor:

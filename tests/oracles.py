@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to verify the metric code,
 the tensor-product message kernel, the neighbour search, atom typing,
 complete-linkage clustering, packed training, Morgan hashing and the PDB
-alpha-carbon parse.
+alpha-carbon and heavy-atom parses, plus the Wigner rotation matrices that
+the equivariance tests rotate feature blocks with.
 
 Everything here is written longhand (python loops, explicit rank formulas,
 one einsum per coupling path, dense distance blocks, a leader table with an
@@ -15,13 +16,20 @@ import math
 import numpy as np
 
 from cpi3d import autodiff as ad
-from cpi3d.chemio import AMINO_ACIDS_3TO1, UNKNOWN_AA
+from cpi3d.chemio import AMINO_ACIDS_3TO1, ELEMENT_SYMBOLS, UNKNOWN_AA
 from cpi3d.equinet import forward
-from cpi3d.errors import EmptyStructureError, ParseError
+from cpi3d.errors import EmptyStructureError, ParseError, ValidationError
 from cpi3d.fingerprint import fnv1a64
 from cpi3d.physscore import INTERACTION_CUTOFF, ramp
-from cpi3d.so3 import clebsch_gordan, sh_slice
+from cpi3d.so3 import LMAX, clebsch_gordan, sh_slice
 from cpi3d.train import grad, mse_loss
+
+# permutation taking a cartesian (x, y, z) vector to l=1 component order (m=-1,0,1)
+P_YZX = np.array([
+    [0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0],
+])
 
 
 def ci_oracle(preds, labels):
@@ -139,8 +147,7 @@ def protein_typing_oracle(atoms):
     heavy-atom pairs below 1.9 A."""
     valence = {"N": 3, "O": 2}
     block = 512
-    pos = np.array([a.position for a in atoms])
-    elements = [a.element for a in atoms]
+    pos, elements = atoms.positions, atoms.elements
     n = len(atoms)
     hydrophobic = np.zeros(n, dtype=bool)
     donor = np.zeros(n, dtype=bool)
@@ -228,21 +235,27 @@ def morgan_oracle(mol, radius=2, nbits=2048):
     return bits
 
 
+def _pdb_number(line, start, end, lineno, what):
+    raw = line[start:end].strip()
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ParseError(f"malformed {what} field {raw!r}", line=lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what} field {raw!r}", line=lineno)
+    return value
+
+
+def _pdb_xyz(line, lineno):
+    return (_pdb_number(line, 30, 38, lineno, "x"), _pdb_number(line, 38, 46, lineno, "y"),
+            _pdb_number(line, 46, 54, lineno, "z"))
+
+
 def pdb_ca_oracle(text):
     """(aa, chain, resSeq, (x, y, z)) per residue of a PDB text, sorted by
     (chain, resSeq): the first CA ATOM record of each (chain, resSeq) wins,
     each field is parsed as it is reached, and the first bad field raises
     `ParseError` with its line."""
-    def number(line, start, end, lineno, what):
-        raw = line[start:end].strip()
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"malformed {what} field {raw!r}", line=lineno) from None
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite {what} field {raw!r}", line=lineno)
-        return value
-
     found = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.startswith("ATOM") or line[12:16].strip() != "CA":
@@ -254,13 +267,67 @@ def pdb_ca_oracle(text):
         key = (line[21:22].strip(), seq_index)
         if key in found:
             continue
-        xyz = (number(line, 30, 38, lineno, "x"), number(line, 38, 46, lineno, "y"),
-               number(line, 46, 54, lineno, "z"))
         res_name = line[17:20].strip()
-        found[key] = (res_name if res_name in AMINO_ACIDS_3TO1 else UNKNOWN_AA, *key, xyz)
+        found[key] = (res_name if res_name in AMINO_ACIDS_3TO1 else UNKNOWN_AA, *key,
+                      _pdb_xyz(line, lineno))
     if not found:
         raise EmptyStructureError("no CA ATOM records found")
     return [found[key] for key in sorted(found)]
+
+
+def pdb_atoms_oracle(text):
+    """(element, (x, y, z)) per heavy ATOM record of a PDB text, in file
+    order: the first record of each (chain, resSeq, atom name) wins, H and
+    D are skipped, a blank element column falls back to the first letter of
+    the atom name, each field is parsed as it is reached, and the first bad
+    field raises `ParseError` with its line."""
+    atoms = []
+    seen = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.startswith("ATOM"):
+            continue
+        name = line[12:16].strip()
+        try:
+            seq_index = int(line[22:26])
+        except ValueError:
+            raise ParseError(f"malformed resSeq field {line[22:26]!r}", line=lineno) from None
+        key = (line[21:22].strip(), seq_index, name)
+        if key in seen:
+            continue
+        element = line[76:78].strip().capitalize()
+        if not element:
+            element = name.lstrip("0123456789")[:1].upper()
+        if element in ("H", "D"):
+            continue
+        if element not in ELEMENT_SYMBOLS:
+            raise ParseError(f"unknown element {element!r}", line=lineno)
+        seen.add(key)
+        atoms.append((element, _pdb_xyz(line, lineno)))
+    if not atoms:
+        raise EmptyStructureError("no heavy-atom ATOM records found")
+    return atoms
+
+
+def wigner_d(R, l):
+    """Rotation matrix acting on a degree-l block of real harmonics.
+
+    D(0) is [1]; D(1) conjugates R into (y, z, x) component order; D(2) is
+    the l=2 projection of D(1) x D(1) through the coupling tensor.
+    """
+    R = np.asarray(R, dtype=np.float64)
+    if R.shape != (3, 3):
+        raise ValidationError(f"rotation must be 3x3, got {R.shape}")
+    if np.abs(R @ R.T - np.eye(3)).max() > 1e-8 or np.linalg.det(R) < 0:
+        raise ValidationError("matrix is not a proper rotation")
+    if l == 0:
+        return np.ones((1, 1))
+    d1 = P_YZX @ R @ P_YZX.T
+    if l == 1:
+        return d1
+    if l == 2:
+        c = clebsch_gordan(1, 1, 2)
+        return np.einsum("Mab,ac,bd,Ncd->MN", c, d1, d1, c)
+    raise ValidationError(f"degree {l} not supported (lmax = {LMAX})")
 
 
 def similarity_matrix(items, similarity):

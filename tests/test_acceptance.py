@@ -14,7 +14,6 @@ from cpi3d.datasplit import (
     SplitSetting,
     assign_folds,
     compound_similarity_matrix,
-    denormalize_label,
     hierarchical_cluster,
     leakage_report,
     normalize_label,
@@ -36,7 +35,7 @@ from cpi3d.metrics import (
     spearman,
 )
 from cpi3d.physscore import VinaWeights, rerank_poses, vina_score
-from cpi3d.so3 import random_rotation, wigner_d
+from cpi3d.so3 import random_rotation
 from cpi3d.synthetic import (
     clustered_records,
     random_complex,
@@ -46,8 +45,8 @@ from cpi3d.synthetic import (
 from cpi3d.train import TrainConfig, grad, mse_loss, train
 
 from conftest import transform_ligand, transform_protein
-from oracles import bedroc_oracle, ci_oracle, ef_oracle, spearman_oracle
-from test_physscore import _prot_atom
+from oracles import bedroc_oracle, ci_oracle, ef_oracle, spearman_oracle, wigner_d
+from test_physscore import _moved, _receptor
 
 
 def _report(num, name, detail, elapsed, budget):
@@ -263,7 +262,7 @@ def test_acceptance_6_label_normalization():
     worst = 0.0
     for _ in range(1000):
         ec50 = float(10 ** rng.uniform(-3, 9))
-        worst = max(worst, abs(denormalize_label(normalize_label(ec50)) - ec50) / ec50)
+        worst = max(worst, abs(10.0 ** normalize_label(ec50) * 1e9 - ec50) / ec50)
     assert worst < 1e-9
     _report(6, "label normalization",
             f"endpoints {lo:.3f} / {hi:.3f}, round-trip rel err {worst:.1e}",
@@ -320,23 +319,21 @@ def test_acceptance_8_physics_score_invariance():
     t0 = time.monotonic()
     rng = np.random.default_rng(17)
     lig = random_ligand(rng, n_atoms=8)
-    prot_atoms = tuple(
-        _prot_atom(str(rng.choice(["C", "N", "O", "S"])), rng.normal(size=3) * 3 + 4)
-        for _ in range(12)
-    )
+    prot_atoms = _receptor(*[
+        (str(rng.choice(["C", "N", "O", "S"])), rng.normal(size=3) * 3 + 4) for _ in range(12)
+    ])
     base = vina_score(lig, prot_atoms)
     worst = 0.0
     for _ in range(10):
         R = random_rotation(rng)
         t = rng.normal(size=3) * 30
         lig2 = transform_ligand(lig, R, t)
-        prot2 = tuple(type(a)(a.element, R @ a.position + t, a.name, a.res_name,
-                              a.chain, a.seq_index) for a in prot_atoms)
+        prot2 = _moved(prot_atoms, R, t)
         worst = max(worst, abs(vina_score(lig2, prot2) - base))
     assert worst < 1e-9, f"score moved under rigid transform: {worst}"
 
     # a clashing pose of identical composition ranks strictly below clash-free
-    pocket = (_prot_atom("C", [4.0, 0.0, 0.0]), _prot_atom("C", [0.0, 4.0, 0.0]))
+    pocket = _receptor(("C", [4.0, 0.0, 0.0]), ("C", [0.0, 4.0, 0.0]))
     clash_free = random_ligand(np.random.default_rng(3), n_atoms=3,
                                center=(0.0, 0.0, 0.0))
     clashing = transform_ligand(clash_free, t=[3.6, 0.0, 0.0])

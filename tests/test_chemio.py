@@ -1,3 +1,7 @@
+import importlib.util
+import itertools
+import os
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from cpi3d.errors import EmptyStructureError, ParseError, ValidationError
 from cpi3d.synthetic import random_complexes, write_manifest
 
 from conftest import pdb_atom_line
-from oracles import pdb_ca_oracle
+from oracles import pdb_atoms_oracle, pdb_ca_oracle
 
 
 def test_parse_pdb_single_ca():
@@ -341,17 +345,119 @@ def test_parse_pdb_atoms_full_detail():
         pdb_atom_line(5, "CA", "B", "ALA", "A", 1, 9.0, 9.0, 9.0, "C"),  # altloc dup
     ]
     atoms = parse_pdb_atoms("\n".join(lines))
-    assert [a.element for a in atoms] == ["N", "C", "O"]
-    np.testing.assert_allclose(atoms[1].position, [1.5, 0.0, 0.0])
+    assert atoms.elements == ("N", "C", "O")
+    np.testing.assert_allclose(atoms.positions[1], [1.5, 0.0, 0.0])
+
+
+def _atoms_parsed(text):
+    """parse_pdb_atoms's elements and coordinate bytes, or its error."""
+    try:
+        atoms = parse_pdb_atoms(text)
+    except (ParseError, EmptyStructureError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    assert atoms.positions.dtype == np.float64 and atoms.positions.shape == (len(atoms), 3)
+    return atoms.elements, atoms.positions.tobytes()
+
+
+def _atoms_oracle(text):
+    try:
+        atoms = pdb_atoms_oracle(text)
+    except (ParseError, EmptyStructureError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return tuple(e for e, _ in atoms), np.array([xyz for _, xyz in atoms]).tobytes()
+
+
+def _bench_receptor_pdb(seed, directory):
+    """The `rerank-split-eval` benchmark workload's receptor_full.pdb."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads._gen_rerank_split_eval(seed, str(directory))
+    return (directory / "receptor_full.pdb").read_text()
+
+
+@pytest.mark.parametrize("seed", [0, 29])
+def test_parse_pdb_atoms_matches_the_field_by_field_parse_on_bench_receptors(tmp_path, seed):
+    text = _bench_receptor_pdb(seed, tmp_path)
+    got = _atoms_parsed(text)
+    assert got == _atoms_oracle(text)
+    assert len(got[0]) == 4000
+
+
+_ATOM_LINES = [
+    pdb_atom_line(1, "N", " ", "ALA", "A", 1, 0.0, 0.0, 0.0, "N"),
+    pdb_atom_line(2, "CA", " ", "ALA", "A", 1, 1.458, 0.0, 0.0, "C"),
+    pdb_atom_line(3, "C", " ", "ALA", "A", 1, 2.009, 1.42, -0.001, "C"),
+    pdb_atom_line(4, "O", " ", "ALA", "A", 1, 1.251, 2.39, 0.0, "O"),
+    pdb_atom_line(5, "H", " ", "ALA", "A", 1, -0.5, 0.5, 0.0, "H"),
+    pdb_atom_line(6, "CA", "B", "ALA", "A", 1, 9.0, 9.0, 9.0, "C"),        # altLoc duplicate
+    pdb_atom_line(7, "N", " ", "GLY", "B", 2, 3.326, 1.54, 0.0, "N"),
+    pdb_atom_line(8, "CA", " ", "GLY", "B", 2, 3.941, 2.83, 0.0, ""),      # element from name
+    pdb_atom_line(9, "D", " ", "GLY", "B", 2, 3.9, 3.1, 1.0, "D"),
+    pdb_atom_line(10, "ZN", " ", "ZN", "C", 1, 7.0, 7.0, 7.0, "ZN", record="HETATM"),
+    pdb_atom_line(11, "1HB", " ", "GLY", "B", 2, 4.1, 2.9, -1.0, ""),     # H from name
+    pdb_atom_line(12, "SD", " ", "MET", "B", 3, -9.999, 999.5, -0.0, "S"),
+]
+
+
+def _coordinate(start, raw):
+    return lambda lines, i: _with_field(lines[i], start, raw)
+
+
+_ATOM_MUTATIONS = {
+    **{f"{axis}={raw or 'blank'}": _coordinate(start, raw)
+       for axis, start in (("x", 30), ("y", 38), ("z", 46))
+       for raw in ("x", "", "nan", "inf", "1e309")},
+    "resseq": lambda lines, i: lines[i][:22] + "  ?A" + lines[i][26:],
+    "unknown-element": lambda lines, i: lines[i][:76] + "Xx",
+    "blank-element": lambda lines, i: lines[i][:76] + "  ",
+    "hydrogen": lambda lines, i: lines[i][:76] + " H",
+    "deuterium": lambda lines, i: lines[i][:76] + " D",
+    "duplicate-key": lambda lines, i: lines[i][:12] + lines[0][12:27] + lines[i][27:],
+}
+
+
+def _mutated(mutations):
+    lines = list(_ATOM_LINES)
+    for name, i in mutations:
+        lines[i] = _ATOM_MUTATIONS[name](lines, i)
+    return "\n".join(lines)
+
+
+def test_parse_pdb_atoms_matches_the_field_by_field_parse_under_line_mutations():
+    """Every mutation of one line, and pairs of mutations on two lines,
+    give the same elements and coordinate bytes as the per-field parse, or
+    the same error for the same line; a bad field on a skipped line (an H,
+    D, HETATM or duplicate record) is never reached."""
+    texts = [_mutated([])]
+    texts += [_mutated([(name, i)]) for name in _ATOM_MUTATIONS for i in range(len(_ATOM_LINES))]
+    pair_kinds = ("x=x", "y=nan", "z=1e309", "resseq", "unknown-element", "blank-element",
+                  "hydrogen", "duplicate-key")
+    texts += [_mutated([(a, i), (b, j)])
+              for i, j in itertools.combinations(range(len(_ATOM_LINES)), 2)
+              for a in pair_kinds for b in pair_kinds]
+    outcomes = set()
+    for text in texts:
+        got = _atoms_parsed(text)
+        assert got == _atoms_oracle(text), text
+        if got[0] is ParseError:
+            outcomes.add(got[1].partition(": ")[2].split(" field")[0])
+        else:
+            outcomes.add("parsed")
+    assert _atoms_parsed(texts[0])[0] == ("N", "C", "C", "O", "N", "C", "S")
+    assert {"parsed", "malformed x", "malformed y", "non-finite z", "malformed resSeq",
+            "unknown element 'Xx'"} <= outcomes
+    # a bad coordinate on each skipped line parses as the unmutated text
+    for i in (4, 5, 8, 9, 10):
+        assert _atoms_parsed(_mutated([("x=nan", i)])) == _atoms_parsed(texts[0])
 
 
 def test_load_manifest_round_trip(tmp_path):
     records = random_complexes(3, seed=7, with_label=True)
-    records[1].upstream_confidence = 0.87
     manifest = write_manifest(records, str(tmp_path))
     loaded = load_manifest(manifest)
     assert [r.complex_id for r in loaded] == [r.complex_id for r in records]
-    assert loaded[1].upstream_confidence == 0.87
     assert loaded[0].label_ec50_nm == pytest.approx(records[0].label_ec50_nm)
     for orig, back in zip(records, loaded):
         assert len(back.ligand.atoms) == len(orig.ligand.atoms)

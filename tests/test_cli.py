@@ -160,14 +160,11 @@ def test_rerank_bad_confidence_exits_one(tmp_path, capsys, body, needle):
 @pytest.mark.parametrize("row,needle", [
     ("toy0", "row 1: no ligand_sdf value"),
     ("toy0,toy0.sdf", "row 1: no protein_pdb value"),
-    ("toy0,toy0.sdf,toy0.pdb,abc,,", "row 'toy0': ec50_nm 'abc' is not a number"),
-    ("toy0,toy0.sdf,toy0.pdb,inf,,", "row 'toy0': ec50_nm 'inf' is not finite"),
-    ("toy0,toy0.sdf,toy0.pdb,0,,", "toy0: ec50 must be positive"),
-    ("toy0,toy0.sdf,toy0.pdb,,nan,", "row 'toy0': confidence 'nan' is not finite"),
-    ("toy0,toy0.sdf,toy0.pdb,,high,", "row 'toy0': confidence 'high' is not a number"),
-    ("toy0,toy0.sdf,toy0.pdb,,,2", "row 'toy0': is_active '2' is not a boolean"),
-], ids=["id-only", "no-protein", "ec50-abc", "ec50-inf", "ec50-zero", "confidence-nan",
-        "confidence-text", "is-active-two"])
+    ("toy0,toy0.sdf,toy0.pdb,abc,", "row 'toy0': ec50_nm 'abc' is not a number"),
+    ("toy0,toy0.sdf,toy0.pdb,inf,", "row 'toy0': ec50_nm 'inf' is not finite"),
+    ("toy0,toy0.sdf,toy0.pdb,0,", "toy0: ec50 must be positive"),
+    ("toy0,toy0.sdf,toy0.pdb,,2", "row 'toy0': is_active '2' is not a boolean"),
+], ids=["id-only", "no-protein", "ec50-abc", "ec50-inf", "ec50-zero", "is-active-two"])
 def test_bad_manifest_row_exits_one(tmp_path, capsys, row, needle):
     manifest = write_manifest(random_complexes(1, seed=3), str(tmp_path / "data"))
     header = open(manifest).read().splitlines()[0]
@@ -369,7 +366,6 @@ def test_train_predict_wraps_overfit_run(tmp_path):
     """End-to-end CLI version of the overfit capacity run: labels from a
     frozen random model, written to a manifest as EC50 values, fit back
     through `train` and scored with `predict`."""
-    from cpi3d.datasplit import denormalize_label
     from cpi3d.equinet import IrrepLayout, ModelConfig, forward, init_params
     from cpi3d.fingerprint import morgan_fingerprint
     from cpi3d.geograph import CutoffConfig, build_pair_graph
@@ -388,7 +384,7 @@ def test_train_predict_wraps_overfit_run(tmp_path):
     normed = (raw - raw.mean()) / raw.std()
     # express the standardized labels as (positive) EC50 values for the manifest
     for rec, p in zip(records, normed):
-        rec.label_ec50_nm = denormalize_label(p)
+        rec.label_ec50_nm = 10.0 ** p * 1e9
     manifest = write_manifest(records, str(tmp_path / "overfit"))
 
     config = tmp_path / "config.json"
@@ -493,6 +489,48 @@ def test_train_rejects_batch_size_below_one(toy_dir, capsys, batch_size):
     assert err == "error: batch_size must be at least 1\n"
 
 
+@pytest.mark.parametrize("doc,line", [
+    ({"cutoffs": {"rbf_gamma": -3.0}}, "rbf_gamma must be positive"),
+    ({"cutoffs": {"rbf_gamma": 0}}, "rbf_gamma must be positive"),
+    ({"train": {"adam_beta1": 1.0}}, "adam_beta1 must lie in [0, 1)"),
+    ({"train": {"adam_beta1": -0.1}}, "adam_beta1 must lie in [0, 1)"),
+    ({"train": {"adam_beta2": 1.5}}, "adam_beta2 must lie in [0, 1)"),
+    ({"train": {"adam_eps": -1.0}}, "adam_eps must be positive"),
+    ({"train": {"adam_eps": 0}}, "adam_eps must be positive"),
+], ids=["rbf-gamma-negative", "rbf-gamma-zero", "beta1-one", "beta1-negative", "beta2-above-one",
+        "eps-negative", "eps-zero"])
+def test_train_rejects_config_value_outside_its_domain(toy_dir, capsys, doc, line):
+    tmp_path, manifest, _ = toy_dir
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--manifest", manifest, "--config", str(config), "--steps", "3",
+                 "--out", str(tmp_path / "m.eqcp")]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "m.eqcp").exists()
+
+
+def test_train_loss_csv_names_the_training_seed(toy_dir):
+    """The loss CSV's header names `train.seed`, the seed training used,
+    whether it comes from `--seed` or the config's train section; the
+    top-level seed does not reach training."""
+    tmp_path, manifest, _ = toy_dir
+
+    def losses(name, doc, *flags):
+        config, loss = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        config.write_text(json.dumps(doc))
+        assert main(["train", "--manifest", manifest, "--config", str(config), *flags,
+                     "--out", str(tmp_path / f"{name}.eqcp"), "--loss-out", str(loss)]) == 0
+        header, *rows = loss.read_text().splitlines()
+        return header.rpartition(" ")[2], rows
+
+    seed5 = losses("train5", {**TINY_MODEL, "train": {**TINY_MODEL["train"], "seed": 5}})
+    assert seed5 == losses("flag5", TINY_MODEL, "--seed", "5")
+    assert seed5[0] == "seed=5"
+    top3 = losses("top3", {**TINY_MODEL, "seed": 3})
+    assert top3 == losses("default", TINY_MODEL)
+    assert top3[0] == "seed=0" and top3[1] != seed5[1]
+
+
 TINY_HEADER = {"model": TINY_MODEL["model"], "cutoffs": TINY_MODEL["cutoffs"]}
 
 
@@ -550,7 +588,10 @@ def test_predict_scores_edge_budget_packs(tmp_path, monkeypatch):
     ({"model": TINY_MODEL["model"]}, "header has no cutoffs config"),
     ({**TINY_HEADER, "cutoffs": {"rbf_k": "6"}}, "'cutoffs.rbf_k': must be an integer"),
     ({**TINY_HEADER, "cutoffs": {"pp": math.nan}}, "NaN is not a JSON number"),
-], ids=["no-config", "unknown-model-key", "no-cutoffs", "wrong-type", "nan-cutoff"])
+    ({**TINY_HEADER, "cutoffs": {**TINY_MODEL["cutoffs"], "rbf_gamma": -3.0}},
+     "header rbf_gamma must be positive"),
+], ids=["no-config", "unknown-model-key", "no-cutoffs", "wrong-type", "nan-cutoff",
+        "negative-rbf-gamma"])
 def test_predict_bad_checkpoint_header_exits_one(toy_dir, capsys, header, needle):
     tmp_path, manifest, _ = toy_dir
     params = init_params(build_config(ModelConfig, TINY_MODEL["model"]),

@@ -29,19 +29,12 @@ from cpi3d.chemio import Atom, LigandMolecule
 from cpi3d.errors import ConfigError
 from cpi3d.fingerprint import morgan_fingerprint
 from cpi3d.geograph import CutoffConfig, EdgeKind, build_pair_graph, pack_graphs
-from cpi3d.so3 import (
-    P_YZX,
-    allowed_paths,
-    random_rotation,
-    sh_slice,
-    spherical_harmonics_batch,
-    wigner_d,
-)
+from cpi3d.so3 import allowed_paths, random_rotation, sh_slice, spherical_harmonics_batch
 from cpi3d.synthetic import random_complex, random_ligand
 from cpi3d.train import grad
 
 from conftest import lattice_receptor, transform_ligand, transform_protein
-from oracles import tp_message_oracle
+from oracles import P_YZX, tp_message_oracle, wigner_d
 
 SMALL_CFG = ModelConfig(layers=2, layout=IrrepLayout((6, 3, 2)),
                         edge_mlp_hidden=12, readout_hidden=8,

@@ -101,7 +101,7 @@ def test_edge_dist_matches_rvec_norm(rng):
         if len(es):
             np.testing.assert_allclose(np.linalg.norm(es.r_vec, axis=1), es.dist,
                                        atol=1e-9)
-            assert np.all(es.dist <= CutoffConfig().cutoff(es.kind) + 1e-12)
+            assert np.all(es.dist <= getattr(CutoffConfig(), es.kind.value) + 1e-12)
 
 
 def test_translation_leaves_edge_attributes(rng):
@@ -247,6 +247,9 @@ def test_cutoff_config_validation():
         CutoffConfig(cc=-1.0)
     with pytest.raises(ValidationError):
         CutoffConfig(rbf_k=1)
+    for gamma in (0.0, -3.0):
+        with pytest.raises(ValidationError, match="^rbf_gamma must be positive$"):
+            CutoffConfig(rbf_gamma=gamma)
     cfg = CutoffConfig()
     assert cfg.rbf_nu_max == 15.0
     assert cfg.rbf_gamma == pytest.approx(10.0 / 15.0)

@@ -1,0 +1,37 @@
+from linecount import code_lines
+
+SAMPLE = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+def f(x):
+    """One-line docstring."""
+    # another comment
+    y = """a string over
+two lines"""
+    "a string statement after the first is code"
+    return x + y
+
+
+class C:
+    """Class docstring."""
+
+    z = {
+        # a comment inside brackets
+        "a": 1,
+    }
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    # import, def, the two lines of y, the later string, return, class, z's
+    # three lines
+    assert code_lines(SAMPLE) == 10
+
+
+def test_code_lines_of_source_without_code():
+    assert code_lines("") == 0
+    assert code_lines('"""Only a docstring."""\n\n# and a comment\n') == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpi3d import physscore
-from cpi3d.chemio import Atom, Bond, HeavyAtomRecord, LigandMolecule
+from cpi3d.chemio import Atom, Bond, HeavyAtoms, LigandMolecule
 from cpi3d.errors import ValidationError
 from cpi3d.physscore import (
     VinaWeights,
@@ -31,9 +31,15 @@ def _atom(element, pos, **kw):
     return Atom(element=element, position=np.asarray(pos, dtype=float), **kw)
 
 
-def _prot_atom(element, pos):
-    return HeavyAtomRecord(element=element, position=np.asarray(pos, dtype=float),
-                           name=element, res_name="ALA", chain="A", seq_index=1)
+def _receptor(*atoms):
+    """Receptor heavy atoms from (element, position) pairs."""
+    return HeavyAtoms(elements=tuple(e for e, _ in atoms),
+                      positions=np.array([p for _, p in atoms], dtype=float).reshape(-1, 3))
+
+
+def _moved(atoms, R, t):
+    """`atoms` under the rigid motion x -> R x + t."""
+    return HeavyAtoms(elements=atoms.elements, positions=atoms.positions @ R.T + t)
 
 
 def _mol(atoms, bonds=(), mol_id="m"):
@@ -42,7 +48,7 @@ def _mol(atoms, bonds=(), mol_id="m"):
 
 def test_gauss1_is_one_at_zero_surface_distance():
     lig = _mol([_atom("C", [0, 0, 0])])
-    prot = (_prot_atom("C", [CARBON_CONTACT, 0, 0]),)
+    prot = _receptor(("C", [CARBON_CONTACT, 0, 0]))
     only_gauss1 = VinaWeights(gauss1=1.0, gauss2=0.0, repulsion=0.0,
                               hydrophobic=0.0, hbond=0.0, rot=0.0)
     assert pairwise_energy(type_ligand_atoms(lig), type_protein_atoms(prot),
@@ -51,7 +57,7 @@ def test_gauss1_is_one_at_zero_surface_distance():
 
 def test_gauss2_is_one_at_three_angstroms():
     lig = _mol([_atom("C", [0, 0, 0])])
-    prot = (_prot_atom("C", [CARBON_CONTACT + 3.0, 0, 0]),)
+    prot = _receptor(("C", [CARBON_CONTACT + 3.0, 0, 0]))
     typed_l, typed_p = type_ligand_atoms(lig), type_protein_atoms(prot)
     g2 = pairwise_energy(typed_l, typed_p, VinaWeights(1e0 * 0, 1.0, 0, 0, 0, 0))
     g1 = pairwise_energy(typed_l, typed_p, VinaWeights(1.0, 0, 0, 0, 0, 0))
@@ -62,8 +68,8 @@ def test_gauss2_is_one_at_three_angstroms():
 def test_repulsion_active_only_for_clashes():
     lig = _mol([_atom("C", [0, 0, 0])])
     weights = VinaWeights(0, 0, 1.0, 0, 0, 0)
-    clash = (_prot_atom("C", [CARBON_CONTACT - 1.0, 0, 0]),)   # d = -1
-    clear = (_prot_atom("C", [CARBON_CONTACT + 1.0, 0, 0]),)   # d = +1
+    clash = _receptor(("C", [CARBON_CONTACT - 1.0, 0, 0]))   # d = -1
+    clear = _receptor(("C", [CARBON_CONTACT + 1.0, 0, 0]))   # d = +1
     assert pairwise_energy(type_ligand_atoms(lig), type_protein_atoms(clash),
                            weights) == pytest.approx(1.0)
     assert pairwise_energy(type_ligand_atoms(lig), type_protein_atoms(clear),
@@ -72,7 +78,7 @@ def test_repulsion_active_only_for_clashes():
 
 def test_increasing_repulsion_weight_increases_clashing_score():
     lig = _mol([_atom("C", [0, 0, 0])])
-    prot = (_prot_atom("C", [2.0, 0, 0]),)   # d = 2 - 3.8 < 0
+    prot = _receptor(("C", [2.0, 0, 0]))   # d = 2 - 3.8 < 0
     low = vina_score(lig, prot, VinaWeights(repulsion=0.5))
     high = vina_score(lig, prot, VinaWeights(repulsion=2.0))
     assert high > low
@@ -144,7 +150,7 @@ def test_rotatable_bond_count():
 
 def test_rigid_ligand_score_equals_pairwise_energy():
     lig = _mol([_atom("C", [0, 0, 0])])
-    prot = (_prot_atom("C", [4.0, 0, 0]), _prot_atom("O", [0, 4.5, 0]))
+    prot = _receptor(("C", [4.0, 0, 0]), ("O", [0, 4.5, 0]))
     weights = VinaWeights()
     assert vina_score(lig, prot, weights) == pytest.approx(
         pairwise_energy(type_ligand_atoms(lig), type_protein_atoms(prot), weights),
@@ -157,7 +163,7 @@ def test_flexibility_penalty_divides():
         [_atom("C", [1.5 * i, 0.2 * i, 0]) for i in range(4)],
         [Bond(0, 1, 1), Bond(1, 2, 1), Bond(2, 3, 1)],
     )
-    prot = (_prot_atom("C", [0, 4.0, 0]),)
+    prot = _receptor(("C", [0, 4.0, 0]))
     weights = VinaWeights()
     e_inter = pairwise_energy(type_ligand_atoms(chain), type_protein_atoms(prot),
                               weights)
@@ -167,37 +173,35 @@ def test_flexibility_penalty_divides():
 
 def test_score_invariant_under_joint_rigid_motion(rng):
     lig = random_ligand(rng, n_atoms=6)
-    prot_atoms = tuple(
-        _prot_atom(str(rng.choice(["C", "N", "O"])), rng.normal(size=3) * 3 + 4)
-        for _ in range(8)
-    )
+    prot_atoms = _receptor(*[
+        (str(rng.choice(["C", "N", "O"])), rng.normal(size=3) * 3 + 4) for _ in range(8)
+    ])
     base = vina_score(lig, prot_atoms)
     for _ in range(5):
         R = random_rotation(rng)
         t = rng.normal(size=3) * 20
         lig2 = transform_ligand(lig, R, t)
-        prot2 = tuple(
-            HeavyAtomRecord(a.element, R @ a.position + t, a.name, a.res_name,
-                            a.chain, a.seq_index)
-            for a in prot_atoms
-        )
+        prot2 = _moved(prot_atoms, R, t)
         assert vina_score(lig2, prot2) == pytest.approx(base, abs=1e-10)
 
 
 def test_score_order_independence(rng):
     lig = random_ligand(rng, n_atoms=7)
-    prot_atoms = tuple(
-        _prot_atom(str(rng.choice(["C", "N", "O"])), rng.normal(size=3) * 3 + 3)
-        for _ in range(9)
-    )
+    prot_atoms = _receptor(*[
+        (str(rng.choice(["C", "N", "O"])), rng.normal(size=3) * 3 + 3) for _ in range(9)
+    ])
     base = vina_score(lig, prot_atoms)
-    shuffled = tuple(prot_atoms[i] for i in rng.permutation(len(prot_atoms)))
+    order = rng.permutation(len(prot_atoms))
+    shuffled = HeavyAtoms(elements=tuple(prot_atoms.elements[i] for i in order),
+                          positions=prot_atoms.positions[order])
     assert abs(vina_score(lig, shuffled) - base) < 1e-9
 
 
 def test_empty_pose_rejected():
-    with pytest.raises(ValidationError):
-        vina_score(_mol([_atom("C", [0, 0, 0])]), ())
+    with pytest.raises(ValidationError, match="^empty ligand pose$"):
+        vina_score(_mol([]), _receptor(("C", [4.0, 0, 0])))
+    with pytest.raises(ValidationError, match="^protein has no heavy atoms$"):
+        vina_score(_mol([_atom("C", [0, 0, 0])]), _receptor())
 
 
 def test_fuse_scores_limits():
@@ -232,7 +236,7 @@ def test_fuse_single_pose_zscore_zero():
 
 
 def _pose_set(rng):
-    prot = (_prot_atom("C", [4.0, 0, 0]), _prot_atom("C", [0, 4.0, 0]))
+    prot = _receptor(("C", [4.0, 0, 0]), ("C", [0, 4.0, 0]))
     good = _mol([_atom("C", [0, 0, 0])], mol_id="good")
     clashing = _mol([_atom("C", [3.2, 0, 0])], mol_id="clash")  # d < 0 vs first
     return prot, good, clashing
@@ -275,9 +279,7 @@ def _chain_receptor(n_atoms, seed):
                                                                       keepdims=True)
     pos = np.round(np.cumsum(steps, axis=0), 3)
     elements = rng.choice(["C", "C", "C", "N", "O", "S"], size=n_atoms)
-    return tuple(HeavyAtomRecord(element=str(e), position=p, name=str(e), res_name="ALA",
-                                 chain="A", seq_index=i // 8 + 1)
-                 for i, (e, p) in enumerate(zip(elements, pos)))
+    return HeavyAtoms(elements=tuple(str(e) for e in elements), positions=pos)
 
 
 def test_protein_typing_matches_dense_oracle():
@@ -297,7 +299,7 @@ def test_pairwise_energy_bit_identical_to_dense_block(rng):
     receptor = type_protein_atoms(atoms)
     weights = VinaWeights()
     for _ in range(6):
-        center = atoms[int(rng.integers(len(atoms)))].position
+        center = atoms.positions[int(rng.integers(len(atoms)))]
         lig = type_ligand_atoms(random_ligand(rng, n_atoms=20, center=center))
         assert pairwise_energy(lig, receptor, weights) == pair_energy_oracle(
             lig, receptor, weights)
@@ -322,7 +324,7 @@ def test_receptor_typed_once_per_call(rng, monkeypatch, score):
 
 def test_rerank_10k_atom_receptor_memory_bounded(rng):
     atoms = _chain_receptor(10_000, seed=3)
-    center = atoms[5000].position
+    center = atoms.positions[5000]
     poses = [random_ligand(rng, n_atoms=30, center=center + rng.normal(size=3))
              for _ in range(9)]
     tracemalloc.start()

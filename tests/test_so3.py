@@ -10,8 +10,9 @@ from cpi3d.so3 import (
     random_rotation,
     sh_slice,
     spherical_harmonics_batch,
-    wigner_d,
 )
+
+from oracles import P_YZX, wigner_d
 
 
 def _sh(v):
@@ -148,7 +149,6 @@ def test_cg_110_is_scaled_dot():
 def test_cg_111_is_scaled_cross(rng):
     # contraction of two l=1 blocks through the 1x1->1 coupling is the cross
     # product up to one fixed scale shared by all inputs
-    from cpi3d.so3 import P_YZX
     C = clebsch_gordan(1, 1, 1)
     ratios = []
     for _ in range(20):
