@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,46 +65,88 @@ def _position_fault(positions) -> tuple[int, str] | None:
 
 @dataclass(frozen=True)
 class Residue:
+    """One residue as an object; `ProteinStructure` takes these as input
+    and hands them out, but holds its residues as arrays."""
     aa: str                # three-letter code, UNK for non-standard
     chain: str
     seq_index: int
     ca_position: np.ndarray
 
-    @property
-    def one_letter(self) -> str:
-        return AMINO_ACIDS_3TO1.get(self.aa, UNKNOWN_AA_1)
+
+def _read_only(array) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ProteinStructure:
-    id: str
-    residues: tuple[Residue, ...]
+    """A protein's residues as read-only arrays, one entry per residue.
 
-    def __post_init__(self):
-        if not self.residues:
+    Built from `residues` (a sequence of `Residue`) or from the four arrays
+    themselves; both are checked in one pass: at least one residue, then,
+    at the first residue whose key (chain, seq_index) repeats an earlier one
+    or whose CA position is not three finite numbers, the duplicate key
+    before the position.
+    """
+    id: str
+    aa: np.ndarray          # (n,) three-letter codes, UNK for non-standard
+    chain: np.ndarray       # (n,) str
+    seq_index: np.ndarray   # (n,) int64
+    ca: np.ndarray          # (n, 3) float64 CA positions
+
+    def __init__(self, id: str, residues=None, *, aa=(), chain=(), seq_index=(), ca=()):
+        if residues is not None:
+            aa = [r.aa for r in residues]
+            chain = [r.chain for r in residues]
+            seq_index = [r.seq_index for r in residues]
+            ca = [r.ca_position for r in residues]
+        if not len(aa):
             raise EmptyStructureError("protein has no residues")
-        keys = [(r.chain, r.seq_index) for r in self.residues]
-        fault = _position_fault([r.ca_position for r in self.residues])
-        bad = len(keys) if fault is None else fault[0]
-        if len(set(keys)) < len(keys):
-            seen = set()
-            for key in keys[:bad + 1]:
-                if key in seen:
-                    raise ValidationError(f"duplicate residue key {key}")
-                seen.add(key)
+        chain = np.array(chain, dtype=str)
+        seq_index = np.array(seq_index, dtype=np.int64)
+        fault = _position_fault(ca)
+        bad = len(aa) if fault is None else fault[0]
+        # each residue that repeats an earlier key: stable order by key puts
+        # a key's first residue before its repeats
+        order = np.lexsort((seq_index, chain))
+        repeats = order[1:][(chain[order[1:]] == chain[order[:-1]])
+                            & (seq_index[order[1:]] == seq_index[order[:-1]])]
+        if repeats.size and repeats.min() <= bad:
+            k = int(repeats.min())
+            raise ValidationError(f"duplicate residue key {(chain[k].item(), seq_index[k].item())}")
         if fault is not None:
-            key = keys[bad]
+            key = (chain[bad].item(), seq_index[bad].item())
             if fault[1] == "shape":
                 raise ValidationError(f"CA position for {key} is not three numbers")
             raise ValidationError(f"non-finite CA position for {key}")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "aa", _read_only(np.array(aa, dtype=str)))
+        object.__setattr__(self, "chain", _read_only(chain))
+        object.__setattr__(self, "seq_index", _read_only(seq_index))
+        object.__setattr__(self, "ca", _read_only(np.array(ca, dtype=np.float64)))
+
+    def __len__(self):
+        return len(self.aa)
+
+    def renamed(self, id: str) -> "ProteinStructure":
+        """The same residue arrays under another id."""
+        other = object.__new__(ProteinStructure)
+        other.__dict__.update(self.__dict__, id=id)
+        return other
+
+    @property
+    def residues(self) -> tuple[Residue, ...]:
+        """The residues as `Residue` objects, built on each call."""
+        return tuple(Residue(aa=a, chain=c, seq_index=i, ca_position=p) for a, c, i, p in
+                     zip(self.aa.tolist(), self.chain.tolist(), self.seq_index.tolist(), self.ca))
 
     @property
     def sequence(self) -> str:
         """One-letter sequence over the 21-letter alphabet (X = non-standard)."""
-        return "".join(r.one_letter for r in self.residues)
+        return "".join([AMINO_ACIDS_3TO1.get(a, UNKNOWN_AA_1) for a in self.aa.tolist()])
 
     def ca_coords(self) -> np.ndarray:
-        return np.array([r.ca_position for r in self.residues], dtype=np.float64)
+        return self.ca
 
 
 @dataclass(frozen=True)
@@ -118,7 +160,7 @@ class HeavyAtoms:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     element: str
     position: np.ndarray
@@ -126,7 +168,7 @@ class Atom:
     aromatic: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bond:
     i: int
     j: int
@@ -230,6 +272,49 @@ def _pdb_coords(kept) -> np.ndarray:
                       _pdb_float(line, 46, 54, lineno, "z")] for lineno, line in kept])
 
 
+def _scan_atoms(text: str, ca_only: bool) -> tuple[dict, list[str]]:
+    """The first ATOM record of each key, in file order, as key -> (lineno,
+    line), and the element symbol of each: key (chain, resSeq) over the CA
+    records if `ca_only` (no elements are read), else (chain, resSeq, atom
+    name) over the heavy-atom records.
+
+    Fields are read at their fixed PDB columns. A malformed resSeq, or an
+    unknown element, raises for its line after the records kept before it
+    have had their coordinates parsed (see `_pdb_coords`), so the first bad
+    field in file order is the one reported.
+    """
+    kept: dict = {}
+    elements: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.startswith("ATOM"):
+            continue
+        name = line[12:16].strip()
+        if ca_only and name != "CA":
+            continue
+        try:
+            seq_index = int(line[22:26])
+        except ValueError:
+            _pdb_coords(kept.values())
+            raise ParseError(f"malformed resSeq field {line[22:26]!r}", line=lineno) from None
+        chain = line[21:22].strip()
+        key = (chain, seq_index) if ca_only else (chain, seq_index, name)
+        if key in kept:
+            continue
+        if not ca_only:
+            element = line[76:78].strip().capitalize()
+            if not element:
+                # fall back to the first letter of the atom name
+                element = name.lstrip("0123456789")[:1].upper()
+            if element in ("H", "D"):
+                continue
+            if element not in ELEMENT_SYMBOLS:
+                _pdb_coords(kept.values())
+                raise ParseError(f"unknown element {element!r}", line=lineno)
+            elements.append(element)
+        kept[key] = (lineno, line)
+    return kept, elements
+
+
 def parse_pdb(data, structure_id: str = "protein") -> ProteinStructure:
     """Extract one residue per (chain, resSeq) that has a CA ATOM record.
 
@@ -237,33 +322,21 @@ def parse_pdb(data, structure_id: str = "protein") -> ProteinStructure:
     alternate locations in favour of the first altLoc. HETATM records and
     insertion codes are ignored. Residues come back sorted by (chain, resSeq).
     The kept records' coordinates are parsed together after the scan (see
-    `_pdb_coords`); a malformed field still raises for the first bad line in
+    `_scan_atoms`); a malformed field still raises for the first bad line in
     file order, a bad resSeq after a bad coordinate included.
     """
-    text = _as_text(data)
-    kept: dict[tuple[str, int], tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.startswith("ATOM"):
-            continue
-        if line[12:16].strip() != "CA":
-            continue
-        chain = line[21:22].strip()
-        try:
-            seq_index = int(line[22:26])
-        except ValueError:
-            _pdb_coords(kept.values())
-            raise ParseError(f"malformed resSeq field {line[22:26]!r}", line=lineno) from None
-        kept.setdefault((chain, seq_index), (lineno, line))
+    kept, _ = _scan_atoms(_as_text(data), ca_only=True)
     if not kept:
         raise EmptyStructureError("no CA ATOM records found")
-    by_key = {}
-    for ((chain, seq_index), (_, line)), position in zip(kept.items(), _pdb_coords(kept.values())):
-        res_name = line[17:20].strip()
-        aa = res_name if res_name in AMINO_ACIDS_3TO1 else UNKNOWN_AA
-        by_key[chain, seq_index] = Residue(aa=aa, chain=chain, seq_index=seq_index,
-                                           ca_position=position)
-    residues = tuple(by_key[k] for k in sorted(by_key))
-    return ProteinStructure(id=structure_id, residues=residues)
+    xyz = _pdb_coords(kept.values())
+    keys = list(kept)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    names = [line[17:20].strip() for _, line in kept.values()]
+    return ProteinStructure(
+        structure_id,
+        aa=[names[i] if names[i] in AMINO_ACIDS_3TO1 else UNKNOWN_AA for i in order],
+        chain=[keys[i][0] for i in order], seq_index=[keys[i][1] for i in order],
+        ca=xyz[order])
 
 
 def parse_pdb_atoms(data) -> HeavyAtoms:
@@ -275,37 +348,10 @@ def parse_pdb_atoms(data) -> HeavyAtoms:
     coordinates are parsed together after the scan, and a malformed field
     still raises for the first bad line in file order.
     """
-    text = _as_text(data)
-    kept: list[tuple[int, str]] = []
-    elements: list[str] = []
-    seen: set[tuple[str, int, str]] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.startswith("ATOM"):
-            continue
-        name = line[12:16].strip()
-        try:
-            seq_index = int(line[22:26])
-        except ValueError:
-            _pdb_coords(kept)
-            raise ParseError(f"malformed resSeq field {line[22:26]!r}", line=lineno) from None
-        key = (line[21:22].strip(), seq_index, name)
-        if key in seen:
-            continue
-        element = line[76:78].strip().capitalize()
-        if not element:
-            # fall back to the first letter of the atom name
-            element = name.lstrip("0123456789")[:1].upper()
-        if element in ("H", "D"):
-            continue
-        if element not in ELEMENT_SYMBOLS:
-            _pdb_coords(kept)
-            raise ParseError(f"unknown element {element!r}", line=lineno)
-        seen.add(key)
-        kept.append((lineno, line))
-        elements.append(element)
+    kept, elements = _scan_atoms(_as_text(data), ca_only=False)
     if not kept:
         raise EmptyStructureError("no heavy-atom ATOM records found")
-    return HeavyAtoms(elements=tuple(elements), positions=_pdb_coords(kept))
+    return HeavyAtoms(elements=tuple(elements), positions=_pdb_coords(kept.values()))
 
 
 def parse_sdf(data) -> list[LigandMolecule]:
@@ -486,21 +532,27 @@ def load_manifest(path) -> list[ComplexRecord]:
     """Load a dataset manifest CSV and parse every referenced file.
 
     Required columns: complex_id, ligand_sdf, protein_pdb. Optional:
-    ec50_nm, is_active. Each complex_id may appear once; data rows are
+    ec50_nm, is_active; any other column is rejected. A UTF-8 byte-order
+    mark is skipped. Each complex_id may appear once; data rows are
     numbered from 1 in errors. File paths resolve relative to the manifest's
     directory. Multi-record SDFs become multiple poses. Each protein path is
-    parsed once; records naming it share its residues.
+    parsed once; records naming it share its residue arrays.
     """
     base = os.path.dirname(os.path.abspath(path))
     records: list[ComplexRecord] = []
     proteins: dict[str, ProteinStructure] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"complex_id", "ligand_sdf", "protein_pdb"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValidationError(
                 f"manifest must have columns {sorted(required)}, got {reader.fieldnames}"
             )
+        allowed = required | {"ec50_nm", "is_active"}
+        unknown = [name for name in reader.fieldnames if name not in allowed]
+        if unknown:
+            raise ValidationError(f"manifest: unknown column {unknown[0]!r}, "
+                                  f"allowed {sorted(allowed)}")
         first_row: dict[str, int] = {}
         for row_no, row in enumerate(reader, start=1):
             for column in sorted(required):
@@ -525,7 +577,7 @@ def load_manifest(path) -> list[ComplexRecord]:
                 with open(prot_path, encoding="utf-8") as f:
                     protein = proteins[prot_path] = parse_pdb(f.read(), structure_id=cid)
             else:
-                protein = replace(protein, id=cid)
+                protein = protein.renamed(cid)
 
             ec50 = None
             raw = (row.get("ec50_nm") or "").strip()

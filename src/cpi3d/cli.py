@@ -15,6 +15,8 @@ import csv
 import io
 import json
 import sys
+import warnings
+from collections import defaultdict
 
 import numpy as np
 
@@ -99,13 +101,14 @@ def _write_json(path: str | None, cfg: RunConfig, doc: dict):
 def _read_table(path: str, columns) -> dict[str, list[str]]:
     """Each of `columns` that the CSV header names, mapped to its values.
 
-    Lines starting with '#' and blank lines are skipped; the first row left
-    is the header and data rows are numbered from 1. Only the wanted
+    A UTF-8 byte-order mark is skipped, and so are lines starting with '#'
+    and blank lines; the first row left is the header and data rows are
+    numbered from 1. Only the wanted
     columns are kept while reading. A file without data rows, or a data row
     too short to hold a column, raises `ValidationError`; among short rows
     it names the first of the first such column in `columns` order.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         rows = (row for row in csv.reader(line for line in fh if not line.startswith("#"))
                 if row)
         header = next(rows, None)
@@ -146,6 +149,67 @@ def _number_column(table, column: str, path: str, kind=float):
                 return values
     return parse_numbers(enumerate(raws, start=1),
                          lambda row_no: f"{path}: row {row_no}: {column}", kind)
+
+
+def _load_scores(path: str, columns: list[str]):
+    """The eval table's two float `columns` and optional group column read
+    in one `np.loadtxt` pass, as (prediction, label, group, names): two
+    float64 arrays and, for a group column, each row's index into `names`,
+    its sorted distinct values (both None without one).
+
+    None when the table needs the per-row `_read_table` path, which reports
+    what is wrong with it: bytes that are not UTF-8; a quote, a '#' (a
+    comment line, perhaps) or a NUL anywhere; a header that is not the
+    first line or lacks a column; a row that does not parse (a blank line
+    is skipped as `_read_table` skips it); no data rows; or a number that
+    is not finite.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:   # reported by `_read_table`, which reads line by line
+        return None
+    index = {name: k for k, name in enumerate(text.partition("\n")[0].split(","))}
+    usecols = [index.get(column) for column in columns]
+    if any(c in text for c in '"#\0') or None in usecols or len(set(usecols)) < len(usecols):
+        return None
+    del text
+    names = defaultdict()
+    names.default_factory = names.__len__   # a new group takes the next index
+    fields = [("prediction", np.float64), ("label", np.float64), ("group", np.int64)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # a table without rows warns
+            table = np.loadtxt(path, dtype=fields[:len(columns)], delimiter=",",
+                               comments=None, skiprows=1, usecols=usecols, ndmin=1,
+                               encoding="utf-8-sig",
+                               converters={k: names.__getitem__ for k in usecols[2:]})
+    except ValueError:
+        return None
+    preds, labels = table["prediction"], table["label"]
+    if not table.size or not (np.isfinite(preds).all() and np.isfinite(labels).all()):
+        return None
+    if len(columns) < 3:
+        return preds, labels, None, None
+    ordered = sorted(names)
+    rank = np.empty(len(ordered), dtype=np.int64)   # first-seen index -> sorted index
+    rank[[names[name] for name in ordered]] = np.arange(len(ordered))
+    return preds, labels, rank[table["group"]], ordered
+
+
+def _read_scores(path: str, columns: list[str]):
+    """`_load_scores`, or, for a table it leaves to the per-row path, the
+    same from `_read_table`, with the group column's values in place of
+    indices and None for `names`."""
+    loaded = _load_scores(path, columns)
+    if loaded is not None:
+        return loaded
+    table = _read_table(path, columns)
+    if "prediction" not in table or "label" not in table:
+        raise ValidationError("prediction CSV needs 'prediction' and 'label' columns")
+    group = columns[2] if len(columns) > 2 else None
+    return (_number_column(table, "prediction", path), _number_column(table, "label", path),
+            np.asarray(table[group]) if group in table else None, None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,23 +435,15 @@ def _cmd_split(args, cfg: RunConfig) -> int:
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
-    groups = [args.group_by] if args.group_by else []
-    table = _read_table(args.pred, ["prediction", "label"] + groups)
-    if "prediction" not in table or "label" not in table:
-        raise ValidationError("prediction CSV needs 'prediction' and 'label' columns")
-    group_of = np.asarray(table[args.group_by]) if args.group_by in table else None
-    preds = _number_column(table, "prediction", args.pred)
-    labels = _number_column(table, "label", args.pred)
-    # the text columns go before the per-group work, so their strings' memory
-    # can return to the system first
-    del table
+    columns = ["prediction", "label"] + ([args.group_by] if args.group_by else [])
+    preds, labels, group_of, names = _read_scores(args.pred, columns)
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metric_names:
         raise ValidationError(f"--metrics {args.metrics!r} names no metric")
     if args.group_by:
         if group_of is None:
             raise ValidationError(f"no column {args.group_by!r} in {args.pred}")
-        doc = evaluate_grouped(preds, labels, metric_names, group_of)
+        doc = evaluate_grouped(preds, labels, metric_names, group_of, names)
     else:
         doc = evaluate(preds, labels, metric_names).to_dict()
     _write_json(args.out, cfg, doc)

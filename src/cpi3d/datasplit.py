@@ -14,13 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fingerprint import morgan_fingerprints, protein_kmer_set
+from .fingerprint import PROTEIN_ALPHABET, morgan_fingerprints, protein_kmer_set
 
 DEFAULT_COMPOUND_THRESHOLD = 0.4
 DEFAULT_PROTEIN_THRESHOLD = 0.5
 # shared-column pairs counted per block of incidence rows; a row with more
 # pairs than this is a block of its own
 PAIR_BLOCK = 1 << 14
+# byte -> rank of the letter in the sorted protein alphabet, -1 off it
+_LETTER_RANK = np.full(256, -1, dtype=np.int64)
+_LETTER_RANK[[ord(c) for c in sorted(PROTEIN_ALPHABET)]] = np.arange(len(PROTEIN_ALPHABET))
 
 
 def normalize_label(ec50_nm: float) -> float:
@@ -94,12 +97,29 @@ def compound_similarity_matrix(mols, radius: int = 2, nbits: int = 2048) -> np.n
 
 
 def _kmer_incidence(proteins, k: int) -> np.ndarray:
-    """(proteins, distinct k-mers) bool matrix, columns in k-mer order."""
-    kmer_sets = [protein_kmer_set(p.sequence, k=k).kmers for p in proteins]
-    column = {kmer: c for c, kmer in enumerate(sorted(set().union(*kmer_sets)))}
-    incidence = np.zeros((len(kmer_sets), len(column)), dtype=bool)
-    for row, kmers in zip(incidence, kmer_sets):
-        row[[column[kmer] for kmer in kmers]] = True
+    """(proteins, distinct k-mers) bool matrix, columns in k-mer order.
+
+    Each k-mer is one integer, its letters' alphabet ranks read as base-21
+    digits, so integer order is k-mer order. A sequence shorter than k or
+    off the alphabet raises as `protein_kmer_set` does, first one first.
+    """
+    sequences = [p.sequence for p in proteins]
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    text = "".join(sequences)
+    rank = _LETTER_RANK[np.frombuffer(text.encode(), dtype=np.uint8)] if text.isascii() else None
+    if rank is None or (rank < 0).any() or (lengths < k).any():
+        for sequence in sequences:
+            protein_kmer_set(sequence, k=k)
+    # the k-mer starting at each position, kept where it ends in its own sequence
+    starts = np.arange(max(rank.size - k + 1, 0))
+    kmer = np.zeros(starts.size, dtype=np.int64)
+    for j in range(k):
+        kmer = kmer * len(PROTEIN_ALPHABET) + rank[j:j + starts.size]
+    row = np.repeat(np.arange(len(sequences)), lengths)[:starts.size]
+    inside = starts + k <= np.cumsum(lengths)[row]
+    columns, column = np.unique(kmer[inside], return_inverse=True)
+    incidence = np.zeros((len(sequences), columns.size), dtype=bool)
+    incidence[row[inside], column] = True
     return incidence
 
 

@@ -229,10 +229,10 @@ def ligand_atom_features(mol: LigandMolecule) -> np.ndarray:
 
 def residue_node_features(protein: ProteinStructure) -> np.ndarray:
     """One-hot over the 20 standard amino acids plus UNK."""
-    n = len(protein.residues)
-    feats = np.zeros((n, RESIDUE_FEATURE_DIM), dtype=np.float64)
-    for i, res in enumerate(protein.residues):
-        feats[i, RESIDUE_CLASSES.index(res.aa)] = 1.0
+    codes, row_code = np.unique(protein.aa, return_inverse=True)
+    columns = np.array([RESIDUE_CLASSES.index(code) for code in codes.tolist()], dtype=np.int64)
+    feats = np.zeros((len(protein), RESIDUE_FEATURE_DIM), dtype=np.float64)
+    feats[np.arange(len(protein)), columns[row_code]] = 1.0
     return feats
 
 

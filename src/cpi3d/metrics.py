@@ -263,19 +263,26 @@ def evaluate(preds, labels=None, metrics: list[str] = ()) -> MetricReport:
     return report
 
 
-def evaluate_grouped(preds, labels, metrics: list[str], groups) -> dict:
+def evaluate_grouped(preds, labels, metrics: list[str], groups, names=None) -> dict:
     """Per-group reports plus the mean and standard deviation of each
     metric across groups (the per-target aggregation convention). Groups
-    run in sorted order, each over its rows in input order."""
+    run in sorted order, each over its rows in input order.
+
+    `groups` holds each row's group, or, given the sorted distinct group
+    `names`, each row's index into them.
+    """
     p = np.asarray(preds, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    keys, code = np.unique(np.asarray(groups), return_inverse=True)
-    code = code.ravel()
+    if names is None:
+        keys, code = np.unique(np.asarray(groups), return_inverse=True)
+        names, code = keys.tolist(), code.ravel()
+    else:
+        code = np.asarray(groups)
     order = np.argsort(code, kind="stable")
-    bounds = np.append(0, np.cumsum(np.bincount(code, minlength=keys.size)))
+    bounds = np.append(0, np.cumsum(np.bincount(code, minlength=len(names))))
     out: dict = {"groups": {}, "aggregate": {}}
     collected: dict[str, list[float]] = {}
-    for g, start, stop in zip(keys.tolist(), bounds[:-1], bounds[1:]):
+    for g, start, stop in zip(names, bounds[:-1], bounds[1:]):
         rows = order[start:stop]
         report = evaluate(p[rows], y[rows], metrics)
         out["groups"][str(g)] = report.to_dict()

@@ -18,7 +18,6 @@ from .chemio import (
     ComplexRecord,
     LigandMolecule,
     ProteinStructure,
-    Residue,
     write_sdf,
 )
 
@@ -60,16 +59,14 @@ def random_protein(rng: np.random.Generator, n_residues: int | None = None,
     if n_residues is None:
         n_residues = int(rng.integers(4, 11))
     center = np.asarray(center, dtype=np.float64)
-    residues = []
-    for i in range(n_residues):
+    aa, ca = [], []
+    for _ in range(n_residues):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        pos = center + direction * rng.uniform(*shell)
-        residues.append(Residue(
-            aa=str(rng.choice(_AA_CODES)), chain="A", seq_index=i + 1,
-            ca_position=pos,
-        ))
-    return ProteinStructure(id=protein_id, residues=tuple(residues))
+        ca.append(center + direction * rng.uniform(*shell))
+        aa.append(str(rng.choice(_AA_CODES)))
+    return ProteinStructure(protein_id, aa=aa, chain=["A"] * n_residues,
+                            seq_index=range(1, n_residues + 1), ca=ca)
 
 
 def random_complex(rng: np.random.Generator, complex_id: str = "toy",
@@ -145,12 +142,10 @@ def protein_family(rng: np.random.Generator, size: int, family_id: str,
     proteins = []
     for v in range(size):
         seq = base_seq if v == 0 else mutate_sequence(rng, base_seq, n_mutations=3)
-        residues = tuple(
-            Residue(aa=seq[i], chain="A", seq_index=i + 1,
-                    ca_position=np.array([3.8 * i, 0.0, 0.0]))
-            for i in range(length)
-        )
-        proteins.append(ProteinStructure(id=f"{family_id}_{v}", residues=tuple(residues)))
+        ca = np.zeros((length, 3))
+        ca[:, 0] = 3.8 * np.arange(length)
+        proteins.append(ProteinStructure(f"{family_id}_{v}", aa=seq, chain=["A"] * length,
+                                         seq_index=range(1, length + 1), ca=ca))
     return proteins
 
 
@@ -173,10 +168,11 @@ def clustered_records(n_families: int, family_size: int, seed: int = 0) -> list[
 def protein_to_pdb(protein: ProteinStructure) -> str:
     """Minimal CA-trace PDB text (one ATOM record per residue)."""
     lines = []
-    for serial, res in enumerate(protein.residues, start=1):
-        x, y, z = res.ca_position
+    columns = (protein.aa.tolist(), protein.chain.tolist(), protein.seq_index.tolist(),
+               protein.ca.tolist())
+    for serial, (aa, chain, seq_index, (x, y, z)) in enumerate(zip(*columns), start=1):
         lines.append(
-            f"ATOM  {serial:5d}  CA  {res.aa:<3s} {res.chain:1s}{res.seq_index:4d}"
+            f"ATOM  {serial:5d}  CA  {aa:<3s} {chain:1s}{seq_index:4d}"
             f"    {x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00           C"
         )
     lines.append("END")

@@ -1,6 +1,8 @@
 import importlib.util
 import itertools
 import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from cpi3d.chemio import (
     write_sdf,
 )
 from cpi3d.errors import EmptyStructureError, ParseError, ValidationError
-from cpi3d.synthetic import random_complexes, write_manifest
+from cpi3d.synthetic import clustered_records, random_complexes, write_manifest
 
 from conftest import pdb_atom_line
 from oracles import pdb_atoms_oracle, pdb_ca_oracle
@@ -519,7 +521,9 @@ def test_load_manifest_parses_each_protein_path_once(tmp_path, monkeypatch):
     monkeypatch.setattr(chemio, "parse_pdb", counted)
     loaded = load_manifest(manifest)
     assert calls == ["toy0", "toy1"]
-    assert loaded[2].protein.residues is loaded[0].protein.residues
+    shared, first = loaded[2].protein, loaded[0].protein
+    assert all(getattr(shared, name) is getattr(first, name)
+               for name in ("aa", "chain", "seq_index", "ca"))
 
 
 def test_load_manifest_shared_protein_equals_per_row_parse(tmp_path):
@@ -532,3 +536,156 @@ def test_load_manifest_shared_protein_equals_per_row_parse(tmp_path):
             assert (got_res.aa, got_res.chain, got_res.seq_index) == \
                 (want_res.aa, want_res.chain, want_res.seq_index)
             np.testing.assert_array_equal(got_res.ca_position, want_res.ca_position)
+
+
+def _ca_parsed(text):
+    """parse_pdb's residue arrays as (codes, chains, resSeqs, CA bytes), or
+    its error."""
+    try:
+        prot = parse_pdb(text)
+    except (ParseError, EmptyStructureError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    assert prot.ca.dtype == np.float64 and prot.ca.shape == (len(prot), 3)
+    assert prot.seq_index.dtype == np.int64
+    return (tuple(prot.aa.tolist()), tuple(prot.chain.tolist()), tuple(prot.seq_index.tolist()),
+            prot.ca.tobytes())
+
+
+def _ca_oracle(text):
+    try:
+        residues = pdb_ca_oracle(text)
+    except (ParseError, EmptyStructureError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    aa, chain, seq, xyz = zip(*residues)
+    return aa, chain, seq, np.array(xyz, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 29])
+def test_parse_pdb_matches_the_field_by_field_parse_on_bench_receptors(tmp_path, seed):
+    """A full-atom file: one CA among eight heavy atoms per residue."""
+    text = _bench_receptor_pdb(seed, tmp_path)
+    got = _ca_parsed(text)
+    assert got == _ca_oracle(text)
+    assert len(got[0]) == 500
+
+
+_CA_LINES = [
+    pdb_atom_line(1, "N", " ", "ALA", "B", 4, 0.0, 0.0, 0.0, "N"),
+    pdb_atom_line(2, "CA", " ", "ALA", "B", 4, 1.458, 0.0, 0.0, "C"),
+    pdb_atom_line(3, "CA", " ", "GLY", "A", 9, 3.8, -1.25, 0.5, "C"),
+    pdb_atom_line(4, "CA", "A", "SER", "A", 2, -2.0, 7.125, -0.0, "C"),
+    pdb_atom_line(5, "CA", "B", "SER", "A", 2, 9.0, 9.0, 9.0, "C"),        # altLoc duplicate
+    pdb_atom_line(6, "CB", " ", "SER", "A", 2, -3.0, 7.5, 1.0, "C"),
+    pdb_atom_line(7, "CA", " ", "XYZ", "C", -3, 999.999, -99.5, 12.0, "C"),  # non-standard
+    pdb_atom_line(8, "CA", " ", "MET", " ", 5, 0.25, 0.5, 0.75, "C"),      # blank chain
+    pdb_atom_line(9, "ZN", " ", "ZN", "A", 1, 7.0, 7.0, 7.0, "ZN", record="HETATM"),
+    pdb_atom_line(10, "CA", " ", "TRP", "A", 1, -9.999, 0.001, 4.0, "C"),
+]
+
+
+_CA_MUTATIONS = {
+    **{f"{axis}={raw or 'blank'}": _coordinate(start, raw)
+       for axis, start in (("x", 30), ("y", 38), ("z", 46))
+       for raw in ("x", "", "nan", "inf", "1e309")},
+    "resseq": lambda lines, i: lines[i][:22] + "  ?A" + lines[i][26:],
+    "resseq-moved": lambda lines, i: lines[i][:22] + "  17" + lines[i][26:],
+    "altloc": lambda lines, i: lines[i][:16] + "C" + lines[i][17:],
+    "duplicate-key": lambda lines, i: lines[i][:21] + lines[1][21:26] + lines[i][26:],
+    "hetatm": lambda lines, i: "HETATM" + lines[i][6:],
+    "chain-first": lambda lines, i: lines[i][:21] + "0" + lines[i][22:],
+    "chain-last": lambda lines, i: lines[i][:21] + "z" + lines[i][22:],
+    "not-ca": lambda lines, i: lines[i][:12] + " CB " + lines[i][16:],
+    "ca": lambda lines, i: lines[i][:12] + " CA " + lines[i][16:],
+}
+
+
+def _ca_mutated(mutations):
+    lines = list(_CA_LINES)
+    for name, i in mutations:
+        lines[i] = _CA_MUTATIONS[name](lines, i)
+    return "\n".join(lines)
+
+
+def test_parse_pdb_matches_the_field_by_field_parse_under_line_mutations():
+    """Every mutation of one line, and pairs of mutations on two lines, give
+    the per-field parse's residue codes, chains, resSeqs and coordinate
+    bytes, or its error for the same line: bad coordinates and resSeqs,
+    altLoc and duplicate keys (the first record wins), HETATM and non-CA
+    records (skipped, bad fields included) and chains out of order."""
+    texts = [_ca_mutated([])]
+    texts += [_ca_mutated([(name, i)]) for name in _CA_MUTATIONS for i in range(len(_CA_LINES))]
+    pair_kinds = ("x=x", "y=nan", "z=1e309", "resseq", "altloc", "duplicate-key", "hetatm",
+                  "chain-first", "not-ca", "ca")
+    texts += [_ca_mutated([(a, i), (b, j)])
+              for i, j in itertools.combinations(range(len(_CA_LINES)), 2)
+              for a in pair_kinds for b in pair_kinds]
+    outcomes = set()
+    for text in texts:
+        got = _ca_parsed(text)
+        assert got == _ca_oracle(text), text
+        outcomes.add(got[1].partition(": ")[2].split(" field")[0] if got[0] is ParseError
+                     else "empty" if got[0] is EmptyStructureError else "parsed")
+    assert _ca_parsed(texts[0])[:3] == (("MET", "TRP", "SER", "GLY", "ALA", "UNK"),
+                                        ("", "A", "A", "A", "B", "C"), (5, 1, 2, 9, 4, -3))
+    assert {"parsed", "malformed x", "non-finite y", "non-finite z", "malformed resSeq"} <= outcomes
+
+
+def test_protein_arrays_are_read_only_and_round_trip_through_residues():
+    prot = parse_pdb(_ca_mutated([]), structure_id="p")
+    for name in ("aa", "chain", "seq_index", "ca"):
+        assert not getattr(prot, name).flags.writeable, name
+    assert prot.ca_coords() is prot.ca
+    again = ProteinStructure(id="q", residues=prot.residues)
+    for name in ("aa", "chain", "seq_index", "ca"):
+        assert getattr(again, name).tobytes() == getattr(prot, name).tobytes(), name
+    assert all(type(r.aa) is str and type(r.seq_index) is int for r in again.residues)
+    assert again.sequence == prot.sequence == "MWSGAX"
+    assert prot.renamed("r").id == "r" and prot.renamed("r").ca is prot.ca
+
+
+def manifest_held_mb() -> float:
+    """`tracemalloc` size, in MB, of what `load_manifest` returns for a
+    400-record `clustered_records(80, 5)` manifest (32,000 residues and
+    about 5,200 ligand heavy atoms), measured while the records live."""
+    with tempfile.TemporaryDirectory() as directory:
+        manifest = write_manifest(clustered_records(80, 5), directory)
+        tracemalloc.start()
+        try:
+            records = load_manifest(manifest)
+            held = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    assert len(records) == 400
+    return held
+
+
+def test_manifest_records_hold_a_third_of_the_per_residue_objects_memory():
+    """Residues as arrays, and slotted atoms and bonds, hold at most a third
+    of the 11.2 MB that per-residue `Residue` objects held."""
+    held = manifest_held_mb()
+    assert held <= 11.2 / 3, f"400 records hold {held:.2f} MB"
+
+
+@pytest.mark.parametrize("bom", [False, True])
+def test_load_manifest_skips_a_byte_order_mark(tmp_path, bom):
+    records = random_complexes(2, seed=7, with_label=True)
+    manifest = write_manifest(records, str(tmp_path))
+    text = open(manifest, encoding="utf-8").read()
+    open(manifest, "w", encoding="utf-8").write("\ufeff" * bom + text)
+    loaded = load_manifest(manifest)
+    assert [r.label_ec50_nm for r in loaded] == [r.label_ec50_nm for r in records]
+
+
+@pytest.mark.parametrize("header,column", [
+    ("complex_id,ligand_sdf,protein_pdb,ec50nm,is_active", "ec50nm"),
+    ("complex_id,ligand_sdf,protein_pdb,ec50_nm,is_active,confidence", "confidence"),
+    ("complex_id,ligand_sdf,protein_pdb,ec50_nm,is_active,", ""),
+], ids=["typo", "retired-column", "unnamed"])
+def test_load_manifest_rejects_an_unknown_column(tmp_path, header, column):
+    manifest = write_manifest(random_complexes(1, seed=3, with_label=True), str(tmp_path))
+    lines = open(manifest).read().splitlines()
+    open(manifest, "w").write("\n".join([header] + [line + "," for line in lines[1:]]) + "\n")
+    allowed = "['complex_id', 'ec50_nm', 'is_active', 'ligand_sdf', 'protein_pdb']"
+    with pytest.raises(ValidationError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"manifest: unknown column {column!r}, allowed {allowed}"
