@@ -12,6 +12,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +79,16 @@ def _read_only(array) -> np.ndarray:
     return array
 
 
+def _first_repeat(major: np.ndarray, minor: np.ndarray) -> int:
+    """Index of the first row whose key (major, minor) repeats an earlier
+    row's, or the row count; a stable sort by key puts each key's first row
+    before its repeats."""
+    order = np.lexsort((minor, major))
+    later = order[1:][(major[order[1:]] == major[order[:-1]])
+                      & (minor[order[1:]] == minor[order[:-1]])]
+    return int(later.min()) if later.size else len(major)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class ProteinStructure:
     """A protein's residues as read-only arrays, one entry per residue.
@@ -106,13 +117,8 @@ class ProteinStructure:
         seq_index = np.array(seq_index, dtype=np.int64)
         fault = _position_fault(ca)
         bad = len(aa) if fault is None else fault[0]
-        # each residue that repeats an earlier key: stable order by key puts
-        # a key's first residue before its repeats
-        order = np.lexsort((seq_index, chain))
-        repeats = order[1:][(chain[order[1:]] == chain[order[:-1]])
-                            & (seq_index[order[1:]] == seq_index[order[:-1]])]
-        if repeats.size and repeats.min() <= bad:
-            k = int(repeats.min())
+        k = _first_repeat(chain, seq_index)
+        if k < len(aa) and k <= bad:
             raise ValidationError(f"duplicate residue key {(chain[k].item(), seq_index[k].item())}")
         if fault is not None:
             key = (chain[bad].item(), seq_index[bad].item())
@@ -162,62 +168,103 @@ class HeavyAtoms:
 
 @dataclass(frozen=True, slots=True)
 class Atom:
+    """One ligand atom as an object; `LigandMolecule` takes these as input
+    and hands them out, but holds its atoms as arrays."""
     element: str
     position: np.ndarray
     formal_charge: int = 0
     aromatic: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class Bond:
+class Bond(NamedTuple):
     i: int
     j: int
     order: int  # 1, 2, 3 or AROMATIC_BOND (4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LigandMolecule:
-    id: str
-    atoms: tuple[Atom, ...]
-    bonds: tuple[Bond, ...]
+    """A ligand's heavy atoms and bonds as read-only arrays.
 
-    def __post_init__(self):
-        n = len(self.atoms)
-        seen = set()
-        for b in self.bonds:
-            if not (0 <= b.i < n and 0 <= b.j < n) or b.i == b.j:
-                raise ValidationError(f"bond ({b.i},{b.j}) has invalid endpoints")
-            key = (min(b.i, b.j), max(b.i, b.j))
-            if key in seen:
-                raise ValidationError(f"duplicate bond {key}")
-            seen.add(key)
-        elements = [a.element for a in self.atoms]
-        hydrogen = elements.index("H") if "H" in elements else n
-        fault = _position_fault([a.position for a in self.atoms])
+    Built from `atoms` (a sequence of `Atom`) or from the four atom arrays
+    themselves (charges 0 and flags False unless given), with `bonds` as
+    `Bond`s or (i, j, order) rows; both are checked in one pass: at the
+    first bond whose endpoints are not two distinct atoms or whose atom
+    pair repeats an earlier bond, the endpoints before the repeat; then
+    the atoms before the first hydrogen for positions that are not three
+    finite numbers; then hydrogens, which must be stripped.
+    """
+    id: str
+    elements: np.ndarray    # (n,) element symbols
+    positions: np.ndarray   # (n, 3) float64
+    charges: np.ndarray     # (n,) int64 formal charges
+    aromatic: np.ndarray    # (n,) bool
+    bond_table: np.ndarray  # (m, 3) int64 rows (i, j, order)
+
+    def __init__(self, id: str, atoms=None, bonds=(), *, elements=(), positions=(),
+                 charges=0, aromatic=False):
+        if atoms is not None:
+            elements = [a.element for a in atoms]
+            positions = [a.position for a in atoms]
+            charges = [a.formal_charge for a in atoms]
+            aromatic = [a.aromatic for a in atoms]
+        n = len(elements)
+        table = np.array(bonds, dtype=np.int64).reshape(-1, 3)
+        lo, hi = table[:, :2].min(axis=1), table[:, :2].max(axis=1)
+        invalid = np.flatnonzero((lo < 0) | (hi >= n) | (lo == hi))
+        k = _first_repeat(lo, hi)
+        if invalid.size and invalid[0] <= k:
+            raise ValidationError(f"bond ({table[invalid[0], 0]},{table[invalid[0], 1]}) "
+                                  "has invalid endpoints")
+        if k < len(table):
+            raise ValidationError(f"duplicate bond {(lo[k].item(), hi[k].item())}")
+        elements = np.array(elements, dtype=str)
+        hydrogens = np.flatnonzero(elements == "H")
+        hydrogen = hydrogens[0] if hydrogens.size else n
+        fault = _position_fault(positions)
         if fault is not None and fault[0] < hydrogen:
             if fault[1] == "shape":
                 raise ValidationError(f"atom {fault[0]} position is not three numbers")
             raise ValidationError("non-finite atom position")
         if hydrogen < n:
             raise ValidationError("hydrogens must be stripped before construction")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "elements", _read_only(elements))
+        object.__setattr__(self, "positions",
+                           _read_only(np.array(positions, dtype=np.float64).reshape(-1, 3)))
+        object.__setattr__(self, "charges", _read_only(np.full(n, charges, dtype=np.int64)))
+        object.__setattr__(self, "aromatic", _read_only(np.full(n, aromatic, dtype=bool)))
+        object.__setattr__(self, "bond_table", _read_only(table))
+
+    def __len__(self):
+        return len(self.elements)
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms as `Atom` objects, built on each call."""
+        return tuple(Atom(element=e, position=p, formal_charge=c, aromatic=a) for e, p, c, a in
+                     zip(self.elements.tolist(), self.positions, self.charges.tolist(),
+                         self.aromatic.tolist()))
+
+    @property
+    def bonds(self) -> tuple[Bond, ...]:
+        """The bonds as `Bond` tuples, built on each call."""
+        return tuple(Bond(*row) for row in self.bond_table.tolist())
 
     def coords(self) -> np.ndarray:
-        return np.array([a.position for a in self.atoms], dtype=np.float64)
+        return self.positions
 
     def neighbors(self) -> list[list[tuple[int, int]]]:
         """Per atom: list of (neighbor index, bond order)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
-        for b in self.bonds:
-            adj[b.i].append((b.j, b.order))
-            adj[b.j].append((b.i, b.order))
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(len(self))]
+        for i, j, order in self.bond_table.tolist():
+            adj[i].append((j, order))
+            adj[j].append((i, order))
         return adj
 
-    def degrees(self) -> list[int]:
-        deg = [0] * len(self.atoms)
-        for b in self.bonds:
-            deg[b.i] += 1
-            deg[b.j] += 1
-        return deg
+    def degrees(self) -> np.ndarray:
+        """(n,) int64 number of bonds at each atom."""
+        return np.bincount(self.bond_table[:, :2].ravel(), minlength=len(self))
 
 
 @dataclass
@@ -240,9 +287,10 @@ class ComplexRecord:
 
 
 def _as_text(data) -> str:
+    """`data` as text, without one leading UTF-8 byte-order mark."""
     if isinstance(data, bytes):
-        return data.decode("utf-8", errors="replace")
-    return data
+        data = data.decode("utf-8", errors="replace")
+    return data.removeprefix("\ufeff")
 
 
 def _pdb_float(line: str, start: int, end: int, lineno: int, what: str) -> float:
@@ -398,7 +446,7 @@ def _parse_mol_block(block: list[str], offset: int, record_index: int) -> Ligand
         )
 
     elements: list[str] = []
-    positions: list[np.ndarray] = []
+    xyz: list[tuple[float, float, float]] = []
     charges: list[int] = []
     for k, line in enumerate(atom_lines):
         lineno = offset + 5 + k
@@ -417,7 +465,7 @@ def _parse_mol_block(block: list[str], offset: int, record_index: int) -> Ligand
         except ValueError:
             charge = 0
         elements.append(symbol)
-        positions.append(np.array([x, y, z]))
+        xyz.append((x, y, z))
         charges.append(charge)
 
     raw_bonds: list[tuple[int, int, int]] = []
@@ -444,7 +492,8 @@ def _parse_mol_block(block: list[str], offset: int, record_index: int) -> Ligand
                 pairs = [(int(i) - 1, int(c)) for i, c in zip(fields[3::2], fields[4::2])]
             except (IndexError, ValueError):
                 count = -1
-            if len(fields) != 3 + 2 * count:
+            # a charge must fit the int64 charge array
+            if len(fields) != 3 + 2 * count or any(not -2 ** 63 <= c < 2 ** 63 for _, c in pairs):
                 raise ParseError(f"malformed charge line {line!r}", line=lineno)
             if not all(0 <= idx < n_atoms for idx, _ in pairs):
                 raise ParseError(f"charge atom index out of range in {line!r}", line=lineno)
@@ -454,29 +503,20 @@ def _parse_mol_block(block: list[str], offset: int, record_index: int) -> Ligand
     if chg_overrides:
         charges = [chg_overrides.get(i, 0) for i in range(n_atoms)]
 
-    heavy_map: dict[int, int] = {}
-    for i, el in enumerate(elements):
-        if el != "H":
-            heavy_map[i] = len(heavy_map)
-
-    aromatic = [False] * len(heavy_map)
-    bonds: list[Bond] = []
-    for i, j, order in raw_bonds:
-        if i not in heavy_map or j not in heavy_map:
-            continue
-        hi, hj = heavy_map[i], heavy_map[j]
-        bonds.append(Bond(i=hi, j=hj, order=order))
-        if order == AROMATIC_BOND:
-            aromatic[hi] = True
-            aromatic[hj] = True
-
-    atoms = tuple(
-        Atom(element=elements[i], position=positions[i],
-             formal_charge=charges[i], aromatic=aromatic[heavy_map[i]])
-        for i in sorted(heavy_map)
-    )
-    mol_id = title if title else f"mol{record_index}"
-    return LigandMolecule(id=mol_id, atoms=atoms, bonds=tuple(bonds))
+    # bonds between heavy atoms, renumbered onto the heavy atoms
+    symbols = np.array(elements, dtype=str)
+    heavy = symbols != "H"
+    renumber = np.cumsum(heavy) - 1
+    raw = np.array(raw_bonds, dtype=np.int64).reshape(-1, 3)
+    raw = raw[heavy[raw[:, 0]] & heavy[raw[:, 1]]]
+    bonds = np.column_stack([renumber[raw[:, 0]], renumber[raw[:, 1]], raw[:, 2]])
+    aromatic = np.zeros(int(heavy.sum()), dtype=bool)
+    aromatic[bonds[bonds[:, 2] == AROMATIC_BOND, :2]] = True
+    return LigandMolecule(
+        title if title else f"mol{record_index}", bonds=bonds,
+        elements=symbols[heavy],
+        positions=np.array(xyz, dtype=np.float64).reshape(-1, 3)[heavy],
+        charges=np.array(charges, dtype=np.int64)[heavy], aromatic=aromatic)
 
 
 def write_sdf(mols, stream=None) -> str:
@@ -486,16 +526,16 @@ def write_sdf(mols, stream=None) -> str:
     chunks: list[str] = []
     for mol in mols:
         lines = [mol.id, "  cpi3d", ""]
-        lines.append(f"{len(mol.atoms):3d}{len(mol.bonds):3d}  0  0  0  0  0  0  0  0999 V2000")
-        for a in mol.atoms:
-            code = _SDF_CHARGE_FIELDS.get(a.formal_charge, 0)
-            lines.append(
-                f"{a.position[0]:10.4f}{a.position[1]:10.4f}{a.position[2]:10.4f}"
-                f" {a.element:<3s} 0  {code}  0  0  0  0  0  0  0  0  0  0"
-            )
-        for b in mol.bonds:
-            lines.append(f"{b.i + 1:3d}{b.j + 1:3d}{b.order:3d}  0")
-        charged = [(i, a.formal_charge) for i, a in enumerate(mol.atoms) if a.formal_charge]
+        lines.append(f"{len(mol):3d}{len(mol.bond_table):3d}  0  0  0  0  0  0  0  0999 V2000")
+        charges = mol.charges.tolist()
+        for (x, y, z), element, charge in zip(mol.positions.tolist(), mol.elements.tolist(),
+                                              charges):
+            code = _SDF_CHARGE_FIELDS.get(charge, 0)
+            lines.append(f"{x:10.4f}{y:10.4f}{z:10.4f}"
+                         f" {element:<3s} 0  {code}  0  0  0  0  0  0  0  0  0  0")
+        for i, j, order in mol.bond_table.tolist():
+            lines.append(f"{i + 1:3d}{j + 1:3d}{order:3d}  0")
+        charged = [(i, c) for i, c in enumerate(charges) if c]
         for start in range(0, len(charged), 8):
             group = charged[start:start + 8]
             entry = "".join(f" {i + 1:3d} {c:3d}" for i, c in group)

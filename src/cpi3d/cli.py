@@ -391,7 +391,7 @@ def _cmd_rerank(args, cfg: RunConfig) -> int:
     poses, protein_atoms = _load_poses_and_protein(args)
     confidences = None
     if args.confidences:
-        with open(args.confidences, encoding="utf-8") as fh:
+        with open(args.confidences, encoding="utf-8-sig") as fh:
             lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
 
         def where(n):

@@ -85,19 +85,21 @@ def morgan_fingerprints(mols, radius: int = 2, nbits: int = 2048) -> list[Finger
         raise ValidationError(f"radius must be >= 0, got {radius}")
     if nbits <= 0:
         raise ValidationError(f"nbits must be positive, got {nbits}")
-    if not all(mol.atoms for mol in mols):
+    if not mols:
+        return []
+    sizes = np.array([len(mol) for mol in mols], dtype=np.intp)
+    if not sizes.all():
         raise ValidationError("molecule has no atoms")
 
-    sizes = np.array([len(mol.atoms) for mol in mols], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
     mol_of = np.repeat(np.arange(len(mols)), sizes)
-    bi, bj, order = np.array([(b.i + off, b.j + off, b.order)
-                              for mol, off in zip(mols, offsets.tolist()) for b in mol.bonds],
-                             dtype=np.int64).reshape(-1, 3).T
+    bi, bj, order = np.concatenate([mol.bond_table + (off, off, 0)
+                                    for mol, off in zip(mols, offsets.tolist())]).T
     degrees = np.bincount(bi, minlength=len(mol_of)) + np.bincount(bj, minlength=len(mol_of))
 
-    atoms = (a for mol in mols for a in mol.atoms)
-    keys = [(a.element, d, a.formal_charge, a.aromatic) for a, d in zip(atoms, degrees.tolist())]
+    elements, charges, aromatic = (np.concatenate([getattr(mol, name) for mol in mols]).tolist()
+                                   for name in ("elements", "charges", "aromatic"))
+    keys = list(zip(elements, degrees.tolist(), charges, aromatic))
     invariants = {key: _atom_invariant(*key) for key in set(keys)}
     codes = np.array([invariants[key] for key in keys], dtype=np.uint64)
     bits = np.zeros((len(mols), nbits), dtype=bool)

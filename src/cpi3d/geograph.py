@@ -208,22 +208,18 @@ def edge_budget_packs(items, build):
 def ligand_atom_features(mol: LigandMolecule) -> np.ndarray:
     """One-hot chemistry features: element, degree (clamped to 5), formal
     charge (clipped to [-2, 2]), aromatic flag."""
-    n = len(mol.atoms)
-    feats = np.zeros((n, LIGAND_FEATURE_DIM), dtype=np.float64)
-    degrees = mol.degrees()
     n_el = len(LIGAND_ELEMENT_CLASSES)
-    for i, atom in enumerate(mol.atoms):
-        if atom.element in LIGAND_ELEMENT_CLASSES:
-            feats[i, LIGAND_ELEMENT_CLASSES.index(atom.element)] = 1.0
-        else:
-            feats[i, n_el] = 1.0
-        col = n_el + 1
-        feats[i, col + min(degrees[i], MAX_DEGREE_CLASS)] = 1.0
-        col += MAX_DEGREE_CLASS + 1
-        charge = int(np.clip(atom.formal_charge, CHARGE_CLASSES[0], CHARGE_CLASSES[-1]))
-        feats[i, col + CHARGE_CLASSES.index(charge)] = 1.0
-        col += len(CHARGE_CLASSES)
-        feats[i, col] = 1.0 if atom.aromatic else 0.0
+    degree_col = n_el + 1
+    charge_col = degree_col + MAX_DEGREE_CLASS + 1
+    rows = np.arange(len(mol))
+    feats = np.zeros((len(mol), LIGAND_FEATURE_DIM), dtype=np.float64)
+    feats[rows, [LIGAND_ELEMENT_CLASSES.index(e) if e in LIGAND_ELEMENT_CLASSES else n_el
+                 for e in mol.elements.tolist()]] = 1.0
+    feats[rows, degree_col + np.minimum(mol.degrees(), MAX_DEGREE_CLASS)] = 1.0
+    # the charge classes are consecutive integers
+    charge = np.clip(mol.charges, CHARGE_CLASSES[0], CHARGE_CLASSES[-1])
+    feats[rows, charge_col + charge - CHARGE_CLASSES[0]] = 1.0
+    feats[:, -1] = mol.aromatic
     return feats
 
 
@@ -305,9 +301,9 @@ def build_pair_graph(ligand: LigandMolecule, protein: ProteinStructure,
     no ligand-protein edges gets an out-of-pocket warning rather than an
     error.
     """
-    if not ligand.atoms:
+    if not len(ligand):
         raise ValidationError("ligand has no atoms")
-    lig_pos = ligand.coords()
+    lig_pos = ligand.positions
     res_pos = protein.ca_coords()
     nl, nr = len(lig_pos), len(res_pos)
     positions = np.concatenate([lig_pos, res_pos], axis=0)

@@ -93,9 +93,8 @@ def _type_atoms(elements, positions, i, j, order) -> TypedAtoms:
 
 def type_ligand_atoms(mol: LigandMolecule) -> TypedAtoms:
     """Type the ligand atoms over the bonds of its SDF record."""
-    bonds = np.array([(b.i, b.j, b.order) for b in mol.bonds], dtype=np.int64).reshape(-1, 3)
-    i, j, order = bonds.T
-    return _type_atoms([a.element for a in mol.atoms], mol.coords(),
+    i, j, order = mol.bond_table.T
+    return _type_atoms(mol.elements.tolist(), mol.positions,
                        np.concatenate([i, j]), np.concatenate([j, i]), np.tile(order, 2))
 
 
@@ -117,7 +116,7 @@ def ramp(d, a: float, b: float):
 
 def count_rotatable_bonds(mol: LigandMolecule) -> int:
     """Acyclic single bonds whose endpoints both have heavy degree >= 2."""
-    degrees = mol.degrees()
+    degrees = mol.degrees().tolist()
     adjacency = mol.neighbors()
 
     def is_bridge(i: int, j: int) -> bool:
@@ -136,15 +135,8 @@ def count_rotatable_bonds(mol: LigandMolecule) -> int:
                     stack.append(v)
         return True
 
-    count = 0
-    for b in mol.bonds:
-        if b.order != 1:
-            continue
-        if degrees[b.i] < 2 or degrees[b.j] < 2:
-            continue
-        if is_bridge(b.i, b.j):
-            count += 1
-    return count
+    return sum(1 for i, j, order in mol.bond_table.tolist()
+               if order == 1 and degrees[i] >= 2 and degrees[j] >= 2 and is_bridge(i, j))
 
 
 def pairwise_energy(lig: TypedAtoms, prot: TypedAtoms, weights: VinaWeights) -> float:
@@ -174,7 +166,7 @@ def score_poses(poses, protein_atoms: HeavyAtoms,
                 weights: VinaWeights | None = None) -> list[float]:
     """`vina_score` of every pose against one receptor, which is typed once
     for the whole pose set."""
-    if any(not pose.atoms for pose in poses):
+    if any(not len(pose) for pose in poses):
         raise ValidationError("empty ligand pose")
     if not protein_atoms:
         raise ValidationError("protein has no heavy atoms")

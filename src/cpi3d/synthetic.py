@@ -13,8 +13,6 @@ import numpy as np
 
 from .chemio import (
     AMINO_ACIDS_3TO1,
-    Atom,
-    Bond,
     ComplexRecord,
     LigandMolecule,
     ProteinStructure,
@@ -40,15 +38,10 @@ def random_ligand(rng: np.random.Generator, n_atoms: int | None = None,
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         positions.append(positions[parent] + direction * rng.uniform(1.3, 1.6))
-    atoms = tuple(
-        Atom(element=str(rng.choice(elements)), position=positions[i])
-        for i in range(n_atoms)
-    )
-    bonds = tuple(
-        Bond(i=parents[i - 1], j=i, order=int(rng.choice((1, 1, 1, 2))))
-        for i in range(1, n_atoms)
-    )
-    return LigandMolecule(id=mol_id, atoms=atoms, bonds=bonds)
+    symbols = [str(rng.choice(elements)) for _ in range(n_atoms)]
+    orders = [int(rng.choice((1, 1, 1, 2))) for _ in range(1, n_atoms)]
+    return LigandMolecule(mol_id, bonds=list(zip(parents, range(1, n_atoms), orders)),
+                          elements=symbols, positions=positions)
 
 
 def random_protein(rng: np.random.Generator, n_residues: int | None = None,
@@ -94,17 +87,14 @@ def mutate_ligand(base: LigandMolecule, mol_id: str, leaf: int,
     """Near-duplicate: swap one terminal atom's element and optionally the
     order of its bond. Changes stay inside the fingerprint radius of that
     leaf, so every variant of a family remains close to every other."""
-    old = base.atoms[leaf]
-    atoms = list(base.atoms)
-    atoms[leaf] = Atom(element=element, position=old.position,
-                       formal_charge=old.formal_charge, aromatic=old.aromatic)
-    bonds = list(base.bonds)
-    if flip_order:
-        for k, b in enumerate(bonds):
-            if leaf in (b.i, b.j):
-                bonds[k] = Bond(i=b.i, j=b.j, order=1 if b.order != 1 else 2)
-                break
-    return LigandMolecule(id=mol_id, atoms=tuple(atoms), bonds=tuple(bonds))
+    elements = base.elements.tolist()
+    elements[leaf] = element
+    bonds = base.bond_table.copy()
+    touching = np.flatnonzero((bonds[:, 0] == leaf) | (bonds[:, 1] == leaf))
+    if flip_order and touching.size:
+        bonds[touching[0], 2] = 1 if bonds[touching[0], 2] != 1 else 2
+    return LigandMolecule(mol_id, bonds=bonds, elements=elements, positions=base.positions,
+                          charges=base.charges, aromatic=base.aromatic)
 
 
 def ligand_family(rng: np.random.Generator, size: int, family_id: str) -> list[LigandMolecule]:
@@ -116,10 +106,9 @@ def ligand_family(rng: np.random.Generator, size: int, family_id: str) -> list[L
                               size=3, replace=False))
     base = random_ligand(rng, n_atoms=int(rng.integers(10, 17)),
                          mol_id=f"{family_id}_0", elements=tuple(palette))
-    degrees = base.degrees()
-    leaves = [i for i, d in enumerate(degrees) if d <= 1]
+    leaves = np.flatnonzero(base.degrees() <= 1).tolist()
     leaf = int(rng.choice(leaves)) if leaves else 0
-    alternates = [e for e in ("C", "N", "O", "S") if e != base.atoms[leaf].element]
+    alternates = [e for e in ("C", "N", "O", "S") if e != base.elements[leaf]]
     family = [base]
     for v in range(1, size):
         element = alternates[(v - 1) % len(alternates)]

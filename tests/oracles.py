@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to verify the metric code,
 the tensor-product message kernel, the neighbour search, atom typing,
-complete-linkage clustering, packed training, Morgan hashing and the PDB
-alpha-carbon and heavy-atom parses, plus the Wigner rotation matrices that
-the equivariance tests rotate feature blocks with.
+complete-linkage clustering, packed training, Morgan hashing, the PDB
+alpha-carbon and heavy-atom parses and the SDF parse, plus the Wigner
+rotation matrices that the equivariance tests rotate feature blocks with.
 
 Everything here is written longhand (python loops, explicit rank formulas,
 one einsum per coupling path, dense distance blocks, a leader table with an
@@ -306,6 +306,118 @@ def pdb_atoms_oracle(text):
     if not atoms:
         raise EmptyStructureError("no heavy-atom ATOM records found")
     return atoms
+
+
+_SDF_CHARGE_CODES = {0: 0, 1: 3, 2: 2, 3: 1, 4: 0, 5: -1, 6: -2, 7: -3}
+
+
+def sdf_oracle(text):
+    """(id, atoms, bonds) per record of a V2000 SDF text, atoms as (element,
+    (x, y, z), formal charge, aromatic) and bonds as (i, j, order) over the
+    heavy atoms: one `Atom`-like tuple and one `Bond`-like tuple at a time,
+    each line parsed as it is reached, hydrogens dropped through an index
+    map, and the first bad line raising `ParseError` with its line; then,
+    per molecule, the bond and position checks raise `ValidationError`."""
+    lines = text.splitlines()
+    mols = []
+    start = 0
+    while start < len(lines):
+        end = start
+        while end < len(lines) and lines[end].strip() != "$$$$":
+            end += 1
+        block = lines[start:end]
+        if any(line.strip() for line in block):
+            mols.append(_mol_block_oracle(block, start, len(mols)))
+        start = end + 1
+    return mols
+
+
+def _mol_block_oracle(block, offset, record_index):
+    if len(block) < 4:
+        raise ParseError("truncated mol block", line=offset + 1)
+    counts = block[3]
+    try:
+        n_atoms = int(counts[0:3])
+        n_bonds = int(counts[3:6])
+    except ValueError:
+        raise ParseError(f"malformed counts line {counts!r}", line=offset + 4) from None
+    atom_lines = block[4:4 + n_atoms]
+    bond_lines = block[4 + n_atoms:4 + n_atoms + n_bonds]
+    if len(atom_lines) != n_atoms or len(bond_lines) != n_bonds:
+        raise ParseError(f"counts line declares {n_atoms} atoms / {n_bonds} bonds "
+                         f"but block holds {len(atom_lines)} / {len(bond_lines)}",
+                         line=offset + 4)
+    atoms = []
+    for k, line in enumerate(atom_lines):
+        try:
+            xyz = (float(line[0:10]), float(line[10:20]), float(line[20:30]))
+        except ValueError:
+            raise ParseError(f"malformed coordinates in {line!r}", line=offset + 5 + k) from None
+        symbol = line[31:34].strip()
+        if symbol not in ELEMENT_SYMBOLS:
+            raise ParseError(f"unknown element symbol {symbol!r}", line=offset + 5 + k)
+        try:
+            charge = _SDF_CHARGE_CODES.get(int(line[36:39].strip() or "0"), 0)
+        except ValueError:
+            charge = 0
+        atoms.append([symbol, xyz, charge, False])
+    raw_bonds = []
+    for k, line in enumerate(bond_lines):
+        lineno = offset + 5 + n_atoms + k
+        try:
+            i, j, order = int(line[0:3]) - 1, int(line[3:6]) - 1, int(line[6:9])
+        except ValueError:
+            raise ParseError(f"malformed bond line {line!r}", line=lineno) from None
+        if not (0 <= i < n_atoms and 0 <= j < n_atoms):
+            raise ParseError(f"bond endpoint out of range in {line!r}", line=lineno)
+        raw_bonds.append((i, j, order))
+    overrides = {}
+    for k, line in enumerate(block[4 + n_atoms + n_bonds:]):
+        lineno = offset + 5 + n_atoms + n_bonds + k
+        if line.startswith("M  END"):
+            break
+        if not line.startswith("M  CHG"):
+            continue
+        fields = line.split()
+        try:
+            count = int(fields[2])
+            pairs = [(int(fields[3 + 2 * p]) - 1, int(fields[4 + 2 * p]))
+                     for p in range((len(fields) - 3) // 2)]
+        except (IndexError, ValueError):
+            count = -1
+        if len(fields) != 3 + 2 * count:
+            raise ParseError(f"malformed charge line {line!r}", line=lineno)
+        for idx, charge in pairs:
+            if not 0 <= idx < n_atoms:
+                raise ParseError(f"charge atom index out of range in {line!r}", line=lineno)
+        for idx, charge in pairs:
+            overrides[idx] = charge
+    if overrides:
+        for idx, atom in enumerate(atoms):
+            atom[2] = overrides.get(idx, 0)
+    heavy = {}
+    for idx, atom in enumerate(atoms):
+        if atom[0] != "H":
+            heavy[idx] = len(heavy)
+    bonds = []
+    for i, j, order in raw_bonds:
+        if i in heavy and j in heavy:
+            bonds.append((heavy[i], heavy[j], order))
+            if order == 4:
+                atoms[i][3] = atoms[j][3] = True
+    kept = [tuple(atom) for idx, atom in enumerate(atoms) if idx in heavy]
+    seen = set()
+    for i, j, order in bonds:
+        if i == j:
+            raise ValidationError(f"bond ({i},{j}) has invalid endpoints")
+        if (min(i, j), max(i, j)) in seen:
+            raise ValidationError(f"duplicate bond {(min(i, j), max(i, j))}")
+        seen.add((min(i, j), max(i, j)))
+    for atom in kept:
+        if not all(math.isfinite(v) for v in atom[1]):
+            raise ValidationError("non-finite atom position")
+    title = block[0].strip()
+    return title if title else f"mol{record_index}", kept, bonds
 
 
 def wigner_d(R, l):

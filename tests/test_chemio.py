@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -24,7 +25,7 @@ from cpi3d.errors import EmptyStructureError, ParseError, ValidationError
 from cpi3d.synthetic import clustered_records, random_complexes, write_manifest
 
 from conftest import pdb_atom_line
-from oracles import pdb_atoms_oracle, pdb_ca_oracle
+from oracles import pdb_atoms_oracle, pdb_ca_oracle, sdf_oracle
 
 
 def test_parse_pdb_single_ca():
@@ -314,7 +315,8 @@ def test_parse_sdf_m_chg_override():
     ("M  CHG  1   9   1", "line 8: charge atom index out of range"),
     ("M  CHG  1   0   1", "line 8: charge atom index out of range"),
     ("M  CHG  x   1   1", "line 8: malformed charge line"),
-], ids=["missing-pair", "index-past-block", "index-zero", "bad-count"])
+    ("M  CHG  1   1 9223372036854775808", "line 8: malformed charge line"),
+], ids=["missing-pair", "index-past-block", "index-zero", "bad-count", "charge-past-int64"])
 def test_parse_sdf_bad_m_chg_line(prop, needle):
     rec = _sdf_record("charged", [(0.0, 0.0, 0.0, "N"), (1.3, 0.0, 0.0, "O")],
                       [(1, 2, 1)], props=[prop])
@@ -336,6 +338,137 @@ def test_sdf_round_trip(rng):
         assert back.bonds == mol.bonds
         # a second pass is byte-stable
         assert write_sdf(back) == write_sdf(parse_sdf(write_sdf(back))[0])
+
+
+def _sdf_atom(x, y, z, element, code=0):
+    return f"{x:10.4f}{y:10.4f}{z:10.4f} {element:<3s} 0  {code}  0  0  0  0  0  0  0  0  0  0"
+
+
+_SDF_LINES = [
+    "lig-a", "  gen", "", "  6  6  0  0  0  0  0  0  0  0999 V2000",
+    _sdf_atom(0.0, 0.0, 0.0, "C"),
+    _sdf_atom(1.4, 0.0, -0.0, "N", code=3),
+    _sdf_atom(-0.5, 0.9, 0.0, "H"),
+    _sdf_atom(2.1, 1.2, 0.0, "C"),
+    _sdf_atom(1.4, 2.4, 0.0, "O", code=5),
+    _sdf_atom(0.0, 2.4, -9.999, "C"),
+    "  1  2  1  0", "  1  3  1  0", "  2  4  4  0", "  4  5  2  0", "  5  6  4  0",
+    "  6  1  1  0",
+    "M  END", "$$$$",
+    "", "  gen", "", "  3  2  0  0  0  0  0  0  0  0999 V2000",
+    _sdf_atom(5.0, 5.0, 5.0, "S"),
+    _sdf_atom(6.5, 5.0, 5.0, "Cl", code=1),
+    _sdf_atom(4.5, 5.9, 5.0, "H"),
+    "  1  2  1  0", "  1  3  1  0",
+    "M  CHG  1   1  -1", "M  END", "$$$$",
+]
+
+
+def _columns(start, end, raw):
+    return lambda lines, i: lines[i][:start] + f"{raw:>{end - start}s}" + lines[i][end:]
+
+
+def _replaced(text):
+    return lambda lines, i: text
+
+
+_SDF_MUTATIONS = {
+    "x=abc": _columns(0, 10, "abc"),
+    "x=nan": _columns(0, 10, "nan"),
+    "y=inf": _columns(10, 20, "inf"),
+    "z=1e309": _columns(20, 30, "1e309"),
+    "z=blank": _columns(20, 30, ""),
+    "element=Xx": _columns(31, 34, "Xx "),
+    "element=H": _columns(31, 34, "H  "),
+    "element=Cl": _columns(31, 34, "Cl "),
+    "code=3": _columns(36, 39, "3"),
+    "code=x": _columns(36, 39, "x"),
+    "code=9": _columns(36, 39, "9"),
+    "cols0-3=x": _columns(0, 3, "x"),       # counts: atoms; bond: first atom
+    "cols0-3=0": _columns(0, 3, "0"),
+    "cols0-3=2": _columns(0, 3, "2"),
+    "cols0-3=99": _columns(0, 3, "99"),
+    "cols3-6=1": _columns(3, 6, "1"),       # counts: bonds; bond: second atom
+    "cols3-6=x": _columns(3, 6, "x"),
+    "cols6-9=4": _columns(6, 9, "4"),       # bond order
+    "cols6-9=x": _columns(6, 9, "x"),
+    "chg-missing-pair": _replaced("M  CHG  2   1   1"),
+    "chg-index-past": _replaced("M  CHG  1   9   1"),
+    "chg-index-zero": _replaced("M  CHG  1   0   2"),
+    "chg-two": _replaced("M  CHG  2   1   2   2  -3"),
+    "m-end": _replaced("M  END"),
+    "record-end": _replaced("$$$$"),
+    "blank": _replaced(""),
+    "copy-previous": lambda lines, i: lines[i - 1],
+    "drop": _replaced(None),
+}
+
+
+def _sdf_mutated(mutations):
+    lines = list(_SDF_LINES)
+    for name, i in mutations:
+        lines[i] = _SDF_MUTATIONS[name](lines, i)
+    return "\n".join(line for line in lines if line is not None)
+
+
+def _sdf_parsed(text):
+    """parse_sdf's molecules as (id, elements, charges, aromatic flags, bond
+    rows, coordinate bytes), or its error."""
+    try:
+        mols = parse_sdf(text)
+    except (ParseError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    out = []
+    for mol in mols:
+        assert mol.positions.dtype == np.float64 and mol.positions.shape == (len(mol), 3)
+        assert mol.bond_table.dtype == np.int64 and mol.bond_table.shape[1:] == (3,)
+        assert mol.charges.dtype == np.int64 and mol.aromatic.dtype == bool
+        out.append((mol.id, tuple(mol.elements.tolist()), tuple(mol.charges.tolist()),
+                    tuple(mol.aromatic.tolist()), tuple(map(tuple, mol.bond_table.tolist())),
+                    mol.positions.tobytes()))
+    return out
+
+
+def _sdf_oracle(text):
+    try:
+        mols = sdf_oracle(text)
+    except (ParseError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return [(mol_id, tuple(a[0] for a in atoms), tuple(a[2] for a in atoms),
+             tuple(a[3] for a in atoms), tuple(bonds),
+             np.array([a[1] for a in atoms], dtype=np.float64).reshape(-1, 3).tobytes())
+            for mol_id, atoms, bonds in mols]
+
+
+def test_parse_sdf_matches_the_object_building_parse_under_line_mutations():
+    """Every mutation of one line, and pairs of mutations on two lines, give
+    the per-atom parse's elements, charges, aromatic flags, bonds and
+    coordinate bytes, or its error for the same line: counts, atom, bond,
+    `M  CHG` and record-boundary lines, hydrogens that appear, vanish or
+    carry a bad field, and bonds that repeat or close on themselves."""
+    texts = [_sdf_mutated([])]
+    texts += [_sdf_mutated([(name, i)])
+              for name in _SDF_MUTATIONS for i in range(len(_SDF_LINES))]
+    pair_kinds = ("x=nan", "element=H", "cols3-6=1", "chg-two", "copy-previous")
+    texts += [_sdf_mutated([(a, i), (b, j)])
+              for i, j in itertools.combinations(range(len(_SDF_LINES)), 2)
+              for a in pair_kinds for b in pair_kinds]
+    outcomes = set()
+    for text in texts:
+        got = _sdf_parsed(text)
+        assert got == _sdf_oracle(text), text
+        # the message without its line number and the quoted line or numbers
+        outcomes.add("parsed" if isinstance(got, list) else
+                     re.sub(r"^line \d+: |( in)? ?['(\d].*", "", got[1]))
+    assert _sdf_parsed(texts[0])[0][1:5] == (
+        ("C", "N", "C", "O", "C"), (0, 1, 0, -1, 0), (False, True, True, True, True),
+        ((0, 1, 1), (1, 2, 4), (2, 3, 2), (3, 4, 4), (4, 0, 1)))
+    assert _sdf_parsed(texts[0])[1][:3] == ("mol1", ("S", "Cl"), (-1, 0))
+    assert {"parsed", "truncated mol block", "malformed counts line", "counts line declares",
+            "malformed coordinates", "unknown element symbol", "malformed bond line",
+            "bond endpoint out of range", "malformed charge line",
+            "charge atom index out of range", "bond", "duplicate bond",
+            "non-finite atom position"} <= outcomes, outcomes
 
 
 def test_parse_pdb_atoms_full_detail():
@@ -664,6 +797,41 @@ def test_manifest_records_hold_a_third_of_the_per_residue_objects_memory():
     of the 11.2 MB that per-residue `Residue` objects held."""
     held = manifest_held_mb()
     assert held <= 11.2 / 3, f"400 records hold {held:.2f} MB"
+
+
+def test_manifest_records_hold_at_most_2_9_mb_with_ligands_as_arrays():
+    """Ligand atoms and bonds as arrays hold less than the 3.32 MB of the
+    slotted `Atom` and `Bond` objects."""
+    held = manifest_held_mb()
+    assert held <= 2.9, f"400 records hold {held:.2f} MB"
+
+
+def test_ligand_arrays_are_read_only_and_round_trip_through_atoms_and_bonds():
+    (mol,) = parse_sdf(_sdf_mutated([]).split("$$$$")[0])
+    for name in ("elements", "positions", "charges", "aromatic", "bond_table"):
+        assert not getattr(mol, name).flags.writeable, name
+    assert mol.coords() is mol.positions
+    again = LigandMolecule("again", mol.atoms, mol.bonds)
+    for name in ("elements", "positions", "charges", "aromatic", "bond_table"):
+        assert getattr(again, name).tobytes() == getattr(mol, name).tobytes(), name
+    assert all(type(a.element) is str and type(a.formal_charge) is int for a in again.atoms)
+    assert again.bonds == ((0, 1, 1), (1, 2, 4), (2, 3, 2), (3, 4, 4), (4, 0, 1))
+    assert again.degrees().tolist() == [2, 2, 2, 2, 2]
+
+
+def test_load_manifest_reads_structure_files_with_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark before the first PDB record or the first SDF
+    title changes neither the residues nor the molecule id."""
+    manifest = write_manifest(random_complexes(1, seed=0), str(tmp_path))
+    (plain,) = load_manifest(manifest)
+    for name in ("toy0.pdb", "toy0.sdf"):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+    (bom,) = load_manifest(manifest)
+    assert len(bom.protein) == len(plain.protein) == 6
+    assert bom.protein.ca.tobytes() == plain.protein.ca.tobytes()
+    assert bom.ligand.id == plain.ligand.id == "toy0_lig"
+    assert bom.ligand.positions.tobytes() == plain.ligand.positions.tobytes()
 
 
 @pytest.mark.parametrize("bom", [False, True])

@@ -89,6 +89,24 @@ def test_build_graph_command(tmp_path, capsys):
     assert len(doc["nodes"]) == 10
 
 
+def test_build_graph_reads_files_with_a_byte_order_mark(tmp_path, capsys):
+    """A leading UTF-8 byte-order mark on the SDF or the PDB changes nothing:
+    the first residue and the molecule's title survive it."""
+    (rec,) = random_complexes(1, seed=0)
+    texts = {"l.sdf": write_sdf(list(rec.poses)), "p.pdb": protein_to_pdb(rec.protein)}
+    dumps = []
+    for bom in ("", "\ufeff"):
+        for name, text in texts.items():
+            (tmp_path / name).write_text(bom + text, encoding="utf-8")
+        dump = tmp_path / f"graph{len(dumps)}.json"
+        assert main(["build-graph", "--ligand", str(tmp_path / "l.sdf"),
+                     "--protein", str(tmp_path / "p.pdb"), "--dump", str(dump)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["n_ligand"] == len(rec.ligand) and summary["n_residue"] == 6
+        dumps.append(dump.read_bytes())
+    assert dumps[0] == dumps[1]
+
+
 def test_train_then_predict_deterministic(toy_dir, capsys):
     tmp_path, manifest, config = toy_dir
     ckpt = tmp_path / "model.eqcp"
@@ -157,6 +175,22 @@ def test_rerank_bad_confidence_exits_one(tmp_path, capsys, body, needle):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
     assert not (tmp_path / "ranked.csv").exists()
+
+
+def test_rerank_reads_confidences_with_a_byte_order_mark(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    poses = [random_ligand(rng, n_atoms=6, mol_id=f"pose{i}") for i in range(5)]
+    (tmp_path / "poses.sdf").write_text(write_sdf(poses))
+    (tmp_path / "rec.pdb").write_text(protein_to_pdb(random_protein(rng, n_residues=6)))
+    body = "".join(f"{c!r}\n" for c in rng.uniform(0.0, 1.0, 5).tolist())
+    for bom in ("", "\ufeff"):
+        (tmp_path / "conf.txt").write_text(bom + body, encoding="utf-8")
+        assert main(["rerank", "--poses", str(tmp_path / "poses.sdf"),
+                     "--protein", str(tmp_path / "rec.pdb"),
+                     "--confidences", str(tmp_path / "conf.txt"),
+                     "--out", str(tmp_path / f"ranked{len(bom)}.csv")]) == 0
+    assert (tmp_path / "ranked0.csv").read_bytes() == (tmp_path / "ranked1.csv").read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("row,needle", [
