@@ -4,7 +4,8 @@ Operations executed inside a `with Tape() as tape:` block are recorded in
 order; `tape.gradient(loss, sources)` seeds the scalar loss with adjoint 1
 and replays the recorded adjoint functions in exact reverse order. Outside
 a tape, the same ops run as plain numpy with no recording overhead. All
-arithmetic is float64.
+arithmetic is float64. `checkpoint(fn, *inputs)` records a whole function
+as one op that saves only its inputs and reruns `fn` in backward.
 
 Every primitive records by one rule: it hands `_op` its value and, only
 under a tape, one rule `(input, adjoint, *saved)` per input; the input's
@@ -63,18 +64,23 @@ class Tape:
         self._consumed = True
         if loss.data.size != 1:
             raise ConfigError(f"loss must be scalar, got shape {loss.data.shape}")
-        sources = list(sources)
-        keep = {s._slot for s in sources}
-        _EPOCH[0] += 1
-        epoch = _EPOCH[0]
-        _accumulate(loss._slot or _Slot(loss.data.shape), np.ones_like(loss.data), epoch)
-        for out, backward in reversed(self._records):
-            if out.epoch == epoch:
-                backward(out.grad, epoch)
-                if out not in keep:
-                    out.grad = None
-        return [s._slot.grad if s._slot is not None and s._slot.epoch == epoch
-                else np.zeros_like(s.data) for s in sources]
+        return _sweep(self._records, loss, np.ones_like(loss.data), list(sources))
+
+
+def _sweep(records, out: "Tensor", g: np.ndarray, sources: list) -> list[np.ndarray]:
+    """The reverse sweep: seed `out` with adjoint `g`, replay `records` in
+    reverse, and return the adjoints of `sources` (zeros where unreached)."""
+    keep = {s._slot for s in sources}
+    _EPOCH[0] += 1
+    epoch = _EPOCH[0]
+    _accumulate(out._slot or _Slot(out.data.shape), g, epoch)
+    for slot, backward in reversed(records):
+        if slot.epoch == epoch:
+            backward(slot.grad, epoch)
+            if slot not in keep:
+                slot.grad = None
+    return [s._slot.grad if s._slot is not None and s._slot.epoch == epoch
+            else np.zeros_like(s.data) for s in sources]
 
 
 class _Slot:
@@ -370,10 +376,17 @@ def gather_rows(a, idx: np.ndarray) -> Tensor:
 
 
 def index_add(base, idx: np.ndarray, rows) -> Tensor:
-    """`base` plus each row of `rows` at its index in `idx`, added in array
-    order (`np.add.at` on a copy): blockwise sums equal one call bit for bit."""
-    out = _data(base).copy()
-    np.add.at(out, idx, _data(rows))
+    """`base` plus each row of `rows` at its index in `idx`. The touched
+    base rows are summed by one `np.bincount` over compact ids (`np.unique`
+    of `idx`), each base row first and then its rows in array order, so
+    the result equals `np.add.at` on a copy bit for bit and blockwise sums
+    equal one call; except that a -0.0 base entry that receives only -0.0
+    comes out +0.0, as `bincount` starts each sum at +0.0."""
+    bd, rd, idx = _data(base), _data(rows), np.asarray(idx)
+    touched, compact = np.unique(idx, return_inverse=True)
+    ids = np.concatenate([np.arange(len(touched)), compact.ravel()])
+    out = bd.copy()
+    out[touched] = _scatter_rows(np.concatenate([bd[touched], rd]), ids, len(touched))
     return _op(out, ((base, _unchanged), (rows, operator.getitem, idx)) if _ACTIVE else ())
 
 
@@ -414,3 +427,59 @@ def einsum(subscripts: str, *operands) -> Tensor:
                     raise ConfigError(f"cannot differentiate operand {k} of {subscripts!r}")
                 rules.append((op, _einsum_adjoint, k, in_subs, out_spec, datas))
     return _op(np.einsum(subscripts, *datas), rules)
+
+
+class _Replay:
+    """The backward of one `checkpoint` call. The first of its rules to run
+    reruns `fn` on fresh inputs under a fresh tape and sweeps that tape
+    from the output's adjoint; it keeps the other tracked inputs' adjoints
+    until their rules take them, and the last rule frees the saved inputs."""
+
+    __slots__ = ("fn", "datas", "tracked", "grads")
+
+    def __init__(self, fn, inputs):
+        self.fn = fn
+        self.datas = [_data(x) for x in inputs]
+        self.tracked = [isinstance(x, Tensor) and x.requires_grad for x in inputs]
+        self.grads: dict[int, np.ndarray] | None = None
+
+    def adjoint(self, g, k):
+        if self.grads is None:
+            inputs = [Tensor(d, requires_grad=t) for d, t in zip(self.datas, self.tracked)]
+            tape = Tape()
+            outer, _ACTIVE[:] = _ACTIVE[:], [tape]
+            try:
+                out = as_tensor(self.fn(*inputs))
+            finally:
+                _ACTIVE[:] = outer
+            ks = [i for i, t in enumerate(self.tracked) if t]
+            self.grads = dict(zip(ks, _sweep(tape._records, out, g, [inputs[i] for i in ks])))
+        grad = self.grads.pop(k)
+        if not self.grads:
+            self.datas = None
+        return grad
+
+
+def checkpoint(fn, *inputs) -> Tensor:
+    """`fn(*inputs)`, recorded as one op that saves only the inputs'
+    arrays and recomputes `fn` in backward (gradient checkpointing).
+
+    Under a tape, `fn` runs with the tape suspended, and the op gets one
+    rule per tracked input. In backward the first rule reruns `fn` on
+    fresh tensors, tracked where the inputs are, sweeps their adjoints
+    from the output's, and holds them for the other rules. With no tape
+    it is a plain call. `fn` may close over constants only, so bind loop
+    variables at definition. The value is the unwrapped `fn`'s bit for
+    bit, and so is each input's adjoint when that input is used once in
+    `fn` (a parameter used once per call) or when its adjoint is still
+    empty when this op's rules run (a fresh gather feeding only this op).
+    """
+    if not _ACTIVE:
+        return fn(*inputs)
+    tape = _ACTIVE.pop()
+    try:
+        value = _data(fn(*inputs))
+    finally:
+        _ACTIVE.append(tape)
+    replay = _Replay(fn, inputs)
+    return _op(value, [(x, replay.adjoint, k) for k, x in enumerate(inputs) if replay.tracked[k]])

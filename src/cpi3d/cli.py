@@ -60,7 +60,7 @@ def _resolve_config(args) -> RunConfig:
     file's document, which is then built once."""
     doc: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             doc = load_json(fh.read(), args.config)
     for dest, keys in _FLAG_KEYS.items():
         value = getattr(args, dest, None)

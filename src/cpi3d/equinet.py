@@ -21,6 +21,7 @@ nothing reads are zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,6 +238,10 @@ def edge_weight_net(rbf, h_a0, h_b0, weights) -> Tensor:
     return ad.add(ad.matmul(h, W2), b2)
 
 
+def _edge_gates(rbf, h_a0, h_b0, *weights) -> Tensor:
+    return edge_weight_net(rbf, h_a0, h_b0, weights)
+
+
 def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
                            path_weights: dict[tuple[int, int, int], Tensor],
                            paths, out_layout: IrrepLayout) -> IrrepFeature:
@@ -252,7 +257,9 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
     path contracts in one batched matmul and mixes by one broadcast matmul
     with the transposed weights. Only one path's per-edge intermediates
     are alive at a time; the generic matmul, reshape and mul adjoints give
-    the backward pass.
+    the backward pass. Under a tape, K (and the contraction, for
+    l_in > 0) is one `ad.checkpoint`, recomputed in backward, so the tape
+    saves no per-edge coupling.
 
     Column i of `path_gates` gates `paths[i]`, so a caller that runs a
     subset of paths passes the matching gate columns. A path whose source
@@ -274,22 +281,30 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
             continue
         sh_block = ad.take(sh, (slice(None), sh_slice(ls)))
         gate = ad.take(path_gates, (slice(None), slice(idx, idx + 1)))
-        coupling = ad.reshape(ad.mul(ad.matmul(sh_block, coupling_matrix(li, ls, lo)), gate),
-                              (n_e, 2 * li + 1, 2 * lo + 1))
+        gated = functools.partial(_gated_coupling, coupling_matrix(li, ls, lo),
+                                  (n_e, 2 * li + 1, 2 * lo + 1))
         src = h_src.blocks[li]
         if li == 0:
+            coupling = ad.checkpoint(gated, sh_block, gate)
             mixed = ad.matmul(ad.reshape(src, (n_e, mi)), w)
             term = ad.mul(ad.reshape(mixed, (n_e, mo, 1)), coupling)
         elif lo == 0:
-            coupled = ad.matmul(src, coupling)                                # (E, mi, 1)
+            coupled = ad.checkpoint(gated, sh_block, gate, src)               # (E, mi, 1)
             term = ad.reshape(ad.matmul(ad.reshape(coupled, (n_e, mi)), w), (n_e, mo, 1))
         else:
-            term = ad.matmul(ad.einsum("cd->dc", w), ad.matmul(src, coupling))
+            term = ad.matmul(ad.einsum("cd->dc", w), ad.checkpoint(gated, sh_block, gate, src))
         out[lo] = ad.add(out[lo], term) if lo in out else term
     for l in out_layout.degrees():
         if l not in out:
             out[l] = np.zeros((n_e, out_layout.mult(l), 2 * l + 1))
     return IrrepFeature(out_layout, out)
+
+
+def _gated_coupling(cg, shape, sh_block, gate, src=None) -> Tensor:
+    """A path's gated coupling K = (sh_block @ cg) * gate, as `shape`
+    (E, 2l_in+1, 2l_out+1); with a source block, the contraction src @ K."""
+    coupling = ad.reshape(ad.mul(ad.matmul(sh_block, cg), gate), shape)
+    return coupling if src is None else ad.matmul(src, coupling)
 
 
 def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weights, paths,
@@ -650,10 +665,10 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
                                 for w in ("W0", "b0", "W1", "b1", "W2", "b2"))
             tp_weights = {p: params[f"{prefix}.tp.{p[0]}{p[1]}{p[2]}"] for p in paths}
 
-            def gates(e):
-                return edge_weight_net(ad.gather_rows(rbf, e),
-                                       ad.gather_rows(h0_scalars, a_idx[e]),
-                                       ad.gather_rows(h0_scalars, b_idx[e]), psi_weights)
+            def gates(e):    # recomputed in backward: the tape saves only its inputs
+                return ad.checkpoint(_edge_gates, ad.gather_rows(rbf, e),
+                                     ad.gather_rows(h0_scalars, a_idx[e]),
+                                     ad.gather_rows(h0_scalars, b_idx[e]), *psi_weights)
 
             if cache is not None and kind is EdgeKind.PP:
                 sums = _cached_pp_sums(cache, layer, live, gates, tp_weights, paths, h,

@@ -104,9 +104,11 @@ def batch_gradients(graphs, fps, labels, batch, params: ParameterStore, model_cf
     and one backward on its own tape; its loss terms and gradients are
     added into float64 totals before the next pack starts, and the
     batch-norm running statistics step once per graph, in batch order.
+    The zero totals are allocated after the first pack's sweep, so they
+    are not alive at its peak.
     """
     names = params.trainable_names()
-    total = {name: np.zeros_like(params[name].data) for name in names}
+    total = None
     loss_value = 0.0
     for ids, pack in edge_budget_packs(batch, lambda i: graphs[i]):
 
@@ -116,6 +118,8 @@ def batch_gradients(graphs, fps, labels, batch, params: ParameterStore, model_cf
 
         value, grads = grad(pack_loss, params, names)
         loss_value += value
+        if total is None:
+            total = {name: np.zeros_like(params[name].data) for name in names}
         for name in names:
             total[name] += grads[name]
     return loss_value, total

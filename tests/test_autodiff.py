@@ -199,6 +199,36 @@ def test_index_add_gradients_and_blocked_sums(rng):
     np.testing.assert_array_equal(got, want)
 
 
+def _nonzero_base(rows, n):
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.integers(-8, 8, size=(n,) + (1,) * (rows.ndim - 1))
+    return rng.normal(size=(n,) + rows.shape[1:]) * scale
+
+
+@pytest.mark.parametrize("case", ("random-2d", "random-3d", "ties", "empty", "untouched"))
+def test_index_add_equals_add_at_into_a_nonzero_base_bit_for_bit(case):
+    idx, rows, n = _scatter_case(case)
+    base = _nonzero_base(rows, n)
+    want = base.copy()
+    np.add.at(want, idx, rows)
+    got = ad.index_add(base, idx, rows).data
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_index_add_turns_a_negative_zero_that_gets_only_negative_zeros_positive():
+    """The sums start at +0.0, so a -0.0 base entry that receives only -0.0
+    comes out +0.0, where `np.add.at` keeps -0.0; every other sign agrees."""
+    base = np.array([[-0.0, -0.0], [-0.0, 1.0], [2.0, -0.0]])
+    rows = np.array([[-0.0, -0.0], [-0.0, 0.0], [-0.0, -3.0]])
+    got = ad.index_add(base, np.array([0, 0, 1]), rows).data
+    want = base.copy()
+    np.add.at(want, np.array([0, 0, 1]), rows)
+    np.testing.assert_array_equal(got, want)
+    assert np.signbit(want).tolist() == [[True, False], [True, True], [False, True]]
+    assert np.signbit(got).tolist() == [[False, False], [False, True], [False, True]]
+
+
 def test_einsum_forward_and_gradients():
     C = np.arange(12.0).reshape(3, 2, 2)
     sh = np.array([[1.0, -1.0], [0.5, 2.0]])
@@ -408,3 +438,74 @@ def test_op_without_tracked_input_is_not_recorded():
         ad.einsum("ij,jk->ik", c, np.ones((3, 2)))
         ad.index_add(np.zeros((3, 3)), np.array([0, 2]), ad.sigmoid(c))
     assert len(tape) == 0
+
+
+def _edge_mlp(x, zero, W, b, seen):
+    """A one-layer edge perceptron over [x, zero] that notes whether its
+    all-zero input arrived tracked (the message kernel skips an untracked
+    all-zero block)."""
+    seen.append(zero.requires_grad)
+    h = ad.silu(ad.add(ad.matmul(ad.concat([x, zero], axis=1), W), b))
+    return ad.mul(h, h)
+
+
+def _two_calls(call, P, W, b, seen):
+    """Two calls that share the parameters W and b, on fresh gathers of P
+    (which the loss reads directly too) and an untracked all-zero input."""
+    zero = Tensor(np.zeros((4, 2)))
+    y1 = call(_edge_mlp, ad.gather_rows(P, np.array([0, 2, 2, 1])), zero, W, b, seen)
+    y2 = call(_edge_mlp, ad.gather_rows(P, np.array([1, 1, 0, 3])), zero, W, b, seen)
+    return ad.add(ad.tsum(ad.mul(ad.add(y1, y2), np.linspace(-1.0, 2.0, 12).reshape(4, 3))),
+                  ad.tsum(ad.mul(P, P)))
+
+
+def _checkpoint_run(call):
+    rng = np.random.default_rng(3)
+    P = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    W = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    seen = []
+    with Tape() as tape:
+        loss = _two_calls(call, P, W, b, seen)
+    grads = tape.gradient(loss, [P, W, b])
+    return loss.data.tobytes(), [g.tobytes() for g in grads], seen
+
+
+def test_checkpoint_equals_the_unwrapped_ops_bit_for_bit():
+    def plain(fn, *inputs):
+        return fn(*inputs)
+
+    def checkpointed(fn, *inputs):
+        return ad.checkpoint(lambda *xs, seen=inputs[-1]: fn(*xs, seen), *inputs[:-1])
+
+    loss, grads, seen = _checkpoint_run(plain)
+    loss_ck, grads_ck, seen_ck = _checkpoint_run(checkpointed)
+    assert loss_ck == loss and grads_ck == grads
+    # two forward calls, then two backward reruns: the zero input stays off the tape
+    assert seen == [False] * 2 and seen_ck == [False] * 4
+
+
+def test_checkpoint_is_one_record_and_no_record_without_a_tape():
+    p = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
+
+    def fn(x, y):
+        return ad.sigmoid(ad.add(ad.matmul(x, y), x))
+
+    with Tape() as tape:
+        out = ad.checkpoint(fn, p, np.eye(2))
+    assert len(tape) == 1 and out.requires_grad
+    plain = ad.checkpoint(fn, p, np.eye(2))
+    assert not plain.requires_grad and plain.data.tobytes() == out.data.tobytes()
+    check_op(lambda t: _sq(ad.checkpoint(fn, t, np.eye(2))), p.data)
+
+
+def test_checkpoint_replays_when_the_gradient_runs_inside_the_tape_block():
+    p = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.tsum(ad.checkpoint(lambda x: ad.mul(ad.exp(x), x), p))
+        (g,) = tape.gradient(loss, [p])
+    np.testing.assert_allclose(g, np.exp(p.data) * (1.0 + p.data))
+    with pytest.raises(ConfigError, match="tapes do not nest"):
+        with Tape():
+            with Tape():
+                pass

@@ -700,6 +700,20 @@ def test_print_config(tmp_path, capsys):
     assert capsys.readouterr().out == printed
 
 
+def test_config_with_a_byte_order_mark_resolves_like_without(tmp_path, capsys):
+    """A config file saved with a leading UTF-8 byte-order mark resolves to
+    the same config as the same file without it."""
+    doc = json.dumps({"seed": 3, "model": {"layers": 2}})
+    printed = []
+    for bom in ("", "\ufeff"):
+        config = tmp_path / f"config{len(printed)}.json"
+        config.write_text(bom + doc, encoding="utf-8")
+        assert main(["simulate-screen", "--actives", "1", "--decoys", "1",
+                     "--config", str(config), "--print-config"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and json.loads(printed[0])["seed"] == 3
+
+
 @pytest.mark.parametrize("doc,needle", [
     ({"cutoffs": {"bogus": 1}}, "'bogus'"),
     ({"modle": {"layers": 1}}, "'modle'"),
