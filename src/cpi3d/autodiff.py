@@ -64,16 +64,18 @@ class Tape:
         self._consumed = True
         if loss.data.size != 1:
             raise ConfigError(f"loss must be scalar, got shape {loss.data.shape}")
-        return _sweep(self._records, loss, np.ones_like(loss.data), list(sources))
+        return _sweep(self._records, [(loss, np.ones_like(loss.data))], list(sources))
 
 
-def _sweep(records, out: "Tensor", g: np.ndarray, sources: list) -> list[np.ndarray]:
-    """The reverse sweep: seed `out` with adjoint `g`, replay `records` in
-    reverse, and return the adjoints of `sources` (zeros where unreached)."""
+def _sweep(records, seeds: list, sources: list) -> list[np.ndarray]:
+    """The reverse sweep: seed each `(out, g)` of `seeds` with adjoint `g`,
+    replay `records` in reverse, and return the adjoints of `sources`
+    (zeros where unreached)."""
     keep = {s._slot for s in sources}
     _EPOCH[0] += 1
     epoch = _EPOCH[0]
-    _accumulate(out._slot or _Slot(out.data.shape), g, epoch)
+    for out, g in seeds:
+        _accumulate(out._slot or _Slot(out.data.shape), g, epoch)
     for slot, backward in reversed(records):
         if slot.epoch == epoch:
             backward(slot.grad, epoch)
@@ -432,16 +434,24 @@ def einsum(subscripts: str, *operands) -> Tensor:
 class _Replay:
     """The backward of one `checkpoint` call. The first of its rules to run
     reruns `fn` on fresh inputs under a fresh tape and sweeps that tape
-    from the output's adjoint; it keeps the other tracked inputs' adjoints
-    until their rules take them, and the last rule frees the saved inputs."""
+    from the outputs' adjoints; it keeps the other tracked inputs' adjoints
+    until their rules take them, and the last rule frees `fn` and the saved
+    inputs. A tuple-valued call gets each output's adjoint through `seed`."""
 
-    __slots__ = ("fn", "datas", "tracked", "grads")
+    __slots__ = ("fn", "datas", "tracked", "grads", "seeds")
 
-    def __init__(self, fn, inputs):
+    def __init__(self, fn, inputs, n_out: int):
         self.fn = fn
         self.datas = [_data(x) for x in inputs]
         self.tracked = [isinstance(x, Tensor) and x.requires_grad for x in inputs]
         self.grads: dict[int, np.ndarray] | None = None
+        self.seeds: list = [None] * n_out
+
+    def seed(self, g, i):
+        """Keep output `i`'s adjoint for the rerun; the op's joint record
+        gets a zero."""
+        self.seeds[i] = g
+        return np.zeros(())
 
     def adjoint(self, g, k):
         if self.grads is None:
@@ -449,18 +459,36 @@ class _Replay:
             tape = Tape()
             outer, _ACTIVE[:] = _ACTIVE[:], [tape]
             try:
-                out = as_tensor(self.fn(*inputs))
+                out = self.fn(*inputs)
             finally:
                 _ACTIVE[:] = outer
+            _check_closure(tape._records, inputs)
+            outs, seeds = (out, self.seeds) if isinstance(out, tuple) else ((out,), [g])
+            self.seeds = None
             ks = [i for i, t in enumerate(self.tracked) if t]
-            self.grads = dict(zip(ks, _sweep(tape._records, out, g, [inputs[i] for i in ks])))
+            self.grads = dict(zip(ks, _sweep(
+                tape._records, [(as_tensor(o), s) for o, s in zip(outs, seeds) if s is not None],
+                [inputs[i] for i in ks])))
         grad = self.grads.pop(k)
         if not self.grads:
-            self.datas = None
+            self.fn = self.datas = None
         return grad
 
 
-def checkpoint(fn, *inputs) -> Tensor:
+def _check_closure(records, inputs):
+    """Raise if a rerun's tape reaches a tracked tensor that is neither one
+    of its fresh inputs nor an output of its own records: `fn` closed over
+    it, and its adjoint would be lost."""
+    known = {x._slot for x in inputs if x._slot is not None}
+    known.update(slot for slot, _ in records)
+    for _, rules in records:
+        for slot, *_ in rules:
+            if slot not in known:
+                raise ConfigError("checkpoint: fn reads a tracked tensor that is not one of "
+                                  "its inputs; pass it as an input")
+
+
+def checkpoint(fn, *inputs):
     """`fn(*inputs)`, recorded as one op that saves only the inputs'
     arrays and recomputes `fn` in backward (gradient checkpointing).
 
@@ -468,18 +496,29 @@ def checkpoint(fn, *inputs) -> Tensor:
     rule per tracked input. In backward the first rule reruns `fn` on
     fresh tensors, tracked where the inputs are, sweeps their adjoints
     from the output's, and holds them for the other rules. With no tape
-    it is a plain call. `fn` may close over constants only, so bind loop
-    variables at definition. The value is the unwrapped `fn`'s bit for
-    bit, and so is each input's adjoint when that input is used once in
-    `fn` (a parameter used once per call) or when its adjoint is still
-    empty when this op's rules run (a fresh gather feeding only this op).
+    it is a plain call. A `fn` that returns a tuple gives a tuple of
+    tensors: one record holds the inputs' rules, and one record per output,
+    swept first, hands that output's adjoint to the rerun.
+
+    Every tracked tensor `fn` reads must be one of `inputs`: it may close
+    over constants only (bind loop variables at definition), and the
+    rerun raises `ConfigError` when it reaches a tracked tensor it was not
+    given. The value is the unwrapped `fn`'s bit for bit, and so is each
+    input's adjoint when that input is used once in `fn` (a parameter used
+    once per call) or when its adjoint is still empty when this op's rules
+    run (a fresh gather feeding only this op).
     """
     if not _ACTIVE:
         return fn(*inputs)
     tape = _ACTIVE.pop()
     try:
-        value = _data(fn(*inputs))
+        value = fn(*inputs)
     finally:
         _ACTIVE.append(tape)
-    replay = _Replay(fn, inputs)
-    return _op(value, [(x, replay.adjoint, k) for k, x in enumerate(inputs) if replay.tracked[k]])
+    many = isinstance(value, tuple)
+    replay = _Replay(fn, inputs, len(value) if many else 1)
+    rules = [(x, replay.adjoint, k) for k, x in enumerate(inputs) if replay.tracked[k]]
+    if not many:
+        return _op(_data(value), rules)
+    joint = _op(np.zeros(()), rules)
+    return tuple(_op(_data(v), ((joint, replay.seed, i),)) for i, v in enumerate(value))

@@ -21,7 +21,6 @@ nothing reads are zero.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,10 +237,6 @@ def edge_weight_net(rbf, h_a0, h_b0, weights) -> Tensor:
     return ad.add(ad.matmul(h, W2), b2)
 
 
-def _edge_gates(rbf, h_a0, h_b0, *weights) -> Tensor:
-    return edge_weight_net(rbf, h_a0, h_b0, weights)
-
-
 def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
                            path_weights: dict[tuple[int, int, int], Tensor],
                            paths, out_layout: IrrepLayout) -> IrrepFeature:
@@ -257,9 +252,7 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
     path contracts in one batched matmul and mixes by one broadcast matmul
     with the transposed weights. Only one path's per-edge intermediates
     are alive at a time; the generic matmul, reshape and mul adjoints give
-    the backward pass. Under a tape, K (and the contraction, for
-    l_in > 0) is one `ad.checkpoint`, recomputed in backward, so the tape
-    saves no per-edge coupling.
+    the backward pass.
 
     Column i of `path_gates` gates `paths[i]`, so a caller that runs a
     subset of paths passes the matching gate columns. A path whose source
@@ -281,18 +274,17 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
             continue
         sh_block = ad.take(sh, (slice(None), sh_slice(ls)))
         gate = ad.take(path_gates, (slice(None), slice(idx, idx + 1)))
-        gated = functools.partial(_gated_coupling, coupling_matrix(li, ls, lo),
-                                  (n_e, 2 * li + 1, 2 * lo + 1))
+        coupling = ad.reshape(ad.mul(ad.matmul(sh_block, coupling_matrix(li, ls, lo)), gate),
+                              (n_e, 2 * li + 1, 2 * lo + 1))
         src = h_src.blocks[li]
         if li == 0:
-            coupling = ad.checkpoint(gated, sh_block, gate)
             mixed = ad.matmul(ad.reshape(src, (n_e, mi)), w)
             term = ad.mul(ad.reshape(mixed, (n_e, mo, 1)), coupling)
         elif lo == 0:
-            coupled = ad.checkpoint(gated, sh_block, gate, src)               # (E, mi, 1)
+            coupled = ad.matmul(src, coupling)                                 # (E, mi, 1)
             term = ad.reshape(ad.matmul(ad.reshape(coupled, (n_e, mi)), w), (n_e, mo, 1))
         else:
-            term = ad.matmul(ad.einsum("cd->dc", w), ad.checkpoint(gated, sh_block, gate, src))
+            term = ad.matmul(ad.einsum("cd->dc", w), ad.matmul(src, coupling))
         out[lo] = ad.add(out[lo], term) if lo in out else term
     for l in out_layout.degrees():
         if l not in out:
@@ -300,37 +292,61 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
     return IrrepFeature(out_layout, out)
 
 
-def _gated_coupling(cg, shape, sh_block, gate, src=None) -> Tensor:
-    """A path's gated coupling K = (sh_block @ cg) * gate, as `shape`
-    (E, 2l_in+1, 2l_out+1); with a source block, the contraction src @ K."""
-    coupling = ad.reshape(ad.mul(ad.matmul(sh_block, cg), gate), shape)
-    return coupling if src is None else ad.matmul(src, coupling)
-
-
 def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weights, paths,
                        sums: dict) -> IrrepFeature:
     """The message stage: `sums` plus the messages of the edge ids `edges`
     at rows `dst[edges]`. Only the paths into the degrees of `sums` run,
-    with their columns of the gates. Per block `e` of EDGE_BLOCK ids, in
-    order: the gates `gates(e)` (one column per entry of `paths`), the
-    messages of rows `rows[src[e]]` along `sh[e]`, and their
-    `ad.index_add` into the sums, so the sums run in edge order (ascending
-    (dst, src) from graph construction) whatever the block size.
+    with their columns of the gates. `gates` is the edge network's inputs
+    `(rbf, scalars, weights)`, which give edge i the gates
+    `edge_weight_net(rbf[i], scalars[dst[i]], scalars[src[i]], weights)`,
+    or a function of the edge ids that returns untracked gates (one
+    column per entry of `paths`). Per block `e` of EDGE_BLOCK ids, in
+    order: the gates of `e`, the messages of rows `rows[src[e]]` along
+    `sh[e]`, and their `ad.index_add` into the sums, so the sums run in
+    edge order (ascending (dst, src) from graph construction) whatever the
+    block size.
+
+    Each block is one `ad.checkpoint`, so under a tape the tape saves the
+    block's inputs, node-sized tensors and parameters, and recomputes its
+    per-edge arrays in backward. The inputs are every tensor it reads: the
+    row blocks, the running sums, the scalars twice (for the src gather,
+    then for the dst gather, so that each inner input is used once and the
+    outer adjoints add in the unwrapped sweep's order), the edge-network
+    and path weights, `rbf` and `sh`.
     """
     out_layout = IrrepLayout(tuple(rows.layout.mult(l) if l in sums else 0 for l in range(3)))
     run = [i for i, p in enumerate(paths) if out_layout.mult(p[2]) > 0]
     run_paths = tuple(paths[i] for i in run)
     cols = (slice(None), np.asarray(run))
+    if callable(gates):
+        net = ()
+    else:
+        rbf, scalars, psi = gates
+        net = (scalars, scalars, *psi, rbf)
+    degrees, n_rows, n_sums = tuple(sums), len(rows.blocks), len(sums)
+    inputs = (*(tp_weights[p] for p in run_paths), sh, *net)
     for start in range(0, len(edges), EDGE_BLOCK):
-        e = edges[start:start + EDGE_BLOCK]
-        gate = gates(e)    # first, so the edge network's temporaries are freed
-        if len(run) < len(paths):
-            gate = ad.take(gate, cols)
-        h_src = IrrepFeature(rows.layout, {l: ad.gather_rows(b, src[e])
-                                           for l, b in rows.blocks.items()})
-        msg = tensor_product_message(h_src, ad.gather_rows(sh, e), gate,
-                                     tp_weights, run_paths, out_layout)
-        sums = {l: ad.index_add(s, dst[e], msg.blocks[l]) for l, s in sums.items()}
+
+        def block(*xs, e=edges[start:start + EDGE_BLOCK]):
+            blocks, base = xs[:n_rows], xs[n_rows:n_rows + n_sums]
+            weights = dict(zip(run_paths, xs[n_rows + n_sums:]))
+            sh_in, *net_in = xs[n_rows + n_sums + len(run_paths):]
+            if net_in:
+                h_b, h_a, *psi_in, rbf_in = net_in
+                gate = edge_weight_net(ad.gather_rows(rbf_in, e), ad.gather_rows(h_a, dst[e]),
+                                       ad.gather_rows(h_b, src[e]), psi_in)
+            else:
+                gate = gates(e)
+            if len(run) < len(paths):
+                gate = ad.take(gate, cols)
+            h_src = IrrepFeature(rows.layout, {l: ad.gather_rows(b, src[e])
+                                               for l, b in zip(rows.blocks, blocks)})
+            msg = tensor_product_message(h_src, ad.gather_rows(sh_in, e), gate,
+                                         weights, run_paths, out_layout)
+            return tuple(ad.index_add(s, dst[e], msg.blocks[l]) for l, s in zip(degrees, base))
+
+        sums = dict(zip(degrees, ad.checkpoint(block, *rows.blocks.values(), *sums.values(),
+                                               *inputs)))
     return IrrepFeature(out_layout, sums)
 
 
@@ -559,11 +575,13 @@ def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, p
     stage runs `_stage_sums` on the stored gates."""
     a_idx, b_idx, _, sh = edges
     if layer not in cache.gates:
-        every = np.arange(len(a_idx))
-        cache.gates[layer] = np.empty((len(every), len(paths)))
-        for start in range(0, len(every), EDGE_BLOCK):
-            e = every[start:start + EDGE_BLOCK]
-            cache.gates[layer][e] = gates(e).data
+        rbf, scalars, psi = gates
+        cache.gates[layer] = np.empty((len(a_idx), len(paths)))
+        for start in range(0, len(a_idx), EDGE_BLOCK):
+            e = np.arange(start, min(start + EDGE_BLOCK, len(a_idx)))
+            cache.gates[layer][e] = edge_weight_net(
+                ad.gather_rows(rbf, e), ad.gather_rows(scalars, a_idx[e]),
+                ad.gather_rows(scalars, b_idx[e]), psi).data
 
     def stored(e):
         return cache.gates[layer][e]
@@ -665,11 +683,7 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
                                 for w in ("W0", "b0", "W1", "b1", "W2", "b2"))
             tp_weights = {p: params[f"{prefix}.tp.{p[0]}{p[1]}{p[2]}"] for p in paths}
 
-            def gates(e):    # recomputed in backward: the tape saves only its inputs
-                return ad.checkpoint(_edge_gates, ad.gather_rows(rbf, e),
-                                     ad.gather_rows(h0_scalars, a_idx[e]),
-                                     ad.gather_rows(h0_scalars, b_idx[e]), *psi_weights)
-
+            gates = (rbf, h0_scalars, psi_weights)
             if cache is not None and kind is EdgeKind.PP:
                 sums = _cached_pp_sums(cache, layer, live, gates, tp_weights, paths, h,
                                        (a_idx, b_idx, rbf, sh), pack.graphs[0].n_ligand)

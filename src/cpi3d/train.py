@@ -52,13 +52,18 @@ def mse_loss(pred, label) -> Tensor:
 def grad(loss_fn, params: ParameterStore, names: list[str] | None = None):
     """Evaluate `loss_fn` under a fresh tape and return (loss value,
     name -> adjoint). Parameters never touched by the computation get
-    zero gradients."""
+    zero gradients. The parameters hold no adjoint afterwards: the
+    returned arrays are the only references."""
     with Tape() as tape:
         loss = loss_fn()
     if not isinstance(loss, Tensor):
         raise ConfigError("loss_fn must return a Tensor")
     names = list(names) if names is not None else params.trainable_names()
-    grads = tape.gradient(loss, params.tensors(names))
+    sources = params.tensors(names)
+    grads = tape.gradient(loss, sources)
+    for t in sources:
+        if t.requires_grad:
+            t.grad = None
     return float(loss.data), dict(zip(names, grads))
 
 
@@ -102,10 +107,10 @@ def batch_gradients(graphs, fps, labels, batch, params: ParameterStore, model_cf
 
     Each pack of `geograph.edge_budget_packs` runs one training forward
     and one backward on its own tape; its loss terms and gradients are
-    added into float64 totals before the next pack starts, and the
-    batch-norm running statistics step once per graph, in batch order.
-    The zero totals are allocated after the first pack's sweep, so they
-    are not alive at its peak.
+    added into the totals before the next pack starts, and the batch-norm
+    running statistics step once per graph, in batch order. The first
+    pack's gradients are the totals, and each later pack's are dropped
+    once added, so no other gradient-sized array is alive at a sweep.
     """
     names = params.trainable_names()
     total = None
@@ -119,9 +124,11 @@ def batch_gradients(graphs, fps, labels, batch, params: ParameterStore, model_cf
         value, grads = grad(pack_loss, params, names)
         loss_value += value
         if total is None:
-            total = {name: np.zeros_like(params[name].data) for name in names}
-        for name in names:
-            total[name] += grads[name]
+            total = grads
+        else:
+            for name in names:
+                total[name] += grads[name]
+        del grads
     return loss_value, total
 
 
@@ -178,6 +185,7 @@ def train(records, cfg: TrainConfig, model_cfg: ModelConfig,
         if not np.isfinite(loss_value):
             raise TrainingDiverged(step)
         optimizer.step(params, grads)
+        del grads    # not alive during the next step
         losses.append(loss_value)
         if target_mse is not None and loss_value < target_mse:
             break

@@ -509,3 +509,48 @@ def test_checkpoint_replays_when_the_gradient_runs_inside_the_tape_block():
         with Tape():
             with Tape():
                 pass
+
+
+def test_checkpoint_rejects_a_tracked_tensor_it_was_not_given():
+    """A `fn` that closes over a tracked tensor would lose that tensor's
+    adjoint; the rerun raises instead. Given as an input, it gets it."""
+    x = Tensor(np.array([2.0, 4.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    with Tape() as tape:
+        y = ad.checkpoint(lambda a: ad.mul(a, w), x)
+        loss = ad.tsum(ad.mul(y, y))
+    with pytest.raises(ConfigError, match="not one of its inputs"):
+        tape.gradient(loss, [x, w])
+    with Tape() as tape:
+        y = ad.checkpoint(lambda a, b: ad.mul(a, b), x, w)
+        loss = ad.tsum(ad.mul(y, y))
+    _, dw = tape.gradient(loss, [x, w])
+    np.testing.assert_array_equal(dw, [4.0, 96.0])
+
+
+def _tuple_run(call):
+    rng = np.random.default_rng(4)
+    P = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+
+    def fn(p, c):
+        h = ad.sigmoid(ad.add(p, c))     # each input used once
+        return ad.mul(h, h), ad.exp(h), ad.tsum(h)
+
+    with Tape() as tape:
+        first, second, unused = call(fn, P, b)
+        loss = ad.add(ad.tsum(ad.mul(first, second)), ad.tsum(ad.mul(P, first)))
+    records = len(tape)
+    grads = tape.gradient(loss, [P, b])
+    return loss.data.tobytes(), [g.tobytes() for g in grads], records, unused
+
+
+def test_checkpoint_of_a_tuple_equals_the_unwrapped_ops_bit_for_bit():
+    """A tuple-valued `fn` gives a tuple of tensors, one record for the
+    inputs' rules plus one per output; values and adjoints are the
+    unwrapped ops' bit for bit, and an output nobody reads sends none."""
+    loss, grads, _, unused = _tuple_run(lambda fn, *xs: fn(*xs))
+    loss_ck, grads_ck, records, unused_ck = _tuple_run(ad.checkpoint)
+    assert loss_ck == loss and grads_ck == grads
+    assert unused_ck.data.tobytes() == unused.data.tobytes()
+    assert records == 1 + 3 + 5     # the checkpoint's, then the loss ops

@@ -436,6 +436,23 @@ def test_training_step_on_a_300_residue_complex_peaks_below_250_mb():
     assert peak < 250, f"one step peaked at {peak:.0f} MB"
 
 
+def test_training_step_on_a_300_residue_complex_peaks_below_80_mb():
+    """Each EDGE_BLOCK block of a message stage is one checkpoint, so the
+    tape saves node-sized tensors and parameters and holds one block's
+    per-edge arrays at a time: 39 MB here, where checkpointing only the
+    edge network and the couplings peaked at 191 MB."""
+    peak = training_step_peak_mb()
+    assert peak < 80, f"one step peaked at {peak:.0f} MB"
+
+
+def test_training_step_on_a_1000_residue_lattice_peaks_below_150_mb():
+    """47k edges: 82 MB with one checkpoint per message block, where
+    checkpointing only the edge network and the couplings peaked at
+    465 MB."""
+    peak = training_step_peak_mb(n_residues=1000)
+    assert peak < 150, f"one step peaked at {peak:.0f} MB"
+
+
 def test_training_step_on_a_1000_residue_lattice_peaks_below_600_mb():
     """47k edges: 465 MB with the checkpointed edge network and couplings,
     where saving every intermediate peaked at 955 MB."""
@@ -458,3 +475,94 @@ def test_checkpointed_gradients_equal_the_unwrapped_ops_bit_for_bit(monkeypatch)
         loss, grads = batch_gradients(graphs, fps, labels, [0, 1, 2], params, ACC2_CFG)
         runs.append([np.float64(loss).tobytes()] + [grads[k].tobytes() for k in sorted(grads)])
     assert runs[0] == runs[1]
+
+
+def test_grad_leaves_no_adjoint_on_the_parameters():
+    graphs, fps, labels = _pack_inputs(ACC2_CFG, ((4, 3), (1, 5)), seed=7)
+    params = init_params(ACC2_CFG, TINY_CUT, seed=3)
+    pack = pack_graphs(graphs)
+
+    def loss_fn():
+        return ad.tsum(mse_loss(forward(pack, fps, params, ACC2_CFG, training=True), labels))
+
+    _, grads = grad(loss_fn, params)
+    assert any(np.abs(g).max() > 0 for g in grads.values())
+    assert all(params[name].grad is None for name in params.names())
+
+
+def test_one_pack_batch_gradients_equal_its_grad_bit_for_bit():
+    """The first pack's gradients are the totals, with no zero start."""
+    graphs, fps, labels = _pack_inputs(ACC2_CFG, ((4, 3), (1, 5), (5, 1)), seed=7)
+    batch = [2, 0, 1]
+    runs = []
+    for packed in (True, False):
+        params = init_params(ACC2_CFG, TINY_CUT, seed=3)
+        if packed:
+            loss, grads = batch_gradients(graphs, fps, labels, batch, params, ACC2_CFG)
+        else:
+            pack = pack_graphs([graphs[i] for i in batch])
+
+            def loss_fn():
+                preds = forward(pack, [fps[i] for i in batch], params, ACC2_CFG, training=True)
+                return ad.mul(ad.tsum(mse_loss(preds, labels[batch])), 1.0 / len(batch))
+
+            loss, grads = grad(loss_fn, params)
+        runs.append([np.float64(loss).tobytes()] + [grads[k].tobytes() for k in sorted(grads)])
+    assert runs[0] == runs[1]
+
+
+def test_gradients_through_tracked_edge_constants_in_small_blocks(monkeypatch):
+    """`edge_override` feeds tracked RBF rows and harmonics into every
+    message block. The gradient of a prediction with respect to one
+    ligand atom's coordinates equals the run with `ad.checkpoint` as a
+    plain call bit for bit, is nonzero, and matches central differences."""
+    monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
+    rec = random_complex(np.random.default_rng(23), "probe", n_atoms=8, n_residues=10)
+    graph = build_pair_graph(rec.ligand, rec.protein, TINY_CUT)
+    assert all(len(graph.edges[kind]) > 16 for kind in EDGE_KIND_ORDER)
+    fp = morgan_fingerprint(rec.ligand, nbits=TINY_CFG.fingerprint_width)
+    params = init_params(TINY_CFG, TINY_CUT, seed=3)
+    for name in params.names():
+        if name.endswith(".psi.b2"):    # gates near 1: messages well above rounding
+            params[name].data = params[name].data + 1.0
+    atom = 2
+
+    def predict(xyz):
+        pos = ad.concat([graph.positions[:atom], ad.reshape(xyz, (1, 3)),
+                         graph.positions[atom + 1:]], axis=0)
+        override = {kind: _differentiable_edges(pos, graph.edges[kind].a, graph.edges[kind].b,
+                                                TINY_CUT) for kind in EDGE_KIND_ORDER}
+        # batch statistics keep the features, and so this gradient, at O(1)
+        return forward(graph, fp, params, TINY_CFG, training=True, edge_override=override)
+
+    def gradient():
+        xyz = Tensor(graph.positions[atom].copy(), requires_grad=True)
+        with Tape() as tape:
+            pred = predict(xyz)
+        (g,) = tape.gradient(pred, [xyz])
+        return g
+
+    got = gradient()
+    with monkeypatch.context() as m:
+        m.setattr(ad, "checkpoint", lambda fn, *inputs: fn(*inputs))
+        assert gradient().tobytes() == got.tobytes()
+    assert np.abs(got).max() > 1e-4
+    h = 1e-6
+    for i in range(3):
+        step = np.zeros(3)
+        step[i] = h
+        xyz = graph.positions[atom]
+        fd = (float(predict(xyz + step).data) - float(predict(xyz - step).data)) / (2 * h)
+        assert abs(got[i] - fd) <= 1e-6 * np.abs(got).max(), (i, got[i], fd)
+
+
+def train_peak_mb():
+    """`tracemalloc` peak, in MB, of one `train` call at the default
+    config: 32 seeded toy complexes, 8 adam steps at batch 8."""
+    records = random_complexes(32, seed=0, with_label=True)
+    tracemalloc.start()
+    try:
+        train(records, TrainConfig(steps=8, batch_size=8, seed=0), ModelConfig(), CutoffConfig())
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
