@@ -64,18 +64,21 @@ class Tape:
         self._consumed = True
         if loss.data.size != 1:
             raise ConfigError(f"loss must be scalar, got shape {loss.data.shape}")
-        return _sweep(self._records, [(loss, np.ones_like(loss.data))], list(sources))
+        seed = (loss._slot or _Slot(loss.shape), np.ones_like(loss.data))
+        return _sweep(self._records, [seed], list(sources))
 
 
 def _sweep(records, seeds: list, sources: list) -> list[np.ndarray]:
-    """The reverse sweep: seed each `(out, g)` of `seeds` with adjoint `g`,
+    """The reverse sweep: seed each `(slot, g)` of `seeds` with adjoint `g`,
     replay `records` in reverse, and return the adjoints of `sources`
-    (zeros where unreached)."""
+    (zeros where unreached). It empties `seeds` once they are seeded, so
+    the caller's seed arrays are not held through the sweep."""
     keep = {s._slot for s in sources}
     _EPOCH[0] += 1
     epoch = _EPOCH[0]
-    for out, g in seeds:
-        _accumulate(out._slot or _Slot(out.data.shape), g, epoch)
+    for slot, g in seeds:
+        _accumulate(slot, g, epoch)
+    seeds.clear()
     for slot, backward in reversed(records):
         if slot.epoch == epoch:
             backward(slot.grad, epoch)
@@ -436,7 +439,7 @@ class _Replay:
     reruns `fn` on fresh inputs under a fresh tape and sweeps that tape
     from the outputs' adjoints; it keeps the other tracked inputs' adjoints
     until their rules take them, and the last rule frees `fn` and the saved
-    inputs. A tuple-valued call gets each output's adjoint through `seed`."""
+    inputs. Each output's adjoint reaches the rerun through `seed`."""
 
     __slots__ = ("fn", "datas", "tracked", "grads", "seeds")
 
@@ -459,16 +462,14 @@ class _Replay:
             tape = Tape()
             outer, _ACTIVE[:] = _ACTIVE[:], [tape]
             try:
-                out = self.fn(*inputs)
+                seeds = [(as_tensor(o)._slot or _Slot(np.shape(o)), s)
+                         for o, s in zip(self.fn(*inputs), self.seeds) if s is not None]
             finally:
                 _ACTIVE[:] = outer
             _check_closure(tape._records, inputs)
-            outs, seeds = (out, self.seeds) if isinstance(out, tuple) else ((out,), [g])
             self.seeds = None
             ks = [i for i, t in enumerate(self.tracked) if t]
-            self.grads = dict(zip(ks, _sweep(
-                tape._records, [(as_tensor(o), s) for o, s in zip(outs, seeds) if s is not None],
-                [inputs[i] for i in ks])))
+            self.grads = dict(zip(ks, _sweep(tape._records, seeds, [inputs[i] for i in ks])))
         grad = self.grads.pop(k)
         if not self.grads:
             self.fn = self.datas = None
@@ -489,16 +490,16 @@ def _check_closure(records, inputs):
 
 
 def checkpoint(fn, *inputs):
-    """`fn(*inputs)`, recorded as one op that saves only the inputs'
-    arrays and recomputes `fn` in backward (gradient checkpointing).
+    """`fn(*inputs)`, a tuple of outputs, recorded as one op that saves
+    only the inputs' arrays and recomputes `fn` in backward (gradient
+    checkpointing).
 
-    Under a tape, `fn` runs with the tape suspended, and the op gets one
-    rule per tracked input. In backward the first rule reruns `fn` on
-    fresh tensors, tracked where the inputs are, sweeps their adjoints
-    from the output's, and holds them for the other rules. With no tape
-    it is a plain call. A `fn` that returns a tuple gives a tuple of
-    tensors: one record holds the inputs' rules, and one record per output,
-    swept first, hands that output's adjoint to the rerun.
+    Under a tape, `fn` runs with the tape suspended and the call gives a
+    tuple of tensors: one record holds one rule per tracked input, and one
+    record per output, swept first, hands that output's adjoint to the
+    rerun. In backward the first input rule reruns `fn` on fresh tensors,
+    tracked where the inputs are, sweeps their adjoints from the outputs',
+    and holds them for the other rules. With no tape it is a plain call.
 
     Every tracked tensor `fn` reads must be one of `inputs`: it may close
     over constants only (bind loop variables at definition), and the
@@ -515,10 +516,7 @@ def checkpoint(fn, *inputs):
         value = fn(*inputs)
     finally:
         _ACTIVE.append(tape)
-    many = isinstance(value, tuple)
-    replay = _Replay(fn, inputs, len(value) if many else 1)
+    replay = _Replay(fn, inputs, len(value))
     rules = [(x, replay.adjoint, k) for k, x in enumerate(inputs) if replay.tracked[k]]
-    if not many:
-        return _op(_data(value), rules)
     joint = _op(np.zeros(()), rules)
     return tuple(_op(_data(v), ((joint, replay.seed, i),)) for i, v in enumerate(value))

@@ -572,11 +572,13 @@ def load_manifest(path) -> list[ComplexRecord]:
     """Load a dataset manifest CSV and parse every referenced file.
 
     Required columns: complex_id, ligand_sdf, protein_pdb. Optional:
-    ec50_nm, is_active; any other column is rejected. A UTF-8 byte-order
-    mark is skipped. Each complex_id may appear once; data rows are
-    numbered from 1 in errors. File paths resolve relative to the manifest's
-    directory. Multi-record SDFs become multiple poses. Each protein path is
-    parsed once; records naming it share its residue arrays.
+    ec50_nm, is_active; any other column is rejected, and so is a row with
+    more fields than the header or a blank required value. A UTF-8
+    byte-order mark is skipped. Each complex_id may appear once; data rows
+    are numbered from 1 in errors. File paths resolve relative to the
+    manifest's directory. Multi-record SDFs become multiple poses. Each
+    protein path is parsed once; records naming it share its residue
+    arrays.
     """
     base = os.path.dirname(os.path.abspath(path))
     records: list[ComplexRecord] = []
@@ -596,8 +598,10 @@ def load_manifest(path) -> list[ComplexRecord]:
         first_row: dict[str, int] = {}
         for row_no, row in enumerate(reader, start=1):
             for column in sorted(required):
-                if row[column] is None:
+                if not (row[column] or "").strip():
                     raise ValidationError(f"row {row_no}: no {column} value")
+            if None in row:
+                raise ValidationError(f"row {row_no}: more fields than the header")
             cid = row["complex_id"].strip()
             if cid in first_row:
                 raise ValidationError(f"row {row_no}: duplicate complex_id {cid!r} "

@@ -306,13 +306,15 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
     edge order (ascending (dst, src) from graph construction) whatever the
     block size.
 
-    Each block is one `ad.checkpoint`, so under a tape the tape saves the
-    block's inputs, node-sized tensors and parameters, and recomputes its
-    per-edge arrays in backward. The inputs are every tensor it reads: the
-    row blocks, the running sums, the scalars twice (for the src gather,
-    then for the dst gather, so that each inner input is used once and the
-    outer adjoints add in the unwrapped sweep's order), the edge-network
-    and path weights, `rbf` and `sh`.
+    Each block's per-edge work, gates to messages, is one `ad.checkpoint`,
+    so under a tape the tape saves the block's inputs, node-sized tensors
+    and parameters, and recomputes its per-edge arrays in backward. The
+    inputs are every tensor it reads: the row blocks, the scalars twice
+    (for the src gather, then for the dst gather, so that each inner input
+    is used once and the outer adjoints add in the unwrapped sweep's
+    order), the edge-network and path weights, `rbf` and `sh`. The scatter
+    into the sums runs outside it, and `index_add` saves only the ids, so
+    the tape holds no node-sized array per block.
     """
     out_layout = IrrepLayout(tuple(rows.layout.mult(l) if l in sums else 0 for l in range(3)))
     run = [i for i, p in enumerate(paths) if out_layout.mult(p[2]) > 0]
@@ -323,14 +325,14 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
     else:
         rbf, scalars, psi = gates
         net = (scalars, scalars, *psi, rbf)
-    degrees, n_rows, n_sums = tuple(sums), len(rows.blocks), len(sums)
-    inputs = (*(tp_weights[p] for p in run_paths), sh, *net)
+    degrees, n_rows = tuple(sums), len(rows.blocks)
+    inputs = (*rows.blocks.values(), *(tp_weights[p] for p in run_paths), sh, *net)
     for start in range(0, len(edges), EDGE_BLOCK):
+        e = edges[start:start + EDGE_BLOCK]
 
-        def block(*xs, e=edges[start:start + EDGE_BLOCK]):
-            blocks, base = xs[:n_rows], xs[n_rows:n_rows + n_sums]
-            weights = dict(zip(run_paths, xs[n_rows + n_sums:]))
-            sh_in, *net_in = xs[n_rows + n_sums + len(run_paths):]
+        def block(*xs, e=e):
+            weights = dict(zip(run_paths, xs[n_rows:]))
+            sh_in, *net_in = xs[n_rows + len(run_paths):]
             if net_in:
                 h_b, h_a, *psi_in, rbf_in = net_in
                 gate = edge_weight_net(ad.gather_rows(rbf_in, e), ad.gather_rows(h_a, dst[e]),
@@ -340,13 +342,14 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
             if len(run) < len(paths):
                 gate = ad.take(gate, cols)
             h_src = IrrepFeature(rows.layout, {l: ad.gather_rows(b, src[e])
-                                               for l, b in zip(rows.blocks, blocks)})
+                                               for l, b in zip(rows.blocks, xs[:n_rows])})
             msg = tensor_product_message(h_src, ad.gather_rows(sh_in, e), gate,
                                          weights, run_paths, out_layout)
-            return tuple(ad.index_add(s, dst[e], msg.blocks[l]) for l, s in zip(degrees, base))
+            return tuple(msg.blocks[l] for l in degrees)
 
-        sums = dict(zip(degrees, ad.checkpoint(block, *rows.blocks.values(), *sums.values(),
-                                               *inputs)))
+        msgs = ad.checkpoint(block, *inputs)
+        d = dst[e]  # one copy of the ids, saved by every degree's index_add
+        sums = {l: ad.index_add(sums[l], d, m) for l, m in zip(degrees, msgs)}
     return IrrepFeature(out_layout, sums)
 
 

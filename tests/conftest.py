@@ -26,10 +26,10 @@ def transform_protein(protein: ProteinStructure, R=None, t=None) -> ProteinStruc
     return ProteinStructure(id=protein.id, residues=residues)
 
 
-def lattice_receptor(rng, n_residues=300, spacing=5.2, pocket_radius=6.0):
+def lattice_receptor(rng, n_residues=300, spacing=5.2, pocket_radius=6.0, side=9):
     """Jittered lattice residues at folded-protein density around an empty
-    pocket at the origin."""
-    axis = (np.arange(9) - 4) * spacing
+    pocket at the origin: the `n_residues` nearest it of a `side`^3 grid."""
+    axis = (np.arange(side) - side // 2) * spacing
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     grid = grid + rng.uniform(-0.5, 0.5, size=grid.shape)
     grid = grid[np.linalg.norm(grid, axis=1) > pocket_radius]

@@ -476,7 +476,8 @@ def test_checkpoint_equals_the_unwrapped_ops_bit_for_bit():
         return fn(*inputs)
 
     def checkpointed(fn, *inputs):
-        return ad.checkpoint(lambda *xs, seen=inputs[-1]: fn(*xs, seen), *inputs[:-1])
+        (y,) = ad.checkpoint(lambda *xs, seen=inputs[-1]: (fn(*xs, seen),), *inputs[:-1])
+        return y
 
     loss, grads, seen = _checkpoint_run(plain)
     loss_ck, grads_ck, seen_ck = _checkpoint_run(checkpointed)
@@ -489,20 +490,21 @@ def test_checkpoint_is_one_record_and_no_record_without_a_tape():
     p = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
 
     def fn(x, y):
-        return ad.sigmoid(ad.add(ad.matmul(x, y), x))
+        return (ad.sigmoid(ad.add(ad.matmul(x, y), x)),)
 
     with Tape() as tape:
-        out = ad.checkpoint(fn, p, np.eye(2))
-    assert len(tape) == 1 and out.requires_grad
-    plain = ad.checkpoint(fn, p, np.eye(2))
+        (out,) = ad.checkpoint(fn, p, np.eye(2))
+    assert len(tape) == 1 + 1 and out.requires_grad     # the inputs' rules, then the output's
+    (plain,) = ad.checkpoint(fn, p, np.eye(2))
     assert not plain.requires_grad and plain.data.tobytes() == out.data.tobytes()
-    check_op(lambda t: _sq(ad.checkpoint(fn, t, np.eye(2))), p.data)
+    check_op(lambda t: _sq(ad.checkpoint(fn, t, np.eye(2))[0]), p.data)
 
 
 def test_checkpoint_replays_when_the_gradient_runs_inside_the_tape_block():
     p = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
     with Tape() as tape:
-        loss = ad.tsum(ad.checkpoint(lambda x: ad.mul(ad.exp(x), x), p))
+        (y,) = ad.checkpoint(lambda x: (ad.mul(ad.exp(x), x),), p)
+        loss = ad.tsum(y)
         (g,) = tape.gradient(loss, [p])
     np.testing.assert_allclose(g, np.exp(p.data) * (1.0 + p.data))
     with pytest.raises(ConfigError, match="tapes do not nest"):
@@ -517,12 +519,12 @@ def test_checkpoint_rejects_a_tracked_tensor_it_was_not_given():
     x = Tensor(np.array([2.0, 4.0]), requires_grad=True)
     w = Tensor(np.array([0.5, 3.0]), requires_grad=True)
     with Tape() as tape:
-        y = ad.checkpoint(lambda a: ad.mul(a, w), x)
+        (y,) = ad.checkpoint(lambda a: (ad.mul(a, w),), x)
         loss = ad.tsum(ad.mul(y, y))
     with pytest.raises(ConfigError, match="not one of its inputs"):
         tape.gradient(loss, [x, w])
     with Tape() as tape:
-        y = ad.checkpoint(lambda a, b: ad.mul(a, b), x, w)
+        (y,) = ad.checkpoint(lambda a, b: (ad.mul(a, b),), x, w)
         loss = ad.tsum(ad.mul(y, y))
     _, dw = tape.gradient(loss, [x, w])
     np.testing.assert_array_equal(dw, [4.0, 96.0])

@@ -200,7 +200,12 @@ def test_rerank_reads_confidences_with_a_byte_order_mark(tmp_path, capsys):
     ("toy0,toy0.sdf,toy0.pdb,inf,", "row 'toy0': ec50_nm 'inf' is not finite"),
     ("toy0,toy0.sdf,toy0.pdb,0,", "toy0: ec50 must be positive"),
     ("toy0,toy0.sdf,toy0.pdb,,2", "row 'toy0': is_active '2' is not a boolean"),
-], ids=["id-only", "no-protein", "ec50-abc", "ec50-inf", "ec50-zero", "is-active-two"])
+    ("toy0,toy0.sdf,toy0.pdb,,,extra", "row 1: more fields than the header"),
+    (",toy0.sdf,toy0.pdb,,", "row 1: no complex_id value"),
+    (" ,toy0.sdf,toy0.pdb,,", "row 1: no complex_id value"),
+    ("toy0,,toy0.pdb,,", "row 1: no ligand_sdf value"),
+], ids=["id-only", "no-protein", "ec50-abc", "ec50-inf", "ec50-zero", "is-active-two",
+        "extra-field", "empty-id", "blank-id", "empty-ligand"])
 def test_bad_manifest_row_exits_one(tmp_path, capsys, row, needle):
     manifest = write_manifest(random_complexes(1, seed=3), str(tmp_path / "data"))
     header = open(manifest).read().splitlines()[0]
@@ -210,6 +215,15 @@ def test_bad_manifest_row_exits_one(tmp_path, capsys, row, needle):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+def test_split_of_a_manifest_with_no_data_rows_exits_one(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("complex_id,ligand_sdf,protein_pdb,ec50_nm,is_active\n")
+    assert main(["split", "--manifest", str(manifest), "--setting", "novel_compound",
+                 "--out", str(tmp_path / "splits.json")]) == 1
+    assert capsys.readouterr().err == "error: no records to split\n"
+    assert not (tmp_path / "splits.json").exists()
 
 
 def test_split_reads_a_manifest_with_a_byte_order_mark(tmp_path, capsys):

@@ -400,14 +400,16 @@ def test_packed_training_peak_memory_follows_the_budget(monkeypatch):
     assert four <= 1.5 * one, f"batch of 4 peaked at {four / one:.2f}x one graph"
 
 
-def training_step_peak_mb(n_residues: int = 300):
+def training_step_peak_mb(n_residues: int = 300, side: int = 9):
     """`tracemalloc` peak, in MB, of one training step of a 32-atom ligand
-    in a lattice receptor of `n_residues` (the 9^3 lattice keeps about 720)
-    at the default config."""
+    in a lattice receptor of `n_residues` from a `side`^3 grid (the 9^3
+    grid keeps 722, the 13^3 grid 2,190) at the default config."""
     rng = np.random.default_rng(5)
     ligand = random_ligand(rng, n_atoms=32, mol_id="lig", center=(0.0, 0.0, 0.0))
     cfg, cut = ModelConfig(), CutoffConfig()
-    graph = build_pair_graph(ligand, lattice_receptor(rng, n_residues=n_residues), cut)
+    receptor = lattice_receptor(rng, n_residues=n_residues, side=side)
+    assert len(receptor.residues) == n_residues
+    graph = build_pair_graph(ligand, receptor, cut)
     assert len(graph.edges[EdgeKind.PP]) > 15_000
     fp = morgan_fingerprint(ligand, nbits=cfg.fingerprint_width)
     params = init_params(cfg, cut, seed=0)
@@ -419,45 +421,35 @@ def training_step_peak_mb(n_residues: int = 300):
         tracemalloc.stop()
 
 
-def test_training_step_on_a_300_residue_complex_peaks_below_550_mb():
-    """Backward frees each adjoint once used, and the tape holds only the
-    arrays its rules saved, so one step holds those plus one record's
-    transients: 438 MB here, where keeping every op output alive peaked
-    at 740 MB and keeping every adjoint too at 1,563 MB."""
-    peak = training_step_peak_mb()
-    assert peak < 550, f"one step peaked at {peak:.0f} MB"
-
-
-def test_training_step_on_a_300_residue_complex_peaks_below_250_mb():
-    """The edge network and each path's gated coupling are checkpointed, so
-    the tape saves their inputs only: 191 MB here, where saving every
-    intermediate peaked at 383 MB."""
-    peak = training_step_peak_mb()
-    assert peak < 250, f"one step peaked at {peak:.0f} MB"
-
-
 def test_training_step_on_a_300_residue_complex_peaks_below_80_mb():
-    """Each EDGE_BLOCK block of a message stage is one checkpoint, so the
-    tape saves node-sized tensors and parameters and holds one block's
-    per-edge arrays at a time: 39 MB here, where checkpointing only the
-    edge network and the couplings peaked at 191 MB."""
+    """Each EDGE_BLOCK block's per-edge work is one checkpoint and its
+    scatter into the sums runs outside it, so the tape saves node-sized
+    tensors and parameters once per stage and holds one block's per-edge
+    arrays at a time: 34 MB here, where checkpointing only the edge network
+    and the couplings peaked at 191 MB and saving every intermediate at
+    383 MB."""
     peak = training_step_peak_mb()
     assert peak < 80, f"one step peaked at {peak:.0f} MB"
 
 
-def test_training_step_on_a_1000_residue_lattice_peaks_below_150_mb():
-    """47k edges: 82 MB with one checkpoint per message block, where
-    checkpointing only the edge network and the couplings peaked at
-    465 MB."""
-    peak = training_step_peak_mb(n_residues=1000)
-    assert peak < 150, f"one step peaked at {peak:.0f} MB"
+def test_training_step_in_smaller_edge_blocks_peaks_no_higher(monkeypatch):
+    """The tape keeps no node-sized array per block, so more, smaller
+    blocks hold fewer per-edge arrays at a time: 19 MB at 256 edges a block
+    against 34 MB at 2,048, where checkpointing each block's running sums
+    peaked at 60 MB against 39 MB."""
+    monkeypatch.setattr(equinet, "EDGE_BLOCK", 256)
+    small = training_step_peak_mb()
+    monkeypatch.setattr(equinet, "EDGE_BLOCK", 2048)
+    large = training_step_peak_mb()
+    assert small <= large, f"256-edge blocks peaked at {small:.0f} MB, 2,048 at {large:.0f} MB"
 
 
-def test_training_step_on_a_1000_residue_lattice_peaks_below_600_mb():
-    """47k edges: 465 MB with the checkpointed edge network and couplings,
-    where saving every intermediate peaked at 955 MB."""
-    peak = training_step_peak_mb(n_residues=1000)
-    assert peak < 600, f"one step peaked at {peak:.0f} MB"
+def test_training_step_on_a_722_residue_lattice_peaks_below_70_mb():
+    """47k edges: 51 MB, where checkpointing each block's running sums
+    peaked at 81 MB, and checkpointing only the edge network and the
+    couplings at 465 MB."""
+    peak = training_step_peak_mb(n_residues=722)
+    assert peak < 70, f"one step peaked at {peak:.0f} MB"
 
 
 def test_checkpointed_gradients_equal_the_unwrapped_ops_bit_for_bit(monkeypatch):
