@@ -568,6 +568,16 @@ def parse_numbers(items, where, kind=float) -> list:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _parse_file(path: str, parse, cid: str):
+    """`parse` of the text of the file at `path`; text that is not UTF-8 or
+    does not parse raises `ValidationError` naming the row and the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse(f.read())
+    except ValueError as exc:
+        raise ValidationError(f"row {cid!r}: {path}: {exc}") from None
+
+
 def load_manifest(path) -> list[ComplexRecord]:
     """Load a dataset manifest CSV and parse every referenced file.
 
@@ -576,7 +586,9 @@ def load_manifest(path) -> list[ComplexRecord]:
     more fields than the header or a blank required value. A UTF-8
     byte-order mark is skipped. Each complex_id may appear once; data rows
     are numbered from 1 in errors. File paths resolve relative to the
-    manifest's directory. Multi-record SDFs become multiple poses. Each
+    manifest's directory. Multi-record SDFs become multiple poses; the
+    first, the record's ligand, must hold a heavy atom. A file that is not
+    UTF-8 or does not parse is named with its row in the error. Each
     protein path is parsed once; records naming it share its residue
     arrays.
     """
@@ -612,14 +624,15 @@ def load_manifest(path) -> list[ComplexRecord]:
             for p in (lig_path, prot_path):
                 if not os.path.exists(p):
                     raise FileNotFoundError(f"row {cid!r}: missing file {p}")
-            with open(lig_path, encoding="utf-8") as f:
-                poses = parse_sdf(f.read())
+            poses = _parse_file(lig_path, parse_sdf, cid)
             if not poses:
                 raise ValidationError(f"row {cid!r}: ligand SDF holds no molecules")
+            if not len(poses[0]):
+                raise ValidationError(f"row {cid!r}: ligand has no heavy atoms")
             protein = proteins.get(prot_path)
             if protein is None:
-                with open(prot_path, encoding="utf-8") as f:
-                    protein = proteins[prot_path] = parse_pdb(f.read(), structure_id=cid)
+                protein = proteins[prot_path] = _parse_file(
+                    prot_path, lambda text: parse_pdb(text, structure_id=cid), cid)
             else:
                 protein = protein.renamed(cid)
 

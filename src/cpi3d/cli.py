@@ -295,8 +295,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate-screen", help="random-guessing screening baseline")
     common(p)
-    p.add_argument("--actives", type=int, required=True)
-    p.add_argument("--decoys", type=int, required=True)
+    p.add_argument("--actives", type=int, help="required without --per-target")
+    p.add_argument("--decoys", type=int, help="required without --per-target")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--ef", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=80.5)
@@ -309,8 +309,8 @@ def build_parser() -> _Parser:
 def _cmd_fingerprint(args, cfg: RunConfig) -> int:
     with open(args.sdf, encoding="utf-8") as fh:
         mols = parse_sdf(fh.read())
-    fps = morgan_fingerprints(mols, radius=args.radius, nbits=args.nbits)
-    rows = [[m.id, fp.to_hex()] for m, fp in zip(mols, fps)]
+    packed = np.packbits(morgan_fingerprints(mols, radius=args.radius, nbits=args.nbits), axis=1)
+    rows = [[m.id, row.tobytes().hex()] for m, row in zip(mols, packed)]
     if args.out:
         _write_csv(args.out, "fingerprint", cfg, ["molecule_id", "hex_bits"], rows)
     else:
@@ -357,6 +357,9 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
     cache = ReceptorCache()
     rows = []
     for run, pack in edge_budget_packs(records, lambda rec: build_graph(rec, model.cutoffs)):
+        # a generator, so that no name keeps a graph alive past `del pack`
+        sys.stderr.writelines(f"warning: {rec.complex_id}: {w}\n"
+                              for rec, graph in zip(run, pack.graphs) for w in graph.warnings)
         fps = morgan_fingerprints([rec.ligand for rec in run], nbits=model.cfg.fingerprint_width)
         preds = forward(pack, fps, model.params, model.cfg, cache=cache).data
         rows += [[rec.complex_id, repr(float(p))] for rec, p in zip(run, preds)]
@@ -465,6 +468,10 @@ def _cmd_simulate_screen(args, cfg: RunConfig) -> int:
             first_row[name] = row_no
         actives = _number_column(table, "actives", args.per_target, int)
         decoys = _number_column(table, "decoys", args.per_target, int)
+        for row_no, (name, a, d) in enumerate(zip(table["target"], actives, decoys), start=1):
+            if a < 1 or d < 1:
+                raise ValidationError(f"{args.per_target}: row {row_no}: target {name!r} needs "
+                                      f"at least one active and one decoy, got {a} and {d}")
         per_target = {
             name: simulate_random_screen(a, d, trials=args.trials, seed=cfg.seed,
                                          ef_percent=args.ef, alpha=args.alpha)
@@ -478,6 +485,9 @@ def _cmd_simulate_screen(args, cfg: RunConfig) -> int:
             "bedroc_mean": float(np.mean(bed_means)), "bedroc_std": sample_std(bed_means),
         }
     else:
+        for flag in ("actives", "decoys"):
+            if getattr(args, flag) is None:
+                raise ValidationError(f"--{flag} is required without --per-target")
         doc = simulate_random_screen(args.actives, args.decoys, trials=args.trials,
                                      seed=cfg.seed, ef_percent=args.ef, alpha=args.alpha)
         doc["mode"] = "pooled"

@@ -93,8 +93,7 @@ def _jaccard_matrix(incidence: np.ndarray) -> np.ndarray:
 def compound_similarity_matrix(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
     """Tanimoto over Morgan bitsets, vectorized through the bit matrix; (0, 0)
     for no molecules."""
-    return _jaccard_matrix(np.array([fp.bits for fp in morgan_fingerprints(
-        mols, radius=radius, nbits=nbits)], dtype=bool).reshape(-1, nbits))
+    return _jaccard_matrix(morgan_fingerprints(mols, radius=radius, nbits=nbits))
 
 
 def _kmer_incidence(proteins, k: int) -> np.ndarray:

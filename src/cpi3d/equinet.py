@@ -28,9 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericalError
-from .fingerprint import Fingerprint
 from .geograph import (CutoffConfig, EdgeKind, GraphPack, HeteroGraph, LIGAND_FEATURE_DIM,
-                       RESIDUE_FEATURE_DIM, pack_graphs)
+                       RESIDUE_FEATURE_DIM)
 from .so3 import allowed_paths, coupling_matrix, sh_slice, spherical_harmonics_batch
 
 EDGE_KIND_ORDER = (EdgeKind.CC, EdgeKind.PP, EdgeKind.PC)
@@ -457,33 +456,19 @@ def invariant_pool(h: IrrepFeature, node_graph: np.ndarray, kinds: np.ndarray,
     return ad.reshape(means, (n_graphs, 2 * scalars.shape[1]))
 
 
-def fingerprint_rows(fp) -> np.ndarray:
-    """Fingerprint bits as float rows (B, width): one `Fingerprint` or a
-    1-D array is one row; a sequence of B `Fingerprint`s or a 2-D array is
-    B rows."""
-    if isinstance(fp, Fingerprint):
-        return fp.bits.astype(np.float64).reshape(1, -1)
-    if isinstance(fp, np.ndarray):
-        return fp.astype(np.float64).reshape(-1, fp.shape[-1])
-    return np.stack([f.bits for f in fp]).astype(np.float64)
-
-
-def readout(pooled: Tensor, fp, weights) -> Tensor:
+def readout(pooled: Tensor, fp: np.ndarray, weights) -> Tensor:
     """Project fingerprint bits to a dense vector, join with the pooled
-    graph summary, and regress to one scalar through a two-layer head.
-
-    `pooled` is (B, P) with B fingerprint rows (see `fingerprint_rows`)
-    and gives B predictions; a 1-D `pooled` with one fingerprint gives a
-    scalar. The fingerprint projection is one (B, width) matmul."""
+    graph summary, and regress to one scalar per row through a two-layer
+    head: (B, P) pooled rows and their (B, width) bit matrix give (B,)
+    predictions. The fingerprint projection is one (B, width) matmul."""
     Wfp, bfp, W1, b1, W2, b2 = weights
-    bits = fingerprint_rows(fp)
-    if bits.shape[1] != Wfp.shape[0]:
-        raise ConfigError(f"fingerprint width {bits.shape[1]} != configured {Wfp.shape[0]}")
-    fp_dense = ad.add(ad.matmul(Tensor(bits), Wfp), bfp)
-    x = ad.concat([ad.reshape(pooled, (-1, pooled.shape[-1])), fp_dense], axis=1)
-    hidden = ad.silu(ad.add(ad.matmul(x, W1), b1))
+    if fp.shape != (pooled.shape[0], Wfp.shape[0]):
+        raise ConfigError(f"fingerprint matrix {fp.shape} != ({pooled.shape[0]} rows, "
+                          f"configured width {Wfp.shape[0]})")
+    fp_dense = ad.add(ad.matmul(Tensor(fp.astype(np.float64)), Wfp), bfp)
+    hidden = ad.silu(ad.add(ad.matmul(ad.concat([pooled, fp_dense], axis=1), W1), b1))
     out = ad.add(ad.matmul(hidden, W2), b2)
-    return ad.reshape(out, pooled.shape[:-1])
+    return ad.reshape(out, (pooled.shape[0],))
 
 
 def _edge_tensors(pack: GraphPack):
@@ -612,14 +597,13 @@ def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, p
     return out
 
 
-def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
+def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
             cfg: ModelConfig, training: bool = False, return_features: bool = False,
             edge_override: dict | None = None, cache: ReceptorCache | None = None):
     """Scalar predictions for a pack of complex graphs, one per graph.
 
-    `graph` is a `GraphPack` with one fingerprint row per graph in `fp`
-    (see `fingerprint_rows`), giving a (B,) prediction; a plain
-    `HeteroGraph` is a pack of one and gives a scalar. Each round
+    `fp` is the pack's (B, width) fingerprint bit matrix, one row per
+    graph in pack order, and the prediction is (B,). Each round
     processes edge kinds cc, pp, pc in that fixed order with kind-specific
     parameters: the message stage (edge gates, tensor-product messages and
     their per-node sums, in blocks of EDGE_BLOCK edges) divided by the
@@ -643,7 +627,6 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
     agrees with the uncached forward to rounding; a larger pack runs
     uncached.
     """
-    pack = graph if isinstance(graph, GraphPack) else pack_graphs([graph])
     if cache is not None:
         if training or edge_override:
             raise ConfigError("the receptor cache serves inference forwards only")
@@ -731,8 +714,6 @@ def forward(graph: HeteroGraph | GraphPack, fp, params: ParameterStore,
     pred = readout(pooled, fp, tuple(
         params[f"readout.{w}"] for w in ("fp.W", "fp.b", "hidden.W", "hidden.b", "out.W", "out.b")
     ))
-    if pack is not graph:
-        pred = ad.reshape(pred, ())
     if return_features:
         return pred, features
     return pred

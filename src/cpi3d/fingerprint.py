@@ -30,17 +30,6 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    bits: np.ndarray  # bool, length nbits
-    nbits: int
-    radius: int
-
-    def to_hex(self) -> str:
-        packed = np.packbits(self.bits.astype(np.uint8))
-        return packed.tobytes().hex()
-
-
 def _atom_invariant(element: str, degree: int, charge: int, aromatic: bool) -> int:
     return fnv1a64(f"atom|{element}|{degree}|{charge}|{int(aromatic)}".encode())
 
@@ -62,9 +51,10 @@ def _fold(h: np.ndarray, data: np.ndarray) -> np.ndarray:
     return h
 
 
-def morgan_fingerprints(mols, radius: int = 2, nbits: int = 2048) -> list[Fingerprint]:
+def morgan_fingerprints(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
     """Iterative neighborhood-hashing fingerprints on the heavy-atom graphs,
-    one per molecule, hashed for all atoms of all molecules at once.
+    one bool row of `nbits` per molecule, hashed for all atoms of all
+    molecules at once: a (len(mols), nbits) matrix, (0, nbits) for none.
 
     Round 0 hashes the per-atom tuple (element, degree, formal charge,
     aromatic) as the string `atom|{element}|{degree}|{charge}|{0 or 1}`;
@@ -78,15 +68,14 @@ def morgan_fingerprints(mols, radius: int = 2, nbits: int = 2048) -> list[Finger
     one per atom: a lane starts from the state after `round|{r}|` and folds
     the hex digits of its own code, then neighbor by neighbor the bytes of
     `|{order}:` and the neighbor's hex digits, so the codes equal the
-    string-built ones bit for bit. The bits of molecule i are row i of
-    one (len(mols), nbits) bool matrix.
+    string-built ones bit for bit.
     """
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
     if nbits <= 0:
         raise ValidationError(f"nbits must be positive, got {nbits}")
     if not mols:
-        return []
+        return np.zeros((0, nbits), dtype=bool)
     sizes = np.array([len(mol) for mol in mols], dtype=np.intp)
     if not sizes.all():
         raise ValidationError("molecule has no atoms")
@@ -134,22 +123,22 @@ def morgan_fingerprints(mols, radius: int = 2, nbits: int = 2048) -> list[Finger
         codes = np.where(bonded, h, codes)
         bits[mol_of, (codes % np.uint64(nbits)).astype(np.intp)] = True
 
-    return [Fingerprint(bits=row, nbits=nbits, radius=radius) for row in bits]
+    return bits
 
 
-def morgan_fingerprint(mol: LigandMolecule, radius: int = 2, nbits: int = 2048) -> Fingerprint:
-    """The fingerprint of one molecule: `morgan_fingerprints` of a batch of one."""
+def morgan_fingerprint(mol: LigandMolecule, radius: int = 2, nbits: int = 2048) -> np.ndarray:
+    """The (nbits,) bit row of one molecule: `morgan_fingerprints` of a batch of one."""
     return morgan_fingerprints([mol], radius=radius, nbits=nbits)[0]
 
 
-def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    """|a AND b| / |a OR b|; 1.0 when both bitsets are empty."""
-    if a.nbits != b.nbits:
-        raise ValidationError(f"fingerprint widths differ: {a.nbits} vs {b.nbits}")
-    union = int(np.count_nonzero(a.bits | b.bits))
+def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
+    """|a AND b| / |a OR b| of two bool bit rows; 1.0 when both are empty."""
+    if a.shape != b.shape:
+        raise ValidationError(f"fingerprint widths differ: {a.size} vs {b.size}")
+    union = int(np.count_nonzero(a | b))
     if union == 0:
         return 1.0
-    inter = int(np.count_nonzero(a.bits & b.bits))
+    inter = int(np.count_nonzero(a & b))
     return inter / union
 
 

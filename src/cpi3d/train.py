@@ -118,7 +118,7 @@ def batch_gradients(graphs, fps, labels, batch, params: ParameterStore, model_cf
     for ids, pack in edge_budget_packs(batch, lambda i: graphs[i]):
 
         def pack_loss():
-            preds = forward(pack, [fps[i] for i in ids], params, model_cfg, training=True)
+            preds = forward(pack, fps[ids], params, model_cfg, training=True)
             return ad.mul(ad.tsum(mse_loss(preds, labels[ids])), 1.0 / len(batch))
 
         value, grads = grad(pack_loss, params, names)

@@ -17,12 +17,13 @@ import numpy as np
 
 from cpi3d import autodiff as ad
 from cpi3d.chemio import AMINO_ACIDS_3TO1, ELEMENT_SYMBOLS, UNKNOWN_AA
-from cpi3d.equinet import forward
 from cpi3d.errors import EmptyStructureError, ParseError, ValidationError
 from cpi3d.fingerprint import fnv1a64
 from cpi3d.physscore import INTERACTION_CUTOFF, ramp
 from cpi3d.so3 import LMAX, clebsch_gordan, sh_slice
 from cpi3d.train import grad, mse_loss
+
+from conftest import forward_one
 
 # permutation taking a cartesian (x, y, z) vector to l=1 component order (m=-1,0,1)
 P_YZX = np.array([
@@ -501,7 +502,7 @@ def batch_loss_oracle(graphs, fps, labels, batch, params, cfg):
     summed and divided by the batch size. Updates the batch-norm running
     statistics in `params` like a training step does."""
     def batch_loss():
-        terms = [mse_loss(forward(graphs[i], fps[i], params, cfg, training=True), labels[i])
+        terms = [mse_loss(forward_one(graphs[i], fps[i], params, cfg, training=True), labels[i])
                  for i in batch]
         total = terms[0]
         for t in terms[1:]:

@@ -22,7 +22,6 @@ from cpi3d.datasplit import (
 from cpi3d.equinet import (
     IrrepLayout,
     ModelConfig,
-    forward,
     init_params,
 )
 from cpi3d.fingerprint import morgan_fingerprint
@@ -44,7 +43,7 @@ from cpi3d.synthetic import (
 )
 from cpi3d.train import TrainConfig, grad, mse_loss, train
 
-from conftest import transform_ligand, transform_protein
+from conftest import forward_one, transform_ligand, transform_protein
 from oracles import bedroc_oracle, ci_oracle, ef_oracle, spearman_oracle, wigner_d
 from test_physscore import _moved, _receptor
 
@@ -73,16 +72,16 @@ def test_acceptance_1_equivariance_suite():
     # tripwire: the prediction must actually respond to geometry
     probe = random_complex(rng, "sens", n_atoms=7, n_residues=7)
     fp_probe = morgan_fingerprint(probe.ligand, nbits=cfg.fingerprint_width)
-    before = float(forward(build_pair_graph(probe.ligand, probe.protein, cut),
-                           fp_probe, params, cfg, training=True).data)
+    before = float(forward_one(build_pair_graph(probe.ligand, probe.protein, cut),
+                               fp_probe, params, cfg, training=True).data)
     squashed = transform_ligand(probe.ligand, t=[0.0, 0.0, 0.0])
     moved_atoms = list(squashed.atoms)
     moved_atoms[0] = type(moved_atoms[0])(
         moved_atoms[0].element, moved_atoms[0].position + np.array([0.3, 0.0, 0.0]),
         moved_atoms[0].formal_charge, moved_atoms[0].aromatic)
     squashed = type(squashed)(squashed.id, tuple(moved_atoms), squashed.bonds)
-    after = float(forward(build_pair_graph(squashed, probe.protein, cut),
-                          fp_probe, params, cfg, training=True).data)
+    after = float(forward_one(build_pair_graph(squashed, probe.protein, cut),
+                              fp_probe, params, cfg, training=True).data)
     assert abs(after - before) > 1e-6, "prediction ignores geometry; test is vacuous"
 
     worst_rel = 0.0
@@ -95,8 +94,8 @@ def test_acceptance_1_equivariance_suite():
         fp = morgan_fingerprint(rec.ligand, nbits=cfg.fingerprint_width)
         # batch-statistics mode: batch norm scales the l>0 blocks to unit
         # RMS, so the covariance check runs on order-one numbers
-        base, base_feats = forward(graph, fp, params, cfg, training=True,
-                                   return_features=True)
+        base, base_feats = forward_one(graph, fp, params, cfg, training=True,
+                                       return_features=True)
         base_val = float(base.data)
         for snap in base_feats:
             for l in (1, 2):
@@ -107,8 +106,8 @@ def test_acceptance_1_equivariance_suite():
             t = rng.normal(size=3) * 15.0
             g2 = build_pair_graph(transform_ligand(rec.ligand, R, t),
                                   transform_protein(rec.protein, R, t), cut)
-            moved, moved_feats = forward(g2, fp, params, cfg, training=True,
-                                         return_features=True)
+            moved, moved_feats = forward_one(g2, fp, params, cfg, training=True,
+                                             return_features=True)
             rel = abs(float(moved.data) - base_val) / (abs(base_val) + 1e-8)
             worst_rel = max(worst_rel, rel)
             D = {l: wigner_d(R, l) for l in (1, 2)}
@@ -142,7 +141,7 @@ def test_acceptance_2_gradient_check():
     params = init_params(cfg, cut, seed=1)
 
     def loss_fn():
-        return mse_loss(forward(graph, fp, params, cfg, training=True), 0.5)
+        return mse_loss(forward_one(graph, fp, params, cfg, training=True), 0.5)
 
     _, grads = grad(loss_fn, params)
 
@@ -183,7 +182,7 @@ def test_acceptance_3_overfit_capacity():
     fps = [morgan_fingerprint(r.ligand, nbits=cfg.fingerprint_width) for r in records]
 
     frozen = init_params(cfg, cut, seed=123)
-    raw = np.array([float(forward(g, f, frozen, cfg).data)
+    raw = np.array([float(forward_one(g, f, frozen, cfg).data)
                     for g, f in zip(graphs, fps)])
     labels = (raw - raw.mean()) / raw.std()   # frozen-model labels, standardized
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import cpi3d
 from cpi3d import cli, geograph
 from cpi3d.checkpoint import save_checkpoint
-from cpi3d.chemio import ComplexRecord, load_manifest, write_sdf
+from cpi3d.chemio import ComplexRecord, load_manifest, parse_sdf, write_sdf
 from cpi3d.cli import main
 from cpi3d.config import build_config
 from cpi3d.equinet import ModelConfig, forward, init_params
@@ -28,6 +29,9 @@ from cpi3d.synthetic import (
     random_protein,
     write_manifest,
 )
+
+from conftest import forward_one, transform_ligand
+from oracles import morgan_oracle
 
 TINY_MODEL = {
     "model": {"layers": 1, "layout": [4, 2, 1], "lmax": 2, "edge_mlp_hidden": 8,
@@ -58,6 +62,21 @@ def test_fingerprint_command(tmp_path, capsys):
     assert len(out) == 2
     assert out[0].startswith("m0,")
     assert len(out[0].split(",")[1]) == 2048 // 4   # hex digits
+
+
+@pytest.mark.parametrize("nbits", [7, 2048])
+def test_fingerprint_hex_rows_are_the_packed_oracle_bits(tmp_path, capsys, nbits):
+    """Each hex row is `np.packbits` of the string-built oracle's bits; a
+    width that is not a multiple of 8 is padded with zero bits."""
+    rng = np.random.default_rng(4)
+    sdf = tmp_path / "mols.sdf"
+    sdf.write_text(write_sdf([random_ligand(rng, n_atoms=n, mol_id=f"m{n}") for n in (1, 6, 11)]))
+    assert main(["fingerprint", "--sdf", str(sdf), "--nbits", str(nbits)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    mols = parse_sdf(sdf.read_text())
+    assert [row[0] for row in rows] == [m.id for m in mols]
+    for (_, hex_bits), mol in zip(rows, mols):
+        assert hex_bits == np.packbits(morgan_oracle(mol, 2, nbits)).tobytes().hex()
 
 
 def test_fingerprint_stdout_quotes_a_title_with_a_comma(tmp_path, capsys):
@@ -215,6 +234,56 @@ def test_bad_manifest_row_exits_one(tmp_path, capsys, row, needle):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+def _corrupt_sdf_coordinates(path):
+    lines = open(path).read().splitlines(keepends=True)
+    lines[4] = "    1.2x45" + lines[4][10:]    # line 5: the first atom's x
+    open(path, "w").write("".join(lines))
+
+
+_HYDROGENS_SDF = """bb
+  cpi3d
+
+  2  1  0  0  0  0  0  0  0  0999 V2000
+    0.0000    0.0000    0.0000 H   0  0  0  0  0  0  0  0  0  0  0  0
+    0.7400    0.0000    0.0000 H   0  0  0  0  0  0  0  0  0  0  0  0
+  1  2  1  0
+M  END
+$$$$
+"""
+
+
+@pytest.mark.parametrize("name,corrupt,want", [
+    ("bb.sdf", _corrupt_sdf_coordinates,
+     "{path}: line 5: malformed coordinates in '    1.2x45"),
+    ("bb.pdb", lambda path: open(path, "w").write("REMARK no atoms\nEND\n"),
+     "{path}: no CA ATOM records found\n"),
+    ("bb.sdf", lambda path: open(path, "wb").write(b"bb\n\xff\xfe\n"),
+     "{path}: 'utf-8' codec can't decode byte 0xff"),
+    ("bb.sdf", lambda path: open(path, "w").write(_HYDROGENS_SDF),
+     "ligand has no heavy atoms\n"),
+], ids=["malformed-sdf", "pdb-without-ca", "sdf-not-utf8", "hydrogens-only"])
+@pytest.mark.parametrize("command", ["split", "train", "predict"])
+def test_bad_manifest_file_exits_one_naming_its_row(toy_dir, tmp_path, capsys, name, corrupt,
+                                                   want, command):
+    """A file that does not parse is named by its row and path, and a
+    ligand of hydrogens by its row, before any record is used."""
+    records = random_complexes(2, seed=3, with_label=True)
+    records[1].complex_id = "bb"
+    manifest = write_manifest(records, str(tmp_path / "bad"))
+    path = os.path.join(os.path.dirname(os.path.abspath(manifest)), name)
+    corrupt(path)
+    _tiny_checkpoint(tmp_path / "model.eqcp")
+    out = str(tmp_path / "out")
+    argv = {"split": ["--setting", "novel_compound", "--out", out],
+            "train": ["--config", toy_dir[2], "--out", out],
+            "predict": ["--checkpoint", str(tmp_path / "model.eqcp"), "--out", out]}[command]
+    assert main([command, "--manifest", manifest, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 'bb': " + want.format(path=path))
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
 
 
 def test_split_of_a_manifest_with_no_data_rows_exits_one(tmp_path, capsys):
@@ -601,6 +670,28 @@ def test_simulate_screen_per_target(tmp_path):
     assert set(doc["targets"]) == {"t1", "t2"}
 
 
+def test_simulate_screen_per_target_needs_no_pooled_counts(tmp_path):
+    comp = tmp_path / "comp.csv"
+    comp.write_text("target,actives,decoys\nt1,20,180\nt2,30,270\n")
+    outs = [tmp_path / "bare.json", tmp_path / "flagged.json"]
+    assert main(["simulate-screen", "--trials", "10", "--per-target", str(comp),
+                 "--out", str(outs[0])]) == 0
+    assert main(["simulate-screen", "--actives", "0", "--decoys", "0", "--trials", "10",
+                 "--per-target", str(comp), "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert set(json.loads(outs[0].read_text())["targets"]) == {"t1", "t2"}
+
+
+@pytest.mark.parametrize("flags,missing", [
+    (["--actives", "5"], "--decoys"), (["--decoys", "45"], "--actives"), ([], "--actives"),
+], ids=["no-decoys", "no-actives", "neither"])
+def test_simulate_screen_without_per_target_needs_both_counts(tmp_path, capsys, flags, missing):
+    out = tmp_path / "baseline.json"
+    assert main(["simulate-screen", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {missing} is required without --per-target\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags,code,needle", [
     (["--alpha", "nan"], 1, "alpha must be positive and finite"),
@@ -629,7 +720,9 @@ def test_simulate_screen_degenerate_flags(tmp_path, capsys, flags, code, needle)
     ("target,actives,decoys\nt1,20,180\nt2,30,2.5e2\n", "row 2: decoys '2.5e2' is not an integer"),
     ("target,actives,decoys\nt1,20,180\nt2,5,50\nt1,30,270\n",
      "row 3: repeated target 't1' (first in row 1)"),
-], ids=["no-decoys-column", "non-integer-count", "repeated-target"])
+    ("target,actives,decoys\nt1,20,180\nt2,5,0\n",
+     "row 2: target 't2' needs at least one active and one decoy, got 5 and 0"),
+], ids=["no-decoys-column", "non-integer-count", "repeated-target", "no-decoys"])
 def test_simulate_screen_bad_per_target_exits_one(tmp_path, capsys, body, needle):
     comp = tmp_path / "comp.csv"
     comp.write_text(body)
@@ -644,7 +737,7 @@ def test_train_predict_wraps_overfit_run(tmp_path):
     """End-to-end CLI version of the overfit capacity run: labels from a
     frozen random model, written to a manifest as EC50 values, fit back
     through `train` and scored with `predict`."""
-    from cpi3d.equinet import IrrepLayout, ModelConfig, forward, init_params
+    from cpi3d.equinet import IrrepLayout, ModelConfig, init_params
     from cpi3d.fingerprint import morgan_fingerprint
     from cpi3d.geograph import CutoffConfig, build_pair_graph
 
@@ -654,9 +747,9 @@ def test_train_predict_wraps_overfit_run(tmp_path):
     records = random_complexes(8, seed=42, n_atoms=5, n_residues=5)
     frozen = init_params(cfg, cut, seed=123)
     raw = np.array([
-        float(forward(build_pair_graph(r.ligand, r.protein, cut),
-                      morgan_fingerprint(r.ligand, nbits=cfg.fingerprint_width),
-                      frozen, cfg).data)
+        float(forward_one(build_pair_graph(r.ligand, r.protein, cut),
+                          morgan_fingerprint(r.ligand, nbits=cfg.fingerprint_width),
+                          frozen, cfg).data)
         for r in records
     ])
     normed = (raw - raw.mean()) / raw.std()
@@ -868,8 +961,8 @@ def test_predict_scores_edge_budget_packs(tmp_path, monkeypatch):
     rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
     assert [r[0] for r in rows] == [rec.complex_id for rec in records]
     got = np.array([float(r[1]) for r in rows])
-    want = [float(forward(g, morgan_fingerprint(rec.ligand, nbits=cfg.fingerprint_width),
-                          params, cfg).data) for g, rec in zip(graphs, records)]
+    want = [float(forward_one(g, morgan_fingerprint(rec.ligand, nbits=cfg.fingerprint_width),
+                              params, cfg).data) for g, rec in zip(graphs, records)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -944,6 +1037,38 @@ def test_predict_reads_a_version_1_checkpoint_with_one_warning(toy_dir, capsys):
     assert errs["v2"] == ""
     assert errs["v1"].startswith("warning: ") and errs["v1"].count("\n") == 1
     assert "version 1 has no payload checksum" in errs["v1"]
+
+
+def test_predict_prints_a_graph_warning_per_far_ligand(tmp_path, capsys, monkeypatch):
+    """One stderr line per graph warning; printing them keeps no graph
+    alive once its pack is scored."""
+    records = random_complexes(3, seed=5, n_atoms=5, n_residues=5)
+    far = records[1]
+    far.complex_id = "far"
+    far.ligand = transform_ligand(far.ligand, t=[200.0, 0.0, 0.0])
+    far.poses = (far.ligand,)
+    manifest = write_manifest(records, str(tmp_path / "data"))
+    _tiny_checkpoint(tmp_path / "model.eqcp")
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", 0)    # a pack per graph
+    built = []
+
+    def build_after_the_last_is_freed(rec, cutoffs):
+        assert all(ref() is None for ref in built)
+        graph = build_graph(rec, cutoffs)
+        built.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(cli, "build_graph", build_after_the_last_is_freed)
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--manifest", manifest, "--checkpoint",
+                 str(tmp_path / "model.eqcp"), "--out", str(out)]) == 0
+    pc = build_config(CutoffConfig, TINY_MODEL["cutoffs"]).pc
+    captured = capsys.readouterr()
+    assert captured.err == (f"warning: far: ligand outside pocket: "
+                            f"no ligand-protein edges within {pc} A\n")
+    assert captured.out == f"wrote 3 predictions to {out}\n"
+    rows = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
+    assert rows == [rec.complex_id for rec in records]
 
 
 def test_out_of_memory_exits_one(monkeypatch, capsys):

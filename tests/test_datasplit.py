@@ -17,7 +17,6 @@ from cpi3d.datasplit import (
 )
 from cpi3d.errors import ValidationError
 from cpi3d.fingerprint import (
-    Fingerprint,
     KmerSet,
     jaccard,
     morgan_fingerprint,
@@ -217,10 +216,9 @@ def test_jaccard_matrix_pair_blocks_match_pairwise_loops(monkeypatch, block):
     assert incidence[10] @ incidence.sum(axis=0) > 7
     monkeypatch.setattr(datasplit, "PAIR_BLOCK", block)
     got = datasplit._jaccard_matrix(incidence)
-    fps = [Fingerprint(bits=row, nbits=row.size, radius=0) for row in incidence]
     kmer_sets = [KmerSet(kmers=frozenset(map(str, np.flatnonzero(row))), k=1)
                  for row in incidence]
-    assert got.tobytes() == similarity_matrix(fps, tanimoto).tobytes()
+    assert got.tobytes() == similarity_matrix(incidence, tanimoto).tobytes()
     assert got.tobytes() == similarity_matrix(kmer_sets, jaccard).tobytes()
     assert got[3, 8] == 1.0 and got[3, 0] == 0.0
     assert datasplit._jaccard_matrix(np.zeros((0, 4), dtype=bool)).shape == (0, 0)

@@ -33,7 +33,7 @@ from cpi3d.so3 import allowed_paths, random_rotation, sh_slice, spherical_harmon
 from cpi3d.synthetic import random_complex, random_ligand
 from cpi3d.train import grad
 
-from conftest import lattice_receptor, transform_ligand, transform_protein
+from conftest import forward_one, lattice_receptor, transform_ligand, transform_protein
 from oracles import P_YZX, tp_message_oracle, wigner_d
 
 SMALL_CFG = ModelConfig(layers=2, layout=IrrepLayout((6, 3, 2)),
@@ -598,24 +598,32 @@ def _readout_weights(rng, fp_width=16, emb=4, pooled=6, hidden=5, zero_bias=True
 
 def test_readout_zeros_to_zero(rng):
     w = _readout_weights(rng)
-    out = readout(Tensor(np.zeros(6)), np.zeros(16), w)
-    assert float(out.data) == 0.0
+    out = readout(Tensor(np.zeros((1, 6))), np.zeros((1, 16), dtype=bool), w)
+    assert out.data.tolist() == [0.0]
 
 
 def test_readout_finite_scalar(rng):
     w = _readout_weights(rng, zero_bias=False)
-    out = readout(Tensor(rng.normal(size=6)), (rng.random(16) > 0.5).astype(float), w)
-    assert out.data.shape == ()
-    assert np.isfinite(out.data)
+    out = readout(Tensor(rng.normal(size=(3, 6))), rng.random((3, 16)) > 0.5, w)
+    assert out.data.shape == (3,)
+    assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("shape", [(16,), (2, 16), (1, 15), (1, 1, 16)],
+                         ids=["one-row-1d", "extra-row", "narrow", "3d"])
+def test_readout_rejects_a_fingerprint_matrix_of_another_shape(rng, shape):
+    w = _readout_weights(rng)
+    with pytest.raises(ConfigError, match=r"fingerprint matrix .* configured width 16"):
+        readout(Tensor(np.zeros((1, 6))), np.zeros(shape, dtype=bool), w)
 
 
 def test_readout_gradients_match_finite_differences(rng):
     weights = _readout_weights(rng, zero_bias=False)
-    pooled = rng.normal(size=6)
-    fp = (rng.random(16) > 0.5).astype(float)
+    pooled = rng.normal(size=(1, 6))
+    fp = rng.random((1, 16)) > 0.5
 
     def loss_fn():
-        return readout(Tensor(pooled), fp, weights)
+        return ad.tsum(readout(Tensor(pooled), fp, weights))
 
     with Tape() as tape:
         loss = loss_fn()
@@ -646,8 +654,8 @@ def _toy(rng, **kw):
 def test_forward_deterministic(rng):
     rec, graph, fp = _toy(rng)
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
-    a = forward(graph, fp, params, SMALL_CFG).data
-    b = forward(graph, fp, params, SMALL_CFG).data
+    a = forward_one(graph, fp, params, SMALL_CFG).data
+    b = forward_one(graph, fp, params, SMALL_CFG).data
     assert float(a) == float(b)
 
 
@@ -656,13 +664,13 @@ def test_forward_rigid_motion_invariance(rng):
     # order-one rather than init-scale
     rec, graph, fp = _toy(rng)
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
-    base = float(forward(graph, fp, params, SMALL_CFG, training=True).data)
+    base = float(forward_one(graph, fp, params, SMALL_CFG, training=True).data)
     for _ in range(5):
         R = random_rotation(rng)
         t = rng.normal(size=3) * 10
         g2 = build_pair_graph(transform_ligand(rec.ligand, R, t),
                               transform_protein(rec.protein, R, t), SMALL_CUT)
-        moved = float(forward(g2, fp, params, SMALL_CFG, training=True).data)
+        moved = float(forward_one(g2, fp, params, SMALL_CFG, training=True).data)
         assert abs(moved - base) / (abs(base) + 1e-8) < 1e-5
 
 
@@ -671,24 +679,24 @@ def test_forward_rigid_motion_invariance_inference_mode(rng):
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
     # warm the running statistics so inference features are realistic
     for _ in range(3):
-        forward(graph, fp, params, SMALL_CFG, training=True)
-    base = float(forward(graph, fp, params, SMALL_CFG).data)
+        forward_one(graph, fp, params, SMALL_CFG, training=True)
+    base = float(forward_one(graph, fp, params, SMALL_CFG).data)
     R = random_rotation(rng)
     t = rng.normal(size=3) * 10
     g2 = build_pair_graph(transform_ligand(rec.ligand, R, t),
                           transform_protein(rec.protein, R, t), SMALL_CUT)
-    moved = float(forward(g2, fp, params, SMALL_CFG).data)
+    moved = float(forward_one(g2, fp, params, SMALL_CFG).data)
     assert abs(moved - base) / (abs(base) + 1e-8) < 1e-5
 
 
 def test_forward_reflection_invariance(rng):
     rec, graph, fp = _toy(rng)
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
-    base = float(forward(graph, fp, params, SMALL_CFG, training=True).data)
+    base = float(forward_one(graph, fp, params, SMALL_CFG, training=True).data)
     flip = -np.eye(3)
     g2 = build_pair_graph(transform_ligand(rec.ligand, R=flip),
                           transform_protein(rec.protein, R=flip), SMALL_CUT)
-    mirrored = float(forward(g2, fp, params, SMALL_CFG, training=True).data)
+    mirrored = float(forward_one(g2, fp, params, SMALL_CFG, training=True).data)
     assert abs(mirrored - base) / (abs(base) + 1e-8) < 1e-5
 
 
@@ -696,7 +704,7 @@ def test_forward_node_relabeling_invariance(rng):
     from cpi3d.chemio import Bond, LigandMolecule, ProteinStructure
     rec, graph, fp = _toy(rng, n_atoms=6, n_residues=5)
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
-    base = float(forward(graph, fp, params, SMALL_CFG).data)
+    base = float(forward_one(graph, fp, params, SMALL_CFG).data)
 
     perm = rng.permutation(len(rec.ligand.atoms))
     inverse = np.argsort(perm)
@@ -709,7 +717,7 @@ def test_forward_node_relabeling_invariance(rng):
         rec.protein.residues[i] for i in rperm
     ))
     g2 = build_pair_graph(lig2, prot2, SMALL_CUT)
-    relabeled = float(forward(g2, morgan_fingerprint(
+    relabeled = float(forward_one(g2, morgan_fingerprint(
         lig2, nbits=SMALL_CFG.fingerprint_width), params, SMALL_CFG).data)
     assert abs(relabeled - base) / (abs(base) + 1e-8) < 1e-10
 
@@ -719,13 +727,13 @@ def test_forward_internal_blocks_transform_by_wigner(rng):
     # so the blocks carry order-one signal and the tolerance is meaningful
     rec, graph, fp = _toy(rng)
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
-    _, feats = forward(graph, fp, params, SMALL_CFG, training=True,
-                       return_features=True)
+    _, feats = forward_one(graph, fp, params, SMALL_CFG, training=True,
+                           return_features=True)
     R = random_rotation(rng)
     g2 = build_pair_graph(transform_ligand(rec.ligand, R=R),
                           transform_protein(rec.protein, R=R), SMALL_CUT)
-    _, feats_rot = forward(g2, fp, params, SMALL_CFG, training=True,
-                           return_features=True)
+    _, feats_rot = forward_one(g2, fp, params, SMALL_CFG, training=True,
+                               return_features=True)
     assert len(feats) == SMALL_CFG.layers * 3
     magnitude = 0.0
     for snap, snap_rot in zip(feats, feats_rot):
@@ -742,18 +750,18 @@ def test_forward_internal_blocks_transform_by_wigner(rng):
 def test_forward_translation_exact(rng):
     rec, graph, fp = _toy(rng)
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
-    base = forward(graph, fp, params, SMALL_CFG).data
+    base = forward_one(graph, fp, params, SMALL_CFG).data
     g2 = build_pair_graph(transform_ligand(rec.ligand, t=[25.0, -4.0, 1.5]),
                           transform_protein(rec.protein, t=[25.0, -4.0, 1.5]),
                           SMALL_CUT)
-    moved = forward(g2, fp, params, SMALL_CFG).data
+    moved = forward_one(g2, fp, params, SMALL_CFG).data
     assert float(base) == float(moved)
 
 
 def test_forward_handles_single_atom_ligand(rng):
     rec, graph, fp = _toy(rng, n_atoms=1, n_residues=4)
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
-    value = forward(graph, fp, params, SMALL_CFG)
+    value = forward_one(graph, fp, params, SMALL_CFG)
     assert np.isfinite(float(value.data))
 
 
@@ -789,8 +797,8 @@ def _assert_cached_matches_forward(items, params, cfg=CACHE_CFG, cache=None):
     if cache is None:
         cache = ReceptorCache()
     for graph, fp in items:
-        want, want_feats = forward(graph, fp, params, cfg, return_features=True)
-        got, got_feats = forward(graph, fp, params, cfg, return_features=True, cache=cache)
+        want, want_feats = forward_one(graph, fp, params, cfg, return_features=True)
+        got, got_feats = forward_one(graph, fp, params, cfg, return_features=True, cache=cache)
         assert abs(float(got.data) - float(want.data)) <= 1e-12 * abs(float(want.data))
         for g, w in zip(got_feats, want_feats):
             for l, block in w["feature"].blocks.items():
@@ -879,7 +887,7 @@ def test_cache_updates_the_edges_from_residues_a_wide_ligand_changes(rng, recept
     # layer 1's pp stage reads the features after layer 1's cc stage
     layer1_rows = []
     for graph, fp in items:
-        _, feats = forward(graph, fp, params, CACHE_CFG, return_features=True)
+        _, feats = forward_one(graph, fp, params, CACHE_CFG, return_features=True)
         h = next(f["feature"] for f in feats if f["layer"] == 1 and f["kind"] == "cc")
         layer1_rows.append({l: b.data[graph.n_ligand:] for l, b in h.blocks.items()})
     n_res = len(layer1_rows[0][0])
@@ -899,7 +907,7 @@ def test_cache_blocked_sums_match_unblocked(rng, receptor, monkeypatch):
     def ref_sums(block):
         monkeypatch.setattr(equinet, "EDGE_BLOCK", block)
         cache = ReceptorCache()
-        preds = [float(forward(g, fp, params, CACHE_CFG, cache=cache).data) for g, fp in items]
+        preds = [float(forward_one(g, fp, params, CACHE_CFG, cache=cache).data) for g, fp in items]
         return preds, cache.ref_sums
 
     blocked_preds, blocked = ref_sums(500)
@@ -932,12 +940,12 @@ def test_dead_final_stage_tensors_move_nothing(rng, receptor):
         for name in perturbed:
             params[name].data = params[name].data + scale * rng.normal(size=params[name].shape)
         cache = ReceptorCache()
-        preds = [float(forward(g, fp, params, CACHE_CFG, **kw).data)
+        preds = [float(forward_one(g, fp, params, CACHE_CFG, **kw).data)
                  for g, fp in inside + outside for kw in ({}, {"cache": cache})]
 
         def loss():
-            pred = forward(pack_graphs([g for g, _ in batch]), [fp for _, fp in batch],
-                           params, CACHE_CFG, training=True)
+            pred = forward(pack_graphs([g for g, _ in batch]),
+                           np.stack([fp for _, fp in batch]), params, CACHE_CFG, training=True)
             return ad.tsum(ad.mul(pred, pred))
 
         _, grads = grad(loss, params)
@@ -985,14 +993,14 @@ def test_forward_matches_the_per_path_oracle_through_the_last_layer(rng, monkeyp
             params[name].data = params[name].data + 1.0
     running = [name for name in params.names() if ".bn.run_" in name]
     before = {name: params[name].data.copy() for name in running}
-    forward(*items[0], params, CACHE_CFG, training=True)
+    forward_one(*items[0], params, CACHE_CFG, training=True)
     for name in running:
         params[name].data = (params[name].data - (1 - BN_MOMENTUM) * before[name]) / BN_MOMENTUM
-    _, feats = forward(*items[0], params, CACHE_CFG, return_features=True)
+    _, feats = forward_one(*items[0], params, CACHE_CFG, return_features=True)
     assert all(np.abs(f["feature"].blocks[0].data).max() > 0.1 for f in feats)
 
     def predict(cache):
-        return np.array([float(forward(g, fp, params, CACHE_CFG, cache=cache).data)
+        return np.array([float(forward_one(g, fp, params, CACHE_CFG, cache=cache).data)
                          for g, fp in items])
 
     uncached, cached = predict(None), predict(ReceptorCache())
@@ -1011,7 +1019,7 @@ def test_cache_rejects_training(rng):
     _, graph, fp = _toy(rng)
     params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
     with pytest.raises(ConfigError, match="inference"):
-        forward(graph, fp, params, SMALL_CFG, training=True, cache=ReceptorCache())
+        forward_one(graph, fp, params, SMALL_CFG, training=True, cache=ReceptorCache())
 
 
 def test_cache_peak_memory_below_uncached_forward(rng, receptor, monkeypatch):
@@ -1022,7 +1030,7 @@ def test_cache_peak_memory_below_uncached_forward(rng, receptor, monkeypatch):
     def peak(**kw):
         tracemalloc.start()
         try:
-            forward(graph, fp, params, cfg, **kw)
+            forward_one(graph, fp, params, cfg, **kw)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -4,7 +4,6 @@ import pytest
 from cpi3d.chemio import AROMATIC_BOND, Atom, Bond, LigandMolecule
 from cpi3d.errors import ValidationError
 from cpi3d.fingerprint import (
-    Fingerprint,
     fnv1a64,
     jaccard,
     morgan_fingerprint,
@@ -45,14 +44,15 @@ def _random_molecule(rng, n_atoms):
 def test_single_atom_sets_exactly_one_bit():
     mol = LigandMolecule(id="c", atoms=(Atom("C", np.zeros(3)),), bonds=())
     fp = morgan_fingerprint(mol, radius=2)
-    assert np.count_nonzero(fp.bits) == 1
+    assert fp.shape == (2048,) and fp.dtype == bool
+    assert np.count_nonzero(fp) == 1
 
 
 def test_determinism():
     mol = _chain(["C", "N", "O"])
     a = morgan_fingerprint(mol)
     b = morgan_fingerprint(mol)
-    np.testing.assert_array_equal(a.bits, b.bits)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_ethane_vs_propane_matches_reference():
@@ -60,12 +60,12 @@ def test_ethane_vs_propane_matches_reference():
     propane = _chain(["C", "C", "C"], mol_id="propane")
     fp_e = morgan_fingerprint(ethane)
     fp_p = morgan_fingerprint(propane)
-    np.testing.assert_array_equal(fp_e.bits, morgan_oracle(ethane))
-    np.testing.assert_array_equal(fp_p.bits, morgan_oracle(propane))
-    assert not np.array_equal(fp_e.bits, fp_p.bits)
+    np.testing.assert_array_equal(fp_e, morgan_oracle(ethane))
+    np.testing.assert_array_equal(fp_p, morgan_oracle(propane))
+    assert not np.array_equal(fp_e, fp_p)
     # both have a degree-1 carbon, so the round-0 terminal invariant is shared
     terminal = fnv1a64(b"atom|C|1|0|0") % 2048
-    assert fp_e.bits[terminal] and fp_p.bits[terminal]
+    assert fp_e[terminal] and fp_p[terminal]
 
 
 def test_permutation_invariance(rng):
@@ -80,7 +80,7 @@ def test_permutation_invariance(rng):
         )
         shuffled = LigandMolecule(id="perm", atoms=atoms, bonds=bonds)
         np.testing.assert_array_equal(
-            morgan_fingerprint(mol).bits, morgan_fingerprint(shuffled).bits
+            morgan_fingerprint(mol), morgan_fingerprint(shuffled)
         )
 
 
@@ -91,7 +91,7 @@ def test_coordinate_invariance(rng):
         for a in mol.atoms
     ), bonds=mol.bonds)
     np.testing.assert_array_equal(
-        morgan_fingerprint(mol).bits, morgan_fingerprint(moved).bits
+        morgan_fingerprint(mol), morgan_fingerprint(moved)
     )
 
 
@@ -114,11 +114,10 @@ def test_batch_matches_the_string_built_oracle(radius, nbits):
     assert any(a.aromatic for m in mols for a in m.atoms)
     assert any(0 in m.degrees() for m in mols if len(m.atoms) > 1)
     fps = morgan_fingerprints(mols, radius=radius, nbits=nbits)
-    assert len(fps) == len(mols)
+    assert fps.shape == (len(mols), nbits) and fps.dtype == bool
     for mol, fp in zip(mols, fps):
-        assert (fp.nbits, fp.radius) == (nbits, radius)
-        np.testing.assert_array_equal(fp.bits, morgan_oracle(mol, radius, nbits))
-    np.testing.assert_array_equal(morgan_fingerprint(mols[3], radius, nbits).bits, fps[3].bits)
+        np.testing.assert_array_equal(fp, morgan_oracle(mol, radius, nbits))
+    np.testing.assert_array_equal(morgan_fingerprint(mols[3], radius, nbits), fps[3])
 
 
 def test_argument_errors():
@@ -131,13 +130,14 @@ def test_argument_errors():
     for batch in ([empty], [empty, mol], [mol, empty, mol], [mol, empty]):
         with pytest.raises(ValidationError, match=r"^molecule has no atoms$"):
             morgan_fingerprints(batch)
-    assert morgan_fingerprints([]) == []
+    none = morgan_fingerprints([], nbits=7)
+    assert none.shape == (0, 7) and none.dtype == bool
 
 
 def _fp_from_bits(on_bits, nbits=16):
     bits = np.zeros(nbits, dtype=bool)
     bits[list(on_bits)] = True
-    return Fingerprint(bits=bits, nbits=nbits, radius=2)
+    return bits
 
 
 def test_tanimoto_cases():
@@ -147,8 +147,8 @@ def test_tanimoto_cases():
     assert tanimoto(a, _fp_from_bits({5, 6})) == 0.0
     assert tanimoto(a, b) == 0.5
     assert tanimoto(_fp_from_bits(set()), _fp_from_bits(set())) == 1.0
-    with pytest.raises(ValidationError):
-        tanimoto(a, Fingerprint(bits=np.zeros(8, dtype=bool), nbits=8, radius=2))
+    with pytest.raises(ValidationError, match=r"^fingerprint widths differ: 16 vs 8$"):
+        tanimoto(a, np.zeros(8, dtype=bool))
 
 
 def test_tanimoto_symmetry_and_bounds(rng):

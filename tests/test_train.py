@@ -37,7 +37,7 @@ from cpi3d.train import (
     train,
 )
 
-from conftest import lattice_receptor
+from conftest import forward_one, lattice_receptor
 from oracles import batch_loss_oracle
 
 TINY_CFG = ModelConfig(layers=1, layout=IrrepLayout((4, 2, 1)),
@@ -149,8 +149,8 @@ def test_gradient_through_global_rotation_is_zero(rng):
         for kind in EDGE_KIND_ORDER:
             es = graph.edges[kind]
             override[kind] = _differentiable_edges(rot_pos, es.a, es.b, TINY_CUT)
-        pred = forward(graph, fp, params, TINY_CFG, training=False,
-                       edge_override=override)
+        pred = forward_one(graph, fp, params, TINY_CFG, training=False,
+                           edge_override=override)
     (g_theta,) = tape.gradient(pred, [theta])
     assert np.abs(g_theta).max() < 1e-6
 
@@ -320,7 +320,7 @@ def test_packed_inference_matches_single_graph_forwards():
     params = init_params(PACK_CFG, TINY_CUT, seed=3)
     packed = forward(pack_graphs(graphs), fps, params, PACK_CFG)
     assert packed.shape == (len(graphs),)
-    single = [float(forward(g, fp, params, PACK_CFG).data) for g, fp in zip(graphs, fps)]
+    single = [float(forward_one(g, fp, params, PACK_CFG).data) for g, fp in zip(graphs, fps)]
     np.testing.assert_allclose(packed.data, single, rtol=1e-12, atol=0)
 
 
@@ -415,7 +415,7 @@ def training_step_peak_mb(n_residues: int = 300, side: int = 9):
     params = init_params(cfg, cut, seed=0)
     tracemalloc.start()
     try:
-        batch_gradients([graph], [fp], np.array([6.0]), [0], params, cfg)
+        batch_gradients([graph], fp[None], np.array([6.0]), [0], params, cfg)
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
@@ -495,7 +495,7 @@ def test_one_pack_batch_gradients_equal_its_grad_bit_for_bit():
             pack = pack_graphs([graphs[i] for i in batch])
 
             def loss_fn():
-                preds = forward(pack, [fps[i] for i in batch], params, ACC2_CFG, training=True)
+                preds = forward(pack, fps[batch], params, ACC2_CFG, training=True)
                 return ad.mul(ad.tsum(mse_loss(preds, labels[batch])), 1.0 / len(batch))
 
             loss, grads = grad(loss_fn, params)
@@ -525,7 +525,7 @@ def test_gradients_through_tracked_edge_constants_in_small_blocks(monkeypatch):
         override = {kind: _differentiable_edges(pos, graph.edges[kind].a, graph.edges[kind].b,
                                                 TINY_CUT) for kind in EDGE_KIND_ORDER}
         # batch statistics keep the features, and so this gradient, at O(1)
-        return forward(graph, fp, params, TINY_CFG, training=True, edge_override=override)
+        return forward_one(graph, fp, params, TINY_CFG, training=True, edge_override=override)
 
     def gradient():
         xyz = Tensor(graph.positions[atom].copy(), requires_grad=True)
