@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericalError
 from .geograph import (CutoffConfig, EdgeKind, GraphPack, HeteroGraph, LIGAND_FEATURE_DIM,
-                       RESIDUE_FEATURE_DIM)
+                       RESIDUE_FEATURE_DIM, rbf_embed)
 from .so3 import allowed_paths, coupling_matrix, sh_slice, spherical_harmonics_batch
 
 EDGE_KIND_ORDER = (EdgeKind.CC, EdgeKind.PP, EdgeKind.PC)
@@ -225,7 +225,7 @@ def init_params(cfg: ModelConfig, cutoffs: CutoffConfig, seed: int = 0) -> Param
 
 def edge_weight_net(rbf, h_a0, h_b0, weights) -> Tensor:
     """Per-edge scalars, one per coupling path, from a two-hidden-layer
-    perceptron over the edge embedding and both endpoint scalars.
+    perceptron over the edges' RBF rows and both endpoint scalars.
 
     `weights` is the tuple (W0, b0, W1, b1, W2, b2).
     """
@@ -291,13 +291,20 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
     return IrrepFeature(out_layout, out)
 
 
+def edge_gates(e, src, dst, dist, cutoffs: CutoffConfig, h_dst, h_src, weights) -> Tensor:
+    """The gates of edge ids `e`: the edge network over the RBF rows of
+    their distances, embedded here, and the scalars of both endpoints."""
+    return edge_weight_net(rbf_embed(ad.gather_rows(dist, e), cutoffs),
+                           ad.gather_rows(h_dst, dst[e]), ad.gather_rows(h_src, src[e]), weights)
+
+
 def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weights, paths,
                        sums: dict) -> IrrepFeature:
     """The message stage: `sums` plus the messages of the edge ids `edges`
     at rows `dst[edges]`. Only the paths into the degrees of `sums` run,
     with their columns of the gates. `gates` is the edge network's inputs
-    `(rbf, scalars, weights)`, which give edge i the gates
-    `edge_weight_net(rbf[i], scalars[dst[i]], scalars[src[i]], weights)`,
+    `(dist, cutoffs, scalars, weights)`, which give edge i the gates
+    `edge_gates([i], src, dst, dist, cutoffs, scalars, scalars, weights)`,
     or a function of the edge ids that returns untracked gates (one
     column per entry of `paths`). Per block `e` of EDGE_BLOCK ids, in
     order: the gates of `e`, the messages of rows `rows[src[e]]` along
@@ -305,15 +312,15 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
     edge order (ascending (dst, src) from graph construction) whatever the
     block size.
 
-    Each block's per-edge work, gates to messages, is one `ad.checkpoint`,
-    so under a tape the tape saves the block's inputs, node-sized tensors
-    and parameters, and recomputes its per-edge arrays in backward. The
-    inputs are every tensor it reads: the row blocks, the scalars twice
-    (for the src gather, then for the dst gather, so that each inner input
-    is used once and the outer adjoints add in the unwrapped sweep's
-    order), the edge-network and path weights, `rbf` and `sh`. The scatter
-    into the sums runs outside it, and `index_add` saves only the ids, so
-    the tape holds no node-sized array per block.
+    Each block's per-edge work, RBF rows to messages, is one
+    `ad.checkpoint`, so under a tape the tape saves the block's inputs,
+    node-sized tensors and parameters, and recomputes its per-edge arrays
+    in backward. The inputs are every tensor it reads: the row blocks, the
+    scalars twice (for the src gather, then for the dst gather, so that
+    each inner input is used once and the outer adjoints add in the
+    unwrapped sweep's order), the edge-network and path weights, `dist`
+    and `sh`. The scatter into the sums runs outside it, and `index_add`
+    saves only the ids, so the tape holds no node-sized array per block.
     """
     out_layout = IrrepLayout(tuple(rows.layout.mult(l) if l in sums else 0 for l in range(3)))
     run = [i for i, p in enumerate(paths) if out_layout.mult(p[2]) > 0]
@@ -322,8 +329,8 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
     if callable(gates):
         net = ()
     else:
-        rbf, scalars, psi = gates
-        net = (scalars, scalars, *psi, rbf)
+        dist, cutoffs, scalars, psi = gates
+        net = (scalars, scalars, *psi, dist)
     degrees, n_rows = tuple(sums), len(rows.blocks)
     inputs = (*rows.blocks.values(), *(tp_weights[p] for p in run_paths), sh, *net)
     for start in range(0, len(edges), EDGE_BLOCK):
@@ -333,9 +340,8 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
             weights = dict(zip(run_paths, xs[n_rows:]))
             sh_in, *net_in = xs[n_rows + len(run_paths):]
             if net_in:
-                h_b, h_a, *psi_in, rbf_in = net_in
-                gate = edge_weight_net(ad.gather_rows(rbf_in, e), ad.gather_rows(h_a, dst[e]),
-                                       ad.gather_rows(h_b, src[e]), psi_in)
+                h_b, h_a, *psi_in, dist_in = net_in
+                gate = edge_gates(e, src, dst, dist_in, cutoffs, h_a, h_b, psi_in)
             else:
                 gate = gates(e)
             if len(run) < len(paths):
@@ -472,11 +478,11 @@ def readout(pooled: Tensor, fp: np.ndarray, weights) -> Tensor:
 
 
 def _edge_tensors(pack: GraphPack):
-    """Per-kind constant edge arrays: indices, RBF embedding, harmonics."""
+    """Per-kind constant edge arrays: indices, distances, harmonics."""
     out = {}
     for kind, es in pack.edges.items():
         unit = es.r_vec / np.where(es.dist[:, None] > 1e-10, es.dist[:, None], 1.0)
-        out[kind] = (es.a, es.b, es.rbf, spherical_harmonics_batch(unit))
+        out[kind] = (es.a, es.b, es.dist, spherical_harmonics_batch(unit))
     return out
 
 
@@ -485,13 +491,15 @@ class ReceptorCache:
 
     The entry is keyed on the bytes of the residue features and residue
     positions, and on the parameter store that filled it; a graph of
-    another receptor replaces it. Per layer it holds the gates of every pp
-    edge, which depend only on the RBF and the layer-0 residue embeddings,
-    and, for a layer whose pp stage has run whole (every edge ends on a
-    live row), the residue source rows and per-residue pp message sums of
-    that forward (the reference). `recomputed` maps each layer to the
-    number of pp edges whose messages the last forward computed: the edges
-    from changed residues in a whole stage, every edge in any other.
+    another receptor replaces it. For a layer whose pp stage has run whole
+    (every edge ends on a live row) it holds the residue source rows and
+    per-residue pp message sums of that forward (the reference). For a
+    layer whose pp stage has not, which recomputes every edge for every
+    ligand, it holds the gates of every pp edge, which depend only on the
+    distances and the layer-0 residue embeddings. `recomputed` maps each
+    layer to the number of pp edges whose messages the last forward
+    computed: the edges from changed residues in a whole stage, every edge
+    in any other.
     """
 
     def __init__(self):
@@ -554,29 +562,25 @@ def _stage_sums(h: IrrepFeature, live, edges, gates, tp_weights, paths) -> dict:
 
 def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, paths,
                     h: IrrepFeature, edges, n_ligand: int) -> dict:
-    """The pp message sums of one inference layer, from the cache. The
-    receptor's first forward stores the gates of every edge. A pp edge's
-    message is linear in its source rows, so a whole stage's sums are the
-    reference sums plus the messages of `rows - ref_rows` over the edges
-    leaving residues whose rows differ; with no reference yet the
-    reference is zero, and the result becomes the reference. Any other
-    stage runs `_stage_sums` on the stored gates."""
+    """The pp message sums of one inference layer, from the cache. A pp
+    edge's message is linear in its source rows, so a whole stage's sums
+    are the reference sums plus the messages of `rows - ref_rows` over the
+    edges leaving residues whose rows differ, their gates computed in
+    their blocks; with no reference yet the reference is zero, and the
+    result becomes the reference. Any other stage runs `_stage_sums` on
+    the gates of every edge, which its receptor's first such forward
+    stores."""
     a_idx, b_idx, _, sh = edges
-    if layer not in cache.gates:
-        rbf, scalars, psi = gates
-        cache.gates[layer] = np.empty((len(a_idx), len(paths)))
-        for start in range(0, len(a_idx), EDGE_BLOCK):
-            e = np.arange(start, min(start + EDGE_BLOCK, len(a_idx)))
-            cache.gates[layer][e] = edge_weight_net(
-                ad.gather_rows(rbf, e), ad.gather_rows(scalars, a_idx[e]),
-                ad.gather_rows(scalars, b_idx[e]), psi).data
-
-    def stored(e):
-        return cache.gates[layer][e]
-
     if not live[a_idx].all():
+        if layer not in cache.gates:
+            dist, cutoffs, scalars, psi = gates
+            cache.gates[layer] = np.empty((len(a_idx), len(paths)))
+            for start in range(0, len(a_idx), EDGE_BLOCK):
+                e = np.arange(start, min(start + EDGE_BLOCK, len(a_idx)))
+                cache.gates[layer][e] = edge_gates(e, b_idx, a_idx, dist, cutoffs,
+                                                   scalars, scalars, psi).data
         cache.recomputed[layer] = len(a_idx)
-        return _stage_sums(h, live, edges, stored, tp_weights, paths)
+        return _stage_sums(h, live, edges, cache.gates[layer].__getitem__, tp_weights, paths)
     zero = {l: 0.0 for l in h.blocks}
     ref_rows, ref_sums = cache.ref_rows.get(layer, zero), cache.ref_sums.get(layer, zero)
     rows, sums = {}, {}
@@ -588,7 +592,7 @@ def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, p
         sums[l] = np.zeros_like(rows[l])
         sums[l][n_ligand:] = ref_sums[l]
     ids = np.flatnonzero(differs[b_idx])    # pp edges leave residue rows only
-    out = aggregate_messages(IrrepFeature(h.layout, rows), ids, b_idx, a_idx, sh, stored,
+    out = aggregate_messages(IrrepFeature(h.layout, rows), ids, b_idx, a_idx, sh, gates,
                              tp_weights, paths, sums).blocks
     if layer not in cache.ref_rows:
         cache.ref_rows[layer] = {l: r[n_ligand:].copy() for l, r in rows.items()}
@@ -620,8 +624,10 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
     that send no pc edge; rows that no later stage reads are set to zero.
     The returned features show these zeros.
 
-    `edge_override` replaces the per-kind (rbf, sh) constants with caller
-    tensors (used to differentiate through geometric inputs in tests).
+    Each block of edges embeds its distances in RBF rows with the cutoffs
+    the pack records (`edge_gates`). `edge_override` replaces the per-kind
+    (dist, sh) constants with caller tensors (used to differentiate
+    through geometric inputs in tests).
     `cache` (inference only) takes the pp message sums of a pack of one
     from a `ReceptorCache`, which reuses the receptor's work across ligands and
     agrees with the uncached forward to rounding; a larger pack runs
@@ -658,9 +664,9 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
     for layer in range(cfg.layers):
         for kind in EDGE_KIND_ORDER:
             prefix = f"layer{layer}.{kind.value}"
-            a_idx, b_idx, rbf, sh = edge_data[kind]
+            a_idx, b_idx, dist, sh = edge_data[kind]
             if edge_override and kind in edge_override:
-                rbf, sh = edge_override[kind]
+                dist, sh = edge_override[kind]
             live = next(live_masks)
             # a stage with no live l > 0 row runs on its scalars alone
             stage = layout if live.any() else IrrepLayout((m0, 0, 0))
@@ -669,12 +675,12 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
                                 for w in ("W0", "b0", "W1", "b1", "W2", "b2"))
             tp_weights = {p: params[f"{prefix}.tp.{p[0]}{p[1]}{p[2]}"] for p in paths}
 
-            gates = (rbf, h0_scalars, psi_weights)
+            gates = (dist, pack.cutoffs, h0_scalars, psi_weights)
             if cache is not None and kind is EdgeKind.PP:
                 sums = _cached_pp_sums(cache, layer, live, gates, tp_weights, paths, h,
-                                       (a_idx, b_idx, rbf, sh), pack.graphs[0].n_ligand)
+                                       (a_idx, b_idx, dist, sh), pack.graphs[0].n_ligand)
             else:
-                sums = _stage_sums(h, live, (a_idx, b_idx, rbf, sh), gates, tp_weights, paths)
+                sums = _stage_sums(h, live, (a_idx, b_idx, dist, sh), gates, tp_weights, paths)
             degree = np.maximum(np.bincount(a_idx, minlength=n), 1.0).reshape(-1, 1, 1)
             agg = IrrepFeature(stage, {l: ad.div(sums[l], degree) for l in stage.degrees()})
             bn = equivariant_batch_norm(

@@ -2,8 +2,9 @@
 
 Nodes are ligand heavy atoms and residue alpha carbons; undirected pairs
 within a type-dependent cutoff become two directed edges carrying the
-relative vector, distance, and a Gaussian radial-basis embedding of the
-distance.
+relative vector and the distance. The Gaussian radial-basis embedding of
+the distance is not stored: the edge network computes it per block of
+edges (`rbf_embed`), from the cutoffs the graph records.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .chemio import AMINO_ACIDS_3TO1, ComplexRecord, LigandMolecule, ProteinStructure
 from .errors import ValidationError
 
@@ -73,15 +75,19 @@ class CutoffConfig:
         return config_doc(self)
 
 
-def rbf_embed(dist, cfg: CutoffConfig) -> np.ndarray:
-    """Gaussian radial basis: component i is exp(-gamma (d - nu_i)^2).
+def rbf_embed(dist, cfg: CutoffConfig) -> ad.Tensor:
+    """Gaussian radial basis: component i is exp((d - nu_i) (d - nu_i) -gamma).
 
-    Anchors nu_i are evenly spaced on [nu_min, nu_max]. Accepts a scalar or
-    an array of distances; the basis index is the trailing axis.
+    Anchors nu_i are evenly spaced on [nu_min, nu_max]. Accepts a scalar,
+    an array or a tensor of distances; the basis index is the trailing
+    axis. Written with `autodiff` ops, so tracked distances carry their
+    adjoint and untracked ones run as plain numpy. Every row equals the
+    one a whole-array evaluation gives, bit for bit, whatever rows it is
+    given with.
     """
-    d = np.asarray(dist, dtype=np.float64)
-    nu = cfg.anchors()
-    return np.exp(-cfg.rbf_gamma * (d[..., None] - nu) ** 2)
+    d = ad.as_tensor(dist)
+    diff = ad.add(ad.reshape(d, d.shape + (1,)), -cfg.anchors())
+    return ad.exp(ad.mul(ad.mul(diff, diff), -cfg.rbf_gamma))
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,6 @@ class EdgeSet:
     b: np.ndarray       # source node indices
     r_vec: np.ndarray   # position[b] - position[a], shape (n, 3)
     dist: np.ndarray    # shape (n,)
-    rbf: np.ndarray     # shape (n, k)
 
     def __len__(self):
         return len(self.a)
@@ -107,6 +112,7 @@ class HeteroGraph:
     ligand_features: np.ndarray    # (n_ligand, LIGAND_FEATURE_DIM)
     residue_features: np.ndarray   # (n_residue, RESIDUE_FEATURE_DIM)
     edges: dict[EdgeKind, EdgeSet]
+    cutoffs: CutoffConfig          # the cutoffs and RBF settings it was built with
     warnings: tuple[str, ...] = ()
 
     @property
@@ -134,6 +140,7 @@ class GraphPack:
     residue_features: np.ndarray   # every graph's residue rows, in graph order
     feature_rows: np.ndarray       # (n_nodes,) each node's row in ligand rows + residue rows
     edges: dict[EdgeKind, EdgeSet]
+    cutoffs: CutoffConfig          # shared by every graph
 
     @property
     def n_graphs(self) -> int:
@@ -155,10 +162,14 @@ def _join(parts: list[np.ndarray], shifts=None) -> np.ndarray:
 
 
 def pack_graphs(graphs) -> GraphPack:
-    """Join graphs into one `GraphPack`; a single graph is a pack of one."""
+    """Join graphs into one `GraphPack`; a single graph is a pack of one.
+    The graphs must share their cutoffs."""
     graphs = tuple(graphs)
     if not graphs:
         raise ValidationError("cannot pack zero graphs")
+    cutoffs = graphs[0].cutoffs
+    if any(g.cutoffs != cutoffs for g in graphs[1:]):
+        raise ValidationError("cannot pack graphs built with different cutoffs")
     sizes = [g.n_nodes for g in graphs]
     offsets = np.cumsum([0] + sizes[:-1])
     kinds = _join([g.kinds for g in graphs])
@@ -173,13 +184,12 @@ def pack_graphs(graphs) -> GraphPack:
         edges[kind] = EdgeSet(
             kind=kind,
             a=_join([es.a for es in sets], offsets), b=_join([es.b for es in sets], offsets),
-            r_vec=_join([es.r_vec for es in sets]), dist=_join([es.dist for es in sets]),
-            rbf=_join([es.rbf for es in sets]))
+            r_vec=_join([es.r_vec for es in sets]), dist=_join([es.dist for es in sets]))
     return GraphPack(
         graphs=graphs, node_graph=np.repeat(np.arange(len(graphs)), sizes), kinds=kinds,
         ligand_features=_join([g.ligand_features for g in graphs]),
         residue_features=_join([g.residue_features for g in graphs]),
-        feature_rows=feature_rows, edges=edges,
+        feature_rows=feature_rows, edges=edges, cutoffs=cutoffs,
     )
 
 
@@ -327,8 +337,7 @@ def build_pair_graph(ligand: LigandMolecule, protein: ProteinStructure,
     edges: dict[EdgeKind, EdgeSet] = {}
     for kind, (a_idx, b_idx, dist) in found.items():
         r_vec = positions[b_idx] - positions[a_idx]
-        edges[kind] = EdgeSet(kind=kind, a=a_idx, b=b_idx, r_vec=r_vec,
-                              dist=dist, rbf=rbf_embed(dist, cfg))
+        edges[kind] = EdgeSet(kind=kind, a=a_idx, b=b_idx, r_vec=r_vec, dist=dist)
 
     warnings = ()
     if len(edges[EdgeKind.PC]) == 0:
@@ -339,7 +348,7 @@ def build_pair_graph(ligand: LigandMolecule, protein: ProteinStructure,
         n_ligand=nl, n_residue=nr, positions=positions, kinds=kinds,
         ligand_features=ligand_atom_features(ligand),
         residue_features=residue_node_features(protein),
-        edges=edges, warnings=warnings,
+        edges=edges, cutoffs=cfg, warnings=warnings,
     )
 
 
@@ -349,7 +358,8 @@ def build_graph(record: ComplexRecord, cfg: CutoffConfig) -> HeteroGraph:
 
 
 def graph_to_json(graph: HeteroGraph) -> str:
-    """Debug dump of nodes, edges, and attributes as stable-key JSON."""
+    """Debug dump of nodes, edges, and attributes as stable-key JSON; each
+    edge's `rbf` list is its distance's embedding."""
     doc = {
         "n_ligand": graph.n_ligand,
         "n_residue": graph.n_residue,
@@ -370,7 +380,8 @@ def graph_to_json(graph: HeteroGraph) -> str:
                 "rbf": [round(float(x), 6) for x in r],
             }
             for kind, es in sorted(graph.edges.items(), key=lambda kv: kv[0].value)
-            for a, b, rv, d, r in zip(es.a, es.b, es.r_vec, es.dist, es.rbf)
+            for a, b, rv, d, r in zip(es.a, es.b, es.r_vec, es.dist,
+                                      rbf_embed(es.dist, graph.cutoffs).data)
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2)

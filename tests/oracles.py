@@ -1,11 +1,13 @@
 """Brute-force reference implementations used to verify the metric code,
-the tensor-product message kernel, the neighbour search, atom typing,
+the tensor-product message kernel, the edge gates' RBF rows, the
+neighbour search, atom typing,
 complete-linkage clustering, packed training, Morgan hashing, the PDB
 alpha-carbon and heavy-atom parses and the SDF parse, plus the Wigner
 rotation matrices that the equivariance tests rotate feature blocks with.
 
 Everything here is written longhand (python loops, explicit rank formulas,
-one einsum per coupling path, dense distance blocks, a leader table with an
+one einsum per coupling path, one whole-array RBF matrix, dense distance
+blocks, a leader table with an
 explicit tie list, one forward per graph on one tape, one hashed string per
 atom and round, one float per coordinate field) and stays independent of
 the vectorized implementations under test.
@@ -17,6 +19,7 @@ import numpy as np
 
 from cpi3d import autodiff as ad
 from cpi3d.chemio import AMINO_ACIDS_3TO1, ELEMENT_SYMBOLS, UNKNOWN_AA
+from cpi3d.equinet import edge_weight_net
 from cpi3d.errors import EmptyStructureError, ParseError, ValidationError
 from cpi3d.fingerprint import fnv1a64
 from cpi3d.physscore import INTERACTION_CUTOFF, ramp
@@ -111,6 +114,22 @@ def tp_message_oracle(h_blocks, sh, gates, weights, paths, out_muls):
         gated = coupled * gates[:, idx].reshape(n_e, 1, 1)
         out[lo] = out[lo] + np.einsum("ecM,cd->edM", gated, weights[(li, ls, lo)])
     return out
+
+
+def rbf_oracle(dist, cfg):
+    """The (E, rbf_k) RBF matrix that graphs used to store, evaluated once
+    over every distance: exp(-gamma (d - nu)**2)."""
+    d = np.asarray(dist, dtype=np.float64)
+    return np.exp(-cfg.rbf_gamma * (d[..., None] - cfg.anchors()) ** 2)
+
+
+def block_gates_oracle(e, src, dst, dist, cutoffs, h_dst, h_src, weights):
+    """`equinet.edge_gates` on rows of the whole-array `rbf_oracle` matrix
+    of every edge's distance, the route before each block embedded its
+    own: untracked gates of edge ids `e`."""
+    rbf = rbf_oracle(ad.as_tensor(dist).data, cutoffs)[e]
+    return edge_weight_net(rbf, ad.as_tensor(h_dst).data[dst[e]], ad.as_tensor(h_src).data[src[e]],
+                           [ad.as_tensor(w).data for w in weights]).data
 
 
 def dense_distances(a, b):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -30,7 +32,7 @@ from cpi3d.synthetic import (
     write_manifest,
 )
 
-from conftest import forward_one, transform_ligand
+from conftest import forward_one, lattice_receptor, transform_ligand
 from oracles import morgan_oracle
 
 TINY_MODEL = {
@@ -789,6 +791,22 @@ def test_unknown_flag_exits_one(capsys):
     assert main(["fingerprint", "--nope"]) == 1
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["simulate-screen", "--actives", "x", "--decoys", "3"],
+     "argument --actives: invalid int value: 'x'"),
+    (["predict", "--manifest", "m.csv", "--out", "p.csv"],
+     "the following arguments are required: --checkpoint"),
+    (["train", "--manifest", "m.csv", "--out", "m.eqcp", "--optimizer", "rmsprop"],
+     "argument --optimizer: invalid choice: 'rmsprop'"),
+], ids=["bad-int", "missing-flag", "bad-choice"])
+def test_usage_error_is_one_line(capsys, argv, needle):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
 def test_missing_input_exits_two(tmp_path):
     assert main(["fingerprint", "--sdf", str(tmp_path / "absent.sdf")]) == 2
 
@@ -1069,6 +1087,69 @@ def test_predict_prints_a_graph_warning_per_far_ligand(tmp_path, capsys, monkeyp
     assert captured.out == f"wrote 3 predictions to {out}\n"
     rows = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
     assert rows == [rec.complex_id for rec in records]
+
+
+def test_train_prints_a_graph_warning_per_far_ligand(toy_dir, capsys):
+    tmp_path, _, config = toy_dir
+    records = random_complexes(3, seed=5, with_label=True, n_atoms=5, n_residues=5)
+    far = records[1]
+    far.complex_id = "far"
+    far.ligand = transform_ligand(far.ligand, t=[200.0, 0.0, 0.0])
+    far.poses = (far.ligand,)
+    manifest = write_manifest(records, str(tmp_path / "far"))
+    assert main(["train", "--manifest", manifest, "--config", config, "--steps", "2",
+                 "--out", str(tmp_path / "m.eqcp")]) == 0
+    pc = build_config(CutoffConfig, TINY_MODEL["cutoffs"]).pc
+    assert capsys.readouterr().err == (f"warning: far: ligand outside pocket: "
+                                       f"no ligand-protein edges within {pc} A\n")
+
+
+def screen_predict_peak_mb() -> float:
+    """`tracemalloc` peak, in MB, of one `predict` call at the default
+    config: six ligands of 20-40 atoms in the pocket of one 300-residue
+    receptor (`conftest.lattice_receptor`), which the receptor cache
+    shares."""
+    rng = np.random.default_rng(0)
+    receptor = lattice_receptor(rng)
+    records = [ComplexRecord(complex_id=f"lig{i}", protein=receptor,
+                             ligand=random_ligand(rng, n_atoms=n, mol_id=f"lig{i}"))
+               for i, n in enumerate((20, 24, 28, 32, 36, 40))]
+    model_cfg, cutoffs = ModelConfig(), CutoffConfig()
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_manifest(records, tmp)
+        ckpt = os.path.join(tmp, "model.eqcp")
+        save_checkpoint(ckpt, init_params(model_cfg, cutoffs, seed=0), config={
+            "model": model_cfg.to_dict(), "cutoffs": cutoffs.to_dict(), "seed": 0})
+        argv = ["predict", "--manifest", manifest, "--checkpoint", ckpt,
+                "--out", os.path.join(tmp, "pred.csv")]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+
+def test_screen_predict_peaks_below_18_mb():
+    """The gates embed their distances per block and the cache keeps the
+    gates of the last pp stage only; the whole-array RBF route peaked at
+    about 22 MB."""
+    assert screen_predict_peak_mb() < 18
+
+
+def test_main_sets_the_malloc_thresholds_where_libc_has_mallopt(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    cli._tune_malloc.__wrapped__()
+    assert calls == [(cli.M_MMAP_THRESHOLD, 8 << 20), (cli.M_TRIM_THRESHOLD, 64 << 20)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._tune_malloc.__wrapped__()    # no mallopt: nothing to set, no error
 
 
 def test_out_of_memory_exits_one(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -34,7 +35,7 @@ from cpi3d.synthetic import random_complex, random_ligand
 from cpi3d.train import grad
 
 from conftest import forward_one, lattice_receptor, transform_ligand, transform_protein
-from oracles import P_YZX, tp_message_oracle, wigner_d
+from oracles import P_YZX, block_gates_oracle, tp_message_oracle, wigner_d
 
 SMALL_CFG = ModelConfig(layers=2, layout=IrrepLayout((6, 3, 2)),
                         edge_mlp_hidden=12, readout_hidden=8,
@@ -1047,3 +1048,80 @@ def test_cache_peak_memory_below_uncached_forward(rng, receptor, monkeypatch):
         for blocks in store.values() for a in blocks.values())
     assert fill <= uncached + held    # the uncached work plus what the cache keeps
     assert peak(cache=cache) < uncached    # reuses it
+
+
+def _checked_gates(monkeypatch) -> list[int]:
+    """Patch `equinet.edge_gates` so that every call compares its gates
+    with `block_gates_oracle` bit for bit; the returned list collects the
+    compared row counts."""
+    rows = []
+    edge_gates = equinet.edge_gates
+
+    def checked(e, *args):
+        got = edge_gates(e, *args)
+        assert got.data.tobytes() == block_gates_oracle(e, *args).tobytes()
+        rows.append(len(e))
+        return got
+
+    monkeypatch.setattr(equinet, "edge_gates", checked)
+    return rows
+
+
+def test_block_gates_equal_the_whole_array_rbf_route(rng, receptor, monkeypatch):
+    """Every block's gates, from RBF rows that the block embeds itself,
+    equal the edge network on rows of the whole-array RBF matrix bit for
+    bit: in the uncached and cached forwards, in the gates the cache
+    stores, and in a training forward and its backward reruns."""
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    items = _screen(rng, receptor, (20, 28, 36))
+    rows = _checked_gates(monkeypatch)
+    for graph, fp in items:
+        forward_one(graph, fp, params, CACHE_CFG)
+    uncached = sum(rows)
+    cache = ReceptorCache()
+    for graph, fp in items:
+        forward_one(graph, fp, params, CACHE_CFG, cache=cache)
+    cached = sum(rows) - uncached
+    assert 0 < cached < uncached
+    # only the last pp stage, which does not run whole, keeps its gates
+    assert cache.gates.keys() == {CACHE_CFG.layers - 1}
+    toys = [random_complex(rng, f"t{i}", with_label=True) for i in range(3)]
+    pack = pack_graphs([build_pair_graph(r.ligand, r.protein, CACHE_CUT) for r in toys])
+    fps = np.stack([morgan_fingerprint(r.ligand, nbits=CACHE_CFG.fingerprint_width)
+                    for r in toys])
+    before = sum(rows)
+    forward(pack, fps, params, CACHE_CFG, training=True)
+    once = sum(rows) - before
+    assert once == CACHE_CFG.layers * sum(len(es) for es in pack.edges.values())
+    grad(lambda: ad.tsum(forward(pack, fps, params, CACHE_CFG, training=True)), params)
+    # the untaped forward, the taped one, and every block's backward rerun
+    assert sum(rows) - before == 3 * once
+
+
+def test_cached_forwards_hold_no_rbf_matrix(rng, receptor, monkeypatch):
+    """Graphs hold distances, the cached forward embeds at most
+    EDGE_BLOCK of them at a time, and nothing the graph or the cache
+    holds afterwards has `rbf_k` columns."""
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    items = _screen(rng, receptor, (20, 24))
+    shapes = []
+    rbf_embed = equinet.rbf_embed
+
+    def recorded(dist, cutoffs):
+        out = rbf_embed(dist, cutoffs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(equinet, "rbf_embed", recorded)
+    cache = ReceptorCache()
+    for graph, fp in items:
+        forward_one(graph, fp, params, CACHE_CFG, cache=cache)
+    assert len(items[0][0].edges[EdgeKind.PP]) > 4 * equinet.EDGE_BLOCK
+    assert shapes and all(n <= equinet.EDGE_BLOCK and k == CACHE_CUT.rbf_k for n, k in shapes)
+    held = [*cache.gates.values()] + [a for store in (cache.ref_rows, cache.ref_sums)
+                                      for blocks in store.values() for a in blocks.values()]
+    for graph, _ in items:
+        held += [graph.positions, graph.kinds, graph.ligand_features, graph.residue_features]
+        held += [getattr(es, f.name) for es in graph.edges.values()
+                 for f in dataclasses.fields(es) if f.name != "kind"]
+    assert all(a.shape[-1] != CACHE_CUT.rbf_k for a in held if a.ndim == 2)

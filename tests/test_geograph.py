@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import weakref
 
 import numpy as np
 import pytest
 
+from cpi3d import autodiff as ad
 from cpi3d import geograph
+from cpi3d.autodiff import Tape, Tensor
 from cpi3d.chemio import Atom, LigandMolecule, ProteinStructure, Residue
 from cpi3d.errors import ValidationError
 from cpi3d.geograph import (
@@ -20,10 +23,10 @@ from cpi3d.geograph import (
     rbf_embed,
 )
 from cpi3d.so3 import random_rotation
-from cpi3d.synthetic import random_complex
+from cpi3d.synthetic import random_complex, random_ligand
 
-from conftest import transform_ligand, transform_protein
-from oracles import neighbor_oracle, pair_graph_oracle
+from conftest import lattice_receptor, transform_ligand, transform_protein
+from oracles import neighbor_oracle, pair_graph_oracle, rbf_oracle
 
 
 def _single_atom(pos):
@@ -45,25 +48,43 @@ def test_rbf_at_anchor_is_one():
     cfg = CutoffConfig(rbf_k=8)
     anchors = cfg.anchors()
     for i, nu in enumerate(anchors):
-        vec = rbf_embed(nu, cfg)
+        vec = rbf_embed(nu, cfg).data
         assert vec[i] == pytest.approx(1.0)
 
 
 def test_rbf_direct_evaluation():
     cfg = CutoffConfig(cc=10, pp=10, pc=10, rbf_k=2, rbf_gamma=0.1,
                        rbf_nu_min=0.0, rbf_nu_max=10.0)
-    vec = rbf_embed(0.0, cfg)
+    vec = rbf_embed(0.0, cfg).data
     np.testing.assert_allclose(vec, [1.0, np.exp(-10.0)], rtol=1e-12)
 
 
 def test_rbf_derivative_identity():
     # d mu_i / d r = -2 gamma (r - nu_i) mu_i, checked by central differences
+    # and against the adjoint of the embedding's tape ops
     cfg = CutoffConfig(rbf_k=16)
     h = 1e-6
     for dist in (0.3, 2.0, 7.5, 12.0):
-        analytic = -2.0 * cfg.rbf_gamma * (dist - cfg.anchors()) * rbf_embed(dist, cfg)
-        numeric = (rbf_embed(dist + h, cfg) - rbf_embed(dist - h, cfg)) / (2 * h)
+        mu = rbf_embed(dist, cfg).data
+        analytic = -2.0 * cfg.rbf_gamma * (dist - cfg.anchors()) * mu
+        numeric = (rbf_embed(dist + h, cfg).data - rbf_embed(dist - h, cfg).data) / (2 * h)
         np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+        d = Tensor(np.array([dist]), requires_grad=True)
+        with Tape() as tape:
+            total = ad.tsum(rbf_embed(d, cfg))
+        (g,) = tape.gradient(total, [d])
+        np.testing.assert_allclose(g, [analytic.sum()], rtol=1e-12, atol=1e-15)
+
+
+def test_rbf_rows_match_the_whole_array_embedding_bit_for_bit(rng):
+    """Each row of the embedding equals the whole-array expression that
+    graphs used to store, whichever rows it is evaluated with."""
+    cfg = CutoffConfig(rbf_k=32)
+    dist = rng.uniform(0.0, 15.0, size=5000)
+    whole = rbf_oracle(dist, cfg)
+    assert rbf_embed(dist, cfg).data.tobytes() == whole.tobytes()
+    for rows in (np.arange(7), np.arange(1, 4000, 3), np.array([4999])):
+        assert rbf_embed(dist[rows], cfg).data.tobytes() == whole[rows].tobytes()
 
 
 def test_pc_edges_within_cutoff():
@@ -114,7 +135,6 @@ def test_translation_leaves_edge_attributes(rng):
     for kind in EdgeKind:
         np.testing.assert_allclose(g0.edges[kind].r_vec, g1.edges[kind].r_vec, atol=1e-12)
         np.testing.assert_allclose(g0.edges[kind].dist, g1.edges[kind].dist, atol=1e-12)
-        np.testing.assert_allclose(g0.edges[kind].rbf, g1.edges[kind].rbf, atol=1e-12)
 
 
 def test_rotation_covariance(rng):
@@ -129,7 +149,6 @@ def test_rotation_covariance(rng):
         np.testing.assert_allclose(g1.edges[kind].r_vec,
                                    g0.edges[kind].r_vec @ R.T, atol=1e-10)
         np.testing.assert_allclose(g0.edges[kind].dist, g1.edges[kind].dist, atol=1e-10)
-        np.testing.assert_allclose(g0.edges[kind].rbf, g1.edges[kind].rbf, atol=1e-10)
 
 
 def test_edge_symmetry(rng):
@@ -140,7 +159,7 @@ def test_edge_symmetry(rng):
         for (a, b), i in fwd.items():
             j = fwd[(b, a)]
             np.testing.assert_allclose(es.r_vec[i], -es.r_vec[j], atol=1e-12)
-            np.testing.assert_array_equal(es.rbf[i], es.rbf[j])
+            assert es.dist[i] == es.dist[j]
 
 
 def test_matches_brute_force_pair_scan(rng):
@@ -240,6 +259,10 @@ def test_graph_json_dump(rng):
     assert doc["n_ligand"] == 3 and doc["n_residue"] == 3
     assert len(doc["nodes"]) == 6
     assert len(doc["edges"]) == graph.edge_count()
+    # each edge's `rbf` list is its row of the whole-array embedding
+    for kind, es in graph.edges.items():
+        rows = [e["rbf"] for e in doc["edges"] if e["kind"] == kind.value]
+        assert rows == [[round(float(x), 6) for x in r] for r in rbf_oracle(es.dist, graph.cutoffs)]
 
 
 def test_cutoff_config_validation():
@@ -279,7 +302,7 @@ def test_pack_layout(rng):
             es.a, np.concatenate([g.edges[kind].a + o for g, o in zip(graphs, offsets)]))
         np.testing.assert_array_equal(
             es.b, np.concatenate([g.edges[kind].b + o for g, o in zip(graphs, offsets)]))
-        np.testing.assert_array_equal(es.rbf, np.concatenate([g.edges[kind].rbf for g in graphs]))
+        np.testing.assert_array_equal(es.dist, np.concatenate([g.edges[kind].dist for g in graphs]))
         # still sorted by (destination, source), and no edge crosses graphs
         key = es.a * pack.n_nodes + es.b
         assert np.all(np.diff(key) > 0)
@@ -295,9 +318,24 @@ def test_pack_of_one_shares_the_graph_arrays(rng):
     np.testing.assert_array_equal(pack.feature_rows, np.arange(graph.n_nodes))
     for kind, es in graph.edges.items():
         assert all(getattr(pack.edges[kind], f) is getattr(es, f)
-                   for f in ("a", "b", "r_vec", "dist", "rbf"))
+                   for f in ("a", "b", "r_vec", "dist"))
+    assert pack.cutoffs is graph.cutoffs
     with pytest.raises(ValidationError):
         pack_graphs([])
+
+
+def test_graphs_hold_distances_and_their_cutoffs_not_rbf_rows(rng):
+    cut = CutoffConfig(rbf_k=6)
+    rec = random_complex(rng, "g", n_atoms=4, n_residues=5)
+    graph = build_pair_graph(rec.ligand, rec.protein, cut)
+    assert [f.name for f in dataclasses.fields(geograph.EdgeSet)] == [
+        "kind", "a", "b", "r_vec", "dist"]
+    assert graph.cutoffs is cut
+    other = build_pair_graph(rec.ligand, rec.protein, CutoffConfig(rbf_k=8))
+    with pytest.raises(ValidationError, match="^cannot pack graphs built with different cutoffs$"):
+        pack_graphs([graph, other])
+    assert pack_graphs([graph, build_pair_graph(rec.ligand, rec.protein,
+                                                CutoffConfig(rbf_k=6))]).cutoffs == cut
 
 
 def test_edge_budget_packs_build_lazily(rng, monkeypatch):
@@ -329,3 +367,21 @@ def test_edge_budget_packs_build_lazily(rng, monkeypatch):
         runs.append(run)
         del pack
     assert runs == [[0, 1], [2], [3], [4], [5], [6, 7, 8]]
+
+
+def graph_held_mb(n_residues: int = 300) -> float:
+    """MB held by the arrays of one graph at the default cutoffs: a
+    32-atom ligand in the pocket of an `n_residues`-residue receptor
+    (`conftest.lattice_receptor`)."""
+    rng = np.random.default_rng(0)
+    graph = build_pair_graph(random_ligand(rng, n_atoms=32), lattice_receptor(rng, n_residues),
+                             CutoffConfig())
+    arrays = [graph.positions, graph.kinds, graph.ligand_features, graph.residue_features]
+    arrays += [getattr(es, f.name) for es in graph.edges.values()
+               for f in dataclasses.fields(es) if f.name != "kind"]
+    return sum(a.nbytes for a in arrays) / 2 ** 20
+
+
+def test_a_300_residue_graph_holds_about_1_mb():
+    # 5.6 MB while each edge also held its 32 float64 RBF components
+    assert graph_held_mb() < 1.2

@@ -105,13 +105,12 @@ def _rotation_tensor(theta: Tensor):
     return ad.matmul(Rz, ad.matmul(Ry, Rx))
 
 
-def _differentiable_edges(rot_pos: Tensor, a_idx, b_idx, cut: CutoffConfig):
-    """Edge RBF and harmonics as tape ops over rotated positions."""
+def _differentiable_edges(rot_pos: Tensor, a_idx, b_idx):
+    """Edge distances and harmonics as tape ops over rotated positions,
+    the `(dist, sh)` that `edge_override` takes."""
     r = ad.add(ad.gather_rows(rot_pos, b_idx),
                ad.mul(ad.gather_rows(rot_pos, a_idx), -1.0))
     dist = ad.sqrt(ad.tsum(ad.mul(r, r), axis=1, keepdims=True))  # (n_e, 1)
-    diff = ad.add(dist, -cut.anchors())
-    rbf = ad.exp(ad.mul(ad.mul(diff, diff), -cut.rbf_gamma))
     unit = ad.div(r, dist)
     x = ad.take(unit, (slice(None), slice(0, 1)))
     y = ad.take(unit, (slice(None), slice(1, 2)))
@@ -130,7 +129,7 @@ def _differentiable_edges(rot_pos: Tensor, a_idx, b_idx, cut: CutoffConfig):
         ad.mul(ad.mul(z, x), c2),
         ad.mul(ad.add(ad.mul(x, x), ad.mul(ad.mul(y, y), -1.0)), c22),
     ]
-    return rbf, ad.concat(cols, axis=1)
+    return ad.reshape(dist, (n_e,)), ad.concat(cols, axis=1)
 
 
 def test_gradient_through_global_rotation_is_zero(rng):
@@ -148,7 +147,7 @@ def test_gradient_through_global_rotation_is_zero(rng):
         override = {}
         for kind in EDGE_KIND_ORDER:
             es = graph.edges[kind]
-            override[kind] = _differentiable_edges(rot_pos, es.a, es.b, TINY_CUT)
+            override[kind] = _differentiable_edges(rot_pos, es.a, es.b)
         pred = forward_one(graph, fp, params, TINY_CFG, training=False,
                            edge_override=override)
     (g_theta,) = tape.gradient(pred, [theta])
@@ -166,8 +165,8 @@ def test_differentiable_edges_match_graph_constants(rng):
             es = graph.edges[kind]
             if len(es) == 0:
                 continue
-            rbf, sh = _differentiable_edges(rot_pos, es.a, es.b, TINY_CUT)
-            np.testing.assert_allclose(rbf.data, es.rbf, atol=1e-10)
+            dist, sh = _differentiable_edges(rot_pos, es.a, es.b)
+            np.testing.assert_allclose(dist.data, es.dist, atol=1e-10)
             from cpi3d.so3 import spherical_harmonics_batch
             unit = es.r_vec / es.dist[:, None]
             np.testing.assert_allclose(sh.data, spherical_harmonics_batch(unit),
@@ -504,8 +503,8 @@ def test_one_pack_batch_gradients_equal_its_grad_bit_for_bit():
 
 
 def test_gradients_through_tracked_edge_constants_in_small_blocks(monkeypatch):
-    """`edge_override` feeds tracked RBF rows and harmonics into every
-    message block. The gradient of a prediction with respect to one
+    """`edge_override` feeds tracked distances and harmonics into every
+    message block, which embeds the distances itself. The gradient of a prediction with respect to one
     ligand atom's coordinates equals the run with `ad.checkpoint` as a
     plain call bit for bit, is nonzero, and matches central differences."""
     monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
@@ -522,8 +521,8 @@ def test_gradients_through_tracked_edge_constants_in_small_blocks(monkeypatch):
     def predict(xyz):
         pos = ad.concat([graph.positions[:atom], ad.reshape(xyz, (1, 3)),
                          graph.positions[atom + 1:]], axis=0)
-        override = {kind: _differentiable_edges(pos, graph.edges[kind].a, graph.edges[kind].b,
-                                                TINY_CUT) for kind in EDGE_KIND_ORDER}
+        override = {kind: _differentiable_edges(pos, graph.edges[kind].a, graph.edges[kind].b)
+                    for kind in EDGE_KIND_ORDER}
         # batch statistics keep the features, and so this gradient, at O(1)
         return forward_one(graph, fp, params, TINY_CFG, training=True, edge_override=override)
 
