@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, build_config, config_doc, load_json
-from .equinet import Model, ModelConfig, ParameterStore, init_params
+from .equinet import Model, ModelConfig, ParameterStore, params_from_state
 from .errors import CheckpointError, ConfigError, ValidationError
 from .geograph import CutoffConfig
 
@@ -72,7 +72,10 @@ def save_checkpoint(path, params: ParameterStore, config: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Returns (state: name -> array, config: dict, trainable: name -> bool)."""
+    """Returns (state: name -> array, config: dict, trainable: name -> bool).
+
+    The payload is read through a view of the file's bytes, so the file is
+    held once and each tensor is copied once, straight into its array."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != MAGIC:
@@ -90,7 +93,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("config", {}), dict):
         raise CheckpointError("header or its config is not a JSON object")
-    payload = blob[12 + header_len:]
+    payload = memoryview(blob)[12 + header_len:]
     if len(payload) != header.get("payload_bytes"):
         raise CheckpointError(
             f"truncated payload: {len(payload)} bytes, header says "
@@ -117,8 +120,8 @@ def load_checkpoint(path):
             if end > len(payload):
                 raise CheckpointError(f"tensor {name!r} overruns the payload "
                                       f"(offset {start}, {count} values)")
-            arr = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64)
-            state[name] = arr.reshape(shape)
+            state[name] = np.frombuffer(payload, dtype="<f8", count=count,
+                                        offset=start).astype(np.float64).reshape(shape)
             trainable[name] = bool(entry.get("trainable", True))
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed tensor directory: {exc!r}") from None
@@ -153,6 +156,5 @@ def load_model(path) -> Model:
         raise CheckpointError(f"{path}: header has no {exc.args[0]} config") from None
     except (ValidationError, ConfigError) as exc:
         raise CheckpointError(f"{path}: header {exc}") from None
-    params = init_params(model_cfg, cutoffs, seed=0)
-    params.load_state(state)
-    return Model(cfg=model_cfg, cutoffs=cutoffs, params=params)
+    return Model(cfg=model_cfg, cutoffs=cutoffs,
+                 params=params_from_state(model_cfg, cutoffs, state))

@@ -14,8 +14,10 @@ import argparse
 import csv
 import ctypes
 import functools
+import glob
 import io
 import json
+import os
 import sys
 import warnings
 from collections import defaultdict
@@ -68,6 +70,31 @@ def _tune_malloc():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+@functools.cache
+def _pin_blas():
+    """Run numpy's bundled OpenBLAS on one thread from here on. Its
+    threads split a long reduction, such as a weight adjoint over
+    thousands of edges, in an order that depends on the thread count, so
+    trained bytes would depend on the core count; and at these shapes a
+    second thread buys nothing but its buffers. Without a set-threads
+    function, say so once on stderr."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            set_threads = getattr(lib, sym, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                set_threads(1)
+                return
+    print("warning: found no OpenBLAS set-threads function; BLAS keeps its own thread "
+          "count, so trained bytes may depend on the core count", file=sys.stderr)
 
 
 # argparse dest -> the config keys ("section.key" or a top-level key) it sets
@@ -549,6 +576,7 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     _tune_malloc()
+    _pin_blas()
     try:
         return run(argv)
     except (Cpi3dError, ValueError) as exc:

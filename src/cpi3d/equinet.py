@@ -124,7 +124,7 @@ class ParameterStore:
             raise ConfigError(f"duplicate parameter {name!r}")
         arr = np.asarray(array, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"parameter {name!r} has non-finite entries")
+            raise ConfigError(f"{name!r}: non-finite entries")
         t = Tensor(arr, requires_grad=trainable)
         self._tensors[name] = t
         self._trainable[name] = trainable
@@ -145,81 +145,82 @@ class ParameterStore:
     def tensors(self, names=None) -> list[Tensor]:
         return [self._tensors[n] for n in (names or self.names())]
 
-    def load_state(self, state: dict[str, np.ndarray]):
-        missing = set(self._tensors) - set(state)
-        extra = set(state) - set(self._tensors)
-        if missing or extra:
-            raise ConfigError(f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, arr in state.items():
-            t = self._tensors[name]
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ConfigError(f"{name!r}: shape {arr.shape} != {t.data.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{name!r}: non-finite entries")
-            t.data = arr.copy()
-
 
 def _uniform(rng, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(cfg: ModelConfig, cutoffs: CutoffConfig, seed: int = 0) -> ParameterStore:
-    """Fresh parameters: fan-in-scaled uniform weights, zero biases,
-    unit batch-norm scales, and identity running statistics."""
-    rng = np.random.default_rng(seed)
-    store = ParameterStore()
-    m0 = cfg.layout.mult(0)
+def param_spec(cfg: ModelConfig, cutoffs: CutoffConfig) -> list[tuple]:
+    """Every parameter as (name, shape, init, trainable), in init order.
 
-    store.add("embed.ligand.W", _uniform(rng, LIGAND_FEATURE_DIM, (LIGAND_FEATURE_DIM, m0)))
-    store.add("embed.ligand.b", np.zeros(m0))
-    store.add("embed.residue.W", _uniform(rng, RESIDUE_FEATURE_DIM, (RESIDUE_FEATURE_DIM, m0)))
-    store.add("embed.residue.b", np.zeros(m0))
-
+    An int `init` is the fan-in of a uniform draw in +-1/sqrt(fan-in); a
+    float `init` fills the tensor: zero biases and shifts, unit batch-norm
+    scales, and identity running statistics.
+    """
+    mult, degrees, hidden = cfg.layout.mult, cfg.layout.degrees(), cfg.edge_mlp_hidden
+    m0 = mult(0)
     paths = cfg.active_paths()
     edge_in = cutoffs.rbf_k + 2 * m0
-    hidden = cfg.edge_mlp_hidden
+
+    def dense(w, b, n_in, n_out):
+        return [(w, (n_in, n_out), n_in, True), (b, (n_out,), 0.0, True)]
+
+    spec = (dense("embed.ligand.W", "embed.ligand.b", LIGAND_FEATURE_DIM, m0)
+            + dense("embed.residue.W", "embed.residue.b", RESIDUE_FEATURE_DIM, m0))
     for layer in range(cfg.layers):
         for kind in EDGE_KIND_ORDER:
             p = f"layer{layer}.{kind.value}"
-            store.add(f"{p}.psi.W0", _uniform(rng, edge_in, (edge_in, hidden)))
-            store.add(f"{p}.psi.b0", np.zeros(hidden))
-            store.add(f"{p}.psi.W1", _uniform(rng, hidden, (hidden, hidden)))
-            store.add(f"{p}.psi.b1", np.zeros(hidden))
-            store.add(f"{p}.psi.W2", _uniform(rng, hidden, (hidden, len(paths))))
-            store.add(f"{p}.psi.b2", np.zeros(len(paths)))
+            spec += (dense(f"{p}.psi.W0", f"{p}.psi.b0", edge_in, hidden)
+                     + dense(f"{p}.psi.W1", f"{p}.psi.b1", hidden, hidden)
+                     + dense(f"{p}.psi.W2", f"{p}.psi.b2", hidden, len(paths)))
             for li, ls, lo in paths:
-                mi, mo = cfg.layout.mult(li), cfg.layout.mult(lo)
-                store.add(f"{p}.tp.{li}{ls}{lo}", _uniform(rng, mi, (mi, mo)))
-            for l in cfg.layout.degrees():
-                store.add(f"{p}.bn.gamma{l}", np.ones(cfg.layout.mult(l)))
-            store.add(f"{p}.bn.beta0", np.zeros(m0))
-            for l in cfg.layout.degrees():
-                ml = cfg.layout.mult(l)
-                store.add(f"{p}.proj.l{l}.W", _uniform(rng, 2 * ml, (2 * ml, ml)))
-            store.add(f"{p}.proj.l0.b", np.zeros(m0))
-            for l in cfg.layout.degrees():
-                if l == 0:
-                    continue
-                store.add(f"{p}.gate.l{l}.W", _uniform(rng, m0, (m0, cfg.layout.mult(l))))
-                store.add(f"{p}.gate.l{l}.b", np.zeros(cfg.layout.mult(l)))
+                spec.append((f"{p}.tp.{li}{ls}{lo}", (mult(li), mult(lo)), mult(li), True))
+            spec += [(f"{p}.bn.gamma{l}", (mult(l),), 1.0, True) for l in degrees]
+            spec.append((f"{p}.bn.beta0", (m0,), 0.0, True))
+            spec += [(f"{p}.proj.l{l}.W", (2 * mult(l), mult(l)), 2 * mult(l), True)
+                     for l in degrees]
+            spec.append((f"{p}.proj.l0.b", (m0,), 0.0, True))
+            for l in degrees[1:]:
+                spec += dense(f"{p}.gate.l{l}.W", f"{p}.gate.l{l}.b", m0, mult(l))
             # running batch-norm statistics (inference mode)
-            store.add(f"{p}.bn.run_mean0", np.zeros(m0), trainable=False)
-            store.add(f"{p}.bn.run_var0", np.ones(m0), trainable=False)
-            for l in cfg.layout.degrees():
-                if l == 0:
-                    continue
-                store.add(f"{p}.bn.run_norm{l}", np.ones(cfg.layout.mult(l)), trainable=False)
-
-    store.add("readout.fp.W", _uniform(rng, cfg.fingerprint_width,
-                                       (cfg.fingerprint_width, cfg.fingerprint_embed)))
-    store.add("readout.fp.b", np.zeros(cfg.fingerprint_embed))
+            spec += [(f"{p}.bn.run_mean0", (m0,), 0.0, False),
+                     (f"{p}.bn.run_var0", (m0,), 1.0, False)]
+            spec += [(f"{p}.bn.run_norm{l}", (mult(l),), 1.0, False) for l in degrees[1:]]
     readout_in = 2 * m0 + cfg.fingerprint_embed
-    store.add("readout.hidden.W", _uniform(rng, readout_in, (readout_in, cfg.readout_hidden)))
-    store.add("readout.hidden.b", np.zeros(cfg.readout_hidden))
-    store.add("readout.out.W", _uniform(rng, cfg.readout_hidden, (cfg.readout_hidden, 1)))
-    store.add("readout.out.b", np.zeros(1))
+    return (spec
+            + dense("readout.fp.W", "readout.fp.b", cfg.fingerprint_width, cfg.fingerprint_embed)
+            + dense("readout.hidden.W", "readout.hidden.b", readout_in, cfg.readout_hidden)
+            + dense("readout.out.W", "readout.out.b", cfg.readout_hidden, 1))
+
+
+def init_params(cfg: ModelConfig, cutoffs: CutoffConfig, seed: int = 0) -> ParameterStore:
+    """Fresh parameters: `param_spec`'s draws from one generator seeded
+    with `seed`, in spec order, and its fills."""
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    for name, shape, init, trainable in param_spec(cfg, cutoffs):
+        value = np.full(shape, init) if isinstance(init, float) else _uniform(rng, init, shape)
+        store.add(name, value, trainable)
+    return store
+
+
+def params_from_state(cfg: ModelConfig, cutoffs: CutoffConfig,
+                      state: dict[str, np.ndarray]) -> ParameterStore:
+    """`state`'s arrays, not copied, as a store in `param_spec` order with
+    its trainable flags. A missing, extra, misshapen or non-finite tensor
+    raises `ConfigError` naming it."""
+    spec = param_spec(cfg, cutoffs)
+    names = {name for name, *_ in spec}
+    missing, extra = names - set(state), set(state) - names
+    if missing or extra:
+        raise ConfigError(f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+    store = ParameterStore()
+    for name, shape, _, trainable in spec:
+        arr = np.asarray(state[name], dtype=np.float64)
+        if arr.shape != shape:
+            raise ConfigError(f"{name!r}: shape {arr.shape} != {shape}")
+        store.add(name, arr, trainable)
     return store
 
 
@@ -230,8 +231,8 @@ def edge_weight_net(rbf, h_a0, h_b0, weights) -> Tensor:
     `weights` is the tuple (W0, b0, W1, b1, W2, b2).
     """
     W0, b0, W1, b1, W2, b2 = weights
-    x = ad.concat([rbf, h_a0, h_b0], axis=1)
-    h = ad.silu(ad.add(ad.matmul(x, W0), b0))
+    # no name holds the concatenated input, so it is freed before the first activation
+    h = ad.silu(ad.add(ad.matmul(ad.concat([rbf, h_a0, h_b0], axis=1), W0), b0))
     h = ad.silu(ad.add(ad.matmul(h, W1), b1))
     return ad.add(ad.matmul(h, W2), b2)
 

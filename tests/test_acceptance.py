@@ -23,6 +23,7 @@ from cpi3d.equinet import (
     IrrepLayout,
     ModelConfig,
     init_params,
+    params_from_state,
 )
 from cpi3d.fingerprint import morgan_fingerprint
 from cpi3d.geograph import CutoffConfig, build_pair_graph
@@ -367,8 +368,7 @@ def test_acceptance_9_round_trips(tmp_path):
     save_checkpoint(path, params, config={"model": cfg.to_dict()})
     first = path.read_bytes()
     state, config, _ = load_checkpoint(path)
-    reloaded = init_params(cfg, CutoffConfig(rbf_k=6), seed=0)
-    reloaded.load_state(state)
+    reloaded = params_from_state(cfg, CutoffConfig(rbf_k=6), state)
     assert checkpoint_bytes(reloaded, config=config) == first   # byte identity
     _report(9, "round trips", "SDF and checkpoint round trips bitwise stable",
             time.monotonic() - t0, 60)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,18 +12,23 @@ from cpi3d.checkpoint import (
     MAGIC,
     checkpoint_bytes,
     load_checkpoint,
+    load_model,
     save_checkpoint,
 )
-from cpi3d.equinet import IrrepLayout, ModelConfig, ParameterStore, init_params
+from cpi3d import equinet
+from cpi3d.equinet import IrrepLayout, ModelConfig, init_params, params_from_state
 from cpi3d.errors import CheckpointError, ConfigError
 from cpi3d.geograph import CutoffConfig
+
+
+CUTOFFS = CutoffConfig(rbf_k=4)
 
 
 def _store(seed=0):
     cfg = ModelConfig(layers=1, layout=IrrepLayout((3, 1, 1)),
                       edge_mlp_hidden=4, readout_hidden=4,
                       fingerprint_width=16, fingerprint_embed=4)
-    return init_params(cfg, CutoffConfig(rbf_k=4), seed=seed), cfg
+    return init_params(cfg, CUTOFFS, seed=seed), cfg
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -33,8 +39,8 @@ def test_round_trip_bitwise(tmp_path):
 
     state, config, trainable = load_checkpoint(path)
     assert config["model"]["layers"] == 1
-    loaded, _ = _store(seed=99)       # different values, same shapes
-    loaded.load_state(state)
+    loaded = params_from_state(cfg, CUTOFFS, state)
+    assert loaded.names() == params.names()   # init order, not the file's sorted order
     for name in params.names():
         np.testing.assert_array_equal(loaded[name].data, params[name].data)
         assert trainable[name] == params.is_trainable(name)
@@ -74,14 +80,61 @@ def test_truncated_payload(tmp_path):
 
 
 def test_shape_mismatch_rejected(tmp_path):
-    params, _ = _store()
+    params, cfg = _store()
     path = tmp_path / "ok.eqcp"
     save_checkpoint(path, params)
     state, _, _ = load_checkpoint(path)
-    other = ParameterStore()
-    other.add("embed.ligand.W", np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        other.load_state({"embed.ligand.W": state["embed.ligand.W"]})
+    state["embed.ligand.W"] = np.zeros((2, 2))
+    with pytest.raises(ConfigError, match=r"'embed.ligand.W': shape \(2, 2\) != "):
+        params_from_state(cfg, CUTOFFS, state)
+
+
+def test_init_params_draws_in_param_spec_order():
+    params, cfg = _store(seed=5)
+    spec = equinet.param_spec(cfg, CUTOFFS)
+    assert params.names() == [name for name, *_ in spec]
+    rng = np.random.default_rng(5)
+    for name, shape, init, trainable in spec:
+        assert params[name].data.shape == shape and params.is_trainable(name) == trainable
+        if isinstance(init, float):
+            assert (params[name].data == init).all()
+        else:
+            bound = 1.0 / np.sqrt(init)
+            np.testing.assert_array_equal(params[name].data, rng.uniform(-bound, bound, shape))
+
+
+def test_load_model_builds_the_store_without_init_params(tmp_path, monkeypatch):
+    cfg = ModelConfig(layers=1, layout=IrrepLayout((3, 1, 1)), edge_mlp_hidden=4,
+                      readout_hidden=4, fingerprint_width=16, fingerprint_embed=4)
+    params = init_params(cfg, CUTOFFS, seed=2)
+    path = tmp_path / "model.eqcp"
+    save_checkpoint(path, params, config={"model": cfg.to_dict(), "cutoffs": CUTOFFS.to_dict()})
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("load_model drew a throwaway init")
+
+    monkeypatch.setattr(equinet, "init_params", no_init)
+    model = load_model(path)
+    assert model.params.names() == params.names()
+    for name in params.names():
+        np.testing.assert_array_equal(model.params[name].data, params[name].data)
+        assert model.params.is_trainable(name) == params.is_trainable(name)
+
+
+def test_load_checkpoint_peaks_below_two_and_a_half_file_sizes(tmp_path):
+    """The payload is read through a view, not sliced into a second bytes
+    copy; the sliced read peaked at 3.5 file sizes."""
+    path = tmp_path / "model.eqcp"
+    save_checkpoint(path, init_params(ModelConfig(), CutoffConfig(), seed=0))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        state, _, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in state.values()) > 0.9 * size   # the rest is the header
+    assert peak < 2.5 * size
 
 
 def test_directory_overrun_rejected(tmp_path):

@@ -1,5 +1,8 @@
 import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import io
 import json
 import math
@@ -20,7 +23,7 @@ from cpi3d.checkpoint import save_checkpoint
 from cpi3d.chemio import ComplexRecord, load_manifest, parse_sdf, write_sdf
 from cpi3d.cli import main
 from cpi3d.config import build_config
-from cpi3d.equinet import ModelConfig, forward, init_params
+from cpi3d.equinet import ModelConfig, ParameterStore, forward, init_params
 from cpi3d.fingerprint import morgan_fingerprint
 from cpi3d.geograph import CutoffConfig, build_graph
 from cpi3d.synthetic import (
@@ -1035,6 +1038,44 @@ def test_predict_damaged_checkpoint_exits_one(toy_dir, capsys, damage, needle):
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
+def _store_of(state: dict) -> ParameterStore:
+    """A store holding `state`'s arrays as they are, finite or not."""
+    store = ParameterStore()
+    for name, arr in state.items():
+        store.add(name, np.zeros(arr.shape)).data = arr
+    return store
+
+
+def _drop(state, name):
+    del state[name]
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda state: _drop(state, "readout.out.b"),
+     "state mismatch: missing ['readout.out.b'], extra []"),
+    (lambda state: state.update({"readout.extra": np.zeros(2)}),
+     "state mismatch: missing [], extra ['readout.extra']"),
+    (lambda state: state.update({"embed.ligand.W": np.zeros((2, 4))}),
+     "'embed.ligand.W': shape (2, 4) != "),
+    (lambda state: state["layer0.pp.tp.000"].__setitem__((0, 0), math.inf),
+     "'layer0.pp.tp.000': non-finite entries"),
+], ids=["missing", "extra", "misshapen", "non-finite"])
+def test_predict_checkpoint_tensors_that_do_not_match_the_config_exit_one(toy_dir, capsys,
+                                                                          edit, needle):
+    tmp_path, manifest, _ = toy_dir
+    params = init_params(build_config(ModelConfig, TINY_MODEL["model"]),
+                         build_config(CutoffConfig, TINY_MODEL["cutoffs"]), seed=0)
+    state = {name: params[name].data.copy() for name in params.names()}
+    edit(state)
+    ckpt = tmp_path / "model.eqcp"
+    save_checkpoint(ckpt, _store_of(state), config=TINY_HEADER)
+    assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_predict_reads_a_version_1_checkpoint_with_one_warning(toy_dir, capsys):
     tmp_path, manifest, _ = toy_dir
     blob = _tiny_checkpoint(tmp_path / "v2.eqcp")
@@ -1131,6 +1172,12 @@ def screen_predict_peak_mb() -> float:
             tracemalloc.stop()
 
 
+def test_screen_predict_peaks_below_16_mb():
+    """The edge network drops its concatenated input before the first
+    activation; holding it through the activation peaked at 16.8 MB."""
+    assert screen_predict_peak_mb() < 16
+
+
 def test_screen_predict_peaks_below_18_mb():
     """The gates embed their distances per block and the cache keeps the
     gates of the last pp stage only; the whole-array RBF route peaked at
@@ -1152,6 +1199,90 @@ def test_main_sets_the_malloc_thresholds_where_libc_has_mallopt(monkeypatch):
     cli._tune_malloc.__wrapped__()    # no mallopt: nothing to set, no error
 
 
+class _SetThreads:
+    """A stand-in ctypes function: it takes `argtypes` and `restype` and
+    records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, n):
+        self.calls.append(n)
+
+
+def test_main_pins_blas_to_one_thread_through_the_first_set_threads_symbol(monkeypatch):
+    fn = _SetThreads()
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: ["libscipy_openblas64_.so"])
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+        openblas_set_num_threads=None, scipy_openblas_set_num_threads64_=fn))
+    cli._pin_blas.__wrapped__()
+    assert fn.calls == [1]
+
+
+def test_main_warns_once_without_a_blas_set_threads_function(monkeypatch, capsys):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    monkeypatch.setattr(cli, "_pin_blas", functools.cache(cli._pin_blas.__wrapped__))
+    for _ in range(2):
+        assert main(["simulate-screen", "--actives", "1", "--decoys", "1", "--trials", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: found no OpenBLAS set-threads")
+
+
+def test_main_leaves_the_loaded_openblas_on_one_thread():
+    assert main(["simulate-screen", "--actives", "1", "--decoys", "1", "--trials", "1"]) == 0
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    getters = [getattr(ctypes.CDLL(path), sym, None) for path in libs
+               for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads")]
+    getters = [fn for fn in getters if fn is not None]
+    if not getters:
+        pytest.skip("numpy's OpenBLAS has no get-threads function here")
+    getters[0].argtypes, getters[0].restype = (), ctypes.c_int
+    assert getters[0]() == 1
+
+
+def _run_child(*args: str, env=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `args`; it finds the package under test
+    whether or not it is installed."""
+    src = os.path.dirname(os.path.dirname(cpi3d.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path})
+
+
+def test_trained_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Weight adjoints reduce over up to 2,048 edges, and OpenBLAS splits
+    such a reduction across its threads; without the pin, this manifest's
+    checkpoint differs between one and two threads."""
+    manifest = write_manifest(random_complexes(8, seed=0, with_label=True), str(tmp_path / "data"))
+    outputs = []
+    for threads in ("1", "2"):
+        ckpt, pred = tmp_path / f"model{threads}.eqcp", tmp_path / f"pred{threads}.csv"
+        train = ["train", "--manifest", manifest, "--steps", "2", "--batch-size", "8",
+                 "--seed", "0", "--out", str(ckpt)]
+        predict = ["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                   "--out", str(pred)]
+        proc = _run_child("-c", f"import sys; from cpi3d.cli import main; "
+                          f"sys.exit(main({train!r}) or main({predict!r}))",
+                          env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((ckpt.read_bytes(), pred.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_predict_process_leaves_numpy_random_unimported(toy_dir):
+    tmp_path, manifest, _ = toy_dir
+    ckpt = tmp_path / "model.eqcp"
+    _tiny_checkpoint(ckpt)
+    predict = ["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "p.csv")]
+    proc = _run_child("-c", f"import sys; from cpi3d.cli import main; "
+                      f"assert main({predict!r}) == 0; sys.exit('numpy.random' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "p.csv").exists()
+
+
 def test_out_of_memory_exits_one(monkeypatch, capsys):
     def exhausted(args, cfg):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")
@@ -1163,10 +1294,6 @@ def test_out_of_memory_exits_one(monkeypatch, capsys):
 
 
 def test_console_entry_point():
-    # the child finds the package under test whether or not it is installed
-    src = os.path.dirname(os.path.dirname(cpi3d.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "cpi3d.cli", "--version"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = _run_child("-m", "cpi3d.cli", "--version")
     assert proc.returncode == 0
     assert "cpi3d" in proc.stdout
