@@ -16,7 +16,7 @@ from .chemio import (
     parse_sdf,
     load_manifest,
 )
-from .geograph import CutoffConfig, HeteroGraph, build_graph, rbf_embed
+from .geograph import CutoffConfig, GraphPack, build_graph, rbf_embed
 from .fingerprint import morgan_fingerprint, morgan_fingerprints, tanimoto, protein_kmer_set, jaccard
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "parse_sdf",
     "load_manifest",
     "CutoffConfig",
-    "HeteroGraph",
+    "GraphPack",
     "build_graph",
     "rbf_embed",
     "morgan_fingerprint",

@@ -385,7 +385,7 @@ def _cmd_build_graph(args, cfg: RunConfig) -> int:
     summary = {
         "n_ligand": graph.n_ligand, "n_residue": graph.n_residue,
         "edges": {k.value: len(e) for k, e in graph.edges.items()},
-        "warnings": list(graph.warnings),
+        "warnings": list(graph.warnings[0]),
     }
     print(json.dumps(summary, sort_keys=True))
     if args.dump:
@@ -408,6 +408,8 @@ def _cmd_train(args, cfg: RunConfig) -> int:
 
 def _cmd_predict(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
+    if not records:
+        raise ValidationError("no records to predict")
     model = load_model(args.checkpoint)
     # packs of one (graphs over the edge budget) share a receptor's pp work
     cache = ReceptorCache()
@@ -415,7 +417,7 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
     for run, pack in edge_budget_packs(records, lambda rec: build_graph(rec, model.cutoffs)):
         # a generator, so that no name keeps a graph alive past `del pack`
         sys.stderr.writelines(f"warning: {rec.complex_id}: {w}\n"
-                              for rec, graph in zip(run, pack.graphs) for w in graph.warnings)
+                              for rec, ws in zip(run, pack.warnings) for w in ws)
         fps = morgan_fingerprints([rec.ligand for rec in run], nbits=model.cfg.fingerprint_width)
         preds = forward(pack, fps, model.params, model.cfg, cache=cache).data
         rows += [[rec.complex_id, repr(float(p))] for rec, p in zip(run, preds)]

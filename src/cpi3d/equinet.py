@@ -28,8 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericalError
-from .geograph import (CutoffConfig, EdgeKind, GraphPack, HeteroGraph, LIGAND_FEATURE_DIM,
-                       RESIDUE_FEATURE_DIM, rbf_embed)
+from .geograph import (CutoffConfig, EdgeKind, GraphPack, LIGAND_FEATURE_DIM,
+                       RESIDUE_FEATURE_DIM, edge_geometry, rbf_embed)
 from .so3 import allowed_paths, coupling_matrix, sh_slice, spherical_harmonics_batch
 
 EDGE_KIND_ORDER = (EdgeKind.CC, EdgeKind.PP, EdgeKind.PC)
@@ -113,11 +113,11 @@ class ModelConfig:
 
 class ParameterStore:
     """Named float64 tensors; insertion order is the init order, which is
-    deterministic for a fixed config and seed."""
+    deterministic for a fixed config and seed. A tensor is trainable if
+    it requires a gradient."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, array: np.ndarray, trainable: bool = True) -> Tensor:
         if name in self._tensors:
@@ -127,7 +127,6 @@ class ParameterStore:
             raise ConfigError(f"{name!r}: non-finite entries")
         t = Tensor(arr, requires_grad=trainable)
         self._tensors[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -137,10 +136,10 @@ class ParameterStore:
         return list(self._tensors)
 
     def trainable_names(self) -> list[str]:
-        return [n for n, flag in self._trainable.items() if flag]
+        return [n for n, t in self._tensors.items() if t.requires_grad]
 
     def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
+        return self._tensors[name].requires_grad
 
     def tensors(self, names=None) -> list[Tensor]:
         return [self._tensors[n] for n in (names or self.names())]
@@ -482,8 +481,9 @@ def _edge_tensors(pack: GraphPack):
     """Per-kind constant edge arrays: indices, distances, harmonics."""
     out = {}
     for kind, es in pack.edges.items():
-        unit = es.r_vec / np.where(es.dist[:, None] > 1e-10, es.dist[:, None], 1.0)
-        out[kind] = (es.a, es.b, es.dist, spherical_harmonics_batch(unit))
+        r_vec, dist = edge_geometry(pack, es)
+        unit = r_vec / np.where(dist[:, None] > 1e-10, dist[:, None], 1.0)
+        out[kind] = (es.a, es.b, dist, spherical_harmonics_batch(unit))
     return out
 
 
@@ -511,9 +511,10 @@ class ReceptorCache:
         self.ref_sums: dict[int, dict[int, np.ndarray]] = {}
         self.recomputed: dict[int, int] = {}
 
-    def select(self, graph: HeteroGraph, params: ParameterStore):
-        """Keep the entry if `graph` holds its receptor, else empty it."""
-        key = (graph.residue_features.tobytes(), graph.positions[graph.n_ligand:].tobytes())
+    def select(self, pack: GraphPack, params: ParameterStore):
+        """Keep the entry if `pack`, a pack of one, holds its receptor,
+        else empty it."""
+        key = (pack.residue_features.tobytes(), pack.positions[pack.n_ligand:].tobytes())
         if key != self._key or params is not self._params:
             self._key, self._params = key, params
             self.gates, self.ref_rows, self.ref_sums = {}, {}, {}
@@ -638,7 +639,7 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
         if training or edge_override:
             raise ConfigError("the receptor cache serves inference forwards only")
         if pack.n_graphs == 1:
-            cache.select(pack.graphs[0], params)
+            cache.select(pack, params)
         else:
             cache = None
     layout = cfg.layout
@@ -679,7 +680,7 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
             gates = (dist, pack.cutoffs, h0_scalars, psi_weights)
             if cache is not None and kind is EdgeKind.PP:
                 sums = _cached_pp_sums(cache, layer, live, gates, tp_weights, paths, h,
-                                       (a_idx, b_idx, dist, sh), pack.graphs[0].n_ligand)
+                                       (a_idx, b_idx, dist, sh), pack.n_ligand)
             else:
                 sums = _stage_sums(h, live, (a_idx, b_idx, dist, sh), gates, tp_weights, paths)
             degree = np.maximum(np.bincount(a_idx, minlength=n), 1.0).reshape(-1, 1, 1)

@@ -1,10 +1,12 @@
 """Heterogeneous radius graphs over ligand atoms and protein residues.
 
 Nodes are ligand heavy atoms and residue alpha carbons; undirected pairs
-within a type-dependent cutoff become two directed edges carrying the
-relative vector and the distance. The Gaussian radial-basis embedding of
-the distance is not stored: the edge network computes it per block of
-edges (`rbf_embed`), from the cutoffs the graph records.
+within a type-dependent cutoff become two directed edges. Nodes hold the
+positions and edges only their endpoints: an edge's relative vector and
+distance are derived from the positions (`edge_geometry`), and the
+Gaussian radial-basis embedding of the distance is computed per block of
+edges by the edge network (`rbf_embed`), from the cutoffs the graph
+records.
 """
 
 from __future__ import annotations
@@ -92,40 +94,19 @@ def rbf_embed(dist, cfg: CutoffConfig) -> ad.Tensor:
 
 @dataclass(frozen=True)
 class EdgeSet:
-    """Directed edges of one kind, sorted by (destination, source)."""
-    kind: EdgeKind
+    """Directed edges of one kind, sorted by (destination, source). Their
+    vectors and lengths follow from the node positions (`edge_geometry`)."""
     a: np.ndarray       # destination node indices
     b: np.ndarray       # source node indices
-    r_vec: np.ndarray   # position[b] - position[a], shape (n, 3)
-    dist: np.ndarray    # shape (n,)
 
     def __len__(self):
         return len(self.a)
 
 
 @dataclass(frozen=True)
-class HeteroGraph:
-    n_ligand: int
-    n_residue: int
-    positions: np.ndarray          # (n_nodes, 3), ligand atoms first
-    kinds: np.ndarray              # (n_nodes,), NodeKind values
-    ligand_features: np.ndarray    # (n_ligand, LIGAND_FEATURE_DIM)
-    residue_features: np.ndarray   # (n_residue, RESIDUE_FEATURE_DIM)
-    edges: dict[EdgeKind, EdgeSet]
-    cutoffs: CutoffConfig          # the cutoffs and RBF settings it was built with
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_ligand + self.n_residue
-
-    def edge_count(self) -> int:
-        return sum(len(e) for e in self.edges.values())
-
-
-@dataclass(frozen=True)
 class GraphPack:
-    """Disjoint union of complex graphs, the unit of one batched forward.
+    """Disjoint union of complex graphs, the unit of one batched forward;
+    `build_pair_graph` returns a pack of one.
 
     Graphs are joined in order, each graph's ligand atoms then its
     residues, so every graph's nodes form one contiguous run. Edge indices
@@ -133,64 +114,80 @@ class GraphPack:
     order: each kind stays sorted by (destination, source), and every
     node's messages are summed in the order of its own graph.
     """
-    graphs: tuple[HeteroGraph, ...]
     node_graph: np.ndarray         # (n_nodes,) index of each node's graph
     kinds: np.ndarray              # (n_nodes,) NodeKind values
+    positions: np.ndarray          # (n_nodes, 3)
     ligand_features: np.ndarray    # every graph's ligand rows, in graph order
     residue_features: np.ndarray   # every graph's residue rows, in graph order
     feature_rows: np.ndarray       # (n_nodes,) each node's row in ligand rows + residue rows
     edges: dict[EdgeKind, EdgeSet]
     cutoffs: CutoffConfig          # shared by every graph
+    warnings: tuple[tuple[str, ...], ...]  # one tuple per graph
 
     @property
     def n_graphs(self) -> int:
-        return len(self.graphs)
+        return len(self.warnings)
 
     @property
     def n_nodes(self) -> int:
         return len(self.kinds)
 
+    @property
+    def n_ligand(self) -> int:
+        return len(self.ligand_features)
 
-def _join(parts: list[np.ndarray], shifts=None) -> np.ndarray:
-    """Concatenate the graphs' arrays, each shifted by its graph's node
-    offset if `shifts` is given; a pack of one shares its graph's arrays."""
-    if len(parts) == 1:
-        return parts[0]
-    if shifts is not None:
-        parts = [p + shift for p, shift in zip(parts, shifts)]
-    return np.concatenate(parts)
+    @property
+    def n_residue(self) -> int:
+        return len(self.residue_features)
+
+    def edge_count(self) -> int:
+        return sum(len(e) for e in self.edges.values())
 
 
-def pack_graphs(graphs) -> GraphPack:
-    """Join graphs into one `GraphPack`; a single graph is a pack of one.
-    The graphs must share their cutoffs."""
-    graphs = tuple(graphs)
-    if not graphs:
+def pack_graphs(packs) -> GraphPack:
+    """Join packs into one `GraphPack`; a single pack is returned as it
+    is. The packs must share their cutoffs."""
+    packs = tuple(packs)
+    if not packs:
         raise ValidationError("cannot pack zero graphs")
-    cutoffs = graphs[0].cutoffs
-    if any(g.cutoffs != cutoffs for g in graphs[1:]):
+    if len(packs) == 1:
+        return packs[0]
+    cutoffs = packs[0].cutoffs
+    if any(p.cutoffs != cutoffs for p in packs[1:]):
         raise ValidationError("cannot pack graphs built with different cutoffs")
-    sizes = [g.n_nodes for g in graphs]
-    offsets = np.cumsum([0] + sizes[:-1])
-    kinds = _join([g.kinds for g in graphs])
+    offsets = np.cumsum([0] + [p.n_nodes for p in packs[:-1]])
+    graph_offsets = np.cumsum([0] + [p.n_graphs for p in packs[:-1]])
+    kinds = np.concatenate([p.kinds for p in packs])
     is_ligand = kinds == NodeKind.LIGAND_ATOM
     n_ligand = int(is_ligand.sum())
     feature_rows = np.empty(len(kinds), dtype=np.intp)
     feature_rows[is_ligand] = np.arange(n_ligand)
     feature_rows[~is_ligand] = n_ligand + np.arange(len(kinds) - n_ligand)
     edges = {}
-    for kind in graphs[0].edges:
-        sets = [g.edges[kind] for g in graphs]
-        edges[kind] = EdgeSet(
-            kind=kind,
-            a=_join([es.a for es in sets], offsets), b=_join([es.b for es in sets], offsets),
-            r_vec=_join([es.r_vec for es in sets]), dist=_join([es.dist for es in sets]))
+    for kind in packs[0].edges:
+        sets = [p.edges[kind] for p in packs]
+        edges[kind] = EdgeSet(a=np.concatenate([es.a + o for es, o in zip(sets, offsets)]),
+                              b=np.concatenate([es.b + o for es, o in zip(sets, offsets)]))
     return GraphPack(
-        graphs=graphs, node_graph=np.repeat(np.arange(len(graphs)), sizes), kinds=kinds,
-        ligand_features=_join([g.ligand_features for g in graphs]),
-        residue_features=_join([g.residue_features for g in graphs]),
+        node_graph=np.concatenate([p.node_graph + o for p, o in zip(packs, graph_offsets)]),
+        kinds=kinds, positions=np.concatenate([p.positions for p in packs]),
+        ligand_features=np.concatenate([p.ligand_features for p in packs]),
+        residue_features=np.concatenate([p.residue_features for p in packs]),
         feature_rows=feature_rows, edges=edges, cutoffs=cutoffs,
+        warnings=tuple(ws for p in packs for ws in p.warnings),
     )
+
+
+def edge_lengths(delta: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the vectors along the last axis of `delta`."""
+    return np.sqrt(np.sum(delta * delta, axis=-1))
+
+
+def edge_geometry(pack: GraphPack, es: EdgeSet):
+    """(positions[b] - positions[a], its length) of each edge of `es`, a
+    kind of `pack`'s edges: the bits `neighbor_pairs` measured it with."""
+    r_vec = pack.positions[es.b] - pack.positions[es.a]
+    return r_vec, edge_lengths(r_vec)
 
 
 def edge_budget_packs(items, build):
@@ -255,7 +252,7 @@ def neighbor_pairs(a_pos, b_pos, cutoff: float):
     `b_pos` in its 27 surrounding cubes. Memory grows with the number of
     candidate pairs, not with len(a_pos) * len(b_pos).
 
-    Each distance is sqrt(sum((b_pos[j] - a_pos[i])**2)) evaluated exactly
+    Each distance is `edge_lengths(b_pos[j] - a_pos[i])`, evaluated exactly
     as a dense (len(a_pos), len(b_pos)) block would evaluate it, so the
     `<=` test and any later test or sum over the returned distances agree
     bit for bit with the dense computation. A set searched against itself
@@ -293,8 +290,7 @@ def neighbor_pairs(a_pos, b_pos, cutoff: float):
     slot = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
     j = b_order[slot]
 
-    delta = np.take(b, j, axis=0) - np.take(a, i, axis=0)
-    dist = np.sqrt(np.sum(delta * delta, axis=-1))
+    dist = edge_lengths(np.take(b, j, axis=0) - np.take(a, i, axis=0))
     keep = dist <= cutoff
     i, j, dist = i[keep], j[keep], dist[keep]
     # i is already ascending, so the stable sort only orders j within each i
@@ -303,8 +299,8 @@ def neighbor_pairs(a_pos, b_pos, cutoff: float):
 
 
 def build_pair_graph(ligand: LigandMolecule, protein: ProteinStructure,
-                     cfg: CutoffConfig) -> HeteroGraph:
-    """Radius graph over one ligand pose and one protein.
+                     cfg: CutoffConfig) -> GraphPack:
+    """Radius graph over one ligand pose and one protein, as a pack of one.
 
     Node order is all ligand atoms then all residues. Each undirected pair
     within the cutoff for its kind yields two directed edges; a graph with
@@ -322,66 +318,64 @@ def build_pair_graph(ligand: LigandMolecule, protein: ProteinStructure,
         np.full(nr, NodeKind.RESIDUE, dtype=np.int64),
     ])
 
-    cc_a, cc_b, cc_d = neighbor_pairs(lig_pos, lig_pos, cfg.cc)
-    lr_a, lr_b, lr_d = neighbor_pairs(lig_pos, res_pos, cfg.pc)
-    rl_a, rl_b, rl_d = neighbor_pairs(res_pos, lig_pos, cfg.pc)
-    pp_a, pp_b, pp_d = neighbor_pairs(res_pos, res_pos, cfg.pp)
+    cc_a, cc_b, _ = neighbor_pairs(lig_pos, lig_pos, cfg.cc)
+    lr_a, lr_b, _ = neighbor_pairs(lig_pos, res_pos, cfg.pc)
+    rl_a, rl_b, _ = neighbor_pairs(res_pos, lig_pos, cfg.pc)
+    pp_a, pp_b, _ = neighbor_pairs(res_pos, res_pos, cfg.pp)
     cc_keep, pp_keep = cc_a != cc_b, pp_a != pp_b
-    found = {
-        EdgeKind.CC: (cc_a[cc_keep], cc_b[cc_keep], cc_d[cc_keep]),
-        EdgeKind.PC: (np.concatenate([lr_a, nl + rl_a]), np.concatenate([nl + lr_b, rl_b]),
-                      np.concatenate([lr_d, rl_d])),
-        EdgeKind.PP: (nl + pp_a[pp_keep], nl + pp_b[pp_keep], pp_d[pp_keep]),
+    edges = {
+        EdgeKind.CC: EdgeSet(a=cc_a[cc_keep], b=cc_b[cc_keep]),
+        EdgeKind.PC: EdgeSet(a=np.concatenate([lr_a, nl + rl_a]),
+                             b=np.concatenate([nl + lr_b, rl_b])),
+        EdgeKind.PP: EdgeSet(a=nl + pp_a[pp_keep], b=nl + pp_b[pp_keep]),
     }
-
-    edges: dict[EdgeKind, EdgeSet] = {}
-    for kind, (a_idx, b_idx, dist) in found.items():
-        r_vec = positions[b_idx] - positions[a_idx]
-        edges[kind] = EdgeSet(kind=kind, a=a_idx, b=b_idx, r_vec=r_vec, dist=dist)
 
     warnings = ()
     if len(edges[EdgeKind.PC]) == 0:
         warnings = ("ligand outside pocket: no ligand-protein edges within "
                     f"{cfg.pc} A",)
 
-    return HeteroGraph(
-        n_ligand=nl, n_residue=nr, positions=positions, kinds=kinds,
+    return GraphPack(
+        node_graph=np.zeros(nl + nr, dtype=np.intp), kinds=kinds, positions=positions,
         ligand_features=ligand_atom_features(ligand),
         residue_features=residue_node_features(protein),
-        edges=edges, cutoffs=cfg, warnings=warnings,
+        feature_rows=np.arange(nl + nr), edges=edges, cutoffs=cfg, warnings=(warnings,),
     )
 
 
-def build_graph(record: ComplexRecord, cfg: CutoffConfig) -> HeteroGraph:
+def build_graph(record: ComplexRecord, cfg: CutoffConfig) -> GraphPack:
     """Graph for a complex record's ligand (its first pose)."""
     return build_pair_graph(record.ligand, record.protein, cfg)
 
 
-def graph_to_json(graph: HeteroGraph) -> str:
+def graph_to_json(pack: GraphPack) -> str:
     """Debug dump of nodes, edges, and attributes as stable-key JSON; each
-    edge's `rbf` list is its distance's embedding."""
-    doc = {
-        "n_ligand": graph.n_ligand,
-        "n_residue": graph.n_residue,
-        "warnings": list(graph.warnings),
-        "nodes": [
-            {
-                "index": i,
-                "kind": "LIGAND_ATOM" if graph.kinds[i] == NodeKind.LIGAND_ATOM else "RESIDUE",
-                "position": [round(float(x), 6) for x in graph.positions[i]],
-            }
-            for i in range(graph.n_nodes)
-        ],
-        "edges": [
+    edge's `r_vec`, `dist` and `rbf` come from `edge_geometry` and the
+    distance's embedding."""
+    edges = []
+    for kind, es in sorted(pack.edges.items(), key=lambda kv: kv[0].value):
+        r_vec, dist = edge_geometry(pack, es)
+        edges += [
             {
                 "a": int(a), "b": int(b), "kind": kind.value,
                 "dist": round(float(d), 6),
                 "r_vec": [round(float(x), 6) for x in rv],
                 "rbf": [round(float(x), 6) for x in r],
             }
-            for kind, es in sorted(graph.edges.items(), key=lambda kv: kv[0].value)
-            for a, b, rv, d, r in zip(es.a, es.b, es.r_vec, es.dist,
-                                      rbf_embed(es.dist, graph.cutoffs).data)
+            for a, b, rv, d, r in zip(es.a, es.b, r_vec, dist, rbf_embed(dist, pack.cutoffs).data)
+        ]
+    doc = {
+        "n_ligand": pack.n_ligand,
+        "n_residue": pack.n_residue,
+        "warnings": [w for ws in pack.warnings for w in ws],
+        "nodes": [
+            {
+                "index": i,
+                "kind": "LIGAND_ATOM" if pack.kinds[i] == NodeKind.LIGAND_ATOM else "RESIDUE",
+                "position": [round(float(x), 6) for x in pack.positions[i]],
+            }
+            for i in range(pack.n_nodes)
         ],
+        "edges": edges,
     }
     return json.dumps(doc, sort_keys=True, indent=2)

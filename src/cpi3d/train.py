@@ -134,11 +134,11 @@ def batch_gradients(graphs, fps, labels, batch, params: ParameterStore, model_cf
 
 
 def prepare_training_inputs(records, model_cfg: ModelConfig, cutoffs: CutoffConfig):
-    """Graphs and fingerprints are static per record; build them once.
-    Each graph warning goes to stderr as `warning: <complex_id>: ...`."""
+    """Graphs (packs of one) and fingerprints are static per record; build
+    them once. Each graph warning goes to stderr as `warning: <complex_id>: ...`."""
     graphs = [build_graph(rec, cutoffs) for rec in records]
     sys.stderr.writelines(f"warning: {rec.complex_id}: {w}\n"
-                          for rec, graph in zip(records, graphs) for w in graph.warnings)
+                          for rec, graph in zip(records, graphs) for w in graph.warnings[0])
     fps = morgan_fingerprints([rec.ligand for rec in records], nbits=model_cfg.fingerprint_width)
     return graphs, fps
 

@@ -4,14 +4,13 @@ import pytest
 from cpi3d import autodiff as ad
 from cpi3d.chemio import Atom, LigandMolecule, ProteinStructure, Residue
 from cpi3d.equinet import forward
-from cpi3d.geograph import pack_graphs
 
 
 def forward_one(graph, fp, params, cfg, **kwargs):
-    """`forward` of one graph: a pack of one with its bit row as a
-    (1, width) matrix, the prediction as a scalar, and with
+    """`forward` of one graph (a pack of one) with its bit row as a
+    (1, width) matrix: the prediction as a scalar, and with
     `return_features` the features too."""
-    out = forward(pack_graphs([graph]), fp.reshape(1, -1), params, cfg, **kwargs)
+    out = forward(graph, fp.reshape(1, -1), params, cfg, **kwargs)
     if kwargs.get("return_features"):
         return ad.reshape(out[0], ()), out[1]
     return ad.reshape(out, ())

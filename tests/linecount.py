@@ -1,14 +1,18 @@
 """Count the lines of Python source that hold code.
 
     python3 tests/linecount.py src/cpi3d/*.py
+    python3 tests/linecount.py src
 
 A line holds code when some token on it is neither a comment nor part of a
 docstring, so blank lines, comment lines and docstring lines are left out.
-Prints the total over the files given.
+Prints the total over the files given; a directory stands for every `*.py`
+file under it.
 """
 
 import ast
+import glob
 import io
+import os
 import sys
 import tokenize
 
@@ -36,9 +40,17 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-if __name__ == "__main__":
+def total_code_lines(paths) -> int:
+    """Code lines summed over `paths`, each a file or a directory."""
     total = 0
-    for path in sys.argv[1:]:
-        with open(path, encoding="utf-8") as fh:
-            total += code_lines(fh.read())
-    print(total)
+    for path in paths:
+        files = (sorted(glob.glob(os.path.join(path, "**", "*.py"), recursive=True))
+                 if os.path.isdir(path) else [path])
+        for name in files:
+            with open(name, encoding="utf-8") as fh:
+                total += code_lines(fh.read())
+    return total
+
+
+if __name__ == "__main__":
+    print(total_code_lines(sys.argv[1:]))

@@ -300,6 +300,16 @@ def test_split_of_a_manifest_with_no_data_rows_exits_one(tmp_path, capsys):
     assert not (tmp_path / "splits.json").exists()
 
 
+def test_predict_of_a_manifest_with_no_data_rows_exits_one(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("complex_id,ligand_sdf,protein_pdb,ec50_nm,is_active\n")
+    _tiny_checkpoint(tmp_path / "model.eqcp")
+    assert main(["predict", "--manifest", str(manifest), "--checkpoint",
+                 str(tmp_path / "model.eqcp"), "--out", str(tmp_path / "pred.csv")]) == 1
+    assert capsys.readouterr().err == "error: no records to predict\n"
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def test_split_reads_a_manifest_with_a_byte_order_mark(tmp_path, capsys):
     records = clustered_records(n_families=3, family_size=2, seed=13)
     manifest = write_manifest(records, str(tmp_path / "lib"))

@@ -840,7 +840,7 @@ def test_cache_matches_forward_for_an_out_of_pocket_ligand(rng, receptor):
     params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
     inside = _screen(rng, receptor, (24,))
     outside = _screen(rng, receptor, (16,), center=(200.0, 0.0, 0.0))
-    assert outside[0][0].warnings and len(outside[0][0].edges[EdgeKind.PC]) == 0
+    assert outside[0][0].warnings[0] and len(outside[0][0].edges[EdgeKind.PC]) == 0
     _assert_cached_matches_forward(inside + outside + inside, params)
     _assert_cached_matches_forward(outside + inside, params)
 
@@ -1123,5 +1123,5 @@ def test_cached_forwards_hold_no_rbf_matrix(rng, receptor, monkeypatch):
     for graph, _ in items:
         held += [graph.positions, graph.kinds, graph.ligand_features, graph.residue_features]
         held += [getattr(es, f.name) for es in graph.edges.values()
-                 for f in dataclasses.fields(es) if f.name != "kind"]
+                 for f in dataclasses.fields(es)]
     assert all(a.shape[-1] != CACHE_CUT.rbf_k for a in held if a.ndim == 2)

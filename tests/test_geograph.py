@@ -17,6 +17,7 @@ from cpi3d.geograph import (
     RESIDUE_FEATURE_DIM,
     build_pair_graph,
     edge_budget_packs,
+    edge_geometry,
     graph_to_json,
     neighbor_pairs,
     pack_graphs,
@@ -91,19 +92,21 @@ def test_pc_edges_within_cutoff():
     graph = build_pair_graph(_single_atom([0, 0, 0]), _single_residue([0, 0, 5]),
                              CutoffConfig())
     pc = graph.edges[EdgeKind.PC]
+    r_vec, dist = edge_geometry(graph, pc)
     assert len(pc) == 2
-    np.testing.assert_allclose(pc.dist, [5.0, 5.0])
-    assert graph.warnings == ()
+    np.testing.assert_allclose(dist, [5.0, 5.0])
+    assert graph.warnings == ((),)
     # both directions present with opposite relative vectors
     assert {(int(a), int(b)) for a, b in zip(pc.a, pc.b)} == {(0, 1), (1, 0)}
-    np.testing.assert_allclose(pc.r_vec[0], -pc.r_vec[1])
+    np.testing.assert_allclose(r_vec[0], -r_vec[1])
 
 
 def test_out_of_pocket_warning():
     graph = build_pair_graph(_single_atom([0, 0, 0]), _single_residue([0, 0, 5]),
                              CutoffConfig(pc=4.0))
     assert len(graph.edges[EdgeKind.PC]) == 0
-    assert graph.warnings and "pocket" in graph.warnings[0]
+    (warnings,) = graph.warnings    # one tuple per graph of the pack
+    assert warnings and "pocket" in warnings[0]
 
 
 def test_cc_line_edges():
@@ -118,11 +121,11 @@ def test_cc_line_edges():
 def test_edge_dist_matches_rvec_norm(rng):
     rec = random_complex(rng, "g")
     graph = build_pair_graph(rec.ligand, rec.protein, CutoffConfig())
-    for es in graph.edges.values():
+    for kind, es in graph.edges.items():
         if len(es):
-            np.testing.assert_allclose(np.linalg.norm(es.r_vec, axis=1), es.dist,
-                                       atol=1e-9)
-            assert np.all(es.dist <= getattr(CutoffConfig(), es.kind.value) + 1e-12)
+            r_vec, dist = edge_geometry(graph, es)
+            np.testing.assert_allclose(np.linalg.norm(r_vec, axis=1), dist, atol=1e-9)
+            assert np.all(dist <= getattr(CutoffConfig(), kind.value) + 1e-12)
 
 
 def test_translation_leaves_edge_attributes(rng):
@@ -133,8 +136,11 @@ def test_translation_leaves_edge_attributes(rng):
     g1 = build_pair_graph(transform_ligand(rec.ligand, t=t),
                           transform_protein(rec.protein, t=t), cfg)
     for kind in EdgeKind:
-        np.testing.assert_allclose(g0.edges[kind].r_vec, g1.edges[kind].r_vec, atol=1e-12)
-        np.testing.assert_allclose(g0.edges[kind].dist, g1.edges[kind].dist, atol=1e-12)
+        np.testing.assert_array_equal(g0.edges[kind].a, g1.edges[kind].a)
+        np.testing.assert_array_equal(g0.edges[kind].b, g1.edges[kind].b)
+        (r0, d0), (r1, d1) = edge_geometry(g0, g0.edges[kind]), edge_geometry(g1, g1.edges[kind])
+        np.testing.assert_allclose(r0, r1, atol=1e-12)
+        np.testing.assert_allclose(d0, d1, atol=1e-12)
 
 
 def test_rotation_covariance(rng):
@@ -146,20 +152,21 @@ def test_rotation_covariance(rng):
                           transform_protein(rec.protein, R=R), cfg)
     for kind in EdgeKind:
         np.testing.assert_array_equal(g0.edges[kind].a, g1.edges[kind].a)
-        np.testing.assert_allclose(g1.edges[kind].r_vec,
-                                   g0.edges[kind].r_vec @ R.T, atol=1e-10)
-        np.testing.assert_allclose(g0.edges[kind].dist, g1.edges[kind].dist, atol=1e-10)
+        (r0, d0), (r1, d1) = edge_geometry(g0, g0.edges[kind]), edge_geometry(g1, g1.edges[kind])
+        np.testing.assert_allclose(r1, r0 @ R.T, atol=1e-10)
+        np.testing.assert_allclose(d0, d1, atol=1e-10)
 
 
 def test_edge_symmetry(rng):
     rec = random_complex(rng, "g")
     graph = build_pair_graph(rec.ligand, rec.protein, CutoffConfig())
     for es in graph.edges.values():
+        r_vec, dist = edge_geometry(graph, es)
         fwd = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(es.a, es.b))}
         for (a, b), i in fwd.items():
             j = fwd[(b, a)]
-            np.testing.assert_allclose(es.r_vec[i], -es.r_vec[j], atol=1e-12)
-            assert es.dist[i] == es.dist[j]
+            np.testing.assert_allclose(r_vec[i], -r_vec[j], atol=1e-12)
+            assert dist[i] == dist[j]
 
 
 def test_matches_brute_force_pair_scan(rng):
@@ -236,8 +243,37 @@ def test_edges_bit_identical_to_dense_block(rng):
         want = pair_graph_oracle(graph.positions, graph.kinds, cfg)
         for kind in EdgeKind:
             es = graph.edges[kind]
-            _assert_same_pairs((es.a, es.b, es.dist), want[kind.value])
-            np.testing.assert_array_equal(es.r_vec, graph.positions[es.b] - graph.positions[es.a])
+            r_vec, dist = edge_geometry(graph, es)
+            _assert_same_pairs((es.a, es.b, dist), want[kind.value])
+            np.testing.assert_array_equal(r_vec, graph.positions[es.b] - graph.positions[es.a])
+
+
+def test_edge_geometry_is_the_neighbour_search_geometry_bit_for_bit(rng):
+    """Each kind's edges, and each direction of the pc edges, measure the
+    same vectors and lengths as the `neighbor_pairs` search that found them."""
+    cfg = CutoffConfig()
+    rec = random_complex(rng, "g", n_atoms=12, n_residues=40)
+    graph = build_pair_graph(rec.ligand, rec.protein, cfg)
+    lig, res = graph.positions[:12], graph.positions[12:]
+    searches = {   # (destination set, source set, cutoff, offsets, self pairs dropped)
+        (EdgeKind.CC, True): (lig, lig, cfg.cc, (0, 0), True),
+        (EdgeKind.PC, True): (lig, res, cfg.pc, (0, 12), False),
+        (EdgeKind.PC, False): (res, lig, cfg.pc, (12, 0), False),
+        (EdgeKind.PP, False): (res, res, cfg.pp, (12, 12), True),
+    }
+    for (kind, into_ligand), (dst, src, cutoff, (da, db), drop_self) in searches.items():
+        es = graph.edges[kind]
+        r_vec, dist = edge_geometry(graph, es)
+        part = (es.a < 12) == into_ligand
+        i, j, want = neighbor_pairs(dst, src, cutoff)
+        keep = i != j if drop_self else np.ones(len(i), dtype=bool)
+        i, j, want = i[keep], j[keep], want[keep]
+        assert len(want) > 0
+        np.testing.assert_array_equal(es.a[part], da + i)
+        np.testing.assert_array_equal(es.b[part], db + j)
+        assert dist[part].tobytes() == want.tobytes()
+        assert r_vec[part].tobytes() == (src[j] - dst[i]).tobytes()
+        assert r_vec.tobytes() == (graph.positions[es.b] - graph.positions[es.a]).tobytes()
 
 
 def test_node_features_shapes_and_order(rng):
@@ -259,10 +295,16 @@ def test_graph_json_dump(rng):
     assert doc["n_ligand"] == 3 and doc["n_residue"] == 3
     assert len(doc["nodes"]) == 6
     assert len(doc["edges"]) == graph.edge_count()
-    # each edge's `rbf` list is its row of the whole-array embedding
+    # each edge's vector and distance are its `edge_geometry`, and its `rbf`
+    # list is its row of the whole-array embedding
     for kind, es in graph.edges.items():
-        rows = [e["rbf"] for e in doc["edges"] if e["kind"] == kind.value]
-        assert rows == [[round(float(x), 6) for x in r] for r in rbf_oracle(es.dist, graph.cutoffs)]
+        r_vec, dist = edge_geometry(graph, es)
+        got = [e for e in doc["edges"] if e["kind"] == kind.value]
+        assert [(e["a"], e["b"]) for e in got] == list(zip(es.a.tolist(), es.b.tolist()))
+        assert [e["dist"] for e in got] == [round(float(d), 6) for d in dist]
+        assert [e["r_vec"] for e in got] == [[round(float(x), 6) for x in rv] for rv in r_vec]
+        assert [e["rbf"] for e in got] == [[round(float(x), 6) for x in r]
+                                           for r in rbf_oracle(dist, graph.cutoffs)]
 
 
 def test_cutoff_config_validation():
@@ -286,10 +328,13 @@ def test_pack_layout(rng):
         random_complex(rng, "c", n_atoms=6, n_residues=1))]
     pack = pack_graphs(graphs)
     assert pack.n_graphs == 3 and pack.n_nodes == 7 + 6 + 7
+    assert pack.n_ligand == 3 + 1 + 6 and pack.n_residue == 4 + 5 + 1
+    assert pack.warnings == tuple(w for g in graphs for w in g.warnings)
     offsets = [0, 7, 13]
     # graph by graph: each graph's ligand atoms, then its residues
     np.testing.assert_array_equal(pack.node_graph, np.repeat([0, 1, 2], [7, 6, 7]))
     np.testing.assert_array_equal(pack.kinds, np.concatenate([g.kinds for g in graphs]))
+    np.testing.assert_array_equal(pack.positions, np.concatenate([g.positions for g in graphs]))
     is_ligand = pack.kinds == 0
     n_ligand = len(pack.ligand_features)
     np.testing.assert_array_equal(pack.ligand_features[pack.feature_rows[is_ligand]],
@@ -302,34 +347,44 @@ def test_pack_layout(rng):
             es.a, np.concatenate([g.edges[kind].a + o for g, o in zip(graphs, offsets)]))
         np.testing.assert_array_equal(
             es.b, np.concatenate([g.edges[kind].b + o for g, o in zip(graphs, offsets)]))
-        np.testing.assert_array_equal(es.dist, np.concatenate([g.edges[kind].dist for g in graphs]))
+        # each edge keeps its graph's vector and distance, bit for bit
+        for got, want in zip(edge_geometry(pack, es),
+                             zip(*(edge_geometry(g, g.edges[kind]) for g in graphs))):
+            assert got.tobytes() == np.concatenate(want).tobytes()
         # still sorted by (destination, source), and no edge crosses graphs
         key = es.a * pack.n_nodes + es.b
         assert np.all(np.diff(key) > 0)
         np.testing.assert_array_equal(pack.node_graph[es.a], pack.node_graph[es.b])
     assert len(pack.edges[EdgeKind.CC]) == len(graphs[0].edges[EdgeKind.CC]) \
         + len(graphs[2].edges[EdgeKind.CC])
+    # packs join like graphs: a pack of packs is the pack of their graphs
+    nested = pack_graphs([pack_graphs(graphs[:2]), graphs[2]])
+    for f in dataclasses.fields(pack):
+        if isinstance(getattr(pack, f.name), np.ndarray):
+            np.testing.assert_array_equal(getattr(nested, f.name), getattr(pack, f.name))
+    for kind in EdgeKind:
+        np.testing.assert_array_equal(nested.edges[kind].a, pack.edges[kind].a)
+        np.testing.assert_array_equal(nested.edges[kind].b, pack.edges[kind].b)
+    assert nested.warnings == pack.warnings
 
 
 def test_pack_of_one_shares_the_graph_arrays(rng):
     rec = random_complex(rng, "one", n_atoms=4, n_residues=5)
     graph = build_pair_graph(rec.ligand, rec.protein, CutoffConfig())
-    pack = pack_graphs([graph])
-    np.testing.assert_array_equal(pack.feature_rows, np.arange(graph.n_nodes))
-    for kind, es in graph.edges.items():
-        assert all(getattr(pack.edges[kind], f) is getattr(es, f)
-                   for f in ("a", "b", "r_vec", "dist"))
-    assert pack.cutoffs is graph.cutoffs
+    assert pack_graphs([graph]) is graph
+    assert graph.n_graphs == 1 and graph.n_ligand == 4 and graph.n_residue == 5
+    np.testing.assert_array_equal(graph.node_graph, np.zeros(graph.n_nodes))
+    np.testing.assert_array_equal(graph.feature_rows, np.arange(graph.n_nodes))
     with pytest.raises(ValidationError):
         pack_graphs([])
 
 
-def test_graphs_hold_distances_and_their_cutoffs_not_rbf_rows(rng):
+def test_graphs_hold_positions_and_their_cutoffs_not_edge_geometry(rng):
     cut = CutoffConfig(rbf_k=6)
     rec = random_complex(rng, "g", n_atoms=4, n_residues=5)
     graph = build_pair_graph(rec.ligand, rec.protein, cut)
-    assert [f.name for f in dataclasses.fields(geograph.EdgeSet)] == [
-        "kind", "a", "b", "r_vec", "dist"]
+    assert [f.name for f in dataclasses.fields(geograph.EdgeSet)] == ["a", "b"]
+    assert graph.positions.shape == (graph.n_nodes, 3)
     assert graph.cutoffs is cut
     other = build_pair_graph(rec.ligand, rec.protein, CutoffConfig(rbf_k=8))
     with pytest.raises(ValidationError, match="^cannot pack graphs built with different cutoffs$"):
@@ -362,7 +417,9 @@ def test_edge_budget_packs_build_lazily(rng, monkeypatch):
 
     runs = []
     for run, pack in edge_budget_packs(range(len(records)), build):
-        assert [g.edge_count() for g in pack.graphs] == [edges[i] for i in run]
+        per_graph = sum(np.bincount(pack.node_graph[es.a], minlength=pack.n_graphs)
+                        for es in pack.edges.values())
+        assert per_graph.tolist() == [edges[i] for i in run]
         assert built[-1] <= run[-1] + (edges[run[-1]] <= budget)
         runs.append(run)
         del pack
@@ -370,18 +427,19 @@ def test_edge_budget_packs_build_lazily(rng, monkeypatch):
 
 
 def graph_held_mb(n_residues: int = 300) -> float:
-    """MB held by the arrays of one graph at the default cutoffs: a
-    32-atom ligand in the pocket of an `n_residues`-residue receptor
-    (`conftest.lattice_receptor`)."""
+    """MB held by the arrays of one graph (a pack of one) at the default
+    cutoffs: a 32-atom ligand in the pocket of an `n_residues`-residue
+    receptor (`conftest.lattice_receptor`)."""
     rng = np.random.default_rng(0)
     graph = build_pair_graph(random_ligand(rng, n_atoms=32), lattice_receptor(rng, n_residues),
                              CutoffConfig())
-    arrays = [graph.positions, graph.kinds, graph.ligand_features, graph.residue_features]
-    arrays += [getattr(es, f.name) for es in graph.edges.values()
-               for f in dataclasses.fields(es) if f.name != "kind"]
+    arrays = [getattr(graph, f.name) for f in dataclasses.fields(graph)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    arrays += [getattr(es, f.name) for es in graph.edges.values() for f in dataclasses.fields(es)]
     return sum(a.nbytes for a in arrays) / 2 ** 20
 
 
-def test_a_300_residue_graph_holds_about_1_mb():
-    # 5.6 MB while each edge also held its 32 float64 RBF components
-    assert graph_held_mb() < 1.2
+def test_a_300_residue_graph_holds_under_half_a_mb():
+    # 5.6 MB while each edge also held its 32 float64 RBF components, and
+    # 0.92 MB while it held its kind, vector and distance
+    assert graph_held_mb() < 0.45
