@@ -4,8 +4,10 @@ Operations executed inside a `with Tape() as tape:` block are recorded in
 order; `tape.gradient(loss, sources)` seeds the scalar loss with adjoint 1
 and replays the recorded adjoint functions in exact reverse order. Outside
 a tape, the same ops run as plain numpy with no recording overhead. All
-arithmetic is float64. `checkpoint(fn, *inputs)` records a whole function
-as one op that saves only its inputs and reruns `fn` in backward.
+arithmetic is float64. `custom_adjoint(fn, adjoint, *inputs)` records a
+whole function as one op that saves only its inputs; its backward is one
+call of a written-out `adjoint` in plain numpy, which recomputes what it
+needs from those inputs, with no tape and no rerun of `fn`.
 
 Every primitive records by one rule: it hands `_op` its value and, only
 under a tape, one rule `(input, adjoint, *saved)` per input; the input's
@@ -15,6 +17,8 @@ every recorded output gets. A tracked tensor's adjoint lives in its
 `_Slot`, and the tape's records and rules hold slots, not tensors. So the
 tape keeps alive only the arrays that some rule saves: an op output that
 no rule saves is freed as soon as user code drops it, under a tape too.
+A slot takes over an adjoint that its rule built, and copies one that is
+shared (`_accumulate`).
 """
 
 from __future__ import annotations
@@ -64,28 +68,18 @@ class Tape:
         self._consumed = True
         if loss.data.size != 1:
             raise ConfigError(f"loss must be scalar, got shape {loss.data.shape}")
-        seed = (loss._slot or _Slot(loss.shape), np.ones_like(loss.data))
-        return _sweep(self._records, [seed], list(sources))
-
-
-def _sweep(records, seeds: list, sources: list) -> list[np.ndarray]:
-    """The reverse sweep: seed each `(slot, g)` of `seeds` with adjoint `g`,
-    replay `records` in reverse, and return the adjoints of `sources`
-    (zeros where unreached). It empties `seeds` once they are seeded, so
-    the caller's seed arrays are not held through the sweep."""
-    keep = {s._slot for s in sources}
-    _EPOCH[0] += 1
-    epoch = _EPOCH[0]
-    for slot, g in seeds:
-        _accumulate(slot, g, epoch)
-    seeds.clear()
-    for slot, backward in reversed(records):
-        if slot.epoch == epoch:
-            backward(slot.grad, epoch)
-            if slot not in keep:
-                slot.grad = None
-    return [s._slot.grad if s._slot is not None and s._slot.epoch == epoch
-            else np.zeros_like(s.data) for s in sources]
+        sources = list(sources)
+        keep = {s._slot for s in sources}
+        _EPOCH[0] += 1
+        epoch = _EPOCH[0]
+        _accumulate(loss._slot or _Slot(loss.shape), np.ones_like(loss.data), epoch, True)
+        for slot, backward in reversed(self._records):
+            if slot.epoch == epoch:
+                backward(slot.grad, epoch)
+                if slot not in keep:
+                    slot.grad = None
+        return [s._slot.grad if s._slot is not None and s._slot.epoch == epoch
+                else np.zeros_like(s.data) for s in sources]
 
 
 class _Slot:
@@ -100,10 +94,18 @@ class _Slot:
         self.shape = shape
 
 
-def _accumulate(slot: _Slot, g: np.ndarray, epoch: int):
+def _accumulate(slot: _Slot, g, epoch: int, built: bool):
+    """Add `g` to the slot's adjoint. The first adjoint of a sweep becomes
+    the slot's own: `g` itself when the rule `built` it (it is not the
+    rule's incoming adjoint) and it is a writeable float64 array that owns
+    its data, else a copy, so that a later `+=` cannot reach an array that
+    another slot, a saved operand or a view's base shares."""
     if slot.epoch != epoch:
         slot.epoch = epoch
-        slot.grad = np.array(g, dtype=np.float64, copy=True)
+        if not (built and isinstance(g, np.ndarray) and g.dtype == np.float64
+                and g.flags.owndata and g.flags.writeable):
+            g = np.array(g, dtype=np.float64, copy=True)
+        slot.grad = g
     else:
         slot.grad += g
 
@@ -165,7 +167,8 @@ class _Rules(list):
 
     def __call__(self, g, epoch):
         for slot, adjoint, *saved in self:
-            _accumulate(slot, _unbroadcast(adjoint(g, *saved), slot.shape), epoch)
+            a = _unbroadcast(adjoint(g, *saved), slot.shape)
+            _accumulate(slot, a, epoch, a is not g)
 
 
 def _op(value, rules) -> Tensor:
@@ -434,80 +437,64 @@ def einsum(subscripts: str, *operands) -> Tensor:
     return _op(np.einsum(subscripts, *datas), rules)
 
 
-class _Replay:
-    """The backward of one `checkpoint` call. The first of its rules to run
-    reruns `fn` on fresh inputs under a fresh tape and sweeps that tape
-    from the outputs' adjoints; it keeps the other tracked inputs' adjoints
-    until their rules take them, and the last rule frees `fn` and the saved
-    inputs. Each output's adjoint reaches the rerun through `seed`."""
+class _Adjoint:
+    """The backward of one `custom_adjoint` call. Each output's rule keeps
+    that output's adjoint; the first input rule to run calls `adjoint`
+    once and keeps the tracked inputs' adjoints until their rules take
+    them, and the last rule frees `adjoint` and the saved input arrays."""
 
-    __slots__ = ("fn", "datas", "tracked", "grads", "seeds")
+    __slots__ = ("adjoint", "datas", "tracked", "grads", "seeds")
 
-    def __init__(self, fn, inputs, n_out: int):
-        self.fn = fn
+    def __init__(self, adjoint, inputs, n_out: int):
+        self.adjoint = adjoint
         self.datas = [_data(x) for x in inputs]
         self.tracked = [isinstance(x, Tensor) and x.requires_grad for x in inputs]
         self.grads: dict[int, np.ndarray] | None = None
         self.seeds: list = [None] * n_out
 
     def seed(self, g, i):
-        """Keep output `i`'s adjoint for the rerun; the op's joint record
+        """Keep output `i`'s adjoint for `adjoint`; the op's joint record
         gets a zero."""
         self.seeds[i] = g
         return np.zeros(())
 
-    def adjoint(self, g, k):
+    def take(self, g, k):
         if self.grads is None:
-            inputs = [Tensor(d, requires_grad=t) for d, t in zip(self.datas, self.tracked)]
-            tape = Tape()
-            outer, _ACTIVE[:] = _ACTIVE[:], [tape]
-            try:
-                seeds = [(as_tensor(o)._slot or _Slot(np.shape(o)), s)
-                         for o, s in zip(self.fn(*inputs), self.seeds) if s is not None]
-            finally:
-                _ACTIVE[:] = outer
-            _check_closure(tape._records, inputs)
+            grads = self.adjoint(self.seeds, self.tracked, *self.datas)
+            # an array the sweep already holds is not handed over to a slot
+            held = {id(a) for a in (*self.seeds, *self.datas)}
+            self.grads = {}
+            for i, t in enumerate(self.tracked):
+                if t:
+                    a = np.zeros(self.datas[i].shape) if grads[i] is None else grads[i]
+                    self.grads[i] = a.copy() if id(a) in held else a
+                    held.add(id(a))
             self.seeds = None
-            ks = [i for i, t in enumerate(self.tracked) if t]
-            self.grads = dict(zip(ks, _sweep(tape._records, seeds, [inputs[i] for i in ks])))
         grad = self.grads.pop(k)
         if not self.grads:
-            self.fn = self.datas = None
+            self.adjoint = self.datas = None
         return grad
 
 
-def _check_closure(records, inputs):
-    """Raise if a rerun's tape reaches a tracked tensor that is neither one
-    of its fresh inputs nor an output of its own records: `fn` closed over
-    it, and its adjoint would be lost."""
-    known = {x._slot for x in inputs if x._slot is not None}
-    known.update(slot for slot, _ in records)
-    for _, rules in records:
-        for slot, *_ in rules:
-            if slot not in known:
-                raise ConfigError("checkpoint: fn reads a tracked tensor that is not one of "
-                                  "its inputs; pass it as an input")
-
-
-def checkpoint(fn, *inputs):
-    """`fn(*inputs)`, a tuple of outputs, recorded as one op that saves
-    only the inputs' arrays and recomputes `fn` in backward (gradient
-    checkpointing).
+def custom_adjoint(fn, adjoint, *inputs):
+    """`fn(*inputs)`, a tuple of outputs, recorded as one op whose
+    backward is the caller's `adjoint` (gradient checkpointing with a
+    written-out adjoint).
 
     Under a tape, `fn` runs with the tape suspended and the call gives a
     tuple of tensors: one record holds one rule per tracked input, and one
-    record per output, swept first, hands that output's adjoint to the
-    rerun. In backward the first input rule reruns `fn` on fresh tensors,
-    tracked where the inputs are, sweeps their adjoints from the outputs',
-    and holds them for the other rules. With no tape it is a plain call.
+    record per output, swept first, keeps that output's adjoint. In
+    backward the first input rule calls `adjoint(grads, tracked, *datas)`
+    once, with the outputs' adjoints (None for an output none reached),
+    the inputs' tracked flags and their arrays. It returns one entry per
+    input: the adjoint of each tracked input, or None for a tracked input
+    it did not reach, which gets zeros. `adjoint` runs plain numpy: it
+    records nothing and makes no tape. With no tape the call is plain
+    `fn(*inputs)`.
 
-    Every tracked tensor `fn` reads must be one of `inputs`: it may close
-    over constants only (bind loop variables at definition), and the
-    rerun raises `ConfigError` when it reaches a tracked tensor it was not
-    given. The value is the unwrapped `fn`'s bit for bit, and so is each
-    input's adjoint when that input is used once in `fn` (a parameter used
-    once per call) or when its adjoint is still empty when this op's rules
-    run (a fresh gather feeding only this op).
+    The tape saves only the inputs' arrays, so `fn` must read every
+    tracked tensor as one of `inputs`: an adjoint that reaches a tensor it
+    was not given cannot return it.
     """
     if not _ACTIVE:
         return fn(*inputs)
@@ -516,7 +503,7 @@ def checkpoint(fn, *inputs):
         value = fn(*inputs)
     finally:
         _ACTIVE.append(tape)
-    replay = _Replay(fn, inputs, len(value))
-    rules = [(x, replay.adjoint, k) for k, x in enumerate(inputs) if replay.tracked[k]]
+    back = _Adjoint(adjoint, inputs, len(value))
+    rules = [(x, back.take, k) for k, x in enumerate(inputs) if back.tracked[k]]
     joint = _op(np.zeros(()), rules)
-    return tuple(_op(_data(v), ((joint, replay.seed, i),)) for i, v in enumerate(value))
+    return tuple(_op(_data(v), ((joint, back.seed, i),)) for i, v in enumerate(value))

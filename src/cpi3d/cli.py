@@ -396,6 +396,8 @@ def _cmd_build_graph(args, cfg: RunConfig) -> int:
 
 def _cmd_train(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
+    if not records:
+        raise ValidationError("no records to train")
     model, losses = train(records, cfg.train, cfg.model, cfg.cutoffs)
     save_model(args.out, model, cfg)
     if args.loss_out:

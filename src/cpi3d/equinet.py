@@ -250,8 +250,9 @@ def tensor_product_message(h_src: IrrepFeature, sh, path_gates,
     an l_out = 0 path contracts, then mixes as that 2-D product; any other
     path contracts in one batched matmul and mixes by one broadcast matmul
     with the transposed weights. Only one path's per-edge intermediates
-    are alive at a time; the generic matmul, reshape and mul adjoints give
-    the backward pass.
+    are alive at a time. On a tape the generic matmul, reshape and mul
+    adjoints give its backward; `_block_adjoint` writes them out for the
+    message blocks of `aggregate_messages`.
 
     Column i of `path_gates` gates `paths[i]`, so a caller that runs a
     subset of paths passes the matching gate columns. A path whose source
@@ -313,25 +314,26 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
     block size.
 
     Each block's per-edge work, RBF rows to messages, is one
-    `ad.checkpoint`, so under a tape the tape saves the block's inputs,
-    node-sized tensors and parameters, and recomputes its per-edge arrays
-    in backward. The inputs are every tensor it reads: the row blocks, the
-    scalars twice (for the src gather, then for the dst gather, so that
-    each inner input is used once and the outer adjoints add in the
-    unwrapped sweep's order), the edge-network and path weights, `dist`
-    and `sh`. The scatter into the sums runs outside it, and `index_add`
-    saves only the ids, so the tape holds no node-sized array per block.
+    `ad.custom_adjoint` whose backward is `_block_adjoint`, so under a
+    tape the tape saves the block's inputs, node-sized tensors and
+    parameters, and the written-out adjoint recomputes its per-edge arrays
+    once in backward. The inputs are every tensor it reads: the row
+    blocks, the scalars twice (for the src gather, then for the dst
+    gather, so that the outer adjoints add in the order of the same ops
+    run on the tape), the edge-network and path weights, `sh` and `dist`.
+    The scatter into the sums runs outside it, and `index_add` saves only
+    the ids, so the tape holds no node-sized array per block.
     """
     out_layout = IrrepLayout(tuple(rows.layout.mult(l) if l in sums else 0 for l in range(3)))
     run = [i for i, p in enumerate(paths) if out_layout.mult(p[2]) > 0]
     run_paths = tuple(paths[i] for i in run)
     cols = (slice(None), np.asarray(run))
     if callable(gates):
-        net = ()
+        net, stored = (), gates
     else:
         dist, cutoffs, scalars, psi = gates
-        net = (scalars, scalars, *psi, dist)
-    degrees, n_rows = tuple(sums), len(rows.blocks)
+        net, stored = (scalars, scalars, *psi, dist), cutoffs
+    degrees, row_degrees, n_rows = tuple(sums), tuple(rows.blocks), len(rows.blocks)
     inputs = (*rows.blocks.values(), *(tp_weights[p] for p in run_paths), sh, *net)
     for start in range(0, len(edges), EDGE_BLOCK):
         e = edges[start:start + EDGE_BLOCK]
@@ -352,10 +354,140 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
                                          weights, run_paths, out_layout)
             return tuple(msg.blocks[l] for l in degrees)
 
-        msgs = ad.checkpoint(block, *inputs)
+        def adjoint(seeds, tracked, *xs, e=e):
+            return _block_adjoint(e, src, dst, stored, paths, run, row_degrees,
+                                  dict(zip(degrees, seeds)), tracked, xs)
+
+        msgs = ad.custom_adjoint(block, adjoint, *inputs)
         d = dst[e]  # one copy of the ids, saved by every degree's index_add
         sums = {l: ad.index_add(sums[l], d, m) for l, m in zip(degrees, msgs)}
     return IrrepFeature(out_layout, sums)
+
+
+def _silu_adjoint(g, x, s):
+    """`ad.silu`'s two rules at input x with sigmoid s, added in their order."""
+    return g * s + (g * x) * (s * (1.0 - s))
+
+
+def _block_adjoint(e, src, dst, stored, paths, run, row_degrees, seeds, tracked, xs):
+    """The adjoints of one message block's inputs `xs` (in
+    `aggregate_messages` order, flags `tracked`) from its messages'
+    adjoints `seeds`, keyed by degree: the VJPs of the block's ops in the
+    tape's reverse order, with autodiff's own adjoint expressions, so each
+    adjoint equals the one a tape over the block's ops gives, bit for bit.
+
+    It recomputes the edge network's pre-activations, one sigmoid per
+    silu, and each path's gated coupling once. It skips what the tape
+    would not record: the adjoints of untracked `sh` and `dist`, and the
+    paths whose untracked source rows are all zero (layer 0's l > 0
+    blocks), as `tensor_product_message` does on a tape. `stored` is the
+    function of stored gates, or the cutoffs of the edge network. A
+    tracked input that no adjoint reaches gets None.
+    """
+    n_rows, n_w = len(row_degrees), len(run)
+    rows, t_rows = dict(zip(row_degrees, xs)), dict(zip(row_degrees, tracked))
+    sh, t_sh = xs[n_rows + n_w], tracked[n_rows + n_w]
+    net, t_net = xs[n_rows + n_w + 1:], tracked[n_rows + n_w + 1:]
+    n_e, src_e = len(e), src[e]
+    if net:
+        h_b, h_a, W0, b0, W1, b1, W2, b2, dist = net
+        dst_e = dst[e]
+        diff = dist[e].reshape(n_e, 1) + -stored.anchors()      # `rbf_embed`'s ops
+        rbf = np.exp(diff * diff * -stored.rbf_gamma)
+        c = np.concatenate([rbf, h_a[dst_e], h_b[src_e]], axis=1)
+        if not t_net[-1]:
+            del diff, rbf
+        a0 = c @ W0 + b0
+        s0 = ad._sigmoid(a0)
+        a1 = (a0 * s0) @ W1 + b1        # each silu's output is recomputed where it is read
+        s1 = ad._sigmoid(a1)
+        gate = (a1 * s1) @ W2 + b2
+    else:
+        gate = stored(e)
+    cols = (slice(None), np.asarray(run))
+    if n_w < len(paths):
+        gate = gate[cols]
+    sh_e = sh[e]
+    grads, gathered, g_rows = [None] * len(xs), {}, {}
+    # each path adds its own gate column once, and 0.0 + x is never -0.0, so
+    # adding into column slices equals the tape's sum of zero-filled takes
+    g_gate = np.zeros(gate.shape) if any(t_net) else None
+    g_sh = np.zeros(sh_e.shape) if t_sh else None
+    reached = False
+    for i in reversed(range(n_w)):
+        li, ls, lo = paths[run[i]]
+        g = seeds.get(lo)
+        if g is None:
+            continue
+        if li not in gathered:
+            gathered[li] = rows[li][src_e]
+        s, w, cmat = gathered[li], xs[n_rows + i], coupling_matrix(li, ls, lo)
+        if not t_rows[li] and not s.any():
+            continue
+        reached = True
+        n_in, n_out = s.shape[1], g.shape[1]
+        cm = sh_e[:, sh_slice(ls)] @ cmat
+        gc = gate[:, i:i + 1]
+        K = (cm * gc).reshape(n_e, 2 * li + 1, 2 * lo + 1)
+        if li == 0:
+            s2 = s.reshape(n_e, n_in)
+            g_mixed = np.reshape(ad._unbroadcast(g * K, (n_e, n_out, 1)), (n_e, n_out))
+            g_s = np.reshape(ad._matmul_adjoint(g_mixed, w, 2, -2), s.shape)
+            g_w = ad._matmul_adjoint(g_mixed, s2, 2, -1)
+            g_K = ad._unbroadcast(g * (s2 @ w).reshape(n_e, n_out, 1), (n_e, 1, 2 * lo + 1))
+        elif lo == 0:
+            g_t2 = np.reshape(g, (n_e, n_out))
+            g_coupled = np.reshape(ad._matmul_adjoint(g_t2, w, 2, -2), (n_e, n_in, 1))
+            g_w = ad._matmul_adjoint(g_t2, (s @ K).reshape(n_e, n_in), 2, -1)
+            g_s = ad._matmul_adjoint(g_coupled, K, 3, -2)
+            g_K = ad._matmul_adjoint(g_coupled, s, 3, -1)
+        else:
+            g_w = np.einsum("dc->cd", ad._matmul_adjoint(g, s @ K, 2, -2))
+            g_sc = ad._matmul_adjoint(g, np.einsum("cd->dc", w), 3, -1)
+            g_s = ad._matmul_adjoint(g_sc, K, 3, -2)
+            g_K = ad._matmul_adjoint(g_sc, s, 3, -1)
+        g_cg = np.reshape(g_K, cm.shape)
+        if g_gate is not None:
+            g_gate[:, i:i + 1] += ad._unbroadcast(g_cg * cm, gc.shape)
+        if g_sh is not None:
+            g_sh[:, sh_slice(ls)] += ad._matmul_adjoint(g_cg * gc, cmat, 2, -2)
+        if li in g_rows:
+            g_rows[li] += g_s
+        else:
+            g_rows[li] = g_s
+        grads[n_rows + i] = g_w
+    for k, l in enumerate(row_degrees):
+        if l in g_rows:
+            grads[k] = ad._scatter_rows(g_rows[l], src_e, len(rows[l]))
+    if not reached:
+        return grads
+    if g_sh is not None:
+        grads[n_rows + n_w] = ad._scatter_rows(g_sh, e, len(sh))
+    if g_gate is not None:
+        if n_w < len(paths):
+            g_gate = ad._scatter_adjoint(g_gate, cols, (n_e, len(paths)))
+        k = n_rows + n_w + 1        # h_b, h_a, W0, b0, W1, b1, W2, b2, dist from here
+        grads[k + 6] = ad._matmul_adjoint(g_gate, a1 * s1, 2, -1)
+        grads[k + 7] = ad._unbroadcast(g_gate, b2.shape)
+        g_a1 = _silu_adjoint(ad._matmul_adjoint(g_gate, W2, 2, -2), a1, s1)
+        del g_gate, a1, s1
+        grads[k + 4] = ad._matmul_adjoint(g_a1, a0 * s0, 2, -1)
+        grads[k + 5] = ad._unbroadcast(g_a1, b1.shape)
+        g_a0 = _silu_adjoint(ad._matmul_adjoint(g_a1, W1, 2, -2), a0, s0)
+        del g_a1, a0, s0
+        grads[k + 2] = ad._matmul_adjoint(g_a0, c, 2, -1)
+        grads[k + 3] = ad._unbroadcast(g_a0, b0.shape)
+        del c
+        if t_net[0] or t_net[1] or t_net[-1]:
+            g_c = ad._matmul_adjoint(g_a0, W0, 2, -2)
+            n_rbf, m0 = g_c.shape[1] - 2 * h_a.shape[1], h_a.shape[1]
+            grads[k] = ad._scatter_rows(g_c[:, n_rbf + m0:], src_e, len(h_b))
+            grads[k + 1] = ad._scatter_rows(g_c[:, n_rbf:n_rbf + m0], dst_e, len(h_a))
+            if t_net[-1]:
+                t = g_c[:, :n_rbf] * rbf * -stored.rbf_gamma * diff
+                grads[k + 8] = ad._scatter_rows(
+                    np.reshape(ad._unbroadcast(t + t, (n_e, 1)), (n_e,)), e, len(dist))
+    return grads
 
 
 def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,

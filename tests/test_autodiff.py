@@ -449,6 +449,22 @@ def _edge_mlp(x, zero, W, b, seen):
     return ad.mul(h, h)
 
 
+def _edge_mlp_adjoint(calls, grads, tracked, x, zero, W, b):
+    """`_edge_mlp`'s VJPs in the tape's reverse order, with its rules'
+    expressions."""
+    calls.append(tracked)
+    (g,) = grads
+    c = np.concatenate([x, zero], axis=1)
+    a = c @ W + b
+    s = ad._sigmoid(a)
+    h = a * s
+    g_h = g * h + g * h
+    g_a = g_h * s + (g_h * a) * (s * (1.0 - s))
+    g_c = ad._matmul_adjoint(g_a, W, 2, -2)
+    return [g_c[:, :x.shape[1]], None, ad._matmul_adjoint(g_a, c, 2, -1),
+            ad._unbroadcast(g_a, b.shape)]
+
+
 def _two_calls(call, P, W, b, seen):
     """Two calls that share the parameters W and b, on fresh gathers of P
     (which the loss reads directly too) and an untracked all-zero input."""
@@ -472,40 +488,61 @@ def _checkpoint_run(call):
 
 
 def test_checkpoint_equals_the_unwrapped_ops_bit_for_bit():
+    """`custom_adjoint` with a written-out adjoint gives the values and
+    adjoints of the same ops on the tape, bit for bit; backward calls the
+    adjoint once per call and never `fn`."""
+    calls = []
+
     def plain(fn, *inputs):
         return fn(*inputs)
 
     def checkpointed(fn, *inputs):
-        (y,) = ad.checkpoint(lambda *xs, seen=inputs[-1]: (fn(*xs, seen),), *inputs[:-1])
+        (y,) = ad.custom_adjoint(lambda *xs, seen=inputs[-1]: (fn(*xs, seen),),
+                                 lambda *args: _edge_mlp_adjoint(calls, *args), *inputs[:-1])
         return y
 
     loss, grads, seen = _checkpoint_run(plain)
     loss_ck, grads_ck, seen_ck = _checkpoint_run(checkpointed)
     assert loss_ck == loss and grads_ck == grads
-    # two forward calls, then two backward reruns: the zero input stays off the tape
-    assert seen == [False] * 2 and seen_ck == [False] * 4
+    # two forward calls and no backward call of fn: the zero input stays off the tape
+    assert seen == [False] * 2 and seen_ck == [False] * 2
+    assert calls == [[True, False, True, True]] * 2
+
+
+def _sigmoid_of_xy_plus_x(x, y):
+    return (ad.sigmoid(ad.add(ad.matmul(x, y), x)),)
+
+
+def _sigmoid_of_xy_plus_x_adjoint(grads, tracked, x, y):
+    (g,) = grads
+    s = ad._sigmoid(x @ y + x)
+    g_z = g * (s * (1.0 - s))
+    return [ad._matmul_adjoint(g_z, y, 2, -2) + g_z, ad._matmul_adjoint(g_z, x, 2, -1)]
 
 
 def test_checkpoint_is_one_record_and_no_record_without_a_tape():
     p = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
-
-    def fn(x, y):
-        return (ad.sigmoid(ad.add(ad.matmul(x, y), x)),)
-
+    fn, adjoint = _sigmoid_of_xy_plus_x, _sigmoid_of_xy_plus_x_adjoint
     with Tape() as tape:
-        (out,) = ad.checkpoint(fn, p, np.eye(2))
+        (out,) = ad.custom_adjoint(fn, adjoint, p, np.eye(2))
     assert len(tape) == 1 + 1 and out.requires_grad     # the inputs' rules, then the output's
-    (plain,) = ad.checkpoint(fn, p, np.eye(2))
+    (plain,) = ad.custom_adjoint(fn, adjoint, p, np.eye(2))
     assert not plain.requires_grad and plain.data.tobytes() == out.data.tobytes()
-    check_op(lambda t: _sq(ad.checkpoint(fn, t, np.eye(2))[0]), p.data)
+    check_op(lambda t: _sq(ad.custom_adjoint(fn, adjoint, t, np.eye(2))[0]), p.data)
 
 
 def test_checkpoint_replays_when_the_gradient_runs_inside_the_tape_block():
+    """The adjoint runs plain numpy, so a gradient taken inside the tape
+    block records nothing more."""
     p = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
     with Tape() as tape:
-        (y,) = ad.checkpoint(lambda x: (ad.mul(ad.exp(x), x),), p)
+        (y,) = ad.custom_adjoint(lambda x: (ad.mul(ad.exp(x), x),),
+                                 lambda grads, tracked, x: [grads[0] * (np.exp(x) * (1.0 + x))],
+                                 p)
         loss = ad.tsum(y)
+        records = len(tape)
         (g,) = tape.gradient(loss, [p])
+        assert len(tape) == records
     np.testing.assert_allclose(g, np.exp(p.data) * (1.0 + p.data))
     with pytest.raises(ConfigError, match="tapes do not nest"):
         with Tape():
@@ -513,21 +550,41 @@ def test_checkpoint_replays_when_the_gradient_runs_inside_the_tape_block():
                 pass
 
 
-def test_checkpoint_rejects_a_tracked_tensor_it_was_not_given():
-    """A `fn` that closes over a tracked tensor would lose that tensor's
-    adjoint; the rerun raises instead. Given as an input, it gets it."""
-    x = Tensor(np.array([2.0, 4.0]), requires_grad=True)
-    w = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+def test_custom_adjoint_copies_an_adjoint_the_sweep_already_holds():
+    """An adjoint that returns one array for two inputs, or an input's own
+    array, hands each slot its own copy: the later `+=` of the product's
+    rules reaches no other slot and no input."""
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Tensor(np.array([3.0, 5.0]), requires_grad=True)
+    v = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+
+    def adjoint(grads, tracked, a, b, c):
+        shared = grads[0] * 1.0
+        return [shared, shared, c]      # c equals the adjoint [2, 3] here
+
     with Tape() as tape:
-        (y,) = ad.checkpoint(lambda a: (ad.mul(a, w),), x)
-        loss = ad.tsum(ad.mul(y, y))
-    with pytest.raises(ConfigError, match="not one of its inputs"):
-        tape.gradient(loss, [x, w])
+        z = ad.mul(ad.mul(x, w), v)
+        (y,) = ad.custom_adjoint(lambda a, b, c: (ad.add(ad.add(a, b), c),), adjoint, x, w, v)
+        loss = ad.add(ad.tsum(ad.mul(y, np.array([2.0, 3.0]))), ad.tsum(z))
+    gx, gw, gv = tape.gradient(loss, [x, w, v])
+    np.testing.assert_array_equal(gx, [2.0 + 6.0, 3.0 + 15.0])
+    np.testing.assert_array_equal(gw, [2.0 + 2.0, 3.0 + 6.0])
+    np.testing.assert_array_equal(gv, [2.0 + 3.0, 3.0 + 10.0])
+    np.testing.assert_array_equal(v.data, [2.0, 3.0])
+
+
+def test_one_adjoint_reaching_two_slots_is_copied_for_each():
+    """Both inputs of one `add` get its output's adjoint; each slot takes
+    its own copy, so a later `+=` into x's slot leaves w's unchanged."""
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 4.0]), requires_grad=True)
     with Tape() as tape:
-        (y,) = ad.checkpoint(lambda a, b: (ad.mul(a, b),), x, w)
-        loss = ad.tsum(ad.mul(y, y))
-    _, dw = tape.gradient(loss, [x, w])
-    np.testing.assert_array_equal(dw, [4.0, 96.0])
+        u = ad.mul(x, 3.0)
+        y = ad.add(x, w)
+        loss = ad.add(ad.tsum(ad.mul(y, np.array([2.0, -1.0]))), ad.tsum(u))
+    gx, gw = tape.gradient(loss, [x, w])
+    np.testing.assert_array_equal(gx, [5.0, 2.0])
+    np.testing.assert_array_equal(gw, [2.0, -1.0])
 
 
 def _tuple_run(call):
@@ -547,12 +604,26 @@ def _tuple_run(call):
     return loss.data.tobytes(), [g.tobytes() for g in grads], records, unused
 
 
+def _tuple_adjoint(grads, tracked, p, c):
+    """`_tuple_run`'s fn in reverse: the exp output's rule, then the
+    square's two, as the tape sweeps them; the unread sum sends none."""
+    g_first, g_second, g_unused = grads
+    assert g_unused is None
+    h = ad._sigmoid(p + c)
+    g_h = g_second * np.exp(h)
+    g_h += g_first * h
+    g_h += g_first * h
+    g_x = g_h * (h * (1.0 - h))
+    return [g_x, ad._unbroadcast(g_x, c.shape)]
+
+
 def test_checkpoint_of_a_tuple_equals_the_unwrapped_ops_bit_for_bit():
     """A tuple-valued `fn` gives a tuple of tensors, one record for the
     inputs' rules plus one per output; values and adjoints are the
     unwrapped ops' bit for bit, and an output nobody reads sends none."""
     loss, grads, _, unused = _tuple_run(lambda fn, *xs: fn(*xs))
-    loss_ck, grads_ck, records, unused_ck = _tuple_run(ad.checkpoint)
+    loss_ck, grads_ck, records, unused_ck = _tuple_run(
+        lambda fn, *xs: ad.custom_adjoint(fn, _tuple_adjoint, *xs))
     assert loss_ck == loss and grads_ck == grads
     assert unused_ck.data.tobytes() == unused.data.tobytes()
-    assert records == 1 + 3 + 5     # the checkpoint's, then the loss ops
+    assert records == 1 + 3 + 5     # the custom op's, then the loss ops

@@ -300,6 +300,15 @@ def test_split_of_a_manifest_with_no_data_rows_exits_one(tmp_path, capsys):
     assert not (tmp_path / "splits.json").exists()
 
 
+def test_train_of_a_manifest_with_no_data_rows_exits_one(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("complex_id,ligand_sdf,protein_pdb,ec50_nm,is_active\n")
+    assert main(["train", "--manifest", str(manifest), "--steps", "1",
+                 "--out", str(tmp_path / "model.eqcp")]) == 1
+    assert capsys.readouterr().err == "error: no records to train\n"
+    assert not (tmp_path / "model.eqcp").exists()
+
+
 def test_predict_of_a_manifest_with_no_data_rows_exits_one(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("complex_id,ligand_sdf,protein_pdb,ec50_nm,is_active\n")

@@ -409,6 +409,83 @@ def test_aggregate_mean_within_bounds(rng, monkeypatch):
             assert np.all(mean[node] >= per_edge.min(axis=0) - 1e-12)
 
 
+def _block_adjoint_run(monkeypatch, plain: bool, degrees, zero_l1: bool, stored: bool):
+    """Loss and gradients, as bytes, of one message stage in 16-edge blocks
+    with every block input tracked: row blocks l = 0, 1, 2 (l = 1 untracked
+    and all zero with `zero_l1`), path weights, harmonics, both scalar
+    inputs, edge-network weights and distances (or stored gates). `plain`
+    runs each block's `fn` on the outer tape, the oracle for its adjoint."""
+    monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
+    if plain:
+        monkeypatch.setattr(ad, "custom_adjoint", lambda fn, adjoint, *inputs: fn(*inputs))
+    rng = np.random.default_rng(31)
+    layout, n = IrrepLayout((4, 2, 2)), 7
+    dst, src = np.nonzero(~np.eye(n, dtype=bool))       # 42 edges by (dst, src)
+    edges = np.flatnonzero(rng.random(len(src)) < 0.8)
+    paths, _ = _stage_weights(layout)
+    rows = {l: Tensor(rng.normal(size=(n, layout.mult(l), 2 * l + 1)), requires_grad=True)
+            for l in layout.degrees()}
+    if zero_l1:
+        rows[1] = Tensor(np.zeros(rows[1].shape))
+    weights = {p: Tensor(rng.normal(size=(layout.mult(p[0]), layout.mult(p[2]))),
+                         requires_grad=True) for p in paths}
+    sh = Tensor(spherical_harmonics_batch(unit_rows(rng, len(src))), requires_grad=True)
+    dist = Tensor(rng.uniform(1.0, 4.0, size=len(src)), requires_grad=True)
+    scalars = Tensor(rng.normal(size=(n, layout.mult(0))), requires_grad=True)
+    psi = _psi_weights(rng, SMALL_CUT.rbf_k + 2 * layout.mult(0), 5, len(paths))
+    table = rng.normal(size=(len(src), len(paths)))
+    gates = table.__getitem__ if stored else (dist, SMALL_CUT, scalars, psi)
+    sources = [*rows.values(), *weights.values(), sh, scalars, *psi, dist]
+    with Tape() as tape:
+        sums = aggregate_messages(IrrepFeature(layout, rows), edges, src, dst, sh, gates, weights,
+                                  paths, {l: np.zeros(rows[l].shape) for l in degrees})
+        loss = ad.tsum(ad.mul(scalars, scalars))
+        for l in degrees:
+            loss = ad.add(loss, ad.tsum(ad.mul(sums.blocks[l], rng.normal(size=rows[l].shape))))
+    return [loss.data.tobytes()] + [g.tobytes() for g in tape.gradient(loss, sources)]
+
+
+@pytest.mark.parametrize("degrees,zero_l1,stored", [
+    ((0, 1, 2), False, False),
+    ((0,), False, False),          # the l_out = 0 paths: a take of their gate columns
+    ((0, 1, 2), True, False),      # layer 0's untracked all-zero l > 0 rows
+    ((0, 2), True, True),          # stored gates, a subset and a zero block
+], ids=["all", "path-subset", "zero-block", "stored-gates"])
+def test_block_adjoint_equals_the_plain_call_bit_for_bit(monkeypatch, degrees, zero_l1, stored):
+    """The written-out adjoint of each message block gives the loss and
+    the gradients of the block's ops run on the outer tape, bit for bit."""
+    with monkeypatch.context() as m:
+        got = _block_adjoint_run(m, False, degrees, zero_l1, stored)
+    with monkeypatch.context() as m:
+        want = _block_adjoint_run(m, True, degrees, zero_l1, stored)
+    assert got == want
+    # the l = 0 rows, the harmonics and (through the edge network) the distances get adjoints
+    row0, sh, dist = (np.frombuffer(got[i]) for i in (1, -9, -1))
+    assert row0.any() and sh.any() and dist.any() != stored
+
+
+def test_backward_calls_neither_the_edge_network_nor_the_message_kernel(monkeypatch):
+    """The block adjoint recomputes in plain numpy: `tape.gradient` of a
+    training forward calls `edge_weight_net` and `tensor_product_message`
+    zero times."""
+    monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
+    calls = {"edge_weight_net": 0, "tensor_product_message": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(equinet, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(equinet, name, counted)
+    _, graph, fp = _toy(np.random.default_rng(2))
+    params = init_params(SMALL_CFG, SMALL_CUT, seed=1)
+    with Tape() as tape:
+        pred = forward_one(graph, fp, params, SMALL_CFG, training=True)
+    assert calls["edge_weight_net"] > 2 * 3 and calls["tensor_product_message"] > 2 * 3
+    calls.update(dict.fromkeys(calls, 0))
+    grads = tape.gradient(pred, params.tensors(params.trainable_names()))
+    assert calls == {"edge_weight_net": 0, "tensor_product_message": 0}
+    assert all(np.isfinite(g).all() for g in grads)
+
+
 # ---------------------------------------------------------------- batchnorm
 
 def _bn_args(layout, gamma_value=1.0):
@@ -1071,7 +1148,8 @@ def test_block_gates_equal_the_whole_array_rbf_route(rng, receptor, monkeypatch)
     """Every block's gates, from RBF rows that the block embeds itself,
     equal the edge network on rows of the whole-array RBF matrix bit for
     bit: in the uncached and cached forwards, in the gates the cache
-    stores, and in a training forward and its backward reruns."""
+    stores, and in a training forward. Its backward calls no `edge_gates`:
+    `_block_adjoint` recomputes them."""
     params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
     items = _screen(rng, receptor, (20, 28, 36))
     rows = _checked_gates(monkeypatch)
@@ -1094,8 +1172,8 @@ def test_block_gates_equal_the_whole_array_rbf_route(rng, receptor, monkeypatch)
     once = sum(rows) - before
     assert once == CACHE_CFG.layers * sum(len(es) for es in pack.edges.values())
     grad(lambda: ad.tsum(forward(pack, fps, params, CACHE_CFG, training=True)), params)
-    # the untaped forward, the taped one, and every block's backward rerun
-    assert sum(rows) - before == 3 * once
+    # the untaped forward and the taped one
+    assert sum(rows) - before == 2 * once
 
 
 def test_cached_forwards_hold_no_rbf_matrix(rng, receptor, monkeypatch):

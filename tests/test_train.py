@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -401,10 +402,10 @@ def test_packed_training_peak_memory_follows_the_budget(monkeypatch):
     assert four <= 1.5 * one, f"batch of 4 peaked at {four / one:.2f}x one graph"
 
 
-def training_step_peak_mb(n_residues: int = 300, side: int = 9):
-    """`tracemalloc` peak, in MB, of one training step of a 32-atom ligand
-    in a lattice receptor of `n_residues` from a `side`^3 grid (the 9^3
-    grid keeps 722, the 13^3 grid 2,190) at the default config."""
+def _training_step(n_residues: int, side: int):
+    """One training step of a 32-atom ligand in a lattice receptor of
+    `n_residues` from a `side`^3 grid (the 9^3 grid keeps 722, the 13^3
+    grid 2,190) at the default config, as a function of no arguments."""
     rng = np.random.default_rng(5)
     ligand = random_ligand(rng, n_atoms=32, mol_id="lig", center=(0.0, 0.0, 0.0))
     cfg, cut = ModelConfig(), CutoffConfig()
@@ -414,29 +415,46 @@ def training_step_peak_mb(n_residues: int = 300, side: int = 9):
     assert len(graph.edges[EdgeKind.PP]) > 15_000
     fp = morgan_fingerprint(ligand, nbits=cfg.fingerprint_width)
     params = init_params(cfg, cut, seed=0)
+    return lambda: batch_gradients([graph], fp[None], np.array([6.0]), [0], params, cfg)
+
+
+def training_step_peak_mb(n_residues: int = 300, side: int = 9):
+    """`tracemalloc` peak, in MB, of one `_training_step`."""
+    step = _training_step(n_residues, side)
     tracemalloc.start()
     try:
-        batch_gradients([graph], fp[None], np.array([6.0]), [0], params, cfg)
+        step()
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def training_step_s(n_residues: int = 300, side: int = 9, runs: int = 3):
+    """Wall time, in s, of one `_training_step`: the minimum of `runs`."""
+    step = _training_step(n_residues, side)
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        step()
+        times.append(time.perf_counter() - t0)
+    return min(times)
 
 
 def test_training_step_on_a_300_residue_complex_peaks_below_80_mb():
     """Each EDGE_BLOCK block's per-edge work is one checkpoint and its
     scatter into the sums runs outside it, so the tape saves node-sized
     tensors and parameters once per stage and holds one block's per-edge
-    arrays at a time: 34 MB here, where checkpointing only the edge network
-    and the couplings peaked at 191 MB and saving every intermediate at
-    383 MB."""
+    arrays at a time: 30 MB here (34 MB when backward reran each block on
+    a tape), where checkpointing only the edge network and the couplings
+    peaked at 191 MB and saving every intermediate at 383 MB."""
     peak = training_step_peak_mb()
     assert peak < 80, f"one step peaked at {peak:.0f} MB"
 
 
 def test_training_step_in_smaller_edge_blocks_peaks_no_higher(monkeypatch):
     """The tape keeps no node-sized array per block, so more, smaller
-    blocks hold fewer per-edge arrays at a time: 19 MB at 256 edges a block
-    against 34 MB at 2,048, where checkpointing each block's running sums
+    blocks hold fewer per-edge arrays at a time: 18 MB at 256 edges a block
+    against 30 MB at 2,048, where checkpointing each block's running sums
     peaked at 60 MB against 39 MB."""
     monkeypatch.setattr(equinet, "EDGE_BLOCK", 256)
     small = training_step_peak_mb()
@@ -446,24 +464,25 @@ def test_training_step_in_smaller_edge_blocks_peaks_no_higher(monkeypatch):
 
 
 def test_training_step_on_a_722_residue_lattice_peaks_below_70_mb():
-    """47k edges: 51 MB, where checkpointing each block's running sums
-    peaked at 81 MB, and checkpointing only the edge network and the
-    couplings at 465 MB."""
+    """47k edges: 48 MB (51 MB when backward reran each block on a tape),
+    where checkpointing each block's running sums peaked at 81 MB, and
+    checkpointing only the edge network and the couplings at 465 MB."""
     peak = training_step_peak_mb(n_residues=722)
     assert peak < 70, f"one step peaked at {peak:.0f} MB"
 
 
 def test_checkpointed_gradients_equal_the_unwrapped_ops_bit_for_bit(monkeypatch):
-    """Every checkpointed input is a fresh gather or take, or a parameter
-    used once per call, so a packed step over several edge blocks gives the
-    loss and gradients of the same step run with `ad.checkpoint` as a plain
-    call, bit for bit."""
+    """Every input of a message block's `ad.custom_adjoint` is a fresh
+    gather or take, or a parameter used once per call, so a packed step
+    over several edge blocks gives the loss and gradients of the same step
+    run with `ad.custom_adjoint` as a plain call of the block, bit for
+    bit."""
     monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
     graphs, fps, labels = _pack_inputs(ACC2_CFG, ((4, 3), (1, 5), (5, 1)), seed=7)
     runs = []
     for plain in (False, True):
         if plain:
-            monkeypatch.setattr(ad, "checkpoint", lambda fn, *inputs: fn(*inputs))
+            monkeypatch.setattr(ad, "custom_adjoint", lambda fn, adjoint, *inputs: fn(*inputs))
         params = init_params(ACC2_CFG, TINY_CUT, seed=3)
         loss, grads = batch_gradients(graphs, fps, labels, [0, 1, 2], params, ACC2_CFG)
         runs.append([np.float64(loss).tobytes()] + [grads[k].tobytes() for k in sorted(grads)])
@@ -506,9 +525,10 @@ def test_one_pack_batch_gradients_equal_its_grad_bit_for_bit():
 
 def test_gradients_through_tracked_edge_constants_in_small_blocks(monkeypatch):
     """`edge_override` feeds tracked distances and harmonics into every
-    message block, which embeds the distances itself. The gradient of a prediction with respect to one
-    ligand atom's coordinates equals the run with `ad.checkpoint` as a
-    plain call bit for bit, is nonzero, and matches central differences."""
+    message block, which embeds the distances itself. The gradient of a
+    prediction with respect to one ligand atom's coordinates equals the run
+    with `ad.custom_adjoint` as a plain call of the block bit for bit, is
+    nonzero, and matches central differences."""
     monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
     rec = random_complex(np.random.default_rng(23), "probe", n_atoms=8, n_residues=10)
     graph = build_pair_graph(rec.ligand, rec.protein, TINY_CUT)
@@ -537,7 +557,7 @@ def test_gradients_through_tracked_edge_constants_in_small_blocks(monkeypatch):
 
     got = gradient()
     with monkeypatch.context() as m:
-        m.setattr(ad, "checkpoint", lambda fn, *inputs: fn(*inputs))
+        m.setattr(ad, "custom_adjoint", lambda fn, adjoint, *inputs: fn(*inputs))
         assert gradient().tobytes() == got.tobytes()
     assert np.abs(got).max() > 1e-4
     h = 1e-6
