@@ -479,6 +479,8 @@ def _cmd_rerank(args, cfg: RunConfig) -> int:
 
 
 def _cmd_split(args, cfg: RunConfig) -> int:
+    if args.folds < 1:  # before the manifest is read and the matrices are built
+        raise ValidationError(f"need at least one fold, got {args.folds}")
     records = load_manifest(args.manifest)
     ids = [r.complex_id for r in records]
     comp_sim = compound_similarity_matrix([r.ligand for r in records])

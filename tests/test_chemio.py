@@ -3,6 +3,7 @@ import itertools
 import os
 import re
 import tempfile
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -340,6 +341,59 @@ def test_sdf_round_trip(rng):
         assert write_sdf(back) == write_sdf(parse_sdf(write_sdf(back))[0])
 
 
+def _fields(obj) -> tuple:
+    """A parsed protein's or ligand's id and each of its arrays as (dtype,
+    shape, bytes)."""
+    names = (("aa", "chain", "seq_index", "ca") if isinstance(obj, ProteinStructure)
+             else ("elements", "positions", "charges", "aromatic", "bond_table"))
+    return (obj.id,) + tuple((getattr(obj, n).dtype.str, getattr(obj, n).shape,
+                              getattr(obj, n).tobytes()) for n in names)
+
+
+_MANIFEST_HEADER = "complex_id,ligand_sdf,protein_pdb,ec50_nm,is_active"
+
+
+def _check_through_manifest(tmp_path, outcomes, kind):
+    """`load_manifest` reads each text of `outcomes`, as the ligand SDF
+    (`kind` "sdf") or the protein PDB ("pdb") of a row between two other
+    rows, as the per-file parse does. `outcomes` pairs each text with that
+    parse's molecules (`_sdf_rows`) or residues (`_ca_rows`), or its error
+    (type, message, line). One manifest holds every text that parses and
+    must give the same arrays; each text that fails is the middle row of a
+    three-row manifest and must raise the error the row's parse raises."""
+    directory = tmp_path / "chunk"
+    write_manifest(random_complexes(2, seed=3), str(directory))
+    first, last = "toy0,toy0.sdf,toy0.pdb,,", "toy1,toy1.sdf,toy1.pdb,,"
+
+    def row(cid, name):
+        return f"{cid},{name},toy0.pdb,," if kind == "sdf" else f"{cid},toy0.sdf,{name},,"
+
+    passing, failing = [], []
+    for i, (text, got) in enumerate(outcomes):
+        if isinstance(got[0] if got else None, type):
+            failing.append((text, f"row 'mid': {directory / f'mid.{kind}'}: {got[1]}"))
+        elif kind == "sdf" and not (got and got[0][1]):
+            failing.append((text, "row 'mid': " + ("ligand has no heavy atoms" if got
+                                                   else "ligand SDF holds no molecules")))
+        else:
+            (directory / f"m{i}.{kind}").write_bytes(text.encode())
+            passing.append((f"m{i}", f"m{i}.{kind}", got))
+    assert passing and failing
+    manifest = directory / "passing.csv"
+    manifest.write_text("\n".join([_MANIFEST_HEADER, first] + [row(c, n) for c, n, _ in passing]
+                                  + [last]) + "\n")
+    records = load_manifest(str(manifest))
+    for rec, (cid, _, want) in zip(records[1:-1], passing):
+        assert (_sdf_rows(rec.poses) if kind == "sdf" else _ca_rows(rec.protein)) == want, cid
+    manifest = directory / "failing.csv"
+    manifest.write_text("\n".join([_MANIFEST_HEADER, first, row("mid", f"mid.{kind}"), last]) + "\n")
+    for text, message in failing:
+        (directory / f"mid.{kind}").write_bytes(text.encode())
+        with pytest.raises(ValidationError) as err:
+            load_manifest(str(manifest))
+        assert str(err.value) == message, text
+
+
 def _sdf_atom(x, y, z, element, code=0):
     return f"{x:10.4f}{y:10.4f}{z:10.4f} {element:<3s} 0  {code}  0  0  0  0  0  0  0  0  0  0"
 
@@ -412,12 +466,17 @@ def _sdf_mutated(mutations):
 
 
 def _sdf_parsed(text):
-    """parse_sdf's molecules as (id, elements, charges, aromatic flags, bond
-    rows, coordinate bytes), or its error."""
+    """parse_sdf's molecules as `_sdf_rows` gives them, or its error."""
     try:
         mols = parse_sdf(text)
     except (ParseError, ValidationError) as err:
         return type(err), str(err), getattr(err, "line", None)
+    return _sdf_rows(mols)
+
+
+def _sdf_rows(mols):
+    """Molecules as (id, elements, charges, aromatic flags, bond rows,
+    coordinate bytes)."""
     out = []
     for mol in mols:
         assert mol.positions.dtype == np.float64 and mol.positions.shape == (len(mol), 3)
@@ -440,12 +499,14 @@ def _sdf_oracle(text):
             for mol_id, atoms, bonds in mols]
 
 
-def test_parse_sdf_matches_the_object_building_parse_under_line_mutations():
+def test_parse_sdf_matches_the_object_building_parse_under_line_mutations(tmp_path):
     """Every mutation of one line, and pairs of mutations on two lines, give
     the per-atom parse's elements, charges, aromatic flags, bonds and
     coordinate bytes, or its error for the same line: counts, atom, bond,
     `M  CHG` and record-boundary lines, hydrogens that appear, vanish or
-    carry a bad field, and bonds that repeat or close on themselves."""
+    carry a bad field, and bonds that repeat or close on themselves. Read
+    by `load_manifest` from the middle of a chunk of files, each mutated
+    file gives the same molecules, or the same error for its row."""
     texts = [_sdf_mutated([])]
     texts += [_sdf_mutated([(name, i)])
               for name in _SDF_MUTATIONS for i in range(len(_SDF_LINES))]
@@ -453,10 +514,11 @@ def test_parse_sdf_matches_the_object_building_parse_under_line_mutations():
     texts += [_sdf_mutated([(a, i), (b, j)])
               for i, j in itertools.combinations(range(len(_SDF_LINES)), 2)
               for a in pair_kinds for b in pair_kinds]
-    outcomes = set()
+    outcomes, parsed = set(), []
     for text in texts:
         got = _sdf_parsed(text)
         assert got == _sdf_oracle(text), text
+        parsed.append((text, got))
         # the message without its line number and the quoted line or numbers
         outcomes.add("parsed" if isinstance(got, list) else
                      re.sub(r"^line \d+: |( in)? ?['(\d].*", "", got[1]))
@@ -469,6 +531,7 @@ def test_parse_sdf_matches_the_object_building_parse_under_line_mutations():
             "bond endpoint out of range", "malformed charge line",
             "charge atom index out of range", "bond", "duplicate bond",
             "non-finite atom position"} <= outcomes, outcomes
+    _check_through_manifest(tmp_path, parsed, "sdf")
 
 
 def test_parse_pdb_atoms_full_detail():
@@ -560,11 +623,13 @@ def _mutated(mutations):
     return "\n".join(lines)
 
 
-def test_parse_pdb_atoms_matches_the_field_by_field_parse_under_line_mutations():
+def test_parse_pdb_atoms_matches_the_field_by_field_parse_under_line_mutations(tmp_path):
     """Every mutation of one line, and pairs of mutations on two lines,
     give the same elements and coordinate bytes as the per-field parse, or
     the same error for the same line; a bad field on a skipped line (an H,
-    D, HETATM or duplicate record) is never reached."""
+    D, HETATM or duplicate record) is never reached. Read by `load_manifest`
+    from the middle of a chunk of files, each mutated file gives the
+    residues of `parse_pdb`, or its error for the row."""
     texts = [_mutated([])]
     texts += [_mutated([(name, i)]) for name in _ATOM_MUTATIONS for i in range(len(_ATOM_LINES))]
     pair_kinds = ("x=x", "y=nan", "z=1e309", "resseq", "unknown-element", "blank-element",
@@ -586,6 +651,7 @@ def test_parse_pdb_atoms_matches_the_field_by_field_parse_under_line_mutations()
     # a bad coordinate on each skipped line parses as the unmutated text
     for i in (4, 5, 8, 9, 10):
         assert _atoms_parsed(_mutated([("x=nan", i)])) == _atoms_parsed(texts[0])
+    _check_through_manifest(tmp_path, [(text, _ca_oracle(text)) for text in texts], "pdb")
 
 
 def test_load_manifest_round_trip(tmp_path):
@@ -644,16 +710,19 @@ def _shared_receptor_manifest(tmp_path):
 
 
 def test_load_manifest_parses_each_protein_path_once(tmp_path, monkeypatch):
+    """The protein array pass reads the text of each protein path once."""
     manifest = _shared_receptor_manifest(tmp_path)
-    calls = []
+    texts = []
 
-    def counted(data, structure_id="protein"):
-        calls.append(structure_id)
-        return parse_pdb(data, structure_id=structure_id)
+    def counted(table):
+        texts.append(len(table.plain))
+        return ca_residues(table)
 
-    monkeypatch.setattr(chemio, "parse_pdb", counted)
+    ca_residues = chemio._ca_residues
+    monkeypatch.setattr(chemio, "_ca_residues", counted)
     loaded = load_manifest(manifest)
-    assert calls == ["toy0", "toy1"]
+    assert texts == [2]
+    assert [rec.protein.id for rec in loaded] == ["toy0", "toy1", "toy2"]
     shared, first = loaded[2].protein, loaded[0].protein
     assert all(getattr(shared, name) is getattr(first, name)
                for name in ("aa", "chain", "seq_index", "ca"))
@@ -672,12 +741,16 @@ def test_load_manifest_shared_protein_equals_per_row_parse(tmp_path):
 
 
 def _ca_parsed(text):
-    """parse_pdb's residue arrays as (codes, chains, resSeqs, CA bytes), or
-    its error."""
+    """parse_pdb's residue arrays as `_ca_rows` gives them, or its error."""
     try:
         prot = parse_pdb(text)
     except (ParseError, EmptyStructureError) as err:
         return type(err), str(err), getattr(err, "line", None)
+    return _ca_rows(prot)
+
+
+def _ca_rows(prot):
+    """A protein's residue arrays as (codes, chains, resSeqs, CA bytes)."""
     assert prot.ca.dtype == np.float64 and prot.ca.shape == (len(prot), 3)
     assert prot.seq_index.dtype == np.int64
     return (tuple(prot.aa.tolist()), tuple(prot.chain.tolist()), tuple(prot.seq_index.tolist()),
@@ -739,12 +812,14 @@ def _ca_mutated(mutations):
     return "\n".join(lines)
 
 
-def test_parse_pdb_matches_the_field_by_field_parse_under_line_mutations():
+def test_parse_pdb_matches_the_field_by_field_parse_under_line_mutations(tmp_path):
     """Every mutation of one line, and pairs of mutations on two lines, give
     the per-field parse's residue codes, chains, resSeqs and coordinate
     bytes, or its error for the same line: bad coordinates and resSeqs,
     altLoc and duplicate keys (the first record wins), HETATM and non-CA
-    records (skipped, bad fields included) and chains out of order."""
+    records (skipped, bad fields included) and chains out of order. Read by
+    `load_manifest` from the middle of a chunk of files, each mutated file
+    gives the same residues, or the same error for its row."""
     texts = [_ca_mutated([])]
     texts += [_ca_mutated([(name, i)]) for name in _CA_MUTATIONS for i in range(len(_CA_LINES))]
     pair_kinds = ("x=x", "y=nan", "z=1e309", "resseq", "altloc", "duplicate-key", "hetatm",
@@ -752,15 +827,17 @@ def test_parse_pdb_matches_the_field_by_field_parse_under_line_mutations():
     texts += [_ca_mutated([(a, i), (b, j)])
               for i, j in itertools.combinations(range(len(_CA_LINES)), 2)
               for a in pair_kinds for b in pair_kinds]
-    outcomes = set()
+    outcomes, parsed = set(), []
     for text in texts:
         got = _ca_parsed(text)
         assert got == _ca_oracle(text), text
+        parsed.append((text, got))
         outcomes.add(got[1].partition(": ")[2].split(" field")[0] if got[0] is ParseError
                      else "empty" if got[0] is EmptyStructureError else "parsed")
     assert _ca_parsed(texts[0])[:3] == (("MET", "TRP", "SER", "GLY", "ALA", "UNK"),
                                         ("", "A", "A", "A", "B", "C"), (5, 1, 2, 9, 4, -3))
     assert {"parsed", "malformed x", "non-finite y", "non-finite z", "malformed resSeq"} <= outcomes
+    _check_through_manifest(tmp_path, parsed, "pdb")
 
 
 def test_protein_arrays_are_read_only_and_round_trip_through_residues():
@@ -857,3 +934,203 @@ def test_load_manifest_rejects_an_unknown_column(tmp_path, header, column):
     with pytest.raises(ValidationError) as err:
         load_manifest(manifest)
     assert str(err.value) == f"manifest: unknown column {column!r}, allowed {allowed}"
+
+
+def manifest_load_s() -> float:
+    """Wall time, in seconds, of `load_manifest` of the 400-record
+    `clustered_records(80, 5)` manifest: the minimum of 3 runs."""
+    with tempfile.TemporaryDirectory() as directory:
+        manifest = write_manifest(clustered_records(80, 5), directory)
+        return min(timeit.repeat(lambda: load_manifest(manifest), number=1, repeat=3))
+
+
+def _workloads():
+    """The benchmark's `perfbench/workloads.py` as a module."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _assert_records_match_the_per_file_parses(records, directory):
+    """Each record's protein and poses equal, dtype, shape and bytes, the
+    per-file `parse_pdb` and `parse_sdf` of its files and their per-line
+    parses, which read no line table."""
+    rows = {}
+    with open(os.path.join(directory, "manifest.csv"), encoding="utf-8-sig") as fh:
+        for line in fh.read().splitlines()[1:]:
+            cid, sdf, pdb = line.split(",")[:3]
+            rows[cid] = (os.path.join(directory, sdf), os.path.join(directory, pdb))
+    assert [rec.complex_id for rec in records] == list(rows)
+    for rec in records:
+        sdf, pdb = (open(path, encoding="utf-8").read() for path in rows[rec.complex_id])
+        poses = [_fields(mol) for mol in rec.poses]
+        assert poses == [_fields(mol) for mol in parse_sdf(sdf)], rec.complex_id
+        assert poses == [_fields(mol) for mol in chemio._parse_sdf_lines(sdf)], rec.complex_id
+        protein = _fields(rec.protein)
+        assert protein == _fields(parse_pdb(pdb, structure_id=rec.complex_id)), rec.complex_id
+        assert protein == _fields(chemio._parse_pdb_lines(pdb, rec.complex_id)), rec.complex_id
+
+
+@pytest.mark.parametrize("seed", [0, 29])
+def test_load_manifest_reads_every_bench_input_as_the_per_file_parse(tmp_path, seed):
+    """Every manifest the three benchmark workloads write, and every pose
+    file, reads the same arrays through the chunked array pass, the
+    one-file parse and the per-line parse."""
+    workloads = _workloads()
+    manifests = 0
+    for name in ("screen-pocket", "train-toy", "rerank-split-eval"):
+        workloads.generate(name, seed, str(tmp_path / name))
+    for path in sorted(tmp_path.rglob("*.csv")):
+        text = path.read_text(encoding="utf-8")
+        if text.startswith("complex_id,"):
+            directory = tmp_path / f"rows{manifests}"
+            directory.mkdir()
+            # one manifest.csv per directory, as `write_manifest` writes it
+            for line in text.splitlines()[1:]:
+                for name in line.split(",")[1:3]:
+                    if not (directory / name).exists():
+                        (directory / name).write_bytes((path.parent / name).read_bytes())
+            (directory / "manifest.csv").write_text(text, encoding="utf-8")
+            _assert_records_match_the_per_file_parses(
+                load_manifest(str(directory / "manifest.csv")), str(directory))
+            manifests += 1
+    assert manifests == 8
+    for path in tmp_path.rglob("*.sdf"):
+        text = path.read_text(encoding="utf-8")
+        assert [_fields(m) for m in parse_sdf(text)] == \
+            [_fields(m) for m in chemio._parse_sdf_lines(text)], path
+
+
+def _edge_case_files(directory):
+    """PDB and SDF files of every form the array passes read, and one with a
+    tab that they leave to the per-line parse; returns (ligand, protein)
+    file names, one pair per manifest row."""
+    ca = [pdb_atom_line(1, "N", " ", "ALA", "B", 4, 0.0, 0.0, 0.0, "N"),
+          pdb_atom_line(2, "CA", " ", "ALA", "B", 4, 1.458, 0.0, 0.0, "C"),
+          pdb_atom_line(3, "CA", "A", "SER", "A", 2, -2.0, 7.125, -0.0, "C"),
+          pdb_atom_line(4, "CA", "B", "SER", "A", 2, 9.0, 9.0, 9.0, "C"),      # altLoc duplicate
+          pdb_atom_line(5, "CA", " ", "XYZ", "A", -3, 999.999, -99.5, 12.0, "C"),
+          "TER",
+          pdb_atom_line(6, "CA", " ", "TRP", "A", 1, -9.999, 0.001, 4.0, "C")[:50],  # short
+          "END"]
+    left = [line[:12] + "CA  " + line[16:] if line[12:16] == " CA " else line for line in ca]
+    right = [line[:12] + "  CA" + line[16:] if line[12:16] == " CA " else line for line in ca]
+    tab = [line[:12] + " CA\t" + line[16:] if line[12:16] == " CA " else line for line in ca]
+    proteins = {"ca.pdb": "\n".join(ca) + "\n", "left.pdb": "\n".join(left),
+                "right.pdb": "\n".join(right) + "\n", "crlf.pdb": "\r\n".join(ca) + "\r\n",
+                "bom.pdb": "\ufeff" + "\n".join(ca) + "\n", "tab.pdb": "\n".join(tab) + "\n",
+                "full.pdb": "\n".join(_ATOM_LINES) + "\n"}
+    sdf = "\n".join(_SDF_LINES) + "\n"
+    ring = _sdf_record("ring" * 12, [
+        (0.0, 0.0, 0.0, "C"), (1.4, 0.0, 0.0, "C"), (2.1, 1.2, 0.0, "C"),
+        (1.4, 2.4, 0.0, "N"), (0.0, 2.4, 0.0, "C"), (-0.7, 1.2, 0.0, "C"), (-1.7, 1.2, 0.0, "H"),
+    ], [(1, 2, 4), (2, 3, 4), (3, 4, 4), (4, 5, 4), (5, 6, 4), (6, 1, 4), (6, 7, 1)],
+        props=["M  CHG  1   4   1", "M  CHG  1   1  -1"])
+    ligands = {"two.sdf": sdf, "crlf.sdf": sdf.replace("\n", "\r\n"), "bom.sdf": "\ufeff" + sdf,
+               "ring.sdf": ring.replace("$$$$", " " * 45 + "$$$$ ") + "\n"
+               + METHANE.replace("$$$$", "  $$$$") + "\n" + " " * 50 + "\n$$$$\n" + ETHANE,
+               "methane.sdf": METHANE.replace("methane", "") + "\n" + ETHANE}
+    for name, text in {**proteins, **ligands}.items():
+        (directory / name).write_bytes(text.encode("utf-8"))
+    return list(zip(["two.sdf", "crlf.sdf", "bom.sdf", "ring.sdf", "ethane.sdf", "two.sdf",
+                     "ring.sdf"], list(proteins)))
+
+
+def test_load_manifest_reads_edge_cases_as_the_per_file_parse(tmp_path):
+    """Full-atom PDBs, CRLF and BOM files, lines shorter than 54 columns,
+    left- and right-justified CA names, a tab in a name field, altLoc
+    duplicates, unsorted residues, two chains, `M  CHG` lines, hydrogens,
+    aromatic bonds, padded "$$$$" lines (one past the line table's width),
+    a blank record, a title wider than the line table and multi-pose SDFs
+    read the same arrays from one manifest as from each file alone; the
+    array passes decide every file but the one with a tab."""
+    (tmp_path / "ethane.sdf").write_text(ETHANE)
+    pairs = _edge_case_files(tmp_path)
+    (tmp_path / "manifest.csv").write_text("\n".join(
+        [_MANIFEST_HEADER] + [f"e{i},{sdf},{pdb},," for i, (sdf, pdb) in enumerate(pairs)]) + "\n")
+    records = load_manifest(str(tmp_path / "manifest.csv"))
+    _assert_records_match_the_per_file_parses(records, str(tmp_path))
+    assert [len(rec.poses) for rec in records] == [2, 2, 2, 3, 1, 2, 3]
+    assert records[3].ligand.id == "ring" * 12 and records[3].ligand.charges.tolist()[:4] == \
+        [-1, 0, 0, 1] and records[3].ligand.aromatic.all()
+    pdbs = sorted(tmp_path.glob("*.pdb"))
+    decided = chemio._ca_residues(chemio._LineTable([p.read_bytes() for p in pdbs],
+                                                    chemio._PDB_WIDTH))
+    assert [p.name for p, d in zip(pdbs, decided) if d is None] == ["tab.pdb"]
+    sdfs = sorted(tmp_path.glob("*.sdf"))
+    decided = chemio._sdf_records(chemio._LineTable([p.read_bytes() for p in sdfs],
+                                                    chemio._SDF_WIDTH))
+    assert None not in decided
+
+
+@pytest.mark.parametrize("chunk", [1, None], ids=["a-chunk-per-row", "one-chunk"])
+@pytest.mark.parametrize("later,needle", [
+    ("e4,toy4.sdf,toy4.pdb,abc,", "row 'e4': ec50_nm 'abc' is not a number"),
+    ("e4,toy4.sdf,missing.pdb,,", "missing file"),
+    ("e0,toy4.sdf,toy4.pdb,,", "row 5: duplicate complex_id 'e0'"),
+    ("e4,toy4.sdf,toy4.pdb,,,extra", "row 5: more fields than the header"),
+], ids=["ec50", "missing-file", "duplicate-id", "extra-field"])
+def test_load_manifest_reports_the_first_bad_row_whatever_its_error(tmp_path, monkeypatch,
+                                                                    chunk, later, needle):
+    """A bad PDB on row 3 is reported, not the error of row 5, whether the
+    rows share a chunk or not; alone, row 5 reports its own error."""
+    if chunk is not None:
+        monkeypatch.setattr(chemio, "_CHUNK_BYTES", chunk)
+    manifest = write_manifest(random_complexes(5, seed=3), str(tmp_path))
+    lines = open(manifest).read().splitlines()
+    rows = [f"e{i}," + line.split(",", 1)[1] for i, line in enumerate(lines[1:5])] + [later]
+    text = (tmp_path / "toy2.pdb").read_text().splitlines()
+    text[1] = text[1][:30] + "  xx.xxx" + text[1][38:]
+    (tmp_path / "bad.pdb").write_text("\n".join(text) + "\n")
+    good = "\n".join([lines[0]] + rows) + "\n"
+    rows[2] = rows[2].replace("toy2.pdb", "bad.pdb")
+    open(manifest, "w").write("\n".join([lines[0]] + rows) + "\n")
+    with pytest.raises(ValidationError, match=r"^row 'e2': .*bad\.pdb: line 2: malformed x field"):
+        load_manifest(manifest)
+    open(manifest, "w").write(good)
+    with pytest.raises((ValidationError, FileNotFoundError)) as err:
+        load_manifest(manifest)
+    assert needle in str(err.value)
+
+
+def _load_transient_mb(families: int, directory) -> float:
+    """`load_manifest`'s `tracemalloc` peak less what its records hold, in
+    MB, for a `clustered_records(families, 5)` manifest."""
+    manifest = write_manifest(clustered_records(families, 5), str(directory))
+    load_manifest(manifest)  # lazy imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        records = load_manifest(manifest)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 5 * families
+    return (peak - held) / 2 ** 20
+
+
+def test_load_manifest_transient_memory_does_not_grow_with_the_manifest(tmp_path):
+    """The line tables are built a chunk of files at a time, so the
+    transient memory of 2,000 records stays within 0.5 MB of 200 records'
+    (the bookkeeping of row ids and protein paths grows with the rows)."""
+    small = _load_transient_mb(40, tmp_path / "small")
+    large = _load_transient_mb(400, tmp_path / "large")
+    assert large <= small + 0.5, f"{small:.2f} MB for 200 records, {large:.2f} MB for 2,000"
+
+
+_V3000_SDF = "\n".join([
+    "v3", "  cpi3d", "", "  0  0  0  0  0  0  0  0  0  0999 V3000",
+    "M  V30 BEGIN CTAB", "M  V30 COUNTS 2 1 0 0 0", "M  V30 BEGIN ATOM",
+    "M  V30 1 C 0 0 0 0", "M  V30 2 O 1.2 0 0 0", "M  V30 END ATOM", "M  V30 BEGIN BOND",
+    "M  V30 1 1 1 2", "M  V30 END BOND", "M  V30 END CTAB", "M  END", "$$$$", ""])
+
+
+def test_parse_sdf_rejects_a_v3000_record_at_its_counts_line():
+    """A V3000 counts line declares no atoms; it is rejected, not read as a
+    molecule with none, in a file of its own and after a V2000 record."""
+    for text, line in ((_V3000_SDF, 4), (METHANE + "\n" + _V3000_SDF, 19)):
+        with pytest.raises(ParseError) as err:
+            parse_sdf(text)
+        assert str(err.value) == f"line {line}: V3000 mol block is not supported (write V2000)"
+        assert err.value.line == line

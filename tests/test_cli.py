@@ -259,6 +259,26 @@ $$$$
 """
 
 
+# a 2-atom V3000 record: its counts line declares no atoms
+_V3000_SDF = """bb
+  cpi3d
+
+  0  0  0  0  0  0  0  0  0  0999 V3000
+M  V30 BEGIN CTAB
+M  V30 COUNTS 2 1 0 0 0
+M  V30 BEGIN ATOM
+M  V30 1 C 0 0 0 0
+M  V30 2 O 1.2 0 0 0
+M  V30 END ATOM
+M  V30 BEGIN BOND
+M  V30 1 1 1 2
+M  V30 END BOND
+M  V30 END CTAB
+M  END
+$$$$
+"""
+
+
 @pytest.mark.parametrize("name,corrupt,want", [
     ("bb.sdf", _corrupt_sdf_coordinates,
      "{path}: line 5: malformed coordinates in '    1.2x45"),
@@ -268,7 +288,9 @@ $$$$
      "{path}: 'utf-8' codec can't decode byte 0xff"),
     ("bb.sdf", lambda path: open(path, "w").write(_HYDROGENS_SDF),
      "ligand has no heavy atoms\n"),
-], ids=["malformed-sdf", "pdb-without-ca", "sdf-not-utf8", "hydrogens-only"])
+    ("bb.sdf", lambda path: open(path, "w").write(_V3000_SDF),
+     "{path}: line 4: V3000 mol block is not supported (write V2000)\n"),
+], ids=["malformed-sdf", "pdb-without-ca", "sdf-not-utf8", "hydrogens-only", "v3000"])
 @pytest.mark.parametrize("command", ["split", "train", "predict"])
 def test_bad_manifest_file_exits_one_naming_its_row(toy_dir, tmp_path, capsys, name, corrupt,
                                                    want, command):
@@ -289,6 +311,33 @@ def test_bad_manifest_file_exits_one_naming_its_row(toy_dir, tmp_path, capsys, n
     assert err.startswith("error: row 'bb': " + want.format(path=path))
     assert err.count("\n") == 1
     assert not os.path.exists(out)
+
+
+def test_rerank_of_a_v3000_pose_file_exits_one(tmp_path, capsys):
+    """A V3000 pose file is rejected at its counts line, not reported as an
+    empty pose."""
+    rng = np.random.default_rng(5)
+    (tmp_path / "poses.sdf").write_text(_V3000_SDF)
+    (tmp_path / "rec.pdb").write_text(protein_to_pdb(random_protein(rng, n_residues=6)))
+    assert main(["rerank", "--poses", str(tmp_path / "poses.sdf"), "--protein",
+                 str(tmp_path / "rec.pdb"), "--out", str(tmp_path / "ranked.csv")]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 4: V3000 mol block is not supported (write V2000)\n"
+    assert not (tmp_path / "ranked.csv").exists()
+
+
+@pytest.mark.parametrize("folds", ["0", "-2"])
+def test_split_checks_folds_before_reading_the_manifest(tmp_path, capsys, monkeypatch, folds):
+    """`--folds` below one exits 1 before the manifest is read or a
+    similarity matrix is built."""
+    def unread(path):
+        raise AssertionError("load_manifest called")
+
+    monkeypatch.setattr(cli, "load_manifest", unread)
+    assert main(["split", "--manifest", str(tmp_path / "absent.csv"), "--setting",
+                 "novel_compound", "--folds", folds, "--out", str(tmp_path / "splits.json")]) == 1
+    assert capsys.readouterr().err == f"error: need at least one fold, got {folds}\n"
+    assert not (tmp_path / "splits.json").exists()
 
 
 def test_split_of_a_manifest_with_no_data_rows_exits_one(tmp_path, capsys):
