@@ -17,7 +17,10 @@ import functools
 import glob
 import io
 import json
+import math
 import os
+import pickle
+import signal
 import sys
 import warnings
 from collections import defaultdict
@@ -408,22 +411,224 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     return 0
 
 
+# `predict` runs at most this many worker processes. Each worker builds
+# every graph of the stream and pays its own receptor-only reference
+# (0.16-0.23 s for a 300-residue receptor), so its total CPU grows with
+# the count; 2 is the count measured (BENCH_predict_pool.json).
+POOL_WORKERS = 2
+
+
+def _quota_cpus(root: str = "/sys/fs/cgroup", table: str = "/proc/self/cgroup") -> float:
+    """The CPUs a cgroup CPU quota leaves this process, `inf` without one:
+    the lowest `cpu.max` (cgroup v2) or `cpu.cfs_quota_us` over
+    `cpu.cfs_period_us` (v1) of its cgroups and the cgroups above them,
+    which `sched_getaffinity` does not see."""
+    try:
+        with open(table) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return math.inf
+    limit = math.inf
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if controllers and "cpu" not in controllers.split(","):
+            continue
+        parts = [root] + ([controllers] if controllers else []) + [p for p in path.split("/") if p]
+        for n in range(len(parts), 0, -1):
+            limit = min(limit, _cgroup_cpus(os.path.join(*parts[:n])))
+    return limit
+
+
+def _cgroup_cpus(directory: str) -> float:
+    """The CPUs one cgroup directory's quota grants, `inf` for none."""
+    for names in (("cpu.max",), ("cpu.cfs_quota_us", "cpu.cfs_period_us")):
+        try:
+            fields = []
+            for name in names:
+                with open(os.path.join(directory, name)) as f:
+                    fields += f.read().split()
+            quota, period = fields
+            if quota not in ("max", "-1"):
+                return int(quota) / int(period)
+        except (OSError, ValueError, ZeroDivisionError):
+            pass
+    return math.inf
+
+
+def _usable_cores() -> int:
+    """The cores this process may keep busy: those it may run on
+    (`taskset` limits them), or fewer under a cgroup CPU quota; 1 where it
+    cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, int(min(len(os.sched_getaffinity(0)), _quota_cpus())))
+
+
+def _score(run, pack, model, cache) -> list[float]:
+    fps = morgan_fingerprints([rec.ligand for rec in run], nbits=model.cfg.fingerprint_width)
+    return forward(pack, fps, model.params, model.cfg, cache=cache).data.tolist()
+
+
+def _fork_workers(count: int, work) -> list:
+    """Fork `count - 1` children; child k runs `work(k, out)`, `out` the
+    write end of its pipe, and leaves through `os._exit`. Returns (pid,
+    read end) per child, and none when a pipe or a fork fails (a process
+    limit, say): the caller then scores alone. A forked child continues the
+    caller's state, a half-walked generator included; the process starts
+    no thread of its own, and `main` has set BLAS to one thread."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for k in range(1, count):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    # only the parent holds each read end, so a parent that
+                    # dies unreaped breaks every child's pipe
+                    os.close(r)
+                    for _, sibling in children:
+                        sibling.close()
+                    with os.fdopen(w, "wb") as out:
+                        work(k, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+    except OSError:
+        _reap(children)
+        return []
+    except BaseException:
+        _reap(children)
+        raise
+    return children
+
+
+def _reap(children):
+    """Stop and reap every child, done or not."""
+    for pid, pipe in children:
+        pipe.close()
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        os.waitpid(pid, 0)
+
+
+def _portable(exc: Exception) -> Exception:
+    """`exc`, or where it does not come back from pickling as itself, the
+    first class `main` reports that it is, with its message."""
+    try:
+        back = pickle.loads(pickle.dumps(exc))
+        if type(back) is type(exc) and str(back) == str(exc):
+            return exc
+    except Exception:
+        pass
+    kind = next((c for c in (Cpi3dError, ValueError, MemoryError, OSError)
+                 if isinstance(exc, c)), RuntimeError)
+    return kind(str(exc))
+
+
+def _receive(pipe, i: int) -> list[float]:
+    """A child's predictions for pack `i`, or the error it raised there,
+    after the warnings it caught there are issued here."""
+    try:
+        got, caught = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):    # it died before or while writing
+        raise Cpi3dError(f"the worker scoring pack {i} ended without its predictions") from None
+    for text, category, filename, lineno in caught:
+        # the module that warned, whose registry shows a repeat once, as
+        # in the serial run
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        space = vars(module) if module is not None else None
+        warnings.warn_explicit(
+            text, category, filename, lineno,
+            module=space and space.get("__name__"),
+            registry=space and space.setdefault("__warningregistry__", {}),
+            module_globals=space)
+    if isinstance(got, BaseException):
+        raise got
+    return got
+
+
+def _numbered(first, rest):
+    """(i, item) over `first` and then `rest`, holding each item no longer
+    than its turn; `enumerate` would keep its last item while it fetches
+    the next, that is, a pack while the next graph is built."""
+    yield 0, first
+    del first
+    i = 1
+    for item in rest:
+        yield i, item
+        del item
+        i += 1
+
+
 def _cmd_predict(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
     if not records:
         raise ValidationError("no records to predict")
     model = load_model(args.checkpoint)
-    # packs of one (graphs over the edge budget) share a receptor's pp work
+    stream = edge_budget_packs(records, lambda rec: build_graph(rec, model.cutoffs))
+    first = next(stream)
+    # every worker walks the same stream of packs and scores pack i when
+    # i % workers is its index, on a cache of its own; the cache makes each
+    # prediction depend only on its record, so any worker count gives the
+    # serial bytes
+    workers = min(POOL_WORKERS, _usable_cores()) if len(records) > len(first[0]) else 1
+    packs = _numbered(first, stream)
+    del first
+
+    def work(k, out):
+        cache = ReceptorCache()
+        with warnings.catch_warnings(record=True) as caught:
+            # every warning goes to the parent, which filters it as the
+            # serial run would; those of the graph walk it issues itself
+            warnings.simplefilter("always")
+            try:
+                for i, (run, pack) in packs:
+                    if i % workers == k:
+                        caught.clear()
+                        try:
+                            got = _score(run, pack, model, cache)
+                        except Exception as exc:    # the parent raises it at this pack
+                            got = _portable(exc)
+                        out.write(pickle.dumps(
+                            (got, [(str(w.message), w.category, w.filename, w.lineno)
+                                   for w in caught])))
+                        out.flush()
+                        if isinstance(got, Exception):
+                            return
+                    del pack
+            except Exception as exc:    # the parent's own walk raises it first
+                out.write(pickle.dumps((_portable(exc), [])))
+
+    children = _fork_workers(workers, work)
+    workers = len(children) + 1
     cache = ReceptorCache()
     rows = []
-    for run, pack in edge_budget_packs(records, lambda rec: build_graph(rec, model.cutoffs)):
-        # a generator, so that no name keeps a graph alive past `del pack`
-        sys.stderr.writelines(f"warning: {rec.complex_id}: {w}\n"
-                              for rec, ws in zip(run, pack.warnings) for w in ws)
-        fps = morgan_fingerprints([rec.ligand for rec in run], nbits=model.cfg.fingerprint_width)
-        preds = forward(pack, fps, model.params, model.cfg, cache=cache).data
-        rows += [[rec.complex_id, repr(float(p))] for rec, p in zip(run, preds)]
-        del pack  # freed before the next record's graph is built
+    try:
+        for i, (run, pack) in packs:
+            # a generator, so that no name keeps a graph alive past `del pack`
+            sys.stderr.writelines(f"warning: {rec.complex_id}: {w}\n"
+                                  for rec, ws in zip(run, pack.warnings) for w in ws)
+            if i % workers == 0:
+                preds = _score(run, pack, model, cache)
+            else:
+                preds = _receive(children[i % workers - 1][1], i)
+            rows += [[rec.complex_id, repr(p)] for rec, p in zip(run, preds)]
+            del pack  # freed before the next record's graph is built
+    finally:
+        _reap(children)
     _write_csv(args.out, "predict", cfg, ["complex_id", "prediction"], rows)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0

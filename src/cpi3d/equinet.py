@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericalError
 from .geograph import (CutoffConfig, EdgeKind, GraphPack, LIGAND_FEATURE_DIM,
-                       RESIDUE_FEATURE_DIM, edge_geometry, rbf_embed)
+                       RESIDUE_FEATURE_DIM, edge_geometry, rbf_embed, receptor_only)
 from .so3 import allowed_paths, coupling_matrix, sh_slice, spherical_harmonics_batch
 
 EDGE_KIND_ORDER = (EdgeKind.CC, EdgeKind.PP, EdgeKind.PC)
@@ -623,16 +623,20 @@ class ReceptorCache:
     """The receptor-only pp work of inference forwards, for one receptor.
 
     The entry is keyed on the bytes of the residue features and residue
-    positions, and on the parameter store that filled it; a graph of
-    another receptor replaces it. For a layer whose pp stage has run whole
-    (every edge ends on a live row) it holds the residue source rows and
-    per-residue pp message sums of that forward (the reference). For a
-    layer whose pp stage has not, which recomputes every edge for every
-    ligand, it holds the gates of every pp edge, which depend only on the
-    distances and the layer-0 residue embeddings. `recomputed` maps each
-    layer to the number of pp edges whose messages the last forward
-    computed: the edges from changed residues in a whole stage, every edge
-    in any other.
+    positions, and on the parameter store that filled it. A graph of
+    another receptor refills it from the reference: one forward of that
+    receptor alone (`geograph.receptor_only`: its residues and pp edges,
+    no ligand node, no cc or pc edge) without a readout. Per layer it
+    holds the reference's pp source rows; for a layer whose pp stage ran
+    whole there (every edge ends on a live row) the per-residue pp message
+    sums, and for any other layer, the last, the gates of every pp edge,
+    which depend only on the distances and the layer-0 residue
+    embeddings. No ligand's forward becomes the reference, so a
+    prediction from the cache depends only on its receptor and its
+    ligand. `recomputed` maps each layer to the number of pp edges whose
+    messages the last forward computed: the edges from the residues whose
+    rows differ from the reference's in a whole stage, every edge in any
+    other.
     """
 
     def __init__(self):
@@ -643,13 +647,15 @@ class ReceptorCache:
         self.ref_sums: dict[int, dict[int, np.ndarray]] = {}
         self.recomputed: dict[int, int] = {}
 
-    def select(self, pack: GraphPack, params: ParameterStore):
+    def select(self, pack: GraphPack, params: ParameterStore, cfg: ModelConfig):
         """Keep the entry if `pack`, a pack of one, holds its receptor,
-        else empty it."""
+        else fill it with that receptor's reference."""
         key = (pack.residue_features.tobytes(), pack.positions[pack.n_ligand:].tobytes())
         if key != self._key or params is not self._params:
-            self._key, self._params = key, params
+            self._key, self._params = None, None    # unkeyed until the reference is whole
             self.gates, self.ref_rows, self.ref_sums = {}, {}, {}
+            _propagate(receptor_only(pack), params, cfg, cache=self)
+            self._key, self._params = key, params
         self.recomputed = {}
 
 
@@ -694,29 +700,54 @@ def _stage_sums(h: IrrepFeature, live, edges, gates, tp_weights, paths) -> dict:
     return sums
 
 
+def _all_gates(gates, src, dst, n_paths: int) -> np.ndarray:
+    """The untracked gates of every edge, computed in EDGE_BLOCK blocks."""
+    dist, cutoffs, scalars, psi = gates
+    out = np.empty((len(src), n_paths))
+    for start in range(0, len(src), EDGE_BLOCK):
+        e = np.arange(start, min(start + EDGE_BLOCK, len(src)))
+        out[e] = edge_gates(e, src, dst, dist, cutoffs, scalars, scalars, psi).data
+    return out
+
+
 def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, paths,
                     h: IrrepFeature, edges, n_ligand: int) -> dict:
-    """The pp message sums of one inference layer, from the cache. A pp
-    edge's message is linear in its source rows, so a whole stage's sums
-    are the reference sums plus the messages of `rows - ref_rows` over the
-    edges leaving residues whose rows differ, their gates computed in
-    their blocks; with no reference yet the reference is zero, and the
-    result becomes the reference. Any other stage runs `_stage_sums` on
-    the gates of every edge, which its receptor's first such forward
-    stores."""
+    """The pp message sums of one inference layer, from the cache.
+
+    The reference's forward finds no entry for the layer and fills it:
+    its source rows, and for a whole stage the sums over every edge and
+    path. A stage that is not whole is the last pp stage (pp edges run
+    both ways, so a later pp stage keeps every earlier one whole), whose
+    sums nothing reads; it stores the gates of every edge instead. A ligand's
+    whole stage adds to the reference sums the messages of `rows -
+    ref_rows` over the edges leaving residues whose rows differ, as a pp
+    edge's message is linear in its source rows; where the reference's
+    stage was not whole, its sums are first made from its rows and gates.
+    A ligand's other stages run `_stage_sums` on the stored gates.
+    """
     a_idx, b_idx, _, sh = edges
-    if not live[a_idx].all():
-        if layer not in cache.gates:
-            dist, cutoffs, scalars, psi = gates
-            cache.gates[layer] = np.empty((len(a_idx), len(paths)))
-            for start in range(0, len(a_idx), EDGE_BLOCK):
-                e = np.arange(start, min(start + EDGE_BLOCK, len(a_idx)))
-                cache.gates[layer][e] = edge_gates(e, b_idx, a_idx, dist, cutoffs,
-                                                   scalars, scalars, psi).data
+    every = np.arange(len(a_idx))
+    whole = live[a_idx].all()
+    if layer not in cache.ref_rows:    # the reference's forward, with no ligand rows
+        cache.ref_rows[layer] = {l: b.data for l, b in h.blocks.items()}
+        zeros = {l: np.zeros(b.shape) for l, b in h.blocks.items()}
+        if not whole:
+            cache.gates[layer] = _all_gates(gates, b_idx, a_idx, len(paths))
+            return zeros
+        sums = aggregate_messages(h, every, b_idx, a_idx, sh, gates, tp_weights, paths,
+                                  zeros).blocks
+        cache.ref_sums[layer] = {l: s.data for l, s in sums.items()}
+        return sums
+    if not whole:
         cache.recomputed[layer] = len(a_idx)
         return _stage_sums(h, live, edges, cache.gates[layer].__getitem__, tp_weights, paths)
-    zero = {l: 0.0 for l in h.blocks}
-    ref_rows, ref_sums = cache.ref_rows.get(layer, zero), cache.ref_sums.get(layer, zero)
+    ref_rows = cache.ref_rows[layer]
+    if layer not in cache.ref_sums:
+        zeros = {l: np.zeros(r.shape) for l, r in ref_rows.items()}
+        ref = aggregate_messages(IrrepFeature(h.layout, ref_rows), every, b_idx - n_ligand,
+                                 a_idx - n_ligand, sh, cache.gates[layer].__getitem__,
+                                 tp_weights, paths, zeros).blocks
+        cache.ref_sums[layer] = {l: s.data for l, s in ref.items()}
     rows, sums = {}, {}
     differs = np.zeros(h.n, dtype=bool)
     for l, b in h.blocks.items():
@@ -724,15 +755,11 @@ def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, p
         rows[l][n_ligand:] -= ref_rows[l]
         differs |= (rows[l] != 0).reshape(h.n, -1).any(axis=1)
         sums[l] = np.zeros_like(rows[l])
-        sums[l][n_ligand:] = ref_sums[l]
+        sums[l][n_ligand:] = cache.ref_sums[layer][l]
     ids = np.flatnonzero(differs[b_idx])    # pp edges leave residue rows only
-    out = aggregate_messages(IrrepFeature(h.layout, rows), ids, b_idx, a_idx, sh, gates,
-                             tp_weights, paths, sums).blocks
-    if layer not in cache.ref_rows:
-        cache.ref_rows[layer] = {l: r[n_ligand:].copy() for l, r in rows.items()}
-        cache.ref_sums[layer] = {l: s.data[n_ligand:] for l, s in out.items()}
     cache.recomputed[layer] = len(ids)
-    return out
+    return aggregate_messages(IrrepFeature(h.layout, rows), ids, b_idx, a_idx, sh, gates,
+                              tp_weights, paths, sums).blocks
 
 
 def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
@@ -763,17 +790,32 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
     (dist, sh) constants with caller tensors (used to differentiate
     through geometric inputs in tests).
     `cache` (inference only) takes the pp message sums of a pack of one
-    from a `ReceptorCache`, which reuses the receptor's work across ligands and
-    agrees with the uncached forward to rounding; a larger pack runs
-    uncached.
+    from a `ReceptorCache`, which reuses the receptor's work across ligands,
+    gives the same bits whatever ligands it served before, and agrees with
+    the uncached forward to rounding; a larger pack runs uncached.
     """
     if cache is not None:
         if training or edge_override:
             raise ConfigError("the receptor cache serves inference forwards only")
         if pack.n_graphs == 1:
-            cache.select(pack, params)
+            cache.select(pack, params, cfg)
         else:
             cache = None
+    features: list[dict] | None = [] if return_features else None
+    h = _propagate(pack, params, cfg, training, edge_override, cache, features)
+    pooled = invariant_pool(h, pack.node_graph, pack.kinds, pack.n_graphs)
+    pred = readout(pooled, fp, tuple(
+        params[f"readout.{w}"] for w in ("fp.W", "fp.b", "hidden.W", "hidden.b", "out.W", "out.b")
+    ))
+    if return_features:
+        return pred, features
+    return pred
+
+
+def _propagate(pack: GraphPack, params: ParameterStore, cfg: ModelConfig, training=False,
+               edge_override=None, cache=None, features=None) -> IrrepFeature:
+    """`forward`'s embedding and message-passing stages: the node features
+    after the final stage, each stage's appended to `features` if given."""
     layout = cfg.layout
     m0 = layout.mult(0)
     n = pack.n_nodes
@@ -793,7 +835,6 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
     edge_data = _edge_tensors(pack)
     paths = cfg.active_paths()
     live_masks = iter(live_rows(pack, edge_data, cfg.layers, training))
-    features: list[dict] = []
 
     for layer in range(cfg.layers):
         for kind in EDGE_KIND_ORDER:
@@ -847,16 +888,9 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
                     raise NumericalError(
                         f"non-finite features after layer {layer} kind {kind.value} (l={l})"
                     )
-            if return_features:
+            if features is not None:
                 features.append({"layer": layer, "kind": kind.value, "feature": h.detach()})
-
-    pooled = invariant_pool(h, pack.node_graph, pack.kinds, pack.n_graphs)
-    pred = readout(pooled, fp, tuple(
-        params[f"readout.{w}"] for w in ("fp.W", "fp.b", "hidden.W", "hidden.b", "out.W", "out.b")
-    ))
-    if return_features:
-        return pred, features
-    return pred
+    return h
 
 
 @dataclass

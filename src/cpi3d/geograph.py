@@ -178,6 +178,23 @@ def pack_graphs(packs) -> GraphPack:
     )
 
 
+def receptor_only(pack: GraphPack) -> GraphPack:
+    """The receptor of a pack of one alone: its residue nodes and its pp
+    edges shifted down by `n_ligand`, with no ligand node and no cc or pc
+    edge. Its positions and residue features are views of `pack`'s."""
+    nl, nr = pack.n_ligand, pack.n_residue
+    none = np.zeros(0, dtype=np.intp)
+    pp = pack.edges[EdgeKind.PP]
+    return GraphPack(
+        node_graph=np.zeros(nr, dtype=np.intp), kinds=pack.kinds[nl:],
+        positions=pack.positions[nl:], ligand_features=pack.ligand_features[:0],
+        residue_features=pack.residue_features, feature_rows=np.arange(nr),
+        edges={EdgeKind.CC: EdgeSet(a=none, b=none), EdgeKind.PP: EdgeSet(a=pp.a - nl, b=pp.b - nl),
+               EdgeKind.PC: EdgeSet(a=none, b=none)},
+        cutoffs=pack.cutoffs, warnings=((),),
+    )
+
+
 def edge_lengths(delta: np.ndarray) -> np.ndarray:
     """Euclidean lengths of the vectors along the last axis of `delta`."""
     return np.sqrt(np.sum(delta * delta, axis=-1))

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -24,11 +25,13 @@ from cpi3d.chemio import ComplexRecord, load_manifest, parse_sdf, write_sdf
 from cpi3d.cli import main
 from cpi3d.config import build_config
 from cpi3d.equinet import ModelConfig, ParameterStore, forward, init_params
+from cpi3d.errors import NumericalError
 from cpi3d.fingerprint import morgan_fingerprint
 from cpi3d.geograph import CutoffConfig, build_graph
 from cpi3d.synthetic import (
     clustered_records,
     protein_to_pdb,
+    random_complex,
     random_complexes,
     random_ligand,
     random_protein,
@@ -1039,6 +1042,7 @@ def test_predict_scores_edge_budget_packs(tmp_path, monkeypatch):
         return forward(pack, fp, params, cfg, cache=cache)
 
     monkeypatch.setattr(cli, "forward", spy_forward)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)    # the spy sees every pack
     out = tmp_path / "preds.csv"
     assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
                  "--out", str(out)]) == 0
@@ -1186,6 +1190,7 @@ def test_predict_prints_a_graph_warning_per_far_ligand(tmp_path, capsys, monkeyp
         return graph
 
     monkeypatch.setattr(cli, "build_graph", build_after_the_last_is_freed)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)    # the spy sees every build
     out = tmp_path / "preds.csv"
     assert main(["predict", "--manifest", manifest, "--checkpoint",
                  str(tmp_path / "model.eqcp"), "--out", str(out)]) == 0
@@ -1196,6 +1201,215 @@ def test_predict_prints_a_graph_warning_per_far_ligand(tmp_path, capsys, monkeyp
     assert captured.out == f"wrote 3 predictions to {out}\n"
     rows = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
     assert rows == [rec.complex_id for rec in records]
+
+
+def _pool_manifest(tmp_path):
+    """Small records that share packs, and records over the budget on
+    two interleaved receptors, one of them out of the pocket: a manifest
+    path and the edge budget that forms those packs."""
+    rng = np.random.default_rng(8)
+    small = random_complexes(5, seed=9, n_atoms=5, n_residues=5)
+    rec_a, rec_b = random_protein(rng, n_residues=40), random_protein(rng, n_residues=30)
+    big = [ComplexRecord(complex_id=f"big{i}", protein=protein,
+                         ligand=random_ligand(rng, n_atoms=n, center=center))
+           for i, (protein, n, center) in enumerate([
+               (rec_a, 6, (0.0, 0.0, 0.0)), (rec_b, 7, (0.0, 0.0, 0.0)),
+               (rec_a, 8, (0.0, 0.0, 0.0)), (rec_b, 6, (200.0, 0.0, 0.0)),
+               (rec_a, 9, (0.0, 0.0, 0.0))])]
+    # packs: two small, big0, big1, two small (the child's at two
+    # workers), big2, big3, big4, one small
+    records = small[:2] + big[:2] + small[2:4] + big[2:] + small[4:]
+    manifest = write_manifest(records, str(tmp_path / "data"))
+    cut = build_config(CutoffConfig, TINY_MODEL["cutoffs"])
+    edges = [build_graph(rec, cut).edge_count() for rec in load_manifest(manifest)]
+    budget = max(sum(edges[:2]), sum(edges[4:6]))
+    assert min(edges[2:4] + edges[6:9]) > budget
+    return manifest, budget
+
+
+def test_predict_writes_the_same_bytes_at_one_and_two_workers(tmp_path, capsys, monkeypatch):
+    manifest, budget = _pool_manifest(tmp_path)
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", budget)
+    ckpt = tmp_path / "model.eqcp"
+    _tiny_checkpoint(ckpt)
+    out = tmp_path / "preds.csv"
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda workers=workers: workers)
+        assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        outputs.append((out.read_bytes(), captured.out, captured.err))
+    assert forks == [os.getpid()]      # the second run forked one child
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2].count("ligand outside pocket") == 1
+    assert len(outputs[0][0].splitlines()) == 2 + 10
+
+
+class _TwoPartError(NumericalError):
+    """Pickles by its message, and cannot be rebuilt from it."""
+
+    def __init__(self, layer, kind):
+        super().__init__(f"non-finite features after layer {layer} kind {kind} (l=0)")
+
+
+@pytest.mark.parametrize("error", [
+    lambda: NumericalError("non-finite features after layer 0 kind pp (l=0)"),
+    lambda: _TwoPartError(0, "pp"),
+], ids=["picklable", "unpicklable"])
+def test_predict_reraises_a_worker_error_and_reaps_every_worker(tmp_path, capsys, monkeypatch,
+                                                                error):
+    records = [random_complex(np.random.default_rng(i), complex_id=f"c{i}", n_atoms=n,
+                              n_residues=6) for i, n in enumerate((5, 6, 7, 8))]
+    manifest = write_manifest(records, str(tmp_path / "data"))
+    ckpt = tmp_path / "model.eqcp"
+    _tiny_checkpoint(ckpt)
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", 0)    # a pack per graph
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    parent = os.getpid()
+
+    def forward_failing_on_c1(pack, fp, params, cfg, cache=None):
+        if pack.n_ligand == 6:      # c1, pack 1, which the child scores
+            assert os.getpid() != parent
+            raise error()
+        return forward(pack, fp, params, cfg, cache=cache)
+
+    monkeypatch.setattr(cli, "forward", forward_failing_on_c1)
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: non-finite features after layer 0 kind pp (l=0)\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_predict_exits_one_when_a_worker_dies_without_its_predictions(tmp_path, capsys,
+                                                                      monkeypatch):
+    records = [random_complex(np.random.default_rng(i), complex_id=f"c{i}", n_atoms=n,
+                              n_residues=6) for i, n in enumerate((5, 6, 7))]
+    manifest = write_manifest(records, str(tmp_path / "data"))
+    ckpt = tmp_path / "model.eqcp"
+    _tiny_checkpoint(ckpt)
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", 0)    # a pack per graph
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+
+    def forward_dying_on_c1(pack, fp, params, cfg, cache=None):
+        if pack.n_ligand == 6:      # c1, pack 1, which the child scores
+            os._exit(3)
+        return forward(pack, fp, params, cfg, cache=cache)
+
+    monkeypatch.setattr(cli, "forward", forward_dying_on_c1)
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: the worker scoring pack 1 ended without its predictions\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_predict_scores_alone_when_it_cannot_fork(tmp_path, capsys, monkeypatch):
+    manifest, budget = _pool_manifest(tmp_path)
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", budget)
+    ckpt = tmp_path / "model.eqcp"
+    _tiny_checkpoint(ckpt)
+    out = tmp_path / "preds.csv"
+    argv = ["predict", "--manifest", manifest, "--checkpoint", str(ckpt), "--out", str(out)]
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    assert main(argv) == 0
+    serial = out.read_bytes(), capsys.readouterr()
+
+    def fork_at_the_process_limit():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork_at_the_process_limit)
+    assert main(argv) == 0
+    assert (out.read_bytes(), capsys.readouterr()) == serial
+
+
+def test_predict_issues_a_worker_warning_as_the_serial_run_does(tmp_path, monkeypatch):
+    """Each pack warns once with its own text and once with a shared one;
+    the child's warnings reach the parent, which shows them in pack order
+    and the shared one once, as one process does."""
+    manifest, budget = _pool_manifest(tmp_path)
+    monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", budget)
+    ckpt = tmp_path / "model.eqcp"
+    _tiny_checkpoint(ckpt)
+
+    def warning_forward(pack, fp, params, cfg, cache=None):
+        warnings.warn(f"pack of {pack.n_graphs} graphs, {pack.n_nodes} nodes, "
+                      f"{pack.edge_count()} edges", RuntimeWarning)
+        warnings.warn("overflow encountered in exp", RuntimeWarning)
+        return forward(pack, fp, params, cfg, cache=cache)
+
+    monkeypatch.setattr(cli, "forward", warning_forward)
+    shown = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda workers=workers: workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "preds.csv")]) == 0
+        shown.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+    assert shown[0] == shown[1]
+    texts = [text for text, *_ in shown[0]]
+    assert texts.count("overflow encountered in exp") == 1
+    assert len(set(texts)) == len(texts) == 1 + 8     # 8 packs of distinct shapes
+
+
+def test_usable_cores_honour_a_cgroup_cpu_quota(tmp_path, monkeypatch):
+    root, table = tmp_path / "cgroup", tmp_path / "self_cgroup"
+
+    def write(rel, text):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+
+    table.write_text("0::/job/step\n")
+    write("cpu.max", "max 100000\n")
+    assert cli._quota_cpus(str(root), str(table)) == math.inf
+    write("job/cpu.max", "150000 100000\n")        # an ancestor's quota binds
+    write("job/step/cpu.max", "max 100000\n")
+    assert cli._quota_cpus(str(root), str(table)) == 1.5
+    table.write_text("4:cpuacct:/\n3:cpu,cpuacct:/job\n1:name=systemd:/job\n")
+    write("cpu,cpuacct/job/cpu.cfs_quota_us", "-1\n")
+    write("cpu,cpuacct/job/cpu.cfs_period_us", "100000\n")
+    write("cpu,cpuacct/cpu.cfs_quota_us", "200000\n")
+    write("cpu,cpuacct/cpu.cfs_period_us", "100000\n")
+    assert cli._quota_cpus(str(root), str(table)) == 2.0
+    assert cli._quota_cpus(str(root), str(tmp_path / "absent")) == math.inf
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        monkeypatch.setattr(cli, "_quota_cpus", lambda: 1.5)
+        assert cli._usable_cores() == 1
+        monkeypatch.setattr(cli, "_quota_cpus", lambda: math.inf)
+        assert cli._usable_cores() == len(os.sched_getaffinity(0))
+
+
+def test_predict_of_one_pack_starts_no_worker(tmp_path, monkeypatch):
+    """The records form one pack, as `train-toy`'s held-out predict and
+    every warm-up call do, so `predict` runs alone."""
+    manifest = write_manifest(random_complexes(4, seed=3, n_atoms=5, n_residues=5),
+                              str(tmp_path / "data"))
+    ckpt = tmp_path / "model.eqcp"
+    _tiny_checkpoint(ckpt)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+
+    def no_fork():
+        raise AssertionError("predict forked for one pack")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "preds.csv")]) == 0
 
 
 def test_train_prints_a_graph_warning_per_far_ligand(toy_dir, capsys):
@@ -1217,7 +1431,7 @@ def screen_predict_peak_mb() -> float:
     """`tracemalloc` peak, in MB, of one `predict` call at the default
     config: six ligands of 20-40 atoms in the pocket of one 300-residue
     receptor (`conftest.lattice_receptor`), which the receptor cache
-    shares."""
+    shares, scored by one worker, so that `tracemalloc` sees them all."""
     rng = np.random.default_rng(0)
     receptor = lattice_receptor(rng)
     records = [ComplexRecord(complex_id=f"lig{i}", protein=receptor,
@@ -1231,6 +1445,7 @@ def screen_predict_peak_mb() -> float:
             "model": model_cfg.to_dict(), "cutoffs": cutoffs.to_dict(), "seed": 0})
         argv = ["predict", "--manifest", manifest, "--checkpoint", ckpt,
                 "--out", os.path.join(tmp, "pred.csv")]
+        usable_cores, cli._usable_cores = cli._usable_cores, lambda: 1
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -1238,6 +1453,7 @@ def screen_predict_peak_mb() -> float:
             return tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
+            cli._usable_cores = usable_cores
 
 
 def test_screen_predict_peaks_below_16_mb():

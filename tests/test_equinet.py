@@ -908,9 +908,12 @@ def test_cache_matches_forward_on_interleaved_receptors(rng):
     rec_a, rec_b = lattice_receptor(rng, n_residues=120), lattice_receptor(rng, n_residues=150)
     (a1, a2), (b1,) = _screen(rng, rec_a, (12, 16)), _screen(rng, rec_b, (14,))
     cache = _assert_cached_matches_forward([a1, b1, a2], params)
-    # returning to receptor A found B's entry, so A was computed afresh
-    assert all(cache.recomputed[layer] == len(a2[0].edges[EdgeKind.PP])
-               for layer in range(CACHE_CFG.layers))
+    # returning to receptor A found B's entry, so A's reference was made
+    # afresh, and a2 recomputed what it recomputes on a cache of its own
+    n_pp = len(a2[0].edges[EdgeKind.PP])
+    assert cache.recomputed == _assert_cached_matches_forward([a2], params).recomputed
+    assert cache.recomputed[0] == 0 and 0 < cache.recomputed[1] < n_pp
+    assert cache.recomputed[2] == n_pp
 
 
 def test_cache_matches_forward_for_an_out_of_pocket_ligand(rng, receptor):
@@ -940,14 +943,13 @@ def test_cache_matches_forward_when_the_last_pp_stage_turns_whole_and_back(rng):
     last = CACHE_CFG.layers - 1
     for first, second in ((whole, part), (part, whole)):
         cache = ReceptorCache()
-        for step, item in enumerate((first, second, first)):
+        for item in (first, second, first):
             _assert_cached_matches_forward([item], params, cache=cache)
-            if item is part:
-                assert cache.recomputed[last] == len(pp)
-            else:
-                # the whole stage's reference is the first whole forward
-                assert last in cache.ref_sums
-                assert cache.recomputed[last] == (0 if step == 2 else len(pp))
+            # every residue of the small receptor differs from the
+            # receptor alone by the last layer
+            assert cache.recomputed[last] == len(pp)
+            # a whole stage's reference sums come from the reference's rows and gates
+            assert last in cache.ref_sums or item is part
         assert (last in cache.ref_sums) == (first is whole or second is whole)
 
 
@@ -1056,12 +1058,9 @@ def _oracle_kernel(h_src, sh, path_gates, path_weights, paths, out_layout):
         paths, out_layout.muls))
 
 
-def test_forward_matches_the_per_path_oracle_through_the_last_layer(rng, monkeypatch):
-    """On a model whose last-layer features are O(1), cached and uncached
-    predictions agree with the forward that runs `tp_message_oracle` in
-    place of the kernel, and a 1e-6 relative change to a last-layer weight
-    moves them by more than 1e-9 relative."""
-    items = _screen(rng, lattice_receptor(rng, n_residues=80), (14, 18))
+def _o1_params(item):
+    """Parameters whose features stay O(1) through the last layer on the
+    (graph, fingerprint) `item`, and on its receptor's other ligands."""
     params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
     # gates near 1 keep the messages above the batch-norm epsilon, and
     # the running statistics of one training forward then normalise
@@ -1071,11 +1070,21 @@ def test_forward_matches_the_per_path_oracle_through_the_last_layer(rng, monkeyp
             params[name].data = params[name].data + 1.0
     running = [name for name in params.names() if ".bn.run_" in name]
     before = {name: params[name].data.copy() for name in running}
-    forward_one(*items[0], params, CACHE_CFG, training=True)
+    forward_one(*item, params, CACHE_CFG, training=True)
     for name in running:
         params[name].data = (params[name].data - (1 - BN_MOMENTUM) * before[name]) / BN_MOMENTUM
-    _, feats = forward_one(*items[0], params, CACHE_CFG, return_features=True)
+    _, feats = forward_one(*item, params, CACHE_CFG, return_features=True)
     assert all(np.abs(f["feature"].blocks[0].data).max() > 0.1 for f in feats)
+    return params
+
+
+def test_forward_matches_the_per_path_oracle_through_the_last_layer(rng, monkeypatch):
+    """On a model whose last-layer features are O(1), cached and uncached
+    predictions agree with the forward that runs `tp_message_oracle` in
+    place of the kernel, and a 1e-6 relative change to a last-layer weight
+    moves them by more than 1e-9 relative."""
+    items = _screen(rng, lattice_receptor(rng, n_residues=80), (14, 18))
+    params = _o1_params(items[0])
 
     def predict(cache):
         return np.array([float(forward_one(g, fp, params, CACHE_CFG, cache=cache).data)
@@ -1091,6 +1100,28 @@ def test_forward_matches_the_per_path_oracle_through_the_last_layer(rng, monkeyp
     weight.data = weight.data * (1 + 1e-6)
     for moved, base in ((predict(None), uncached), (predict(ReceptorCache()), cached)):
         assert np.all(np.abs(moved - base) > 1e-9 * np.abs(base))
+
+
+def test_cached_predictions_do_not_depend_on_the_ligands_before_them(rng):
+    """The reference is the receptor alone: on the O(1)-feature model each
+    ligand's cached prediction is the same bits whether the manifest runs
+    in order, reversed or holds that ligand alone, and agrees with the
+    uncached forward within 1e-12."""
+    items = _screen(rng, lattice_receptor(rng, n_residues=80), (12, 14, 16, 18))
+    params = _o1_params(items[0])
+
+    def predict(order):
+        cache = ReceptorCache()
+        return {i: forward_one(*items[i], params, CACHE_CFG, cache=cache).data.tobytes()
+                for i in order}
+
+    in_order = predict(range(4))
+    assert predict(reversed(range(4))) == in_order
+    for i in range(4):
+        assert predict([i]) == {i: in_order[i]}
+    uncached = np.array([float(forward_one(*item, params, CACHE_CFG).data) for item in items])
+    cached = np.array([np.frombuffer(in_order[i])[0] for i in range(4)])
+    np.testing.assert_allclose(cached, uncached, rtol=1e-12, atol=0)
 
 
 def test_cache_rejects_training(rng):
