@@ -306,18 +306,6 @@ _DIGIT_0, _DIGIT_9 = ord("0"), ord("9")
 _CHAIN = np.array([chr(b) if 32 < b < 127 else "" for b in range(256)])  # a byte, stripped
 
 
-# one text of fewer lines than this goes through the per-line parse: the
-# array passes' fixed cost, about 150 numpy calls, makes them the slower
-# route for a small text (`timeit` of one text crosses over near 90 lines
-# for `parse_pdb`, 200 for `parse_pdb_atoms` and 400 for `parse_sdf`);
-# `rerank`'s pose files and receptors sit above it
-LINE_PARSE_BELOW = 192
-
-
-def _short(data) -> bool:
-    return data.count("\n" if isinstance(data, str) else b"\n") < LINE_PARSE_BELOW
-
-
 def _word(text: bytes) -> int:
     """Four bytes as the uint32 a `_LineTable` row's column group reads."""
     return int(np.frombuffer(text, dtype=np.uint32)[0])
@@ -698,15 +686,14 @@ def parse_pdb(data, structure_id: str = "protein") -> ProteinStructure:
     The first CA encountered for a residue wins, which also resolves
     alternate locations in favour of the first altLoc. HETATM records and
     insertion codes are ignored. Residues come back sorted by (chain, resSeq).
-    The array pass (`_ca_residues`) reads the text; a short one, and one
-    the pass leaves, goes through the per-line parse (`_scan_atoms`), where
-    a malformed field raises for the first bad line in file order, a bad
-    resSeq after a bad coordinate included.
+    The array pass (`_ca_residues`) reads the text; one the pass leaves
+    goes through the per-line parse (`_scan_atoms`), where a malformed
+    field raises for the first bad line in file order, a bad resSeq after
+    a bad coordinate included.
     """
-    if not _short(data):
-        (arrays,) = _ca_residues(_LineTable([data], _PDB_WIDTH))
-        if arrays is not None:
-            return _protein(structure_id, arrays)
+    (arrays,) = _ca_residues(_LineTable([data], _PDB_WIDTH))
+    if arrays is not None:
+        return _protein(structure_id, arrays)
     return _parse_pdb_lines(data, structure_id)
 
 
@@ -732,15 +719,14 @@ def parse_pdb_atoms(data) -> HeavyAtoms:
     Used by the physics score, which needs all protein heavy atoms rather
     than just alpha carbons. Alternate locations resolve to the first seen
     (chain, resSeq, atom name). As in `parse_pdb`, the array pass
-    (`_heavy_atoms`) reads the text, and a short text or one it leaves goes
-    through the per-line parse, where a malformed field raises for the
-    first bad line in file order.
+    (`_heavy_atoms`) reads the text, and one it leaves goes through the
+    per-line parse, where a malformed field raises for the first bad line
+    in file order.
     """
-    if not _short(data):
-        (arrays,) = _heavy_atoms(_LineTable([data], _PDB_WIDTH))
-        if arrays is not None:
-            elements, positions = arrays
-            return HeavyAtoms(elements=tuple(elements.tolist()), positions=positions)
+    (arrays,) = _heavy_atoms(_LineTable([data], _PDB_WIDTH))
+    if arrays is not None:
+        elements, positions = arrays
+        return HeavyAtoms(elements=tuple(elements.tolist()), positions=positions)
     kept, elements = _scan_atoms(_as_text(data), ca_only=False)
     if not kept:
         raise EmptyStructureError("no heavy-atom ATOM records found")
@@ -752,14 +738,13 @@ def parse_sdf(data) -> list[LigandMolecule]:
 
     Hydrogens are dropped and bond indices remapped onto the remaining heavy
     atoms. Bond type 4 marks aromatic bonds; atoms touching one get the
-    aromatic flag. The array pass (`_sdf_records`) reads the text; a short
-    one, and one the pass leaves, goes through the per-line parse
-    (`_parse_mol_block`), which raises for the first bad line.
+    aromatic flag. The array pass (`_sdf_records`) reads the text; one the
+    pass leaves goes through the per-line parse (`_parse_mol_block`), which
+    raises for the first bad line.
     """
-    if not _short(data):
-        (mols,) = _sdf_records(_LineTable([data], _SDF_WIDTH))
-        if mols is not None:
-            return [_bare(LigandMolecule, **mol) for mol in mols]
+    (mols,) = _sdf_records(_LineTable([data], _SDF_WIDTH))
+    if mols is not None:
+        return [_bare(LigandMolecule, **mol) for mol in mols]
     return _parse_sdf_lines(data)
 
 

@@ -492,8 +492,7 @@ def _block_adjoint(e, src, dst, stored, paths, run, row_degrees, seeds, tracked,
 
 def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,
                            run_mean0, run_var0, run_norms: dict[int, Tensor],
-                           training: bool, node_graph: np.ndarray,
-                           momentum: float = BN_MOMENTUM, eps: float = BN_EPS) -> IrrepFeature:
+                           training: bool, node_graph: np.ndarray) -> IrrepFeature:
     """Batch normalization that commutes with rotations.
 
     l=0 channels get standard batch norm with affine gamma/beta. l>0
@@ -517,12 +516,12 @@ def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,
                 mean = ad.segment_mean(x, node_graph, n_graphs)     # (graphs, ml)
                 centered = ad.add(x, ad.mul(ad.gather_rows(mean, node_graph), -1.0))
                 var = ad.segment_mean(ad.mul(centered, centered), node_graph, n_graphs)
-                _ema_per_graph(run_mean0, mean.data, momentum)
-                _ema_per_graph(run_var0, var.data, momentum)
-                denom = ad.gather_rows(ad.sqrt(ad.add(var, eps)), node_graph)
+                _ema_per_graph(run_mean0, mean.data)
+                _ema_per_graph(run_var0, var.data)
+                denom = ad.gather_rows(ad.sqrt(ad.add(var, BN_EPS)), node_graph)
             else:
                 centered = ad.add(x, -run_mean0.data)
-                denom = ad.sqrt(ad.add(Tensor(run_var0.data), eps))
+                denom = ad.sqrt(ad.add(Tensor(run_var0.data), BN_EPS))
             normed = ad.div(centered, denom)
             y = ad.add(ad.mul(normed, gamma[0]), beta0)
             out[0] = ad.reshape(y, (block.shape[0], ml, 1))
@@ -530,10 +529,10 @@ def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,
             if training:
                 sq = ad.tsum(ad.mul(block, block), axis=2)          # (n, ml)
                 msq = ad.segment_mean(sq, node_graph, n_graphs)     # (graphs, ml)
-                _ema_per_graph(run_norms[l], msq.data, momentum)
+                _ema_per_graph(run_norms[l], msq.data)
             else:
                 msq = Tensor(run_norms[l].data)
-            rms = ad.sqrt(ad.add(msq, eps))
+            rms = ad.sqrt(ad.add(msq, BN_EPS))
             scale = ad.div(gamma[l], rms)                           # (graphs or 1, ml)
             if training:
                 scale = ad.gather_rows(scale, node_graph)
@@ -541,10 +540,10 @@ def equivariant_batch_norm(feat: IrrepFeature, gamma: dict[int, Tensor], beta0,
     return IrrepFeature(feat.layout, out)
 
 
-def _ema_per_graph(running: Tensor, stats: np.ndarray, momentum: float):
+def _ema_per_graph(running: Tensor, stats: np.ndarray):
     """One running-statistic EMA step per row (graph) of `stats`, in order."""
     for row in stats:
-        running.data = (1 - momentum) * running.data + momentum * row
+        running.data = (1 - BN_MOMENTUM) * running.data + BN_MOMENTUM * row
 
 
 def node_update(h: IrrepFeature, incoming: IrrepFeature,

@@ -2,7 +2,7 @@
 for degrees l <= 2.
 
 Conventions: real harmonics in the standard (Wikipedia) normalization with
-integral of |Y|^2 over the sphere equal to 1; blocks ordered l = 0..lmax
+integral of |Y|^2 over the sphere equal to 1; blocks ordered l = 0..LMAX
 with components m = -l..l, so the l=1 block of a unit vector (x, y, z) is
 sqrt(3/4pi) * (y, z, x). Coupling tensors are built from exact complex
 Clebsch-Gordan coefficients via the real-harmonic change of basis and have
@@ -34,8 +34,8 @@ def sh_slice(l: int) -> slice:
     return slice(l * l, (l + 1) * (l + 1))
 
 
-def spherical_harmonics_batch(unit_vecs: np.ndarray, lmax: int = LMAX) -> np.ndarray:
-    """Vectorized harmonics for rows of unit vectors, shape (n, (lmax+1)^2).
+def spherical_harmonics_batch(unit_vecs: np.ndarray) -> np.ndarray:
+    """Vectorized harmonics for rows of unit vectors, shape (n, (LMAX+1)^2).
 
     Zero rows (degenerate coincident-point edges) yield the constant l=0
     component and zeros for l > 0.
@@ -45,21 +45,16 @@ def spherical_harmonics_batch(unit_vecs: np.ndarray, lmax: int = LMAX) -> np.nda
     ok = norms > 1e-10
     if np.any(np.abs(norms[ok] - 1.0) > 1e-6):
         raise ValidationError("rows must be unit vectors (or exactly zero)")
-    if not 0 <= lmax <= LMAX:
-        raise ValidationError(f"lmax must be in [0, {LMAX}], got {lmax}")
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    cols = [np.full_like(x, Y00)]
-    if lmax >= 1:
-        cols += [_C1 * y, _C1 * z, _C1 * x]
-    if lmax >= 2:
-        cols += [
-            _C2XY * x * y,
-            _C2XY * y * z,
-            _C20 * (3.0 * z * z - 1.0),
-            _C2XY * z * x,
-            _C22 * (x * x - y * y),
-        ]
-    out = np.stack(cols, axis=-1)
+    out = np.stack([
+        np.full_like(x, Y00),
+        _C1 * y, _C1 * z, _C1 * x,
+        _C2XY * x * y,
+        _C2XY * y * z,
+        _C20 * (3.0 * z * z - 1.0),
+        _C2XY * z * x,
+        _C22 * (x * x - y * y),
+    ], axis=-1)
     if not np.all(ok):
         out[~ok] = 0.0
         out[~ok, 0] = Y00

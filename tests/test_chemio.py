@@ -565,6 +565,24 @@ def _atoms_oracle(text):
     return tuple(e for e, _ in atoms), np.array([xyz for _, xyz in atoms]).tobytes()
 
 
+def test_a_lone_small_text_parses_in_the_array_pass(monkeypatch):
+    """A valid SDF, CA PDB or heavy-atom PDB text of a few lines is read
+    by the array passes alone, with the oracles' fields."""
+    sdf = "\n".join([METHANE, ETHANE])
+    pdb = "\n".join(pdb_atom_line(i + 1, name, " ", "GLY", "A", 1 + i // 3, i, -i, 0.5 * i, el)
+                     for i, (name, el) in enumerate([("N", "N"), ("CA", "C"), ("O", "O")] * 5))
+    assert sdf.count("\n") < 50 and pdb.count("\n") < 50
+
+    def per_line_parse(*args, **kwargs):
+        raise AssertionError("a valid small text took the per-line parse")
+
+    for name in ("_parse_sdf_lines", "_parse_pdb_lines", "_scan_atoms"):
+        monkeypatch.setattr(chemio, name, per_line_parse)
+    assert _sdf_parsed(sdf) == _sdf_oracle(sdf)
+    assert len(_parsed(pdb)) == 5 and _parsed(pdb) == _oracle(pdb)
+    assert len(_atoms_parsed(pdb)[0]) == 15 and _atoms_parsed(pdb) == _atoms_oracle(pdb)
+
+
 def _bench_receptor_pdb(seed, directory):
     """The `rerank-split-eval` benchmark workload's receptor_full.pdb."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import cpi3d
-from cpi3d import cli, geograph
+from cpi3d import cli, geograph, pool
 from cpi3d.checkpoint import save_checkpoint
 from cpi3d.chemio import ComplexRecord, load_manifest, parse_sdf, write_sdf
 from cpi3d.cli import main
@@ -1042,7 +1042,7 @@ def test_predict_scores_edge_budget_packs(tmp_path, monkeypatch):
         return forward(pack, fp, params, cfg, cache=cache)
 
     monkeypatch.setattr(cli, "forward", spy_forward)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)    # the spy sees every pack
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 1)    # the spy sees every pack
     out = tmp_path / "preds.csv"
     assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
                  "--out", str(out)]) == 0
@@ -1190,7 +1190,7 @@ def test_predict_prints_a_graph_warning_per_far_ligand(tmp_path, capsys, monkeyp
         return graph
 
     monkeypatch.setattr(cli, "build_graph", build_after_the_last_is_freed)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)    # the spy sees every build
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 1)    # the spy sees every build
     out = tmp_path / "preds.csv"
     assert main(["predict", "--manifest", manifest, "--checkpoint",
                  str(tmp_path / "model.eqcp"), "--out", str(out)]) == 0
@@ -1239,10 +1239,10 @@ def test_predict_writes_the_same_bytes_at_one_and_two_workers(tmp_path, capsys, 
         forks.append(os.getpid())
         return fork()
 
-    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(pool.os, "fork", counted_fork)
     outputs = []
     for workers in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cores", lambda workers=workers: workers)
+        monkeypatch.setattr(pool, "_usable_cores", lambda workers=workers: workers)
         assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 0
         captured = capsys.readouterr()
@@ -1272,7 +1272,7 @@ def test_predict_reraises_a_worker_error_and_reaps_every_worker(tmp_path, capsys
     ckpt = tmp_path / "model.eqcp"
     _tiny_checkpoint(ckpt)
     monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", 0)    # a pack per graph
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
     parent = os.getpid()
 
     def forward_failing_on_c1(pack, fp, params, cfg, cache=None):
@@ -1300,7 +1300,7 @@ def test_predict_exits_one_when_a_worker_dies_without_its_predictions(tmp_path, 
     ckpt = tmp_path / "model.eqcp"
     _tiny_checkpoint(ckpt)
     monkeypatch.setattr(geograph, "PACK_EDGE_BUDGET", 0)    # a pack per graph
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
 
     def forward_dying_on_c1(pack, fp, params, cfg, cache=None):
         if pack.n_ligand == 6:      # c1, pack 1, which the child scores
@@ -1325,15 +1325,15 @@ def test_predict_scores_alone_when_it_cannot_fork(tmp_path, capsys, monkeypatch)
     _tiny_checkpoint(ckpt)
     out = tmp_path / "preds.csv"
     argv = ["predict", "--manifest", manifest, "--checkpoint", str(ckpt), "--out", str(out)]
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
     assert main(argv) == 0
     serial = out.read_bytes(), capsys.readouterr()
 
     def fork_at_the_process_limit():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(os, "fork", fork_at_the_process_limit)
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(pool.os, "fork", fork_at_the_process_limit)
     assert main(argv) == 0
     assert (out.read_bytes(), capsys.readouterr()) == serial
 
@@ -1356,7 +1356,7 @@ def test_predict_issues_a_worker_warning_as_the_serial_run_does(tmp_path, monkey
     monkeypatch.setattr(cli, "forward", warning_forward)
     shown = []
     for workers in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cores", lambda workers=workers: workers)
+        monkeypatch.setattr(pool, "_usable_cores", lambda workers=workers: workers)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
@@ -1377,22 +1377,22 @@ def test_usable_cores_honour_a_cgroup_cpu_quota(tmp_path, monkeypatch):
 
     table.write_text("0::/job/step\n")
     write("cpu.max", "max 100000\n")
-    assert cli._quota_cpus(str(root), str(table)) == math.inf
+    assert pool._quota_cpus(str(root), str(table)) == math.inf
     write("job/cpu.max", "150000 100000\n")        # an ancestor's quota binds
     write("job/step/cpu.max", "max 100000\n")
-    assert cli._quota_cpus(str(root), str(table)) == 1.5
+    assert pool._quota_cpus(str(root), str(table)) == 1.5
     table.write_text("4:cpuacct:/\n3:cpu,cpuacct:/job\n1:name=systemd:/job\n")
     write("cpu,cpuacct/job/cpu.cfs_quota_us", "-1\n")
     write("cpu,cpuacct/job/cpu.cfs_period_us", "100000\n")
     write("cpu,cpuacct/cpu.cfs_quota_us", "200000\n")
     write("cpu,cpuacct/cpu.cfs_period_us", "100000\n")
-    assert cli._quota_cpus(str(root), str(table)) == 2.0
-    assert cli._quota_cpus(str(root), str(tmp_path / "absent")) == math.inf
+    assert pool._quota_cpus(str(root), str(table)) == 2.0
+    assert pool._quota_cpus(str(root), str(tmp_path / "absent")) == math.inf
     if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
-        monkeypatch.setattr(cli, "_quota_cpus", lambda: 1.5)
-        assert cli._usable_cores() == 1
-        monkeypatch.setattr(cli, "_quota_cpus", lambda: math.inf)
-        assert cli._usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(pool, "_quota_cpus", lambda: 1.5)
+        assert pool._usable_cores() == 1
+        monkeypatch.setattr(pool, "_quota_cpus", lambda: math.inf)
+        assert pool._usable_cores() == len(os.sched_getaffinity(0))
 
 
 def test_predict_of_one_pack_starts_no_worker(tmp_path, monkeypatch):
@@ -1402,12 +1402,12 @@ def test_predict_of_one_pack_starts_no_worker(tmp_path, monkeypatch):
                               str(tmp_path / "data"))
     ckpt = tmp_path / "model.eqcp"
     _tiny_checkpoint(ckpt)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
 
     def no_fork():
         raise AssertionError("predict forked for one pack")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(pool.os, "fork", no_fork)
     assert main(["predict", "--manifest", manifest, "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "preds.csv")]) == 0
 
@@ -1445,7 +1445,7 @@ def screen_predict_peak_mb() -> float:
             "model": model_cfg.to_dict(), "cutoffs": cutoffs.to_dict(), "seed": 0})
         argv = ["predict", "--manifest", manifest, "--checkpoint", ckpt,
                 "--out", os.path.join(tmp, "pred.csv")]
-        usable_cores, cli._usable_cores = cli._usable_cores, lambda: 1
+        usable_cores, pool._usable_cores = pool._usable_cores, lambda: 1
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -1453,7 +1453,7 @@ def screen_predict_peak_mb() -> float:
             return tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
-            cli._usable_cores = usable_cores
+            pool._usable_cores = usable_cores
 
 
 def test_screen_predict_peaks_below_16_mb():
