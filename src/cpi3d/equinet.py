@@ -17,6 +17,11 @@ residues that send a `pc` edge. In training, batch norm takes l > 0
 statistics over every row, so only the final stage is pruned. The
 values the readout reads are unchanged bit for bit; blocks and rows that
 nothing reads are zero.
+
+A `ReceptorCache` reuses one receptor's pp work across inference
+forwards. Its receptor-only reference picks each layer's entry: the
+source rows and message sums of a pp stage it runs whole, or the gates
+of the last pp stage, which it does not.
 """
 
 from __future__ import annotations
@@ -76,9 +81,6 @@ class IrrepFeature:
     def scalars(self) -> Tensor:
         b = self.blocks[0]
         return ad.reshape(b, (b.shape[0], b.shape[1]))
-
-    def detach(self) -> "IrrepFeature":
-        return IrrepFeature(self.layout, {l: b.data.copy() for l, b in self.blocks.items()})
 
 
 @dataclass(frozen=True)
@@ -322,17 +324,19 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
     gather, so that the outer adjoints add in the order of the same ops
     run on the tape), the edge-network and path weights, `sh` and `dist`.
     The scatter into the sums runs outside it, and `index_add` saves only
-    the ids, so the tape holds no node-sized array per block.
+    the ids, so the tape holds no node-sized array per block. Stored
+    gates serve only the inference-only `ReceptorCache`, so a block on
+    them is a plain call.
     """
     out_layout = IrrepLayout(tuple(rows.layout.mult(l) if l in sums else 0 for l in range(3)))
     run = [i for i, p in enumerate(paths) if out_layout.mult(p[2]) > 0]
     run_paths = tuple(paths[i] for i in run)
     cols = (slice(None), np.asarray(run))
     if callable(gates):
-        net, stored = (), gates
+        net, cutoffs = (), None
     else:
         dist, cutoffs, scalars, psi = gates
-        net, stored = (scalars, scalars, *psi, dist), cutoffs
+        net = (scalars, scalars, *psi, dist)
     degrees, row_degrees, n_rows = tuple(sums), tuple(rows.blocks), len(rows.blocks)
     inputs = (*rows.blocks.values(), *(tp_weights[p] for p in run_paths), sh, *net)
     for start in range(0, len(edges), EDGE_BLOCK):
@@ -355,10 +359,10 @@ def aggregate_messages(rows: IrrepFeature, edges, src, dst, sh, gates, tp_weight
             return tuple(msg.blocks[l] for l in degrees)
 
         def adjoint(seeds, tracked, *xs, e=e):
-            return _block_adjoint(e, src, dst, stored, paths, run, row_degrees,
+            return _block_adjoint(e, src, dst, cutoffs, paths, run, row_degrees,
                                   dict(zip(degrees, seeds)), tracked, xs)
 
-        msgs = ad.custom_adjoint(block, adjoint, *inputs)
+        msgs = ad.custom_adjoint(block, adjoint, *inputs) if net else block(*inputs)
         d = dst[e]  # one copy of the ids, saved by every degree's index_add
         sums = {l: ad.index_add(sums[l], d, m) for l, m in zip(degrees, msgs)}
     return IrrepFeature(out_layout, sums)
@@ -369,7 +373,7 @@ def _silu_adjoint(g, x, s):
     return g * s + (g * x) * (s * (1.0 - s))
 
 
-def _block_adjoint(e, src, dst, stored, paths, run, row_degrees, seeds, tracked, xs):
+def _block_adjoint(e, src, dst, cutoffs, paths, run, row_degrees, seeds, tracked, xs):
     """The adjoints of one message block's inputs `xs` (in
     `aggregate_messages` order, flags `tracked`) from its messages'
     adjoints `seeds`, keyed by degree: the VJPs of the block's ops in the
@@ -380,30 +384,26 @@ def _block_adjoint(e, src, dst, stored, paths, run, row_degrees, seeds, tracked,
     silu, and each path's gated coupling once. It skips what the tape
     would not record: the adjoints of untracked `sh` and `dist`, and the
     paths whose untracked source rows are all zero (layer 0's l > 0
-    blocks), as `tensor_product_message` does on a tape. `stored` is the
-    function of stored gates, or the cutoffs of the edge network. A
-    tracked input that no adjoint reaches gets None.
+    blocks), as `tensor_product_message` does on a tape. `cutoffs` embed
+    the distances for the edge network. A tracked input that no adjoint
+    reaches gets None.
     """
     n_rows, n_w = len(row_degrees), len(run)
     rows, t_rows = dict(zip(row_degrees, xs)), dict(zip(row_degrees, tracked))
     sh, t_sh = xs[n_rows + n_w], tracked[n_rows + n_w]
-    net, t_net = xs[n_rows + n_w + 1:], tracked[n_rows + n_w + 1:]
-    n_e, src_e = len(e), src[e]
-    if net:
-        h_b, h_a, W0, b0, W1, b1, W2, b2, dist = net
-        dst_e = dst[e]
-        diff = dist[e].reshape(n_e, 1) + -stored.anchors()      # `rbf_embed`'s ops
-        rbf = np.exp(diff * diff * -stored.rbf_gamma)
-        c = np.concatenate([rbf, h_a[dst_e], h_b[src_e]], axis=1)
-        if not t_net[-1]:
-            del diff, rbf
-        a0 = c @ W0 + b0
-        s0 = ad._sigmoid(a0)
-        a1 = (a0 * s0) @ W1 + b1        # each silu's output is recomputed where it is read
-        s1 = ad._sigmoid(a1)
-        gate = (a1 * s1) @ W2 + b2
-    else:
-        gate = stored(e)
+    h_b, h_a, W0, b0, W1, b1, W2, b2, dist = xs[n_rows + n_w + 1:]
+    t_net = tracked[n_rows + n_w + 1:]
+    n_e, src_e, dst_e = len(e), src[e], dst[e]
+    diff = dist[e].reshape(n_e, 1) + -cutoffs.anchors()         # `rbf_embed`'s ops
+    rbf = np.exp(diff * diff * -cutoffs.rbf_gamma)
+    c = np.concatenate([rbf, h_a[dst_e], h_b[src_e]], axis=1)
+    if not t_net[-1]:
+        del diff, rbf
+    a0 = c @ W0 + b0
+    s0 = ad._sigmoid(a0)
+    a1 = (a0 * s0) @ W1 + b1        # each silu's output is recomputed where it is read
+    s1 = ad._sigmoid(a1)
+    gate = (a1 * s1) @ W2 + b2
     cols = (slice(None), np.asarray(run))
     if n_w < len(paths):
         gate = gate[cols]
@@ -484,7 +484,7 @@ def _block_adjoint(e, src, dst, stored, paths, run, row_degrees, seeds, tracked,
             grads[k] = ad._scatter_rows(g_c[:, n_rbf + m0:], src_e, len(h_b))
             grads[k + 1] = ad._scatter_rows(g_c[:, n_rbf:n_rbf + m0], dst_e, len(h_a))
             if t_net[-1]:
-                t = g_c[:, :n_rbf] * rbf * -stored.rbf_gamma * diff
+                t = g_c[:, :n_rbf] * rbf * -cutoffs.rbf_gamma * diff
                 grads[k + 8] = ad._scatter_rows(
                     np.reshape(ad._unbroadcast(t + t, (n_e, 1)), (n_e,)), e, len(dist))
     return grads
@@ -625,17 +625,20 @@ class ReceptorCache:
     positions, and on the parameter store that filled it. A graph of
     another receptor refills it from the reference: one forward of that
     receptor alone (`geograph.receptor_only`: its residues and pp edges,
-    no ligand node, no cc or pc edge) without a readout. Per layer it
-    holds the reference's pp source rows; for a layer whose pp stage ran
-    whole there (every edge ends on a live row) the per-residue pp message
-    sums, and for any other layer, the last, the gates of every pp edge,
-    which depend only on the distances and the layer-0 residue
-    embeddings. No ligand's forward becomes the reference, so a
-    prediction from the cache depends only on its receptor and its
-    ligand. `recomputed` maps each layer to the number of pp edges whose
-    messages the last forward computed: the edges from the residues whose
-    rows differ from the reference's in a whole stage, every edge in any
-    other.
+    no ligand node, no cc or pc edge) without a readout.
+
+    The reference picks each layer's entry. A layer whose pp stage it runs
+    whole (every edge ends on a live row) keeps the reference's pp source
+    rows and per-residue message sums, to which a ligand adds the messages
+    of its row changes. The other layer, the last, keeps only the gates of
+    every pp edge, which depend only on the distances and the layer-0
+    residue embeddings, and every ligand runs its stage on them. No
+    ligand's forward becomes the reference, so a prediction from the cache
+    depends only on its receptor and its ligand. `recomputed` maps each
+    layer to the number of pp edges whose messages the last forward
+    computed: the edges from the residues whose rows differ from the
+    reference's on a layer with reference sums, every edge on the layer
+    with stored gates.
     """
 
     def __init__(self):
@@ -713,40 +716,31 @@ def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, p
                     h: IrrepFeature, edges, n_ligand: int) -> dict:
     """The pp message sums of one inference layer, from the cache.
 
-    The reference's forward finds no entry for the layer and fills it:
-    its source rows, and for a whole stage the sums over every edge and
-    path. A stage that is not whole is the last pp stage (pp edges run
-    both ways, so a later pp stage keeps every earlier one whole), whose
-    sums nothing reads; it stores the gates of every edge instead. A ligand's
-    whole stage adds to the reference sums the messages of `rows -
-    ref_rows` over the edges leaving residues whose rows differ, as a pp
-    edge's message is linear in its source rows; where the reference's
-    stage was not whole, its sums are first made from its rows and gates.
-    A ligand's other stages run `_stage_sums` on the stored gates.
+    The reference's forward finds no entry for the layer and fills it. A
+    stage it runs whole keeps its source rows and its sums over every edge
+    and path. The stage it does not run whole is the last pp stage (pp
+    edges run both ways, so a later pp stage keeps every earlier one
+    whole), whose sums nothing reads; it keeps the gates of every edge.
+    On a layer with reference sums, a ligand adds to them the messages of
+    `rows - ref_rows` over the edges leaving residues whose rows differ,
+    as a pp edge's message is linear in its source rows. On a layer with
+    stored gates, it runs `_stage_sums` on them.
     """
     a_idx, b_idx, _, sh = edges
-    every = np.arange(len(a_idx))
-    whole = live[a_idx].all()
-    if layer not in cache.ref_rows:    # the reference's forward, with no ligand rows
-        cache.ref_rows[layer] = {l: b.data for l, b in h.blocks.items()}
-        zeros = {l: np.zeros(b.shape) for l, b in h.blocks.items()}
-        if not whole:
-            cache.gates[layer] = _all_gates(gates, b_idx, a_idx, len(paths))
-            return zeros
-        sums = aggregate_messages(h, every, b_idx, a_idx, sh, gates, tp_weights, paths,
-                                  zeros).blocks
-        cache.ref_sums[layer] = {l: s.data for l, s in sums.items()}
-        return sums
-    if not whole:
+    if layer in cache.gates:
         cache.recomputed[layer] = len(a_idx)
         return _stage_sums(h, live, edges, cache.gates[layer].__getitem__, tp_weights, paths)
+    if layer not in cache.ref_rows:    # the reference's forward, with no ligand rows
+        zeros = {l: np.zeros(b.shape) for l, b in h.blocks.items()}
+        if not live[a_idx].all():
+            cache.gates[layer] = _all_gates(gates, b_idx, a_idx, len(paths))
+            return zeros
+        cache.ref_rows[layer] = {l: b.data for l, b in h.blocks.items()}
+        sums = aggregate_messages(h, np.arange(len(a_idx)), b_idx, a_idx, sh, gates,
+                                  tp_weights, paths, zeros).blocks
+        cache.ref_sums[layer] = {l: s.data for l, s in sums.items()}
+        return sums
     ref_rows = cache.ref_rows[layer]
-    if layer not in cache.ref_sums:
-        zeros = {l: np.zeros(r.shape) for l, r in ref_rows.items()}
-        ref = aggregate_messages(IrrepFeature(h.layout, ref_rows), every, b_idx - n_ligand,
-                                 a_idx - n_ligand, sh, cache.gates[layer].__getitem__,
-                                 tp_weights, paths, zeros).blocks
-        cache.ref_sums[layer] = {l: s.data for l, s in ref.items()}
     rows, sums = {}, {}
     differs = np.zeros(h.n, dtype=bool)
     for l, b in h.blocks.items():
@@ -762,8 +756,8 @@ def _cached_pp_sums(cache: ReceptorCache, layer: int, live, gates, tp_weights, p
 
 
 def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
-            cfg: ModelConfig, training: bool = False, return_features: bool = False,
-            edge_override: dict | None = None, cache: ReceptorCache | None = None):
+            cfg: ModelConfig, training: bool = False, cache: ReceptorCache | None = None,
+            features: list | None = None) -> Tensor:
     """Scalar predictions for a pack of complex graphs, one per graph.
 
     `fp` is the pack's (B, width) fingerprint bit matrix, one row per
@@ -782,37 +776,32 @@ def forward(pack: GraphPack, fp: np.ndarray, params: ParameterStore,
     inference a stage runs its l_out > 0 paths only over the edges into
     live rows, which leaves out the last pp stage's edges into residues
     that send no pc edge; rows that no later stage reads are set to zero.
-    The returned features show these zeros.
+    A `features` list gets the node features after each stage, as
+    {"layer", "kind", "feature"} dicts, which show these zeros.
 
     Each block of edges embeds its distances in RBF rows with the cutoffs
-    the pack records (`edge_gates`). `edge_override` replaces the per-kind
-    (dist, sh) constants with caller tensors (used to differentiate
-    through geometric inputs in tests).
+    the pack records (`edge_gates`).
     `cache` (inference only) takes the pp message sums of a pack of one
     from a `ReceptorCache`, which reuses the receptor's work across ligands,
     gives the same bits whatever ligands it served before, and agrees with
     the uncached forward to rounding; a larger pack runs uncached.
     """
     if cache is not None:
-        if training or edge_override:
+        if training:
             raise ConfigError("the receptor cache serves inference forwards only")
         if pack.n_graphs == 1:
             cache.select(pack, params, cfg)
         else:
             cache = None
-    features: list[dict] | None = [] if return_features else None
-    h = _propagate(pack, params, cfg, training, edge_override, cache, features)
+    h = _propagate(pack, params, cfg, training, cache, features)
     pooled = invariant_pool(h, pack.node_graph, pack.kinds, pack.n_graphs)
-    pred = readout(pooled, fp, tuple(
+    return readout(pooled, fp, tuple(
         params[f"readout.{w}"] for w in ("fp.W", "fp.b", "hidden.W", "hidden.b", "out.W", "out.b")
     ))
-    if return_features:
-        return pred, features
-    return pred
 
 
 def _propagate(pack: GraphPack, params: ParameterStore, cfg: ModelConfig, training=False,
-               edge_override=None, cache=None, features=None) -> IrrepFeature:
+               cache=None, features=None) -> IrrepFeature:
     """`forward`'s embedding and message-passing stages: the node features
     after the final stage, each stage's appended to `features` if given."""
     layout = cfg.layout
@@ -839,8 +828,6 @@ def _propagate(pack: GraphPack, params: ParameterStore, cfg: ModelConfig, traini
         for kind in EDGE_KIND_ORDER:
             prefix = f"layer{layer}.{kind.value}"
             a_idx, b_idx, dist, sh = edge_data[kind]
-            if edge_override and kind in edge_override:
-                dist, sh = edge_override[kind]
             live = next(live_masks)
             # a stage with no live l > 0 row runs on its scalars alone
             stage = layout if live.any() else IrrepLayout((m0, 0, 0))
@@ -888,7 +875,7 @@ def _propagate(pack: GraphPack, params: ParameterStore, cfg: ModelConfig, traini
                         f"non-finite features after layer {layer} kind {kind.value} (l={l})"
                     )
             if features is not None:
-                features.append({"layer": layer, "kind": kind.value, "feature": h.detach()})
+                features.append({"layer": layer, "kind": kind.value, "feature": h})
     return h
 
 

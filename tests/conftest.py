@@ -6,14 +6,14 @@ from cpi3d.chemio import Atom, LigandMolecule, ProteinStructure, Residue
 from cpi3d.equinet import forward
 
 
-def forward_one(graph, fp, params, cfg, **kwargs):
+def forward_one(graph, fp, params, cfg, return_features=False, **kwargs):
     """`forward` of one graph (a pack of one) with its bit row as a
     (1, width) matrix: the prediction as a scalar, and with
-    `return_features` the features too."""
-    out = forward(graph, fp.reshape(1, -1), params, cfg, **kwargs)
-    if kwargs.get("return_features"):
-        return ad.reshape(out[0], ()), out[1]
-    return ad.reshape(out, ())
+    `return_features` the `features` list `forward` fills too."""
+    features = [] if return_features else None
+    pred = ad.reshape(forward(graph, fp.reshape(1, -1), params, cfg, features=features,
+                              **kwargs), ())
+    return (pred, features) if return_features else pred
 
 
 def transform_ligand(mol: LigandMolecule, R=None, t=None) -> LigandMolecule:

@@ -27,7 +27,7 @@ from cpi3d.config import build_config
 from cpi3d.equinet import ModelConfig, ParameterStore, forward, init_params
 from cpi3d.errors import NumericalError
 from cpi3d.fingerprint import morgan_fingerprint
-from cpi3d.geograph import CutoffConfig, build_graph
+from cpi3d.geograph import CutoffConfig, EdgeKind, build_graph
 from cpi3d.synthetic import (
     clustered_records,
     protein_to_pdb,
@@ -1048,8 +1048,9 @@ def test_predict_scores_edge_budget_packs(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     assert pack_sizes == [2, 1, 1, 3]
     cache = caches[2]
-    # the second record on the receptor reused its layer-0 pp sums
-    assert cache.recomputed == {0: 0}
+    # the only pp stage is the last, which the second record on the
+    # receptor ran on the stored gates of every pp edge
+    assert cache.recomputed == {0: len(graphs[3].edges[EdgeKind.PP])}
 
     rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
     assert [r[0] for r in rows] == [rec.complex_id for rec in records]

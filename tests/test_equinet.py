@@ -266,7 +266,7 @@ def test_tp_gradients_match_finite_differences(rng):
         layout = IrrepLayout(muls)
         paths = _paths_for(layout, parity_even_only=False)
         h, sh_arr, gates, weights = _tp_inputs(rng, layout, paths, n_e, requires_grad=True)
-        sh = Tensor(sh_arr, requires_grad=True)   # the edge_override route
+        sh = Tensor(sh_arr, requires_grad=True)   # as from tracked positions
 
         def loss_fn():
             out = tensor_product_message(h, sh, gates, weights, paths, layout)
@@ -409,12 +409,12 @@ def test_aggregate_mean_within_bounds(rng, monkeypatch):
             assert np.all(mean[node] >= per_edge.min(axis=0) - 1e-12)
 
 
-def _block_adjoint_run(monkeypatch, plain: bool, degrees, zero_l1: bool, stored: bool):
+def _block_adjoint_run(monkeypatch, plain: bool, degrees, zero_l1: bool):
     """Loss and gradients, as bytes, of one message stage in 16-edge blocks
     with every block input tracked: row blocks l = 0, 1, 2 (l = 1 untracked
     and all zero with `zero_l1`), path weights, harmonics, both scalar
-    inputs, edge-network weights and distances (or stored gates). `plain`
-    runs each block's `fn` on the outer tape, the oracle for its adjoint."""
+    inputs, edge-network weights and distances. `plain` runs each block's
+    `fn` on the outer tape, the oracle for its adjoint."""
     monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
     if plain:
         monkeypatch.setattr(ad, "custom_adjoint", lambda fn, adjoint, *inputs: fn(*inputs))
@@ -433,8 +433,7 @@ def _block_adjoint_run(monkeypatch, plain: bool, degrees, zero_l1: bool, stored:
     dist = Tensor(rng.uniform(1.0, 4.0, size=len(src)), requires_grad=True)
     scalars = Tensor(rng.normal(size=(n, layout.mult(0))), requires_grad=True)
     psi = _psi_weights(rng, SMALL_CUT.rbf_k + 2 * layout.mult(0), 5, len(paths))
-    table = rng.normal(size=(len(src), len(paths)))
-    gates = table.__getitem__ if stored else (dist, SMALL_CUT, scalars, psi)
+    gates = (dist, SMALL_CUT, scalars, psi)
     sources = [*rows.values(), *weights.values(), sh, scalars, *psi, dist]
     with Tape() as tape:
         sums = aggregate_messages(IrrepFeature(layout, rows), edges, src, dst, sh, gates, weights,
@@ -445,23 +444,22 @@ def _block_adjoint_run(monkeypatch, plain: bool, degrees, zero_l1: bool, stored:
     return [loss.data.tobytes()] + [g.tobytes() for g in tape.gradient(loss, sources)]
 
 
-@pytest.mark.parametrize("degrees,zero_l1,stored", [
-    ((0, 1, 2), False, False),
-    ((0,), False, False),          # the l_out = 0 paths: a take of their gate columns
-    ((0, 1, 2), True, False),      # layer 0's untracked all-zero l > 0 rows
-    ((0, 2), True, True),          # stored gates, a subset and a zero block
-], ids=["all", "path-subset", "zero-block", "stored-gates"])
-def test_block_adjoint_equals_the_plain_call_bit_for_bit(monkeypatch, degrees, zero_l1, stored):
+@pytest.mark.parametrize("degrees,zero_l1", [
+    ((0, 1, 2), False),
+    ((0,), False),          # the l_out = 0 paths: a take of their gate columns
+    ((0, 1, 2), True),      # layer 0's untracked all-zero l > 0 rows
+], ids=["all", "path-subset", "zero-block"])
+def test_block_adjoint_equals_the_plain_call_bit_for_bit(monkeypatch, degrees, zero_l1):
     """The written-out adjoint of each message block gives the loss and
     the gradients of the block's ops run on the outer tape, bit for bit."""
     with monkeypatch.context() as m:
-        got = _block_adjoint_run(m, False, degrees, zero_l1, stored)
+        got = _block_adjoint_run(m, False, degrees, zero_l1)
     with monkeypatch.context() as m:
-        want = _block_adjoint_run(m, True, degrees, zero_l1, stored)
+        want = _block_adjoint_run(m, True, degrees, zero_l1)
     assert got == want
     # the l = 0 rows, the harmonics and (through the edge network) the distances get adjoints
     row0, sh, dist = (np.frombuffer(got[i]) for i in (1, -9, -1))
-    assert row0.any() and sh.any() and dist.any() != stored
+    assert row0.any() and sh.any() and dist.any()
 
 
 def test_backward_calls_neither_the_edge_network_nor_the_message_kernel(monkeypatch):
@@ -925,13 +923,13 @@ def test_cache_matches_forward_for_an_out_of_pocket_ligand(rng, receptor):
     _assert_cached_matches_forward(outside + inside, params)
 
 
-def test_cache_matches_forward_when_the_last_pp_stage_turns_whole_and_back(rng):
-    # on a small receptor a central ligand sends a pc edge from every
-    # residue, so the last pp stage is whole; an off-centre one does not
-    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+def _whole_and_part(rng, cfg=CACHE_CFG):
+    """On a 20-residue receptor, a central ligand that sends a pc edge from
+    every residue, so that the last pp stage is whole, and an off-centre
+    one that does not: their (graph, fingerprint) items and the pp edges."""
     receptor = lattice_receptor(rng, n_residues=20)
-    (whole,) = _screen(rng, receptor, (12,))
-    (part,) = _screen(rng, receptor, (12,), center=(9.0, 0.0, 0.0))
+    (whole,) = _screen(rng, receptor, (12,), cfg=cfg)
+    (part,) = _screen(rng, receptor, (12,), center=(9.0, 0.0, 0.0), cfg=cfg)
     pp = whole[0].edges[EdgeKind.PP]
     assert np.array_equal(part[0].edges[EdgeKind.PP].a, pp.a)
 
@@ -940,17 +938,39 @@ def test_cache_matches_forward_when_the_last_pp_stage_turns_whole_and_back(rng):
 
     assert is_whole(whole[0]) and not is_whole(part[0])
     assert len(part[0].edges[EdgeKind.PC]) > 0
+    return whole, part, pp
+
+
+def test_cache_matches_forward_when_the_last_pp_stage_turns_whole_and_back(rng):
+    params = init_params(CACHE_CFG, CACHE_CUT, seed=3)
+    whole, part, pp = _whole_and_part(rng)
     last = CACHE_CFG.layers - 1
     for first, second in ((whole, part), (part, whole)):
         cache = ReceptorCache()
         for item in (first, second, first):
             _assert_cached_matches_forward([item], params, cache=cache)
+            # the receptor alone picks each layer's entry, whatever the
+            # ligand: reference rows and sums where it runs the stage
+            # whole, the gates alone for the last stage, where it does not
+            assert cache.gates.keys() == {last}
+            assert cache.ref_rows.keys() == cache.ref_sums.keys() == set(range(last))
             # every residue of the small receptor differs from the
             # receptor alone by the last layer
             assert cache.recomputed[last] == len(pp)
-            # a whole stage's reference sums come from the reference's rows and gates
-            assert last in cache.ref_sums or item is part
-        assert (last in cache.ref_sums) == (first is whole or second is whole)
+
+
+def test_one_layer_cached_predictions_equal_the_uncached_forward_bit_for_bit(rng):
+    # the only pp stage is the last, whole for one ligand and not for the
+    # other; the cache runs both on its stored gates
+    cfg = dataclasses.replace(CACHE_CFG, layers=1)
+    params = init_params(cfg, CACHE_CUT, seed=3)
+    whole, part, pp = _whole_and_part(rng, cfg)
+    cache = ReceptorCache()
+    for item in (whole, part, whole):
+        want = forward_one(*item, params, cfg).data.tobytes()
+        assert forward_one(*item, params, cfg, cache=cache).data.tobytes() == want
+        assert cache.gates.keys() == {0} and not cache.ref_rows and not cache.ref_sums
+        assert cache.recomputed == {0: len(pp)}
 
 
 def test_cache_updates_the_edges_from_residues_a_wide_ligand_changes(rng, receptor):

@@ -108,8 +108,8 @@ def _rotation_tensor(theta: Tensor):
 
 
 def _differentiable_edges(rot_pos: Tensor, a_idx, b_idx):
-    """Edge distances and harmonics as tape ops over rotated positions,
-    the `(dist, sh)` that `edge_override` takes."""
+    """Edge distances and harmonics as tape ops over rotated positions:
+    the `(dist, sh)` of `equinet._edge_tensors`, tracked."""
     r = ad.add(ad.gather_rows(rot_pos, b_idx),
                ad.mul(ad.gather_rows(rot_pos, a_idx), -1.0))
     dist = ad.sqrt(ad.tsum(ad.mul(r, r), axis=1, keepdims=True))  # (n_e, 1)
@@ -134,7 +134,15 @@ def _differentiable_edges(rot_pos: Tensor, a_idx, b_idx):
     return ad.reshape(dist, (n_e,)), ad.concat(cols, axis=1)
 
 
-def test_gradient_through_global_rotation_is_zero(rng):
+def _track_edges(monkeypatch, graph, pos: Tensor):
+    """Patch `equinet._edge_tensors` to give `graph`'s edges with the
+    tracked distances and harmonics of `_differentiable_edges` over `pos`."""
+    edges = {kind: (es.a, es.b, *_differentiable_edges(pos, es.a, es.b))
+             for kind, es in graph.edges.items()}
+    monkeypatch.setattr(equinet, "_edge_tensors", lambda pack: edges)
+
+
+def test_gradient_through_global_rotation_is_zero(rng, monkeypatch):
     """The prediction is rotation invariant, so its adjoint with respect to
     learnable rotation angles applied to all coordinates must vanish."""
     rec = random_complex(rng, "probe", n_atoms=5, n_residues=4)
@@ -145,13 +153,8 @@ def test_gradient_through_global_rotation_is_zero(rng):
 
     with Tape() as tape:
         R = _rotation_tensor(theta)
-        rot_pos = ad.einsum("ni,ji->nj", graph.positions, R)
-        override = {}
-        for kind in EDGE_KIND_ORDER:
-            es = graph.edges[kind]
-            override[kind] = _differentiable_edges(rot_pos, es.a, es.b)
-        pred = forward_one(graph, fp, params, TINY_CFG, training=False,
-                           edge_override=override)
+        _track_edges(monkeypatch, graph, ad.einsum("ni,ji->nj", graph.positions, R))
+        pred = forward_one(graph, fp, params, TINY_CFG, training=False)
     (g_theta,) = tape.gradient(pred, [theta])
     assert np.abs(g_theta).max() < 1e-6
 
@@ -524,9 +527,9 @@ def test_one_pack_batch_gradients_equal_its_grad_bit_for_bit():
 
 
 def test_gradients_through_tracked_edge_constants_in_small_blocks(monkeypatch):
-    """`edge_override` feeds tracked distances and harmonics into every
-    message block, which embeds the distances itself. The gradient of a
-    prediction with respect to one ligand atom's coordinates equals the run
+    """Tracked distances and harmonics feed every message block, which
+    embeds the distances itself. The gradient of a prediction with
+    respect to one ligand atom's coordinates equals the run
     with `ad.custom_adjoint` as a plain call of the block bit for bit, is
     nonzero, and matches central differences."""
     monkeypatch.setattr(equinet, "EDGE_BLOCK", 16)
@@ -543,10 +546,9 @@ def test_gradients_through_tracked_edge_constants_in_small_blocks(monkeypatch):
     def predict(xyz):
         pos = ad.concat([graph.positions[:atom], ad.reshape(xyz, (1, 3)),
                          graph.positions[atom + 1:]], axis=0)
-        override = {kind: _differentiable_edges(pos, graph.edges[kind].a, graph.edges[kind].b)
-                    for kind in EDGE_KIND_ORDER}
+        _track_edges(monkeypatch, graph, pos)
         # batch statistics keep the features, and so this gradient, at O(1)
-        return forward_one(graph, fp, params, TINY_CFG, training=True, edge_override=override)
+        return forward_one(graph, fp, params, TINY_CFG, training=True)
 
     def gradient():
         xyz = Tensor(graph.positions[atom].copy(), requires_grad=True)
